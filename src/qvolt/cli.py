@@ -75,6 +75,17 @@ def cmd_run(config: RunConfig, out: str) -> int:
     return EXIT_OK
 
 
+def _write_blinded_outputs(out: str, summary: pipeline.BlindedSummary, config: RunConfig) -> str:
+    _write_histogram_csv(os.path.join(out, "histogram_blinded_low.csv"), summary.low_hist)
+    lines = [
+        f"blinded summary of {summary.n_total} readings "
+        f"(threshold {config.analysis.threshold} V)",
+        _format_summary("low ", summary.low),
+        _format_summary("high", summary.high),
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_blinded_summary(config: RunConfig, out: str, key: str | None = None) -> int:
     if key is not None:
         raise ValueError(
@@ -83,14 +94,7 @@ def cmd_blinded_summary(config: RunConfig, out: str, key: str | None = None) -> 
         )
     readings = signal.read_readings(os.path.join(out, "readings.csv"))
     summary = pipeline.blinded_summary(readings, config)
-    _write_histogram_csv(os.path.join(out, "histogram_blinded_low.csv"), summary.low_hist)
-    lines = [
-        f"blinded summary of {summary.n_total} readings "
-        f"(threshold {config.analysis.threshold} V)",
-        _format_summary("low ", summary.low),
-        _format_summary("high", summary.high),
-    ]
-    text = "\n".join(lines) + "\n"
+    text = _write_blinded_outputs(out, summary, config)
     with open(os.path.join(out, "blinded_summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(text)
     print(text, end="")
@@ -145,16 +149,9 @@ def cmd_report(config: RunConfig, out: str) -> int:
     readings, key, summary, result = pipeline.run_pipeline(config)
     signal.write_readings(readings, os.path.join(out, "readings.csv"))
     blinding.write_key(key, os.path.join(out, "key.csv"))
-    _write_histogram_csv(os.path.join(out, "histogram_blinded_low.csv"), summary.low_hist)
-    blinded_text = "\n".join(
-        [
-            f"blinded summary of {summary.n_total} readings",
-            _format_summary("low ", summary.low),
-            _format_summary("high", summary.high),
-        ]
-    )
+    blinded_text = _write_blinded_outputs(out, summary, config)
     fit_text = _write_fit_outputs(out, result, config)
-    text = blinded_text + "\n\n" + fit_text
+    text = blinded_text + "\n" + fit_text
     with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(text)
     print(text, end="")

@@ -8,6 +8,7 @@ expected is a hard error, not a guess.
 
 import configparser
 from dataclasses import dataclass, field
+import math
 import os
 import re
 
@@ -46,15 +47,22 @@ def parse_quantity(text: str, kind: str) -> float:
         value = float(number)
     except ValueError as exc:
         raise ConfigError(f"bad number {number!r} in {text!r}") from exc
-    return value * scales[unit]
+    return _finite(value * scales[unit], text)
 
 
 def parse_number(text: str) -> float:
     """Dimensionless value: must NOT carry a unit suffix."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"expected a bare dimensionless number, got {text!r}") from exc
+    return _finite(value, text)
+
+
+def _finite(value: float, text: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{text!r} is not a finite number")
+    return value
 
 
 @dataclass(frozen=True)

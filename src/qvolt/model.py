@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 import math
 
+import numpy as np
 from scipy.optimize import brentq
 from scipy.stats import binom
 
@@ -85,21 +86,27 @@ def state_expectation_shift(p1: float, params: NonlinearParams) -> float:
     return params.eps_gamma * (p1 * params.v1 + (1.0 - p1) * params.v0)
 
 
-def expected_reading(bit: int, fidelity: float, params: NonlinearParams) -> float:
-    """Expected reduced voltage for one switch cycle controlled by `bit`.
+def expected_reading(bit, fidelity, params: NonlinearParams):
+    """Expected reduced voltage for switch cycles controlled by `bit`.
 
     bit 1 closes the switch: the full v1 level. bit 0 leaves it open: leakage
     vs plus the fidelity-weighted nonlinear shift eps_gamma * v1 * (f - 1/2).
+    `bit` and `fidelity` broadcast elementwise; scalars give a float.
     """
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    if not 0.5 <= fidelity <= 1.0:
-        raise ValueError(f"fidelity {fidelity} outside [1/2, 1]")
-    if bit == 1:
-        return params.v1
+    b = np.asarray(bit)
+    f = np.asarray(fidelity, dtype=float)
+    bad_bit = (b != 0) & (b != 1)
+    if np.any(bad_bit):
+        raise ValueError(f"bit must be 0 or 1, got {b[bad_bit][0].item()!r}")
+    bad_fid = ~((f >= 0.5) & (f <= 1.0))
+    if np.any(bad_fid):
+        raise ValueError(f"fidelity {f[bad_fid][0]} outside [1/2, 1]")
     if params.interpretation is Interpretation.COPENHAGEN:
-        return params.vs
-    return params.vs + params.eps_gamma * params.v1 * (fidelity - 0.5)
+        low = np.full(f.shape, params.vs)
+    else:
+        low = params.vs + params.eps_gamma * params.v1 * (f - 0.5)
+    level = np.where(b == 1, params.v1, low)
+    return float(level) if level.ndim == 0 else level
 
 
 def net_fidelity_majority(per_cycle_fidelity: float, n: int) -> float:

@@ -4,11 +4,17 @@ One master seed per run; every consumer (bit generation per source, blinding
 permutation, acquisition noise, Monte Carlo resampling) gets an independent
 stream derived by hashing (master, label...). Adding or reordering consumers
 never perturbs the streams of the others.
+
+Acquisition noise is one counter-based Philox stream keyed by the noise seed
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). Cycle i
+owns a fixed run of raw outputs, reached by advancing the counter, so any
+cycle or batch of cycles is drawn on its own without drawing those before it.
 """
 
 import hashlib
 
 import numpy as np
+from scipy.special import ndtri
 
 
 def derive_seed(master: int, *labels) -> int:
@@ -26,10 +32,34 @@ def derive_rng(master: int, *labels) -> np.random.Generator:
     return np.random.default_rng(derive_seed(master, *labels))
 
 
-def cycle_rng(noise_seed: int, cycle_index: int) -> np.random.Generator:
-    """Per-cycle noise stream, split by blinded cycle index.
+def cycle_rng(noise_seed: int, first_cycle: int, n_cycles: int, per_cycle: int) -> np.ndarray:
+    """Standard normals of shape (n_cycles, per_cycle), one row per cycle from first_cycle on.
 
-    Cycles are independent given these streams, so evaluation order (or
-    parallel evaluation over cycles) cannot change the result.
+    Cycle i owns raw outputs [i * per_cycle, (i + 1) * per_cycle) of the Philox
+    stream keyed by `noise_seed`. Philox yields 4 words per counter step, so
+    the start is reached by advancing the counter start // 4 steps and
+    skipping start % 4 words. Each word maps through the inverse normal CDF,
+    one word per value, so a value depends only on its position: drawing a
+    cycle alone, in any batch or in any order gives the same numbers.
     """
-    return np.random.default_rng(np.random.SeedSequence((noise_seed, cycle_index)))
+    if first_cycle < 0 or n_cycles < 0 or per_cycle < 1:
+        raise ValueError(
+            f"bad cycle range: first {first_cycle}, n {n_cycles}, per cycle {per_cycle}"
+        )
+    start = first_cycle * per_cycle
+    bitgen = np.random.Philox(noise_seed)
+    bitgen.advance(start // 4)
+    skip = start % 4
+    raw = bitgen.random_raw(skip + n_cycles * per_cycle)[skip:]
+    return normals_from_raw(raw).reshape(n_cycles, per_cycle)
+
+
+def normals_from_raw(raw: np.ndarray) -> np.ndarray:
+    """Standard normals from 64-bit words, via u = (top 52 bits + 1/2) / 2**52 in (0, 1).
+
+    52 bits keep u's extremes, 2**-53 and 1 - 2**-53, exact in double
+    precision; with 53 bits the top word would round to u = 1 and map to
+    +inf. The tails are cut at |z| = 8.21.
+    """
+    u = ((raw >> np.uint64(12)) + 0.5) * 2.0**-52
+    return ndtri(u)

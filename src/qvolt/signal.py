@@ -12,6 +12,12 @@ Noise configuration is per-reading: sigma_low / sigma_high are standard
 deviations of the reduced reading. Waveform mode converts to per-sample
 noise via sigma_sample = sigma_reading * sqrt(n_window_samples), so both
 modes produce matched reading distributions.
+
+Acquisition works on arrays of cycles. Cycle i's noise is the counter-
+addressed block i of one Philox stream (`seeds.cycle_rng`): one normal per
+cycle in fast mode, one per recorded sample in waveform mode. Waveform mode
+synthesises only the recorded window, WAVEFORM_BATCH_CYCLES cycles at a time,
+so memory stays bounded at any run length.
 """
 
 from dataclasses import dataclass
@@ -24,6 +30,11 @@ import numpy as np
 
 from .model import NonlinearParams, expected_reading
 from .seeds import cycle_rng
+
+
+# Cycles synthesised per waveform batch: a (32, n_window_samples) block keeps
+# peak memory flat while amortising the per-call overhead.
+WAVEFORM_BATCH_CYCLES = 32
 
 
 class AcquisitionMode(str, Enum):
@@ -76,13 +87,17 @@ class AcquisitionConfig:
         t0 = self.cycle_duration - self.record_window
         return t0 + (self.n_window_samples - 1) / (2 * self.sample_rate)
 
-    def range_for(self, level: float) -> VoltageRange:
-        return VoltageRange.INSENSITIVE if level > self.range_threshold else VoltageRange.SENSITIVE
+    def insensitive(self, level):
+        """Whether each level puts the instrument on the insensitive range."""
+        return np.asarray(level) > self.range_threshold
 
-    def sigma_reading_for(self, level: float) -> float:
-        if self.range_for(level) is VoltageRange.INSENSITIVE:
-            return self.sigma_high
-        return self.sigma_low
+    def range_for(self, level: float) -> VoltageRange:
+        return VoltageRange.INSENSITIVE if self.insensitive(level) else VoltageRange.SENSITIVE
+
+    def sigma_reading_for(self, level):
+        """Per-reading sigma of the range each level puts the instrument on."""
+        sigma = np.where(self.insensitive(level), self.sigma_high, self.sigma_low)
+        return float(sigma) if sigma.ndim == 0 else sigma
 
 
 @dataclass(frozen=True)
@@ -92,52 +107,77 @@ class CycleReading:
     range: VoltageRange
 
 
+def _standard_normals(noise, shape) -> np.ndarray:
+    """`noise` as standard normals of `shape`: drawn from a Generator, or given as an array."""
+    if isinstance(noise, np.random.Generator):
+        return noise.standard_normal(shape)
+    z = np.asarray(noise, dtype=float)
+    if z.shape != tuple(shape):
+        raise ValueError(f"noise of shape {z.shape}, want {tuple(shape)}")
+    return z
+
+
 def synthesize_cycle(
-    prev_level: float,
-    target_level: float,
+    prev_level,
+    target_level,
     cfg: AcquisitionConfig,
-    rng: np.random.Generator,
+    noise,
+    first_sample: int = 0,
 ) -> np.ndarray:
-    """Full-cycle sample block: exponential settling + linear drift + noise.
+    """Samples first_sample.. of a cycle: exponential settling + linear drift + noise.
 
     v(t_i) = target + (prev - target) exp(-t_i / tau) + drift_rate * t_i + eta_i
-    with eta_i iid Gaussian at the per-sample sigma of the range the target
-    level puts the instrument on.
+    with eta_i Gaussian at the per-sample sigma of the range the target level
+    puts the instrument on. Levels may be arrays of shape (batch,), giving a
+    (batch, n) block; `noise` is a Generator or standard normals of the
+    block's shape.
     """
-    n = cfg.n_cycle_samples
-    t = np.arange(n) / cfg.sample_rate
-    v = target_level + (prev_level - target_level) * np.exp(-t / cfg.filter_tau)
+    t = np.arange(first_sample, cfg.n_cycle_samples) / cfg.sample_rate
+    prev = np.asarray(prev_level, dtype=float)[..., None]
+    target = np.asarray(target_level, dtype=float)[..., None]
+    v = target + (prev - target) * np.exp(-t / cfg.filter_tau)
     v += cfg.drift_rate * t
-    sigma_sample = cfg.sigma_reading_for(target_level) * math.sqrt(cfg.n_window_samples)
-    if sigma_sample > 0:
-        v += rng.normal(0.0, sigma_sample, size=n)
+    sigma_sample = cfg.sigma_reading_for(target) * math.sqrt(cfg.n_window_samples)
+    if np.any(sigma_sample > 0):
+        v += sigma_sample * _standard_normals(noise, v.shape)
     return v
 
 
-def reduce_cycle(block: np.ndarray, cfg: AcquisitionConfig) -> float:
+def reduce_cycle(block: np.ndarray, cfg: AcquisitionConfig):
     """One voltage per cycle: OLS line over the trailing window, evaluated at its midpoint.
 
     Equivalent to the mean of the slope-detrended window samples, so a drift
-    term odd-symmetric about the midpoint cancels exactly.
+    term odd-symmetric about the midpoint cancels exactly. `block` has shape
+    (..., n) with cycles along the last axis; a single cycle gives a float.
     """
     nw = cfg.n_window_samples
-    if len(block) < nw:
-        raise ValueError(f"block of {len(block)} samples shorter than window ({nw})")
+    block = np.asarray(block, dtype=float)
+    if block.shape[-1] < nw:
+        raise ValueError(f"block of {block.shape[-1]} samples shorter than window ({nw})")
     if nw < 2:
         raise ValueError("window must contain at least 2 samples")
-    window = np.asarray(block[-nw:], dtype=float)
+    window = block[..., -nw:]
     t = np.arange(nw) / cfg.sample_rate
     tc = t - t.mean()
-    slope = np.dot(tc, window) / np.dot(tc, tc)
-    detrended = window - slope * tc
-    return float(detrended.mean())
+    # an elementwise product and sum, not a matrix product: BLAS may order a
+    # row's sum differently by batch size, and a cycle must reduce the same alone
+    slope = (window * tc).sum(axis=-1) / np.dot(tc, tc)
+    detrended = window - slope[..., None] * tc
+    reading = detrended.mean(axis=-1)
+    return float(reading) if reading.ndim == 0 else reading
 
 
-def fast_reading(expected: float, sigma: float, rng: np.random.Generator) -> float:
-    """Draw the reduced reading directly from its sampling distribution."""
-    if sigma < 0:
+def fast_reading(expected, sigma, noise):
+    """Draw reduced readings directly from their sampling distribution.
+
+    expected + sigma * z, elementwise; `noise` is a Generator or the standard
+    normals z. Scalars give a float.
+    """
+    if np.any(np.asarray(sigma) < 0):
         raise ValueError(f"sigma {sigma} < 0")
-    return float(rng.normal(expected, sigma))
+    shape = np.broadcast_shapes(np.shape(expected), np.shape(sigma))
+    value = expected + sigma * _standard_normals(noise, shape)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def run_acquisition(
@@ -151,9 +191,10 @@ def run_acquisition(
 
     `fidelities` is provenance: the simulator (playing the role of nature)
     knows each blinded position's source fidelity; analysis code never sees
-    this array. Noise streams are split per cycle by blinded index, so
-    evaluation order cannot matter. In waveform mode the previous cycle's
-    known target level seeds the settling transient (deterministic and
+    this array. Cycle i's noise is block i of the counter-addressed stream
+    keyed by `noise_seed`, so readings do not depend on batching or on the
+    number of cycles after them. In waveform mode the previous cycle's known
+    target level seeds the settling transient (deterministic and
     parallelizable; the first cycle settles from 0 V).
     """
     bits = np.asarray(blinded_bits)
@@ -161,23 +202,28 @@ def run_acquisition(
     if len(bits) != len(fids):
         raise ValueError(f"{len(bits)} bits but {len(fids)} provenance fidelities")
 
-    levels = np.array(
-        [expected_reading(int(b), float(f), params) for b, f in zip(bits, fids)]
-    )
-    readings: list[CycleReading] = []
-    t_mid = cfg.window_mid_time
+    n = len(bits)
+    levels = expected_reading(bits, fids, params)
     if cfg.mode is AcquisitionMode.FAST:
-        for i, level in enumerate(levels):
-            sigma = cfg.sigma_reading_for(level)
-            value = fast_reading(level + cfg.drift_rate * t_mid, sigma, cycle_rng(noise_seed, i))
-            readings.append(CycleReading(i, value, cfg.range_for(level)))
+        z = cycle_rng(noise_seed, 0, n, 1)[:, 0]
+        values = fast_reading(
+            levels + cfg.drift_rate * cfg.window_mid_time, cfg.sigma_reading_for(levels), z
+        )
     else:
-        prev = 0.0
-        for i, level in enumerate(levels):
-            block = synthesize_cycle(prev, level, cfg, cycle_rng(noise_seed, i))
-            readings.append(CycleReading(i, reduce_cycle(block, cfg), cfg.range_for(level)))
-            prev = level
-    return readings
+        nw = cfg.n_window_samples
+        first_sample = cfg.n_cycle_samples - nw
+        prev = np.concatenate(([0.0], levels[:-1]))
+        values = np.empty(n)
+        for lo in range(0, n, WAVEFORM_BATCH_CYCLES):
+            hi = min(lo + WAVEFORM_BATCH_CYCLES, n)
+            z = cycle_rng(noise_seed, lo, hi - lo, nw)
+            block = synthesize_cycle(prev[lo:hi], levels[lo:hi], cfg, z, first_sample)
+            values[lo:hi] = reduce_cycle(block, cfg)
+    insensitive = cfg.insensitive(levels).tolist()
+    return [
+        CycleReading(i, value, VoltageRange.INSENSITIVE if high else VoltageRange.SENSITIVE)
+        for i, (value, high) in enumerate(zip(values.tolist(), insensitive))
+    ]
 
 
 def write_readings(readings: Sequence[CycleReading], path: str | os.PathLike) -> None:
@@ -200,7 +246,8 @@ def read_readings(path: str | os.PathLike) -> list[CycleReading]:
             parts = line.split(",")
             if len(parts) != 3:
                 raise ValueError(f"{path}: line {line_no}: expected 3 fields")
-            readings.append(
-                CycleReading(int(parts[0]), float(parts[1]), VoltageRange(parts[2]))
-            )
+            pos = int(parts[0])
+            if pos != len(readings):
+                raise ValueError(f"{path}: line {line_no}: blinded_index {pos} out of order")
+            readings.append(CycleReading(pos, float(parts[1]), VoltageRange(parts[2])))
     return readings

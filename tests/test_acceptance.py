@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. The injection pull study
 (criterion 5) repeats the full-scale pipeline 100 times and dominates the
-runtime (a few minutes); everything else finishes in seconds.
+runtime (about 75 s on a 2-vCPU machine); everything else finishes in seconds.
 """
 
 import math

@@ -61,6 +61,21 @@ class TestQuantityParsing:
         with pytest.raises(ConfigError):
             parse_number("0.99 V")
 
+    @pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e999"])
+    def test_number_rejects_non_finite(self, text):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_number(text)
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [("1e999 V", "voltage"), ("-1e999 nV", "voltage"), ("1e308 MHz", "frequency"),
+         ("nan V", "voltage"), ("inf s", "time")],
+    )
+    def test_quantity_rejects_non_finite(self, text, kind):
+        # "1e308 MHz" overflows only after scaling to Hz
+        with pytest.raises(ConfigError):
+            parse_quantity(text, kind)
+
 
 class TestLoadConfig:
     def test_minimal_config(self, tmp_path):
@@ -101,6 +116,17 @@ class TestLoadConfig:
         )
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, bad))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("eps_gamma = 0", "eps_gamma = nan"), ("vs = -0.306 nV", "vs = 1e999 nV"),
+         ("mc_realizations = 200", "mc_realizations = inf")],
+    )
+    def test_non_finite_values_exit_as_config_errors(self, tmp_path, old, new):
+        bad = write_cfg(tmp_path, MINIMAL_CFG.replace(old, new))
+        with pytest.raises(ConfigError):
+            load_config(bad)
+        assert cli.main(["run", "--config", bad, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
     def test_classical_fidelity_must_be_half(self, tmp_path):
         bad = MINIMAL_CFG.replace(
@@ -205,3 +231,34 @@ class TestCliCommands:
         open(key_path, "w").writelines(lines[:-5])
         code = cli.main(["unblind-fit", "--config", cfg, "--out", out])
         assert code == cli.EXIT_CONTRACT
+
+    def test_swapped_readings_rows_contract_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "--config", cfg, "--out", out]) == 0
+        path = os.path.join(out, "readings.csv")
+        with open(path) as fh:
+            lines = fh.readlines()
+        low = next(i for i, line in enumerate(lines[1:], 1) if line.endswith("sensitive\n")
+                   and not line.endswith("insensitive\n"))
+        high = next(i for i, line in enumerate(lines[1:], 1) if line.endswith("insensitive\n"))
+        lines[low], lines[high] = lines[high], lines[low]
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        code = cli.main(["unblind-fit", "--config", cfg, "--out", out])
+        assert code == cli.EXIT_CONTRACT
+        assert "out of order" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "fit.csv"))
+
+    def test_report_blinded_section_equals_blinded_summary(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["report", "--config", cfg, "--out", out]) == 0
+        with open(os.path.join(out, "report.txt")) as fh:
+            report_text = fh.read()
+        # blinded-summary on the readings report wrote gives the report's blinded section
+        assert cli.main(["blinded-summary", "--config", cfg, "--out", out]) == 0
+        with open(os.path.join(out, "blinded_summary.txt")) as fh:
+            blinded = fh.read()
+        assert "(threshold 1.0 V)" in blinded
+        assert report_text.split("\n\n", 1)[0] + "\n" == blinded

@@ -105,6 +105,22 @@ class TestExpectedReading:
         with pytest.raises(ValueError):
             expected_reading(0, 1.1, NonlinearParams())
 
+    @pytest.mark.parametrize("interpretation", list(Interpretation))
+    def test_arrays_match_scalar_calls(self, interpretation):
+        params = NonlinearParams(eps_gamma=1e-9, vs=-0.306e-9, interpretation=interpretation)
+        bits = np.array([0, 1, 0, 1, 0], dtype=np.uint8)
+        fids = np.array([0.5, 0.5, 0.99, 0.55, 1.0])
+        levels = expected_reading(bits, fids, params)
+        assert levels.shape == (5,)
+        assert levels.tolist() == [expected_reading(int(b), f, params) for b, f in zip(bits, fids)]
+        assert type(expected_reading(np.uint8(0), np.float64(0.9), params)) is float
+
+    def test_rejects_any_bad_array_element(self):
+        with pytest.raises(ValueError, match="bit"):
+            expected_reading(np.array([0, 1, 2]), np.full(3, 0.9), NonlinearParams())
+        with pytest.raises(ValueError, match="fidelity"):
+            expected_reading(np.zeros(3), np.array([0.9, np.nan, 0.9]), NonlinearParams())
+
     @given(
         f=st.floats(0.5, 1.0),
         eps=st.floats(-1e-6, 1e-6),

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qvolt.model import NonlinearParams
+from qvolt.seeds import cycle_rng
 from qvolt.signal import (
+    WAVEFORM_BATCH_CYCLES,
     AcquisitionConfig,
     AcquisitionMode,
     CycleReading,
@@ -78,6 +80,29 @@ class TestSynthesizeCycle:
         assert block[i0] == pytest.approx(2e-9 * t0, abs=1e-300)
 
 
+    def test_window_only_batch_matches_full_cycles(self):
+        cfg = AcquisitionConfig(sigma_low=0.0, sigma_high=0.0, drift_rate=1e-9, filter_tau=0.05)
+        first = cfg.n_cycle_samples - cfg.n_window_samples
+        prev, target = np.array([0.0, 3.0]), np.array([3.0, 0.0])
+        batch = synthesize_cycle(prev, target, cfg, None, first)
+        assert batch.shape == (2, cfg.n_window_samples)
+        for row, p, t in zip(batch, prev, target):
+            full = synthesize_cycle(p, t, cfg, np.random.default_rng(0))
+            np.testing.assert_array_equal(row, full[first:])
+
+    def test_array_noise_scaled_per_sample(self):
+        cfg = AcquisitionConfig(sigma_low=2e-9, sigma_high=1e-4)
+        z = np.ones((2, cfg.n_cycle_samples))
+        block = synthesize_cycle(np.zeros(2), np.array([0.0, 3.0]), cfg, z)
+        scale = np.sqrt(cfg.n_window_samples)
+        assert block[0, -1] == pytest.approx(2e-9 * scale, rel=1e-12)
+        assert block[1, -1] == pytest.approx(3.0 + 1e-4 * scale, rel=1e-12)
+
+    def test_rejects_noise_of_wrong_shape(self):
+        with pytest.raises(ValueError):
+            synthesize_cycle(0.0, 0.0, AcquisitionConfig(), np.zeros(3))
+
+
 class TestReduceCycle:
     def test_constant_block(self):
         block = np.full(QUIET.n_cycle_samples, 0.42)
@@ -110,6 +135,12 @@ class TestReduceCycle:
     def test_rejects_short_block(self):
         with pytest.raises(ValueError):
             reduce_cycle(np.array([1.0]), QUIET)
+
+    def test_batch_equals_per_cycle(self, rng):
+        blocks = rng.normal(0.5, 0.1, (5, QUIET.n_window_samples))
+        batch = reduce_cycle(blocks, QUIET)
+        assert batch.shape == (5,)
+        assert batch.tolist() == [reduce_cycle(b, QUIET) for b in blocks]
 
 
 class TestFastReading:
@@ -197,6 +228,28 @@ class TestRunAcquisition:
             assert readings[2].reading == pytest.approx(expected, rel=1e-9)
 
 
+    @pytest.mark.parametrize("mode", list(AcquisitionMode))
+    def test_prefix_of_bits_gives_prefix_of_readings(self, mode):
+        n, m = 3 * WAVEFORM_BATCH_CYCLES + 7, WAVEFORM_BATCH_CYCLES + 5
+        bits = np.random.default_rng(11).integers(0, 2, n)
+        fids = np.full(n, 0.99)
+        params = NonlinearParams(eps_gamma=1e-9, vs=-0.306e-9)
+        cfg = AcquisitionConfig(mode=mode, drift_rate=1e-9)
+        full = run_acquisition(bits, fids, params, cfg, noise_seed=12)
+        prefix = run_acquisition(bits[:m], fids[:m], params, cfg, noise_seed=12)
+        assert prefix == full[:m]
+
+    def test_fast_reading_is_level_plus_scaled_normal(self):
+        bits = np.array([0, 1, 1, 0, 0])
+        params = NonlinearParams(eps_gamma=0.0, vs=-0.306e-9)
+        cfg = AcquisitionConfig(drift_rate=2e-9)
+        readings = run_acquisition(bits, np.full(5, 0.5), params, cfg, noise_seed=9)
+        z = cycle_rng(9, 0, 5, 1)[:, 0]
+        level = np.where(bits == 1, 3.0, -0.306e-9) + 2e-9 * cfg.window_mid_time
+        sigma = np.where(bits == 1, cfg.sigma_high, cfg.sigma_low)
+        assert [r.reading for r in readings] == (level + sigma * z).tolist()
+
+
 class TestReadingsFile:
     def test_round_trip(self, tmp_path):
         readings = [
@@ -212,4 +265,14 @@ class TestReadingsFile:
         path = tmp_path / "readings.csv"
         path.write_text("nope\n1,2,sensitive\n")
         with pytest.raises(ValueError):
+            read_readings(path)
+
+    def test_rejects_rows_out_of_order(self, tmp_path):
+        path = tmp_path / "readings.csv"
+        path.write_text(
+            "blinded_index,reading_volts,range\n"
+            "1,3.0e+00,insensitive\n"
+            "0,-3.0e-10,sensitive\n"
+        )
+        with pytest.raises(ValueError, match="out of order"):
             read_readings(path)
