@@ -91,8 +91,13 @@ class AcquisitionConfig:
         """Whether each level puts the instrument on the insensitive range."""
         return np.asarray(level) > self.range_threshold
 
-    def range_for(self, level: float) -> VoltageRange:
-        return VoltageRange.INSENSITIVE if self.insensitive(level) else VoltageRange.SENSITIVE
+    def range_for(self, level):
+        """The range a level puts the instrument on; an array of levels gives a list."""
+        ranges = (VoltageRange.SENSITIVE, VoltageRange.INSENSITIVE)
+        high = self.insensitive(level)
+        if high.ndim == 0:
+            return ranges[bool(high)]
+        return [ranges[h] for h in high.tolist()]
 
     def sigma_reading_for(self, level):
         """Per-reading sigma of the range each level puts the instrument on."""
@@ -100,21 +105,11 @@ class AcquisitionConfig:
         return float(sigma) if sigma.ndim == 0 else sigma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleReading:
     blinded_index: int
     reading: float  # V
     range: VoltageRange
-
-
-def _standard_normals(noise, shape) -> np.ndarray:
-    """`noise` as standard normals of `shape`: drawn from a Generator, or given as an array."""
-    if isinstance(noise, np.random.Generator):
-        return noise.standard_normal(shape)
-    z = np.asarray(noise, dtype=float)
-    if z.shape != tuple(shape):
-        raise ValueError(f"noise of shape {z.shape}, want {tuple(shape)}")
-    return z
 
 
 def synthesize_cycle(
@@ -129,8 +124,7 @@ def synthesize_cycle(
     v(t_i) = target + (prev - target) exp(-t_i / tau) + drift_rate * t_i + eta_i
     with eta_i Gaussian at the per-sample sigma of the range the target level
     puts the instrument on. Levels may be arrays of shape (batch,), giving a
-    (batch, n) block; `noise` is a Generator or standard normals of the
-    block's shape.
+    (batch, n) block; `noise` holds the block's standard normals.
     """
     t = np.arange(first_sample, cfg.n_cycle_samples) / cfg.sample_rate
     prev = np.asarray(prev_level, dtype=float)[..., None]
@@ -138,8 +132,7 @@ def synthesize_cycle(
     v = target + (prev - target) * np.exp(-t / cfg.filter_tau)
     v += cfg.drift_rate * t
     sigma_sample = cfg.sigma_reading_for(target) * math.sqrt(cfg.n_window_samples)
-    if np.any(sigma_sample > 0):
-        v += sigma_sample * _standard_normals(noise, v.shape)
+    v += sigma_sample * noise
     return v
 
 
@@ -167,16 +160,15 @@ def reduce_cycle(block: np.ndarray, cfg: AcquisitionConfig):
     return float(reading) if reading.ndim == 0 else reading
 
 
-def fast_reading(expected, sigma, noise):
+def fast_reading(expected, sigma, z):
     """Draw reduced readings directly from their sampling distribution.
 
-    expected + sigma * z, elementwise; `noise` is a Generator or the standard
-    normals z. Scalars give a float.
+    expected + sigma * z, elementwise, for standard normals z. Scalars give a
+    float.
     """
     if np.any(np.asarray(sigma) < 0):
         raise ValueError(f"sigma {sigma} < 0")
-    shape = np.broadcast_shapes(np.shape(expected), np.shape(sigma))
-    value = expected + sigma * _standard_normals(noise, shape)
+    value = expected + sigma * z
     return float(value) if np.ndim(value) == 0 else value
 
 
@@ -202,28 +194,39 @@ def run_acquisition(
     if len(bits) != len(fids):
         raise ValueError(f"{len(bits)} bits but {len(fids)} provenance fidelities")
 
-    n = len(bits)
     levels = expected_reading(bits, fids, params)
+    ranges = cfg.range_for(levels)
     if cfg.mode is AcquisitionMode.FAST:
-        z = cycle_rng(noise_seed, 0, n, 1)[:, 0]
-        values = fast_reading(
-            levels + cfg.drift_rate * cfg.window_mid_time, cfg.sigma_reading_for(levels), z
-        )
+        values = _fast_values(levels, cfg, noise_seed)
     else:
-        nw = cfg.n_window_samples
-        first_sample = cfg.n_cycle_samples - nw
-        prev = np.concatenate(([0.0], levels[:-1]))
-        values = np.empty(n)
-        for lo in range(0, n, WAVEFORM_BATCH_CYCLES):
-            hi = min(lo + WAVEFORM_BATCH_CYCLES, n)
-            z = cycle_rng(noise_seed, lo, hi - lo, nw)
-            block = synthesize_cycle(prev[lo:hi], levels[lo:hi], cfg, z, first_sample)
-            values[lo:hi] = reduce_cycle(block, cfg)
-    insensitive = cfg.insensitive(levels).tolist()
-    return [
-        CycleReading(i, value, VoltageRange.INSENSITIVE if high else VoltageRange.SENSITIVE)
-        for i, (value, high) in enumerate(zip(values.tolist(), insensitive))
-    ]
+        values = _waveform_values(levels, cfg, noise_seed)
+    # drop the arrays before the per-cycle objects exist, so they do not add to the peak
+    del levels
+    values = values.tolist()
+    return [CycleReading(i, v, r) for i, (v, r) in enumerate(zip(values, ranges))]
+
+
+def _fast_values(levels: np.ndarray, cfg: AcquisitionConfig, noise_seed: int) -> np.ndarray:
+    """Readings drawn from their sampling distribution, one normal per cycle."""
+    z = cycle_rng(noise_seed, 0, len(levels), 1)[:, 0]
+    return fast_reading(
+        levels + cfg.drift_rate * cfg.window_mid_time, cfg.sigma_reading_for(levels), z
+    )
+
+
+def _waveform_values(levels: np.ndarray, cfg: AcquisitionConfig, noise_seed: int) -> np.ndarray:
+    """Readings reduced from the synthesised record windows, WAVEFORM_BATCH_CYCLES at a time."""
+    n = len(levels)
+    nw = cfg.n_window_samples
+    first_sample = cfg.n_cycle_samples - nw
+    prev = np.concatenate(([0.0], levels[:-1]))
+    values = np.empty(n)
+    for lo in range(0, n, WAVEFORM_BATCH_CYCLES):
+        hi = min(lo + WAVEFORM_BATCH_CYCLES, n)
+        z = cycle_rng(noise_seed, lo, hi - lo, nw)
+        block = synthesize_cycle(prev[lo:hi], levels[lo:hi], cfg, z, first_sample)
+        values[lo:hi] = reduce_cycle(block, cfg)
+    return values
 
 
 def write_readings(readings: Sequence[CycleReading], path: str | os.PathLike) -> None:

@@ -50,23 +50,25 @@ class TestAcquisitionConfig:
         assert cfg.range_for(1.0 + 1e-12) is VoltageRange.INSENSITIVE
         assert cfg.range_for(-0.3e-9) is VoltageRange.SENSITIVE
         assert cfg.range_for(3.0) is VoltageRange.INSENSITIVE
+        levels = np.array([1.0, 1.0 + 1e-12, -0.3e-9, 3.0])
+        assert cfg.range_for(levels) == [cfg.range_for(x) for x in levels.tolist()]
 
 
 class TestSynthesizeCycle:
     def test_steady_state_is_constant(self, rng):
-        block = synthesize_cycle(0.7, 0.7, QUIET, rng)
+        block = synthesize_cycle(0.7, 0.7, QUIET, rng.standard_normal(QUIET.n_cycle_samples))
         assert np.all(block == 0.7)
         assert len(block) == QUIET.n_cycle_samples
 
     def test_settling_decays_to_double_precision(self, rng):
-        block = synthesize_cycle(0.0, 3.0, QUIET, rng)
+        block = synthesize_cycle(0.0, 3.0, QUIET, rng.standard_normal(QUIET.n_cycle_samples))
         # sample at t = 1 s: transient is 3 * exp(-1000), below double resolution
         i = round(1.0 * QUIET.sample_rate)
         assert block[i] == 3.0
 
     def test_pure_drift(self, rng):
         cfg = AcquisitionConfig(sigma_low=0.0, sigma_high=0.0, drift_rate=1e-9)
-        block = synthesize_cycle(0.0, 0.0, cfg, rng)
+        block = synthesize_cycle(0.0, 0.0, cfg, rng.standard_normal(cfg.n_cycle_samples))
         i = 1500
         t = i / cfg.sample_rate
         assert block[i] == pytest.approx(1e-9 * t, rel=1e-15)
@@ -74,7 +76,7 @@ class TestSynthesizeCycle:
     def test_settling_margin_at_window_start(self, rng):
         # residual transient at the start of the record window is e^-1000 suppressed
         cfg = AcquisitionConfig(sigma_low=0.0, sigma_high=0.0, drift_rate=2e-9)
-        block = synthesize_cycle(3.0, 0.0, cfg, rng)
+        block = synthesize_cycle(3.0, 0.0, cfg, rng.standard_normal(cfg.n_cycle_samples))
         i0 = cfg.n_cycle_samples - cfg.n_window_samples
         t0 = i0 / cfg.sample_rate
         assert block[i0] == pytest.approx(2e-9 * t0, abs=1e-300)
@@ -84,10 +86,11 @@ class TestSynthesizeCycle:
         cfg = AcquisitionConfig(sigma_low=0.0, sigma_high=0.0, drift_rate=1e-9, filter_tau=0.05)
         first = cfg.n_cycle_samples - cfg.n_window_samples
         prev, target = np.array([0.0, 3.0]), np.array([3.0, 0.0])
-        batch = synthesize_cycle(prev, target, cfg, None, first)
+        z = np.random.default_rng(0).standard_normal((2, cfg.n_cycle_samples))
+        batch = synthesize_cycle(prev, target, cfg, z[:, first:], first)
         assert batch.shape == (2, cfg.n_window_samples)
-        for row, p, t in zip(batch, prev, target):
-            full = synthesize_cycle(p, t, cfg, np.random.default_rng(0))
+        for row, p, t, zc in zip(batch, prev, target, z):
+            full = synthesize_cycle(p, t, cfg, zc)
             np.testing.assert_array_equal(row, full[first:])
 
     def test_array_noise_scaled_per_sample(self):
@@ -97,10 +100,6 @@ class TestSynthesizeCycle:
         scale = np.sqrt(cfg.n_window_samples)
         assert block[0, -1] == pytest.approx(2e-9 * scale, rel=1e-12)
         assert block[1, -1] == pytest.approx(3.0 + 1e-4 * scale, rel=1e-12)
-
-    def test_rejects_noise_of_wrong_shape(self):
-        with pytest.raises(ValueError):
-            synthesize_cycle(0.0, 0.0, AcquisitionConfig(), np.zeros(3))
 
 
 class TestReduceCycle:
@@ -117,7 +116,8 @@ class TestReduceCycle:
         assert reduce_cycle(block, QUIET) == pytest.approx(0.123, rel=1e-12)
 
     def test_matches_normal_equations_oracle(self, rng):
-        block = synthesize_cycle(0.0, 1.5, AcquisitionConfig(sigma_low=1e-3), rng)
+        z = rng.standard_normal(QUIET.n_cycle_samples)
+        block = synthesize_cycle(0.0, 1.5, AcquisitionConfig(sigma_low=1e-3), z)
         expected = lstsq_midpoint_oracle(block[-QUIET.n_window_samples:], QUIET.sample_rate)
         assert reduce_cycle(block, QUIET) == pytest.approx(expected, rel=1e-12)
 
@@ -145,22 +145,21 @@ class TestReduceCycle:
 
 class TestFastReading:
     def test_degenerate_sigma(self, rng):
-        assert fast_reading(-0.306e-9, 0.0, rng) == -0.306e-9
+        assert fast_reading(-0.306e-9, 0.0, rng.standard_normal()) == -0.306e-9
 
     def test_gaussian_mean(self):
-        rng = np.random.default_rng(3)
         n = 10_000
-        draws = [fast_reading(3.0, 1.8e-4, rng) for _ in range(n)]
+        draws = fast_reading(3.0, 1.8e-4, cycle_rng(3, 0, n, 1)[:, 0])
         assert abs(np.mean(draws) - 3.0) < 5 * 1.8e-4 / math.sqrt(n)
 
     def test_deterministic_under_seed(self):
-        a = fast_reading(1.0, 0.1, np.random.default_rng(5))
-        b = fast_reading(1.0, 0.1, np.random.default_rng(5))
+        a = fast_reading(1.0, 0.1, cycle_rng(5, 7, 1, 1)[0, 0])
+        b = fast_reading(1.0, 0.1, cycle_rng(5, 7, 1, 1)[0, 0])
         assert a == b
 
     def test_rejects_negative_sigma(self, rng):
         with pytest.raises(ValueError):
-            fast_reading(0.0, -1.0, rng)
+            fast_reading(0.0, -1.0, rng.standard_normal())
 
 
 class TestRunAcquisition:
