@@ -9,7 +9,7 @@ resampling of the regression inputs cross-checks the closed-form parameter
 uncertainties and supplies the plot band.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import math
 from typing import Sequence
 
@@ -60,7 +60,6 @@ class FitResult:
 class MCResult:
     sd_slope: float
     sd_intercept: float
-    percentiles: dict  # quantile level -> (slope, intercept)
     band_x: np.ndarray
     band_fit: np.ndarray
     band_lo: np.ndarray
@@ -157,13 +156,6 @@ def wls_fit(points: Sequence[RegressionPoint], v1: float = 3.0) -> FitResult:
     )
 
 
-def eps_from_slope(slope: float, v1: float) -> float:
-    """Nonlinearity parameter from the fitted slope and the closed-switch level."""
-    if v1 <= 0:
-        raise ValueError("v1 must be > 0")
-    return slope / v1
-
-
 def mc_errors(
     points: Sequence[RegressionPoint],
     rng: np.random.Generator,
@@ -172,8 +164,8 @@ def mc_errors(
 ) -> MCResult:
     """Monte Carlo propagation: resample y_i ~ N(y_i, sigma_i), refit, report spread.
 
-    Returns parameter standard deviations, a percentile table, and the
-    one-standard-deviation band of the fitted line on an x grid for plotting.
+    Returns parameter standard deviations and the one-standard-deviation band
+    of the fitted line on an x grid for plotting.
     """
     if n_real < 100:
         raise ValueError("n_real must be >= 100")
@@ -198,15 +190,9 @@ def mc_errors(
     band_sd = lines.std(axis=0, ddof=1)
     band_fit = nominal.intercept + nominal.slope * band_x
 
-    levels = (0.05, 0.16, 0.50, 0.84, 0.95)
-    percentiles = {
-        q: (float(np.quantile(slopes, q)), float(np.quantile(intercepts, q)))
-        for q in levels
-    }
     return MCResult(
         sd_slope=float(slopes.std(ddof=1)),
         sd_intercept=float(intercepts.std(ddof=1)),
-        percentiles=percentiles,
         band_x=band_x,
         band_fit=band_fit,
         band_lo=band_fit - band_sd,
@@ -250,7 +236,3 @@ def confidence_bound(
         draws = rng.normal(eps_hat, sigma_eps, size=mc_draws)
         return float(np.quantile(np.abs(draws), cl))
     raise ValueError(f"unknown bound rule {rule!r}")
-
-
-def with_bound(fit: FitResult, bound: float, mc_realizations: int = 0) -> FitResult:
-    return replace(fit, bound_90=bound, mc_realizations=mc_realizations)

@@ -1,9 +1,10 @@
 """Blinding protocol: permute the combined bit strings, persist the key, invert later.
 
 The permutation key maps each blinded cycle position back to its
-(source_id, within-source index) origin. It lives in its own file, written
-by the run step and read only by the explicit unblinding step; the blinded
-summary must never touch it.
+(source_id, within-source index) origin, held as two int arrays: the source
+code and the within-source index of each position. It lives in its own file,
+written by the run step and read only by the explicit unblinding step; the
+blinded summary must never touch it.
 """
 
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .signal import read_blinded_rows
 from .sources import BitString
 
 
@@ -23,44 +25,67 @@ class KeyBijectionError(ValueError):
     """Key entries do not form a bijection onto the sources."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlindingKey:
-    entries: tuple  # of (source_id, within_source_index)
+    """Origin of every blinded position: a source, by its code, and the index within it."""
+
+    source_ids: tuple  # of str; a source code indexes this tuple
+    source_code: np.ndarray  # int, the source of each blinded position
+    source_index: np.ndarray  # int, the within-source index of each blinded position
     seed_descriptor: str = ""
 
     def __post_init__(self):
-        seen = set()
-        per_source: dict[str, list[int]] = {}
-        for entry in self.entries:
-            if entry in seen:
-                raise KeyBijectionError(f"duplicated key entry {entry}")
-            seen.add(entry)
-            sid, idx = entry
-            per_source.setdefault(sid, []).append(idx)
-        for sid, indices in per_source.items():
-            if sorted(indices) != list(range(len(indices))):
-                raise KeyBijectionError(
-                    f"source {sid!r}: indices do not cover 0..{len(indices) - 1}"
-                )
+        ids = tuple(self.source_ids)
+        code = np.asarray(self.source_code, dtype=np.intp)
+        index = np.asarray(self.source_index, dtype=np.intp)
+        for name, value in (("source_ids", ids), ("source_code", code), ("source_index", index)):
+            object.__setattr__(self, name, value)
+        if code.ndim != 1 or code.shape != index.shape:
+            raise KeyBijectionError("source codes and indices must be 1-D and of one length")
+        if len(set(ids)) != len(ids):
+            raise KeyBijectionError(f"duplicate source ids: {list(ids)}")
+        if code.min(initial=0) < 0 or code.max(initial=-1) >= len(ids):
+            raise KeyBijectionError(f"source codes outside 0..{len(ids) - 1}")
+        counts, slots = self._layout()
+        outside = (index < 0) | (index >= counts[code])
+        if outside.any():
+            c = code[outside.argmax()]
+            raise KeyBijectionError(f"source {ids[c]!r}: indices do not cover 0..{counts[c] - 1}")
+        # there are as many slots as positions: a bijection hits no slot twice
+        hits = np.bincount(slots, minlength=len(slots))
+        if hits.max(initial=0) > 1:
+            twice = (hits[slots] > 1).argmax()
+            raise KeyBijectionError(f"duplicated key entry {self.entries[twice]}")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.source_code)
+
+    @property
+    def entries(self) -> tuple:
+        """(source_id, within-source index) of each blinded position, derived from the arrays."""
+        return tuple(zip(self.position_ids(), self.source_index.tolist()))
+
+    def position_ids(self) -> list[str]:
+        """The source id of each blinded position."""
+        return np.array(self.source_ids, dtype=object)[self.source_code].tolist()
 
     def source_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for sid, _ in self.entries:
-            counts[sid] = counts.get(sid, 0) + 1
-        return counts
+        return dict(zip(self.source_ids, self._layout()[0].tolist()))
+
+    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positions per source, and each position's slot in the sources laid end to end."""
+        counts = np.bincount(self.source_code, minlength=len(self.source_ids))
+        return counts, (np.cumsum(counts) - counts)[self.source_code] + self.source_index
 
 
 def _fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform permutation of range(n), drawn high-index-first from the stream."""
-    perm = np.arange(n)
-    u = rng.random(max(n - 1, 0))
-    for step, i in enumerate(range(n - 1, 0, -1)):
-        j = int(u[step] * (i + 1))
+    perm = list(range(n))
+    u = rng.random(max(n - 1, 0)).tolist()
+    for i, x in zip(range(n - 1, 0, -1), u):
+        j = int(x * (i + 1))
         perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    return np.array(perm, dtype=np.intp)
 
 
 def combine_and_permute(
@@ -75,45 +100,33 @@ def combine_and_permute(
     """
     if not strings or all(len(s.bits) == 0 for s in strings):
         raise ValueError("need at least one non-empty bit string")
-    ids = [s.source.id for s in strings]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate source ids: {ids}")
-
-    concat_bits = np.concatenate([s.bits for s in strings])
-    origins = [
-        (s.source.id, i) for s in strings for i in range(s.source.count)
-    ]
-    perm = _fisher_yates(len(concat_bits), rng)
-    blinded = concat_bits[perm]
-    entries = tuple(origins[p] for p in perm)
-    return blinded, BlindingKey(entries=entries, seed_descriptor=seed_descriptor)
+    counts = [len(s.bits) for s in strings]
+    perm = _fisher_yates(sum(counts), rng)
+    code = np.repeat(np.arange(len(strings)), counts)[perm]
+    index = np.concatenate([np.arange(c) for c in counts])[perm]
+    key = BlindingKey(tuple(s.source.id for s in strings), code, index, seed_descriptor)
+    return np.concatenate([s.bits for s in strings])[perm], key
 
 
-def unblind(readings: Sequence, key: BlindingKey) -> dict[str, np.ndarray]:
-    """Regroup blinded readings by source, in original within-source order.
+def unblind(values, key: BlindingKey) -> dict[str, np.ndarray]:
+    """Regroup readings, given by blinded position, by source in original within-source order."""
+    values = np.asarray(values, dtype=float)
+    if len(values) != len(key):
+        raise ValueError(f"{len(values)} readings but key has {len(key)} entries")
+    counts, slots = key._layout()
+    grouped = np.empty(len(key))
+    grouped[slots] = values
+    return dict(zip(key.source_ids, np.split(grouped, np.cumsum(counts)[:-1])))
 
-    `readings` may be CycleReading objects (their .reading is used) or bare
-    values, ordered by blinded position.
-    """
-    if len(readings) != len(key):
-        raise ValueError(f"{len(readings)} readings but key has {len(key)} entries")
-    values = np.array(
-        [getattr(r, "reading", r) for r in readings], dtype=float
-    )
-    out: dict[str, np.ndarray] = {
-        sid: np.empty(count) for sid, count in key.source_counts().items()
-    }
-    for pos, (sid, idx) in enumerate(key.entries):
-        out[sid][idx] = values[pos]
-    return out
+
+_KEY_HEADER = "blinded_index,source_id,source_index"
 
 
 def write_key(key: BlindingKey, path: str | os.PathLike) -> None:
+    rows = zip(key.position_ids(), key.source_index.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# seed={key.seed_descriptor}\n")
-        fh.write("blinded_index,source_id,source_index\n")
-        for pos, (sid, idx) in enumerate(key.entries):
-            fh.write(f"{pos},{sid},{idx}\n")
+        fh.write(f"# seed={key.seed_descriptor}\n{_KEY_HEADER}\n")
+        fh.writelines(f"{pos},{sid},{idx}\n" for pos, (sid, idx) in enumerate(rows))
 
 
 def read_key(path: str | os.PathLike) -> BlindingKey:
@@ -123,24 +136,15 @@ def read_key(path: str | os.PathLike) -> BlindingKey:
             raise KeyFileError(f"{path}: missing '# seed=' comment line")
         descriptor = first[len("# seed="):]
         header = fh.readline().rstrip("\n")
-        if header != "blinded_index,source_id,source_index":
+        if header != _KEY_HEADER:
             raise KeyFileError(f"{path}: unexpected key header {header!r}")
-        entries = []
-        for line_no, line in enumerate(fh, start=3):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise KeyFileError(f"{path}: line {line_no}: expected 3 fields")
-            try:
-                pos = int(parts[0])
-                idx = int(parts[2])
-            except ValueError as exc:
-                raise KeyFileError(f"{path}: line {line_no}: {exc}") from exc
-            if pos != len(entries):
-                raise KeyFileError(
-                    f"{path}: line {line_no}: blinded_index {pos} out of order"
-                )
-            entries.append((parts[1], idx))
-    return BlindingKey(entries=tuple(entries), seed_descriptor=descriptor)
+        body = fh.tell()
+        text = np.frombuffer(fh.read().encode(), np.uint8)
+        # no source id is longer than the longest line
+        width = int(np.diff(np.flatnonzero(text == ord("\n")), prepend=-1, append=len(text)).max())
+        fh.seek(body)
+        dtype = [("pos", np.int64), ("source_id", f"S{width}"), ("source_index", np.int64)]
+        rows = read_blinded_rows(fh, path, dtype, KeyFileError)
+    ids, code = np.unique(rows["source_id"], return_inverse=True)
+    ids = tuple(sid.decode("latin-1") for sid in ids.tolist())
+    return BlindingKey(ids, code, rows["source_index"], descriptor)

@@ -48,21 +48,17 @@ def cmd_generate(config: RunConfig, out: str) -> int:
 
 
 def cmd_run(config: RunConfig, out: str) -> int:
-    strings = []
-    for spec in config.sources:
-        path = _bits_path(out, spec.id)
-        if os.path.exists(path):
-            bs = sources.ingest_bits(path)
-            if bs.source != spec:
-                raise ValueError(
-                    f"{path}: header {bs.source} does not match configured source {spec}"
-                )
-            strings.append(bs)
-        else:
-            strings = None
-            break
-    if strings is None:
+    paths = [_bits_path(out, spec.id) for spec in config.sources]
+    missing = [p for p in paths if not os.path.exists(p)]
+    if 0 < len(missing) < len(paths):
+        raise ValueError(f"bit files missing for some configured sources: {', '.join(missing)}")
+    if missing:
         strings = pipeline.generate_bits(config)
+    else:
+        strings = [sources.ingest_bits(p) for p in paths]
+        for bs, spec, path in zip(strings, config.sources, paths):
+            if bs.source != spec:
+                raise ValueError(f"{path}: header {bs.source} does not match configured {spec}")
 
     blinded_bits, key = pipeline.blind(config, strings)
     readings = pipeline.acquire(config, blinded_bits, key)
@@ -93,7 +89,7 @@ def cmd_blinded_summary(config: RunConfig, out: str, key: str | None = None) -> 
             "unblinding is a separate, explicit step"
         )
     readings = signal.read_readings(os.path.join(out, "readings.csv"))
-    summary = pipeline.blinded_summary(readings, config)
+    summary = pipeline.blinded_summary(readings.values, config)
     text = _write_blinded_outputs(out, summary, config)
     with open(os.path.join(out, "blinded_summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -137,7 +133,7 @@ def _write_fit_outputs(out: str, result: pipeline.UnblindResult, config: RunConf
 def cmd_unblind_fit(config: RunConfig, out: str) -> int:
     readings = signal.read_readings(os.path.join(out, "readings.csv"))
     key = blinding.read_key(os.path.join(out, "key.csv"))
-    result = pipeline.unblind_fit(readings, key, config)
+    result = pipeline.unblind_fit(readings.values, key, config)
     text = _write_fit_outputs(out, result, config)
     with open(os.path.join(out, "unblind_report.txt"), "w", encoding="utf-8") as fh:
         fh.write(text)

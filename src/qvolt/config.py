@@ -97,12 +97,6 @@ class RunConfig:
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate source ids: {ids}")
 
-    def source_by_id(self, sid: str) -> SourceSpec:
-        for s in self.sources:
-            if s.id == sid:
-                return s
-        raise KeyError(sid)
-
 
 class _Section:
     """Wrapper that tracks consumed keys so typos are rejected."""
@@ -136,14 +130,17 @@ def _quantity(section, key, kind, default):
         raise ConfigError(f"[{section.name}] {key}: {exc}") from exc
 
 
-def _number(section, key, default):
+def _number(section, key, default, integer=False):
     raw = section.get(key)
     if raw is None:
         return default
     try:
-        return parse_number(raw)
+        value = parse_number(raw)
+        if integer and value != int(value):
+            raise ConfigError(f"{value!r} is not an integer")
     except ConfigError as exc:
         raise ConfigError(f"[{section.name}] {key}: {exc}") from exc
+    return int(value) if integer else value
 
 
 def load_config(path: str | os.PathLike) -> RunConfig:
@@ -200,8 +197,8 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     an = take("analysis")
     analysis = AnalysisSettings(
         threshold=_quantity(an, "threshold", "voltage", 1.0),
-        n_bins=int(_number(an, "n_bins", 50)),
-        mc_realizations=int(_number(an, "mc_realizations", 10_000)),
+        n_bins=_number(an, "n_bins", 50, integer=True),
+        mc_realizations=_number(an, "mc_realizations", 10_000, integer=True),
         cl=_number(an, "cl", 0.90),
         bound_rule=an.get("bound_rule", "central"),
     )

@@ -6,7 +6,7 @@ permutation, acquisition noise, and Monte Carlo resampling. Changing the
 Monte Carlo realization count therefore never perturbs the acquired data.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -56,22 +56,19 @@ def acquire(
     config: RunConfig,
     blinded_bits: np.ndarray,
     key: blinding.BlindingKey,
-) -> list[signal.CycleReading]:
+) -> signal.Readings:
     """Simulate the acquisition; the key is provenance for the simulator only."""
     fidelity_of = {s.id: s.fidelity for s in config.sources}
-    fidelities = np.array([fidelity_of[sid] for sid, _ in key.entries])
+    fidelities = np.array([fidelity_of[sid] for sid in key.source_ids])[key.source_code]
     noise_seed = derive_seed(config.seed, "noise")
     return signal.run_acquisition(
         blinded_bits, fidelities, config.params, config.acquisition, noise_seed
     )
 
 
-def blinded_summary(
-    readings: Sequence[signal.CycleReading], config: RunConfig
-) -> BlindedSummary:
-    """Pooled low/high statistics; operates on blinded readings only, never the key."""
-    values = [r.reading for r in readings]
-    if not values:
+def blinded_summary(values: np.ndarray, config: RunConfig) -> BlindedSummary:
+    """Pooled low/high statistics of the blinded reading values; never sees the key."""
+    if not len(values):
         raise ValueError("no readings to summarize")
     low, high = analysis.classify(values, config.analysis.threshold)
     return BlindedSummary(
@@ -82,13 +79,9 @@ def blinded_summary(
     )
 
 
-def unblind_fit(
-    readings: Sequence[signal.CycleReading],
-    key: blinding.BlindingKey,
-    config: RunConfig,
-) -> UnblindResult:
+def unblind_fit(values: np.ndarray, key: blinding.BlindingKey, config: RunConfig) -> UnblindResult:
     """Per-source low-voltage statistics, weighted fit, MC errors, and the bound."""
-    grouped = blinding.unblind(readings, key)
+    grouped = blinding.unblind(values, key)
     per_low: dict[str, analysis.GaussianSummary] = {}
     per_hist: dict[str, analysis.HistogramResult] = {}
     points = []
@@ -117,7 +110,7 @@ def unblind_fit(
         rule=config.analysis.bound_rule,
         rng=derive_rng(config.seed, "bound"),
     )
-    fit = analysis.with_bound(fit, bound, mc_realizations=mc.n_realizations)
+    fit = replace(fit, bound_90=bound, mc_realizations=mc.n_realizations)
     return UnblindResult(
         per_source_low=per_low,
         per_source_hist=per_hist,
@@ -132,6 +125,6 @@ def run_pipeline(config: RunConfig):
     strings = generate_bits(config)
     blinded_bits, key = blind(config, strings)
     readings = acquire(config, blinded_bits, key)
-    summary = blinded_summary(readings, config)
-    result = unblind_fit(readings, key, config)
+    summary = blinded_summary(readings.values, config)
+    result = unblind_fit(readings.values, key, config)
     return readings, key, summary, result

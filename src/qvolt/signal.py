@@ -25,6 +25,7 @@ from enum import Enum
 import math
 import os
 from typing import Sequence
+import warnings
 
 import numpy as np
 
@@ -91,25 +92,25 @@ class AcquisitionConfig:
         """Whether each level puts the instrument on the insensitive range."""
         return np.asarray(level) > self.range_threshold
 
-    def range_for(self, level):
-        """The range a level puts the instrument on; an array of levels gives a list."""
-        ranges = (VoltageRange.SENSITIVE, VoltageRange.INSENSITIVE)
-        high = self.insensitive(level)
-        if high.ndim == 0:
-            return ranges[bool(high)]
-        return [ranges[h] for h in high.tolist()]
-
     def sigma_reading_for(self, level):
         """Per-reading sigma of the range each level puts the instrument on."""
         sigma = np.where(self.insensitive(level), self.sigma_high, self.sigma_low)
         return float(sigma) if sigma.ndim == 0 else sigma
 
 
-@dataclass(frozen=True, slots=True)
-class CycleReading:
-    blinded_index: int
-    reading: float  # V
-    range: VoltageRange
+@dataclass(frozen=True, eq=False)
+class Readings:
+    """One reading per blinded cycle, in blinded order, and the range it was taken on."""
+
+    values: np.ndarray  # float64, V
+    insensitive: np.ndarray  # bool, True where the cycle ran on the insensitive range
+
+    def __post_init__(self):
+        if self.values.ndim != 1 or self.values.shape != self.insensitive.shape:
+            raise ValueError("readings need one range flag per value")
+
+    def __len__(self) -> int:
+        return len(self.values)
 
 
 def synthesize_cycle(
@@ -178,8 +179,8 @@ def run_acquisition(
     params: NonlinearParams,
     cfg: AcquisitionConfig,
     noise_seed: int,
-) -> list[CycleReading]:
-    """One CycleReading per blinded bit, using the true per-bit source fidelity.
+) -> Readings:
+    """One reading per blinded bit, using the true per-bit source fidelity.
 
     `fidelities` is provenance: the simulator (playing the role of nature)
     knows each blinded position's source fidelity; analysis code never sees
@@ -195,15 +196,11 @@ def run_acquisition(
         raise ValueError(f"{len(bits)} bits but {len(fids)} provenance fidelities")
 
     levels = expected_reading(bits, fids, params)
-    ranges = cfg.range_for(levels)
     if cfg.mode is AcquisitionMode.FAST:
         values = _fast_values(levels, cfg, noise_seed)
     else:
         values = _waveform_values(levels, cfg, noise_seed)
-    # drop the arrays before the per-cycle objects exist, so they do not add to the peak
-    del levels
-    values = values.tolist()
-    return [CycleReading(i, v, r) for i, (v, r) in enumerate(zip(values, ranges))]
+    return Readings(values, cfg.insensitive(levels))
 
 
 def _fast_values(levels: np.ndarray, cfg: AcquisitionConfig, noise_seed: int) -> np.ndarray:
@@ -229,28 +226,48 @@ def _waveform_values(levels: np.ndarray, cfg: AcquisitionConfig, noise_seed: int
     return values
 
 
-def write_readings(readings: Sequence[CycleReading], path: str | os.PathLike) -> None:
+_READINGS_HEADER = "blinded_index,reading_volts,range"
+# the range words of the readings file, indexed by the insensitive flag
+_RANGE_WORDS = np.array([r.value for r in VoltageRange], dtype=object)
+
+
+def write_readings(readings: Readings, path: str | os.PathLike) -> None:
+    words = _RANGE_WORDS[readings.insensitive.astype(np.intp)].tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("blinded_index,reading_volts,range\n")
-        for r in readings:
-            fh.write(f"{r.blinded_index},{r.reading:.17e},{r.range.value}\n")
+        fh.write(_READINGS_HEADER + "\n")
+        rows = enumerate(zip(readings.values.tolist(), words))
+        fh.writelines(f"{pos},{v:.17e},{w}\n" for pos, (v, w) in rows)
 
 
-def read_readings(path: str | os.PathLike) -> list[CycleReading]:
-    readings: list[CycleReading] = []
+def read_readings(path: str | os.PathLike) -> Readings:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
-        if header != "blinded_index,reading_volts,range":
+        if header != _READINGS_HEADER:
             raise ValueError(f"{path}: unexpected readings header {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {line_no}: expected 3 fields")
-            pos = int(parts[0])
-            if pos != len(readings):
-                raise ValueError(f"{path}: line {line_no}: blinded_index {pos} out of order")
-            readings.append(CycleReading(pos, float(parts[1]), VoltageRange(parts[2])))
-    return readings
+        # 12 bytes: a longer word is cut to 12, which matches neither range word
+        rows = read_blinded_rows(
+            fh, path, [("pos", np.int64), ("value", np.float64), ("range", "S12")]
+        )
+    words = rows["range"]
+    insensitive = words == VoltageRange.INSENSITIVE.value.encode()
+    unknown = np.flatnonzero(~insensitive & (words != VoltageRange.SENSITIVE.value.encode()))
+    if unknown.size:
+        row = unknown[0]
+        raise ValueError(f"{path}: row {row}: unknown range {words[row].decode('latin-1')!r}")
+    return Readings(rows["value"], insensitive)
+
+
+def read_blinded_rows(fh, path, dtype, error: type[Exception] = ValueError) -> np.ndarray:
+    """The rest of a CSV file as one structured array whose first field must count the rows."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1)
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from exc
+    pos = rows[rows.dtype.names[0]]
+    misplaced = np.flatnonzero(pos != np.arange(len(pos)))
+    if misplaced.size:
+        row = misplaced[0]
+        raise error(f"{path}: row {row}: blinded_index {pos[row]} out of order")
+    return rows

@@ -11,8 +11,13 @@ from dataclasses import dataclass
 from enum import Enum
 import math
 import os
+import re
 
 import numpy as np
+
+
+# Source ids name files (bits_<id>.txt) and fill a column of key.csv
+_SOURCE_ID = re.compile(r"[A-Za-z0-9_-]+")
 
 
 class SourceKind(str, Enum):
@@ -44,6 +49,8 @@ class SourceSpec:
     count: int
 
     def __post_init__(self):
+        if not _SOURCE_ID.fullmatch(self.id):
+            raise ValueError(f"source id {self.id!r} is not made of A-Z, a-z, 0-9, '_' and '-'")
         if self.kind is SourceKind.CLASSICAL and self.fidelity != 0.5:
             raise ValueError(f"classical source {self.id!r} must have fidelity exactly 1/2")
         if not 0.5 <= self.fidelity <= 1.0:
@@ -98,8 +105,10 @@ def write_bits(bitstring: BitString, path: str | os.PathLike) -> None:
     src = bitstring.source
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# id={src.id} kind={src.kind.value} fidelity={src.fidelity!r} n={src.count}\n")
-        fh.write("\n".join(str(int(b)) for b in bitstring.bits))
-        fh.write("\n")
+        # one digit and one newline per bit
+        body = np.full(2 * len(bitstring.bits), ord("\n"), dtype=np.uint8)
+        body[0::2] = bitstring.bits + ord("0")
+        fh.write(body.tobytes().decode("ascii"))
 
 
 def ingest_bits(path: str | os.PathLike) -> BitString:
@@ -124,17 +133,18 @@ def ingest_bits(path: str | os.PathLike) -> BitString:
     except (KeyError, ValueError) as exc:
         raise MalformedHeaderError(f"{path}: invalid header fields: {exc}") from exc
 
-    lines = body.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    bits = np.empty(len(lines), dtype=np.uint8)
-    for i, line in enumerate(lines):
-        if line == "0":
-            bits[i] = 0
-        elif line == "1":
-            bits[i] = 1
-        else:
-            raise InvalidBitError(f"{path}: line {i + 2}: expected '0' or '1', got {line!r}")
+    # a valid body alternates a digit and a newline; the last newline is optional
+    if body and not body.endswith("\n"):
+        body += "\n"
+    chars = np.frombuffer(body.encode(), dtype=np.uint8)
+    ok = chars == ord("\n")
+    ok[0::2] = (chars[0::2] == ord("0")) | (chars[0::2] == ord("1"))
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        start = int(bad[0]) - int(bad[0]) % 2
+        line = body[start:body.index("\n", start)]
+        raise InvalidBitError(f"{path}: line {start // 2 + 2}: expected '0' or '1', got {line!r}")
+    bits = chars[0::2] - np.uint8(ord("0"))
     if len(bits) != count:
         raise CountMismatchError(f"{path}: header declares n={count} but body has {len(bits)} bits")
 

@@ -9,7 +9,6 @@ from qvolt.analysis import (
     RegressionPoint,
     classify,
     confidence_bound,
-    eps_from_slope,
     histogram,
     mc_errors,
     summarize,
@@ -199,14 +198,23 @@ class TestWlsFit:
 
 
 class TestEpsFromSlope:
+    @staticmethod
+    def eps_of_slope(slope, v1):
+        # two points a half apart in x: the fitted slope is `slope` exactly
+        points = [
+            RegressionPoint(x=0.0, y=0.0, sigma=1.0),
+            RegressionPoint(x=0.5, y=0.5 * slope, sigma=1.0),
+        ]
+        return wls_fit(points, v1=v1).eps
+
     def test_values(self):
-        assert eps_from_slope(0.0, 3.0) == 0.0
-        assert eps_from_slope(6.9e-11, 3.0) == pytest.approx(2.3e-11)
-        assert eps_from_slope(3.0, 3.0) == 1.0
+        assert self.eps_of_slope(0.0, 3.0) == 0.0
+        assert self.eps_of_slope(6.9e-11, 3.0) == pytest.approx(2.3e-11)
+        assert self.eps_of_slope(3.0, 3.0) == 1.0
 
     def test_rejects_nonpositive_v1(self):
         with pytest.raises(ValueError):
-            eps_from_slope(1.0, 0.0)
+            self.eps_of_slope(1.0, 0.0)
 
 
 class TestMcErrors:

@@ -9,6 +9,7 @@ from qvolt.blinding import (
     BlindingKey,
     KeyBijectionError,
     KeyFileError,
+    _fisher_yates,
     combine_and_permute,
     read_key,
     unblind,
@@ -32,18 +33,52 @@ def random_strings(rng, n_sources, max_len):
     ]
 
 
+# the key.csv of a small fixed key, as the writer produced it before the key held arrays
+GOLDEN_KEY_CSV = (
+    "# seed=42/blinding\nblinded_index,source_id,source_index\n"
+    "0,q2,1\n1,c1,0\n2,q3_x,0\n3,c1,2\n4,q2,0\n5,c1,1\n"
+)
+
+
+def golden_key():
+    # entries (q2, 1), (c1, 0), (q3_x, 0), (c1, 2), (q2, 0), (c1, 1)
+    return BlindingKey(("c1", "q2", "q3_x"), [1, 0, 2, 0, 1, 0], [1, 0, 0, 2, 0, 1], "42/blinding")
+
+
 class TestBlindingKey:
     def test_rejects_duplicate_entry(self):
         with pytest.raises(KeyBijectionError):
-            BlindingKey(entries=(("a", 0), ("a", 0)))
+            BlindingKey(("a",), [0, 0], [0, 0])
 
     def test_rejects_index_gap(self):
         with pytest.raises(KeyBijectionError):
-            BlindingKey(entries=(("a", 0), ("a", 2)))
+            BlindingKey(("a",), [0, 0], [0, 2])
 
     def test_source_counts(self):
-        key = BlindingKey(entries=(("a", 1), ("b", 0), ("a", 0)))
+        key = BlindingKey(("a", "b"), [0, 1, 0], [1, 0, 0])
         assert key.source_counts() == {"a": 2, "b": 1}
+
+    def test_entries_derive_from_the_arrays(self):
+        key = golden_key()
+        assert key.entries == (
+            ("q2", 1), ("c1", 0), ("q3_x", 0), ("c1", 2), ("q2", 0), ("c1", 1)
+        )
+        assert len(key) == 6
+
+    @pytest.mark.parametrize(
+        "ids, code, index",
+        [
+            (("a",), [0, 1], [0, 0]),  # code with no source id
+            (("a",), [0, -1], [0, 0]),
+            (("a",), [0, 0], [1, -1]),  # negative index
+            (("a", "a"), [0, 1], [0, 0]),  # duplicate source id
+            (("a",), [0, 0], [0]),  # lengths differ
+            (("a", "b"), [0, 1, 1, 0], [0, 1, 1, 1]),  # b: index 1 twice, 0 missing
+        ],
+    )
+    def test_rejects_non_bijections(self, ids, code, index):
+        with pytest.raises(KeyBijectionError):
+            BlindingKey(ids, code, index)
 
 
 class TestCombineAndPermute:
@@ -69,6 +104,16 @@ class TestCombineAndPermute:
         blinded, key = combine_and_permute([a, b], np.random.default_rng(123))
         assert list(blinded) == [0, 0, 1]
         assert key.entries == (("a", 1), ("a", 0), ("b", 0))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 1000])
+    def test_permutation_matches_the_swap_reference(self, n):
+        # reference: the same high-index-first swaps, done on a numpy array
+        perm = np.arange(n)
+        u = np.random.default_rng(n).random(max(n - 1, 0))
+        for step, i in enumerate(range(n - 1, 0, -1)):
+            j = int(u[step] * (i + 1))
+            perm[i], perm[j] = perm[j], perm[i]
+        assert np.array_equal(_fisher_yates(n, np.random.default_rng(n)), perm)
 
     def test_rejects_duplicate_source_ids(self, rng):
         with pytest.raises(ValueError):
@@ -114,7 +159,7 @@ class TestUnblind:
             assert grouped[sid][idx] == pos
 
     def test_rejects_length_mismatch(self):
-        key = BlindingKey(entries=(("a", 0), ("a", 1)))
+        key = BlindingKey(("a",), [0, 0], [0, 1])
         with pytest.raises(ValueError):
             unblind([1.0], key)
 
@@ -138,10 +183,43 @@ class TestUnblind:
 
 class TestKeyFile:
     def test_round_trip_small(self, tmp_path):
-        key = BlindingKey(entries=(("a", 1), ("b", 0), ("a", 0)), seed_descriptor="42/blinding")
+        key = BlindingKey(("a", "b"), [0, 1, 0], [1, 0, 0], seed_descriptor="42/blinding")
         path = tmp_path / "key.csv"
         write_key(key, path)
-        assert read_key(path) == key
+        back = read_key(path)
+        assert back.entries == key.entries
+        assert back.seed_descriptor == key.seed_descriptor
+
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "key.csv"
+        write_key(golden_key(), path)
+        assert path.read_bytes() == GOLDEN_KEY_CSV.encode()
+        assert read_key(path).entries == golden_key().entries
+
+    def test_long_ids_and_missing_final_newline(self, tmp_path):
+        # a source id longer than any fixed field width, on a last line with no newline
+        sid = "s" * 300
+        path = tmp_path / "key.csv"
+        path.write_text(f"# seed=x\nblinded_index,source_id,source_index\n0,a,0\n\n1,{sid},0")
+        key = read_key(path)
+        assert key.entries == (("a", 0), (sid, 0))
+
+    @pytest.mark.parametrize(
+        "body",
+        ["0,a,0,extra\n", "0,a,1.5\n", "0,a,x\n", "0.0,a,0\n"],
+        ids=["four fields", "fractional index", "word index", "fractional position"],
+    )
+    def test_malformed_fields_rejected(self, tmp_path, body):
+        path = tmp_path / "key.csv"
+        path.write_text("# seed=x\nblinded_index,source_id,source_index\n" + body)
+        with pytest.raises(KeyFileError):
+            read_key(path)
+
+    def test_rows_out_of_order_rejected(self, tmp_path):
+        path = tmp_path / "key.csv"
+        path.write_text("# seed=x\nblinded_index,source_id,source_index\n1,a,0\n0,a,1\n")
+        with pytest.raises(KeyFileError, match="out of order"):
+            read_key(path)
 
     def test_duplicate_entry_rejected(self, tmp_path):
         path = tmp_path / "key.csv"
@@ -177,5 +255,6 @@ class TestKeyFile:
         start = time.perf_counter()
         back = read_key(path)
         elapsed = time.perf_counter() - start
-        assert back == key
+        assert back.entries == key.entries
+        assert back.seed_descriptor == key.seed_descriptor
         assert elapsed < 1.0

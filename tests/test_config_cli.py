@@ -128,6 +128,33 @@ class TestLoadConfig:
             load_config(bad)
         assert cli.main(["run", "--config", bad, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [("mc_realizations = 200", "mc_realizations = 250.9"),
+         ("mc_realizations = 200", "mc_realizations = 200\nn_bins = 2.7")],
+    )
+    def test_integer_keys_reject_fractions(self, tmp_path, old, new):
+        bad = write_cfg(tmp_path, MINIMAL_CFG.replace(old, new))
+        with pytest.raises(ConfigError, match="not an integer"):
+            load_config(bad)
+        assert cli.main(["run", "--config", bad, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+
+    def test_integer_keys_accept_integral_numbers(self, tmp_path):
+        text = MINIMAL_CFG.replace("mc_realizations = 200", "mc_realizations = 1e3\nn_bins = 20.0")
+        analysis = load_config(write_cfg(tmp_path, text)).analysis
+        assert (analysis.mc_realizations, analysis.n_bins) == (1000, 20)
+        assert isinstance(analysis.n_bins, int)
+
+    @pytest.mark.parametrize("sid", ["q 2", "q,2"], ids=["space", "comma"])
+    def test_source_ids_outside_the_id_alphabet_exit_as_config_errors(self, tmp_path, sid):
+        bad = write_cfg(tmp_path, MINIMAL_CFG.replace("[source.q2]", f"[source.{sid}]"))
+        with pytest.raises(ConfigError, match="source id"):
+            load_config(bad)
+        out = str(tmp_path / "out")
+        for step in ("generate", "run"):
+            assert cli.main([step, "--config", bad, "--out", out]) == cli.EXIT_CONFIG
+        assert not os.path.exists(out)
+
     def test_classical_fidelity_must_be_half(self, tmp_path):
         bad = MINIMAL_CFG.replace(
             "kind = classical\ncount = 40", "kind = classical\nfidelity = 0.9\ncount = 40"
@@ -167,6 +194,16 @@ class TestCliCommands:
         out = str(tmp_path / "out")
         assert cli.main(["generate", "--config", cfg, "--out", out]) == 0
         assert cli.main(["run", "--config", cfg, "--out", out]) == 0
+
+    def test_run_refuses_partial_bit_files(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["generate", "--config", cfg, "--out", out]) == 0
+        os.remove(os.path.join(out, "bits_q2.txt"))
+        assert cli.main(["run", "--config", cfg, "--out", out]) == cli.EXIT_CONTRACT
+        err = capsys.readouterr().err
+        assert "bits_q2.txt" in err and "bits_c1.txt" not in err
+        assert not os.path.exists(os.path.join(out, "readings.csv"))
 
     def test_blinded_summary_refuses_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

@@ -19,7 +19,7 @@ class TestDeterminism:
         cfg = make_config(sources=scaled_sources(200), mc_realizations=500)
         r1, k1, s1, f1 = run_pipeline(cfg)
         r2, k2, s2, f2 = run_pipeline(cfg)
-        assert [r.reading for r in r1] == [r.reading for r in r2]
+        assert r1.values.tolist() == r2.values.tolist()
         assert k1.entries == k2.entries
         assert f1.fit == f2.fit
 
@@ -30,12 +30,12 @@ class TestDeterminism:
         )
         r1, _, _, _ = run_pipeline(base)
         r2, _, _, _ = run_pipeline(more_mc)
-        assert [r.reading for r in r1] == [r.reading for r in r2]
+        assert r1.values.tolist() == r2.values.tolist()
 
     def test_different_seeds_differ(self):
         a = run_pipeline(make_config(seed=1, sources=scaled_sources(500), mc_realizations=200))
         b = run_pipeline(make_config(seed=2, sources=scaled_sources(500), mc_realizations=200))
-        assert [r.reading for r in a[0]] != [r.reading for r in b[0]]
+        assert a[0].values.tolist() != b[0].values.tolist()
 
 
 class TestBlindedDiscipline:
@@ -82,7 +82,7 @@ class TestStatisticalBehavior:
         strings = generate_bits(cfg)
         blinded_bits, key = blind(cfg, strings)
         readings = acquire(cfg, blinded_bits, key)
-        summary = blinded_summary(readings, cfg)
+        summary = blinded_summary(readings.values, cfg)
         n_ones = sum(int(s.bits.sum()) for s in strings)
         n_total = sum(s.source.count for s in strings)
         assert summary.n_total == n_total
@@ -94,7 +94,7 @@ class TestStatisticalBehavior:
         strings = generate_bits(cfg)
         blinded_bits, key = blind(cfg, strings)
         readings = acquire(cfg, blinded_bits, key)
-        result = unblind_fit(readings, key, cfg)
+        result = unblind_fit(readings.values, key, cfg)
         for spec in cfg.sources:
             n_zeros = spec.count - int(
                 next(s for s in strings if s.source.id == spec.id).bits.sum()
@@ -102,6 +102,18 @@ class TestStatisticalBehavior:
             assert result.per_source_low[spec.id].n == n_zeros
         assert [p.label for p in result.points] == ["c1", "q2", "q3"]
         assert result.points[1].x == pytest.approx(0.49)
+
+    def test_acquire_reads_each_position_at_its_source_fidelity(self):
+        # noiseless, eps injected: a low reading is vs + eps * v1 * (fidelity - 1/2)
+        cfg = make_config(eps_gamma=1e-9, sources=scaled_sources(1000), mc_realizations=100)
+        cfg = replace(cfg, acquisition=replace(cfg.acquisition, sigma_low=0.0, sigma_high=0.0))
+        blinded_bits, key = blind(cfg, generate_bits(cfg))
+        readings = acquire(cfg, blinded_bits, key)
+        fidelity = {s.id: s.fidelity for s in cfg.sources}
+        for pos, (sid, _) in enumerate(key.entries):
+            if blinded_bits[pos] == 0:
+                want = cfg.params.vs + 1e-9 * cfg.params.v1 * (fidelity[sid] - 0.5)
+                assert readings.values[pos] == pytest.approx(want, rel=1e-12)
 
     def test_full_scale_blinded_summary_replays_quoted_statistics(self):
         cfg = make_config(mc_realizations=100)

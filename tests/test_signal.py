@@ -9,8 +9,7 @@ from qvolt.signal import (
     WAVEFORM_BATCH_CYCLES,
     AcquisitionConfig,
     AcquisitionMode,
-    CycleReading,
-    VoltageRange,
+    Readings,
     fast_reading,
     read_readings,
     reduce_cycle,
@@ -20,6 +19,23 @@ from qvolt.signal import (
 )
 
 QUIET = AcquisitionConfig(sigma_low=0.0, sigma_high=0.0)
+
+# readings.csv of a small fixed set of readings, as the writer produced it
+# before readings were arrays
+GOLDEN_READINGS = Readings(
+    np.array([-3.06e-10, 3.0000001, 1.0, -0.0, 2.5e-300, 1.8e-4, 2.9999999999999996]),
+    np.array([False, True, False, False, False, False, True]),
+)
+GOLDEN_READINGS_CSV = (
+    "blinded_index,reading_volts,range\n"
+    "0,-3.05999999999999977e-10,sensitive\n"
+    "1,3.00000009999999984e+00,insensitive\n"
+    "2,1.00000000000000000e+00,sensitive\n"
+    "3,-0.00000000000000000e+00,sensitive\n"
+    "4,2.49999999999999998e-300,sensitive\n"
+    "5,1.80000000000000011e-04,sensitive\n"
+    "6,2.99999999999999956e+00,insensitive\n"
+)
 
 
 def lstsq_midpoint_oracle(window, rate):
@@ -46,12 +62,12 @@ class TestAcquisitionConfig:
 
     def test_range_is_pure_threshold(self):
         cfg = AcquisitionConfig()
-        assert cfg.range_for(1.0) is VoltageRange.SENSITIVE
-        assert cfg.range_for(1.0 + 1e-12) is VoltageRange.INSENSITIVE
-        assert cfg.range_for(-0.3e-9) is VoltageRange.SENSITIVE
-        assert cfg.range_for(3.0) is VoltageRange.INSENSITIVE
+        assert not cfg.insensitive(1.0)
+        assert cfg.insensitive(1.0 + 1e-12)
+        assert not cfg.insensitive(-0.3e-9)
+        assert cfg.insensitive(3.0)
         levels = np.array([1.0, 1.0 + 1e-12, -0.3e-9, 3.0])
-        assert cfg.range_for(levels) == [cfg.range_for(x) for x in levels.tolist()]
+        assert cfg.insensitive(levels).tolist() == [bool(cfg.insensitive(x)) for x in levels]
 
 
 class TestSynthesizeCycle:
@@ -166,20 +182,15 @@ class TestRunAcquisition:
     def test_noiseless_ideal(self):
         params = NonlinearParams(eps_gamma=0.0, vs=0.0)
         readings = run_acquisition([0, 1, 0, 1], [0.5] * 4, params, QUIET, noise_seed=1)
-        values = [r.reading for r in readings]
+        values = readings.values.tolist()
         assert values == [0.0, 3.0, 0.0, 3.0]
-        assert [r.range for r in readings] == [
-            VoltageRange.SENSITIVE,
-            VoltageRange.INSENSITIVE,
-            VoltageRange.SENSITIVE,
-            VoltageRange.INSENSITIVE,
-        ]
+        assert readings.insensitive.tolist() == [False, True, False, True]
 
     def test_injected_shift_noiseless(self):
         params = NonlinearParams(eps_gamma=1e-9, vs=0.0)
         readings = run_acquisition([0, 0], [0.99, 0.99], params, QUIET, noise_seed=1)
-        for r in readings:
-            assert r.reading == pytest.approx(1.47e-9, rel=1e-12)
+        for value in readings.values:
+            assert value == pytest.approx(1.47e-9, rel=1e-12)
 
     def test_one_reading_per_bit_at_paper_scale(self):
         n = 100_717
@@ -188,7 +199,7 @@ class TestRunAcquisition:
         params = NonlinearParams(eps_gamma=0.0, vs=0.0)
         readings = run_acquisition(bits, np.full(n, 0.5), params, QUIET, noise_seed=2)
         assert len(readings) == n
-        assert [r.blinded_index for r in readings[:3]] == [0, 1, 2]
+        assert readings.values.shape == readings.insensitive.shape == (n,)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -202,12 +213,8 @@ class TestRunAcquisition:
         params = NonlinearParams(eps_gamma=0.0, vs=-0.306e-9)
         fast_cfg = AcquisitionConfig(mode=AcquisitionMode.FAST, sigma_low=3.4e-9)
         wave_cfg = AcquisitionConfig(mode=AcquisitionMode.WAVEFORM, sigma_low=3.4e-9)
-        fast = np.array(
-            [r.reading for r in run_acquisition(bits, fids, params, fast_cfg, 3)]
-        )
-        wave = np.array(
-            [r.reading for r in run_acquisition(bits, fids, params, wave_cfg, 4)]
-        )
+        fast = run_acquisition(bits, fids, params, fast_cfg, 3).values
+        wave = run_acquisition(bits, fids, params, wave_cfg, 4).values
         sem = 3.4e-9 / math.sqrt(n)
         assert abs(fast.mean() - wave.mean()) < 5 * math.sqrt(2) * sem
         assert abs(wave.std(ddof=1) / fast.std(ddof=1) - 1) < 0.10
@@ -223,8 +230,8 @@ class TestRunAcquisition:
             readings = run_acquisition(bits, fids, params, cfg, 5)
             # drift evaluated at the window midpoint
             expected = 1e-9 * cfg.window_mid_time
-            assert readings[0].reading == pytest.approx(expected, rel=1e-9)
-            assert readings[2].reading == pytest.approx(expected, rel=1e-9)
+            assert readings.values[0] == pytest.approx(expected, rel=1e-9)
+            assert readings.values[2] == pytest.approx(expected, rel=1e-9)
 
 
     @pytest.mark.parametrize("mode", list(AcquisitionMode))
@@ -236,7 +243,8 @@ class TestRunAcquisition:
         cfg = AcquisitionConfig(mode=mode, drift_rate=1e-9)
         full = run_acquisition(bits, fids, params, cfg, noise_seed=12)
         prefix = run_acquisition(bits[:m], fids[:m], params, cfg, noise_seed=12)
-        assert prefix == full[:m]
+        assert np.array_equal(prefix.values, full.values[:m])
+        assert np.array_equal(prefix.insensitive, full.insensitive[:m])
 
     def test_fast_reading_is_level_plus_scaled_normal(self):
         bits = np.array([0, 1, 1, 0, 0])
@@ -246,19 +254,51 @@ class TestRunAcquisition:
         z = cycle_rng(9, 0, 5, 1)[:, 0]
         level = np.where(bits == 1, 3.0, -0.306e-9) + 2e-9 * cfg.window_mid_time
         sigma = np.where(bits == 1, cfg.sigma_high, cfg.sigma_low)
-        assert [r.reading for r in readings] == (level + sigma * z).tolist()
+        assert readings.values.tolist() == (level + sigma * z).tolist()
 
 
 class TestReadingsFile:
     def test_round_trip(self, tmp_path):
-        readings = [
-            CycleReading(0, -0.306e-9, VoltageRange.SENSITIVE),
-            CycleReading(1, 3.0000001, VoltageRange.INSENSITIVE),
-        ]
+        readings = Readings(np.array([-0.306e-9, 3.0000001]), np.array([False, True]))
         path = tmp_path / "readings.csv"
         write_readings(readings, path)
         back = read_readings(path)
-        assert back == readings
+        assert back.values.tolist() == readings.values.tolist()
+        assert back.insensitive.tolist() == readings.insensitive.tolist()
+
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "readings.csv"
+        write_readings(GOLDEN_READINGS, path)
+        assert path.read_bytes() == GOLDEN_READINGS_CSV.encode()
+        back = read_readings(path)
+        # -0.0 == 0.0, so compare the bits of each value
+        assert back.values.tobytes() == GOLDEN_READINGS.values.tobytes()
+        assert back.insensitive.tolist() == GOLDEN_READINGS.insensitive.tolist()
+
+    def test_round_trip_is_exact_for_random_values(self, tmp_path, rng):
+        values = rng.normal(0.0, 1.0, 5000) * 10.0 ** rng.integers(-300, 300, 5000)
+        readings = Readings(values, values > 1.0)
+        path = tmp_path / "readings.csv"
+        write_readings(readings, path)
+        assert read_readings(path).values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize(
+        "row",
+        ["0,1.0\n", "0,1.0,sensitive,x\n", "0,1.0,Sensitive\n", "0,1.0,insensitivex\n",
+         "0,abc,sensitive\n", "0.5,1.0,sensitive\n"],
+        ids=["two fields", "four fields", "capitalised range", "long range word",
+             "word value", "fractional position"],
+    )
+    def test_rejects_malformed_rows(self, tmp_path, row):
+        path = tmp_path / "readings.csv"
+        path.write_text("blinded_index,reading_volts,range\n" + row)
+        with pytest.raises(ValueError):
+            read_readings(path)
+
+    def test_header_only_is_empty(self, tmp_path):
+        path = tmp_path / "readings.csv"
+        path.write_text("blinded_index,reading_volts,range\n")
+        assert len(read_readings(path)) == 0
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "readings.csv"

@@ -31,6 +31,14 @@ class TestSourceSpec:
         with pytest.raises(ValueError):
             SourceSpec("q", SourceKind.QUBIT, 1.2, 10)
 
+    @pytest.mark.parametrize("sid", ["q 2", "q,2", "", "q/2", "q.2", "q\u00e9"])
+    def test_rejects_ids_outside_the_id_alphabet(self, sid):
+        with pytest.raises(ValueError, match="source id"):
+            SourceSpec(sid, SourceKind.QUBIT, 0.9, 10)
+
+    def test_accepts_ids_in_the_id_alphabet(self):
+        assert SourceSpec("Q_2-b9", SourceKind.QUBIT, 0.9, 10).id == "Q_2-b9"
+
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError):
             SourceSpec("q", SourceKind.QUBIT, 0.9, 0)
@@ -92,6 +100,47 @@ class TestBitFile:
         path = tmp_path / "bits.txt"
         path.write_text("# id=q kind=qubit fidelity=0.9 n=2\n0\n2\n")
         with pytest.raises(InvalidBitError):
+            ingest_bits(path)
+
+    def test_golden_bytes(self, tmp_path):
+        # the bit file of a small fixed string, as the writer produced it before bits were
+        # written as one buffer
+        original = BitString(
+            SourceSpec("q-2", SourceKind.QUBIT, 0.99, 6), np.array([1, 0, 0, 1, 1, 0], np.uint8)
+        )
+        path = tmp_path / "bits.txt"
+        write_bits(original, path)
+        assert path.read_bytes() == b"# id=q-2 kind=qubit fidelity=0.99 n=6\n1\n0\n0\n1\n1\n0\n"
+        assert ingest_bits(path) == original
+
+    @pytest.mark.parametrize(
+        "body, line, got",
+        [
+            ("0\n2\n", 3, "'2'"),
+            ("0\n10\n1\n", 3, "'10'"),
+            ("0\n\n1\n", 3, "''"),
+            ("0\n1\n\n", 4, "''"),
+            ("0\n1 \n", 3, "'1 '"),
+            ("0\nx\u00e9y\n", 3, "'x\u00e9y'"),
+        ],
+        ids=["digit 2", "two digits", "blank line", "trailing blank line", "trailing space",
+             "non-ascii"],
+    )
+    def test_invalid_bit_names_line(self, tmp_path, body, line, got):
+        path = tmp_path / "bits.txt"
+        path.write_text("# id=q kind=qubit fidelity=0.9 n=2\n" + body, encoding="utf-8")
+        with pytest.raises(InvalidBitError, match=f"line {line}: expected '0' or '1', got {got}$"):
+            ingest_bits(path)
+
+    def test_final_newline_optional(self, tmp_path):
+        path = tmp_path / "bits.txt"
+        path.write_text("# id=q kind=qubit fidelity=0.9 n=3\n0\n1\n1")
+        assert list(ingest_bits(path).bits) == [0, 1, 1]
+
+    def test_empty_body_is_a_count_mismatch(self, tmp_path):
+        path = tmp_path / "bits.txt"
+        path.write_text("# id=q kind=qubit fidelity=0.9 n=1\n")
+        with pytest.raises(CountMismatchError):
             ingest_bits(path)
 
     def test_malformed_header(self, tmp_path):
