@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .signal import read_blinded_rows
+from .signal import read_blinded_rows, write_rows
 from .sources import BitString
 
 
@@ -63,11 +63,11 @@ class BlindingKey:
     @property
     def entries(self) -> tuple:
         """(source_id, within-source index) of each blinded position, derived from the arrays."""
-        return tuple(zip(self.position_ids(), self.source_index.tolist()))
+        return tuple(zip(self.position_ids().tolist(), self.source_index.tolist()))
 
-    def position_ids(self) -> list[str]:
-        """The source id of each blinded position."""
-        return np.array(self.source_ids, dtype=object)[self.source_code].tolist()
+    def position_ids(self) -> np.ndarray:
+        """The source id of each blinded position, as an object array of str."""
+        return np.array(self.source_ids, dtype=object)[self.source_code]
 
     def source_counts(self) -> dict[str, int]:
         return dict(zip(self.source_ids, self._layout()[0].tolist()))
@@ -81,9 +81,9 @@ class BlindingKey:
 def _fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform permutation of range(n), drawn high-index-first from the stream."""
     perm = list(range(n))
-    u = rng.random(max(n - 1, 0)).tolist()
-    for i, x in zip(range(n - 1, 0, -1), u):
-        j = int(x * (i + 1))
+    # swap i targets int(u * (i + 1)): the same IEEE multiply, truncated toward zero
+    targets = (rng.random(max(n - 1, 0)) * np.arange(n, 1, -1)).astype(np.intp).tolist()
+    for i, j in zip(range(n - 1, 0, -1), targets):
         perm[i], perm[j] = perm[j], perm[i]
     return np.array(perm, dtype=np.intp)
 
@@ -123,10 +123,9 @@ _KEY_HEADER = "blinded_index,source_id,source_index"
 
 
 def write_key(key: BlindingKey, path: str | os.PathLike) -> None:
-    rows = zip(key.position_ids(), key.source_index.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# seed={key.seed_descriptor}\n{_KEY_HEADER}\n")
-        fh.writelines(f"{pos},{sid},{idx}\n" for pos, (sid, idx) in enumerate(rows))
+        write_rows(fh, "%d,%s,%d\n", key.position_ids(), key.source_index)
 
 
 def read_key(path: str | os.PathLike) -> BlindingKey:

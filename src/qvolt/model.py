@@ -38,54 +38,6 @@ class NonlinearParams:
             raise ValueError(f"|vs| ({abs(self.vs)}) must be < v1/10 ({self.v1 / 10})")
 
 
-@dataclass(frozen=True)
-class FidelityModel:
-    """Net readout fidelity achieved by n majority-voted repetitions."""
-
-    net_fidelity: float
-    n_repetitions: int
-    per_cycle_fidelity: float
-
-    def __post_init__(self):
-        if not 0.5 <= self.net_fidelity <= 1.0:
-            raise ValueError(f"net_fidelity {self.net_fidelity} outside [1/2, 1]")
-        if not 0.5 <= self.per_cycle_fidelity <= 1.0:
-            raise ValueError(f"per_cycle_fidelity {self.per_cycle_fidelity} outside [1/2, 1]")
-        if self.n_repetitions < 1:
-            raise ValueError(f"n_repetitions {self.n_repetitions} < 1")
-        if self.n_repetitions == 1 and self.net_fidelity != self.per_cycle_fidelity:
-            raise ValueError("direct readout (n=1) requires net == per-cycle fidelity")
-
-    @classmethod
-    def from_per_cycle(cls, per_cycle_fidelity: float, n_repetitions: int) -> "FidelityModel":
-        return cls(
-            net_fidelity=net_fidelity_majority(per_cycle_fidelity, n_repetitions),
-            n_repetitions=n_repetitions,
-            per_cycle_fidelity=per_cycle_fidelity,
-        )
-
-    @classmethod
-    def from_net(cls, net_fidelity: float, n_repetitions: int) -> "FidelityModel":
-        return cls(
-            net_fidelity=net_fidelity,
-            n_repetitions=n_repetitions,
-            per_cycle_fidelity=per_cycle_from_net(net_fidelity, n_repetitions),
-        )
-
-
-def state_expectation_shift(p1: float, params: NonlinearParams) -> float:
-    """Nonlinear voltage shift eps_gamma * <V> for branch weight p1 on the bit-1 level.
-
-    Equal superposition (p1 = 1/2) with v0 = 0 gives eps_gamma * v1 / 2.
-    Zero under the Copenhagen interpretation.
-    """
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 {p1} outside [0, 1]")
-    if params.interpretation is Interpretation.COPENHAGEN:
-        return 0.0
-    return params.eps_gamma * (p1 * params.v1 + (1.0 - p1) * params.v0)
-
-
 def expected_reading(bit, fidelity, params: NonlinearParams):
     """Expected reduced voltage for switch cycles controlled by `bit`.
 

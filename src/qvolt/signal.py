@@ -37,6 +37,11 @@ from .seeds import cycle_rng
 # peak memory flat while amortising the per-call overhead.
 WAVEFORM_BATCH_CYCLES = 32
 
+# Rows of a CSV body formatted by one `%` operation and written by one call:
+# large enough to amortise the per-block cost, small enough that the argument
+# list and the formatted text stay well under a MiB.
+ROWS_PER_WRITE = 4096
+
 
 class AcquisitionMode(str, Enum):
     FAST = "fast"
@@ -232,11 +237,10 @@ _RANGE_WORDS = np.array([r.value for r in VoltageRange], dtype=object)
 
 
 def write_readings(readings: Readings, path: str | os.PathLike) -> None:
-    words = _RANGE_WORDS[readings.insensitive.astype(np.intp)].tolist()
+    words = _RANGE_WORDS[readings.insensitive.astype(np.intp)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_READINGS_HEADER + "\n")
-        rows = enumerate(zip(readings.values.tolist(), words))
-        fh.writelines(f"{pos},{v:.17e},{w}\n" for pos, (v, w) in rows)
+        write_rows(fh, "%d,%.17e,%s\n", readings.values, words)
 
 
 def read_readings(path: str | os.PathLike) -> Readings:
@@ -255,6 +259,25 @@ def read_readings(path: str | os.PathLike) -> Readings:
         row = unknown[0]
         raise ValueError(f"{path}: row {row}: unknown range {words[row].decode('latin-1')!r}")
     return Readings(rows["value"], insensitive)
+
+
+def write_rows(fh, row_format: str, *columns: np.ndarray) -> None:
+    """Write one row per entry of the columns, each row as `row_format`.
+
+    The format's first field is the row number; the columns fill the rest.
+    ROWS_PER_WRITE rows are formatted by one `%` operation over a flat
+    argument list built from the block's slices, and written by one call, so
+    the Python objects alive at once are those of one block.
+    """
+    n = len(columns[0])
+    width = len(columns) + 1
+    for lo in range(0, n, ROWS_PER_WRITE):
+        hi = min(lo + ROWS_PER_WRITE, n)
+        args = [None] * ((hi - lo) * width)
+        args[0::width] = range(lo, hi)
+        for field, column in enumerate(columns, 1):
+            args[field::width] = column[lo:hi].tolist()
+        fh.write(row_format * (hi - lo) % tuple(args))
 
 
 def read_blinded_rows(fh, path, dtype, error: type[Exception] = ValueError) -> np.ndarray:

@@ -16,6 +16,7 @@ from qvolt.blinding import (
     write_key,
 )
 from qvolt.seeds import derive_rng
+from qvolt.signal import ROWS_PER_WRITE
 from qvolt.sources import BitString, SourceKind, SourceSpec
 
 
@@ -43,6 +44,12 @@ GOLDEN_KEY_CSV = (
 def golden_key():
     # entries (q2, 1), (c1, 0), (q3_x, 0), (c1, 2), (q2, 0), (c1, 1)
     return BlindingKey(("c1", "q2", "q3_x"), [1, 0, 2, 0, 1, 0], [1, 0, 0, 2, 0, 1], "42/blinding")
+
+
+def key_csv_reference(key):
+    """key.csv formatted one row at a time, as the writer did before it wrote blocks."""
+    body = "".join(f"{pos},{sid},{idx}\n" for pos, (sid, idx) in enumerate(key.entries))
+    return f"# seed={key.seed_descriptor}\nblinded_index,source_id,source_index\n{body}".encode()
 
 
 class TestBlindingKey:
@@ -105,7 +112,7 @@ class TestCombineAndPermute:
         assert list(blinded) == [0, 0, 1]
         assert key.entries == (("a", 1), ("a", 0), ("b", 0))
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 1000])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 1000, 4097, 100717])
     def test_permutation_matches_the_swap_reference(self, n):
         # reference: the same high-index-first swaps, done on a numpy array
         perm = np.arange(n)
@@ -195,6 +202,25 @@ class TestKeyFile:
         write_key(golden_key(), path)
         assert path.read_bytes() == GOLDEN_KEY_CSV.encode()
         assert read_key(path).entries == golden_key().entries
+
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1, 2 * ROWS_PER_WRITE + 3],
+    )
+    def test_block_writer_matches_the_row_reference(self, tmp_path, rng, n):
+        ids = ("c1", "q" * 300, "q3_x")
+        code = rng.integers(0, len(ids), n)
+        index = np.empty(n, dtype=np.intp)
+        for c in range(len(ids)):
+            where = np.flatnonzero(code == c)
+            index[where] = rng.permutation(len(where))
+        key = BlindingKey(ids, code, index, "7/blinding")
+        path = tmp_path / "key.csv"
+        write_key(key, path)
+        assert path.read_bytes() == key_csv_reference(key)
+        back = read_key(path)
+        assert back.entries == key.entries
+        assert back.seed_descriptor == key.seed_descriptor
 
     def test_long_ids_and_missing_final_newline(self, tmp_path):
         # a source id longer than any fixed field width, on a last line with no newline

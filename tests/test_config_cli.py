@@ -239,7 +239,8 @@ class TestCliCommands:
         cfg = write_cfg(tmp_path)
         out = str(tmp_path / "out")
         assert cli.main(["report", "--config", cfg, "--out", out]) == 0
-        text = open(os.path.join(out, "report.txt")).read()
+        with open(os.path.join(out, "report.txt")) as fh:
+            text = fh.read()
         assert "bound" in text
 
     def test_config_error_exit_code(self, tmp_path):
@@ -264,8 +265,10 @@ class TestCliCommands:
         cli.main(["run", "--config", cfg, "--out", out])
         # truncate the key: unblinding must refuse
         key_path = os.path.join(out, "key.csv")
-        lines = open(key_path).readlines()
-        open(key_path, "w").writelines(lines[:-5])
+        with open(key_path) as fh:
+            lines = fh.readlines()
+        with open(key_path, "w") as fh:
+            fh.writelines(lines[:-5])
         code = cli.main(["unblind-fit", "--config", cfg, "--out", out])
         assert code == cli.EXIT_CONTRACT
 

@@ -2,17 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from qvolt.model import (
-    FidelityModel,
     Interpretation,
     NonlinearParams,
     expected_reading,
     net_fidelity_majority,
     per_cycle_from_net,
-    state_expectation_shift,
 )
 
 
@@ -41,46 +39,6 @@ class TestNonlinearParams:
     def test_rejects_large_leakage(self):
         with pytest.raises(ValueError):
             NonlinearParams(vs=0.31)
-
-
-class TestStateExpectationShift:
-    def test_zero_eps_gives_zero(self):
-        assert state_expectation_shift(0.5, NonlinearParams(eps_gamma=0.0)) == 0.0
-
-    def test_equal_superposition(self):
-        # eps * v1 / 2 with v0 = 0
-        params = NonlinearParams(eps_gamma=1e-10, v1=3.0)
-        assert state_expectation_shift(0.5, params) == pytest.approx(1.5e-10, rel=1e-15)
-
-    def test_copenhagen_vanishes(self):
-        params = NonlinearParams(
-            eps_gamma=1e-10, v1=3.0, interpretation=Interpretation.COPENHAGEN
-        )
-        assert state_expectation_shift(0.5, params) == 0.0
-
-    def test_rejects_p1_out_of_range(self):
-        with pytest.raises(ValueError):
-            state_expectation_shift(1.5, NonlinearParams())
-        with pytest.raises(ValueError):
-            state_expectation_shift(-0.1, NonlinearParams())
-
-    @given(
-        eps=st.floats(-1e-6, 1e-6),
-        p1=st.floats(0, 1),
-        lam=st.floats(0, 1),
-    )
-    def test_linear_in_eps_and_p1(self, eps, p1, lam):
-        params = lambda e: NonlinearParams(eps_gamma=e, v0=-0.5, v1=2.0)
-        # linearity in eps: three collinear points
-        s0 = state_expectation_shift(p1, params(0.0))
-        s1 = state_expectation_shift(p1, params(eps))
-        s2 = state_expectation_shift(p1, params(2 * eps))
-        assert s2 - s1 == pytest.approx(s1 - s0, abs=1e-18)
-        # linearity in p1
-        pa = state_expectation_shift(0.0, params(eps))
-        pb = state_expectation_shift(1.0, params(eps))
-        mid = state_expectation_shift(lam, params(eps))
-        assert mid == pytest.approx((1 - lam) * pa + lam * pb, abs=1e-18)
 
 
 class TestExpectedReading:
@@ -185,23 +143,3 @@ class TestPerCycleInversion:
                 net = net_fidelity_majority(float(p), n)
                 back = per_cycle_from_net(net, n)
                 assert abs(net_fidelity_majority(back, n) - net) < 1e-10
-
-
-class TestFidelityModel:
-    def test_direct_readout_requires_equal_fidelities(self):
-        FidelityModel(net_fidelity=0.9, n_repetitions=1, per_cycle_fidelity=0.9)
-        with pytest.raises(ValueError):
-            FidelityModel(net_fidelity=0.9, n_repetitions=1, per_cycle_fidelity=0.8)
-
-    def test_from_net_builds_consistent_model(self):
-        m = FidelityModel.from_net(0.55, 50)
-        assert m.net_fidelity == 0.55
-        assert net_fidelity_majority(m.per_cycle_fidelity, 50) == pytest.approx(
-            0.55, abs=1e-12
-        )
-
-    @settings(max_examples=25)
-    @given(p=st.floats(0.5, 1.0), n=st.integers(1, 60))
-    def test_from_per_cycle_round_trips(self, p, n):
-        m = FidelityModel.from_per_cycle(p, n)
-        assert 0.5 <= m.net_fidelity <= 1.0

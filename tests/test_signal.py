@@ -6,6 +6,7 @@ import pytest
 from qvolt.model import NonlinearParams
 from qvolt.seeds import cycle_rng
 from qvolt.signal import (
+    ROWS_PER_WRITE,
     WAVEFORM_BATCH_CYCLES,
     AcquisitionConfig,
     AcquisitionMode,
@@ -36,6 +37,21 @@ GOLDEN_READINGS_CSV = (
     "5,1.80000000000000011e-04,sensitive\n"
     "6,2.99999999999999956e+00,insensitive\n"
 )
+
+# row counts around the writer's block boundaries
+WRITE_SIZES = [0, 1, ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1, 2 * ROWS_PER_WRITE + 3]
+# -0.0, two subnormals, 3-digit exponents of both signs and the largest float
+SPECIAL_VALUES = [-0.0, 5e-324, 2.2e-310, 1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308]
+
+
+def readings_csv_reference(readings):
+    """readings.csv formatted one row at a time, as the writer did before it wrote blocks."""
+    rows = zip(readings.values.tolist(), readings.insensitive.tolist())
+    body = "".join(
+        f"{pos},{v:.17e},{'insensitive' if flag else 'sensitive'}\n"
+        for pos, (v, flag) in enumerate(rows)
+    )
+    return ("blinded_index,reading_volts,range\n" + body).encode()
 
 
 def lstsq_midpoint_oracle(window, rate):
@@ -274,6 +290,19 @@ class TestReadingsFile:
         # -0.0 == 0.0, so compare the bits of each value
         assert back.values.tobytes() == GOLDEN_READINGS.values.tobytes()
         assert back.insensitive.tolist() == GOLDEN_READINGS.insensitive.tolist()
+
+    @pytest.mark.parametrize("n", WRITE_SIZES)
+    def test_block_writer_matches_the_row_reference(self, tmp_path, rng, n):
+        values = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-300, 300, n)
+        k = min(n, len(SPECIAL_VALUES))
+        values[:k] = SPECIAL_VALUES[:k]
+        readings = Readings(values, rng.random(n) < 0.5)
+        path = tmp_path / "readings.csv"
+        write_readings(readings, path)
+        assert path.read_bytes() == readings_csv_reference(readings)
+        back = read_readings(path)
+        assert back.values.tobytes() == values.tobytes()
+        assert back.insensitive.tolist() == readings.insensitive.tolist()
 
     def test_round_trip_is_exact_for_random_values(self, tmp_path, rng):
         values = rng.normal(0.0, 1.0, 5000) * 10.0 ** rng.integers(-300, 300, 5000)
