@@ -47,7 +47,13 @@ def cmd_generate(config: RunConfig, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_run(config: RunConfig, out: str) -> int:
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _run_step(config: RunConfig, out: str):
+    """Blind and acquire the bit files in `out` (fresh bits if none); write readings and key."""
     paths = [_bits_path(out, spec.id) for spec in config.sources]
     missing = [p for p in paths if not os.path.exists(p)]
     if 0 < len(missing) < len(paths):
@@ -62,16 +68,21 @@ def cmd_run(config: RunConfig, out: str) -> int:
 
     blinded_bits, key = pipeline.blind(config, strings)
     readings = pipeline.acquire(config, blinded_bits, key)
-    readings_path = os.path.join(out, "readings.csv")
-    key_path = os.path.join(out, "key.csv")
-    signal.write_readings(readings, readings_path)
-    blinding.write_key(key, key_path)
-    print(f"wrote {readings_path} ({len(readings)} readings)")
-    print(f"wrote {key_path} (keep sealed until unblinding)")
+    signal.write_readings(readings, os.path.join(out, "readings.csv"))
+    blinding.write_key(key, os.path.join(out, "key.csv"))
+    return readings, key
+
+
+def cmd_run(config: RunConfig, out: str) -> int:
+    readings, _ = _run_step(config, out)
+    print(f"wrote {os.path.join(out, 'readings.csv')} ({len(readings)} readings)")
+    print(f"wrote {os.path.join(out, 'key.csv')} (keep sealed until unblinding)")
     return EXIT_OK
 
 
-def _write_blinded_outputs(out: str, summary: pipeline.BlindedSummary, config: RunConfig) -> str:
+def _blinded_step(values, config: RunConfig, out: str) -> str:
+    """Pooled low/high summary of the blinded values: histogram and blinded_summary.txt."""
+    summary = pipeline.blinded_summary(values, config)
     _write_histogram_csv(os.path.join(out, "histogram_blinded_low.csv"), summary.low_hist)
     lines = [
         f"blinded summary of {summary.n_total} readings "
@@ -79,7 +90,9 @@ def _write_blinded_outputs(out: str, summary: pipeline.BlindedSummary, config: R
         _format_summary("low ", summary.low),
         _format_summary("high", summary.high),
     ]
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    _write_text(os.path.join(out, "blinded_summary.txt"), text)
+    return text
 
 
 def cmd_blinded_summary(config: RunConfig, out: str, key: str | None = None) -> int:
@@ -89,15 +102,13 @@ def cmd_blinded_summary(config: RunConfig, out: str, key: str | None = None) -> 
             "unblinding is a separate, explicit step"
         )
     readings = signal.read_readings(os.path.join(out, "readings.csv"))
-    summary = pipeline.blinded_summary(readings.values, config)
-    text = _write_blinded_outputs(out, summary, config)
-    with open(os.path.join(out, "blinded_summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(text, end="")
+    print(_blinded_step(readings.values, config, out), end="")
     return EXIT_OK
 
 
-def _write_fit_outputs(out: str, result: pipeline.UnblindResult, config: RunConfig) -> str:
+def _fit_step(values, key: blinding.BlindingKey, config: RunConfig, out: str) -> str:
+    """Unblind, fit and bound: fit.csv, band.csv, per-source histograms, unblind_report.txt."""
+    result = pipeline.unblind_fit(values, key, config)
     fit, mc = result.fit, result.mc
     with open(os.path.join(out, "fit.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("parameter,value,sigma\n")
@@ -127,29 +138,24 @@ def _write_fit_outputs(out: str, result: pipeline.UnblindResult, config: RunConf
         f"  {config.analysis.cl * 100:.0f}% CL bound ({config.analysis.bound_rule}): "
         f"|eps| < {fit.bound_90:.6e}",
     ]
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    _write_text(os.path.join(out, "unblind_report.txt"), text)
+    return text
 
 
 def cmd_unblind_fit(config: RunConfig, out: str) -> int:
     readings = signal.read_readings(os.path.join(out, "readings.csv"))
     key = blinding.read_key(os.path.join(out, "key.csv"))
-    result = pipeline.unblind_fit(readings.values, key, config)
-    text = _write_fit_outputs(out, result, config)
-    with open(os.path.join(out, "unblind_report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(text, end="")
+    print(_fit_step(readings.values, key, config, out), end="")
     return EXIT_OK
 
 
 def cmd_report(config: RunConfig, out: str) -> int:
-    readings, key, summary, result = pipeline.run_pipeline(config)
-    signal.write_readings(readings, os.path.join(out, "readings.csv"))
-    blinding.write_key(key, os.path.join(out, "key.csv"))
-    blinded_text = _write_blinded_outputs(out, summary, config)
-    fit_text = _write_fit_outputs(out, result, config)
-    text = blinded_text + "\n" + fit_text
-    with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """run, blinded-summary and unblind-fit in one go, the readings passed on in memory."""
+    readings, key = _run_step(config, out)
+    text = _blinded_step(readings.values, config, out)
+    text += "\n" + _fit_step(readings.values, key, config, out)
+    _write_text(os.path.join(out, "report.txt"), text)
     print(text, end="")
     return EXIT_OK
 

@@ -65,6 +65,13 @@ def _finite(value: float, text: str) -> float:
     return value
 
 
+def _integer(text: str) -> int:
+    value = parse_number(text)
+    if value != int(value):
+        raise ConfigError(f"{value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class AnalysisSettings:
     threshold: float = 1.0  # V
@@ -78,8 +85,10 @@ class AnalysisSettings:
             raise ConfigError(f"unknown bound_rule {self.bound_rule!r}")
         if not 0.0 < self.cl < 1.0:
             raise ConfigError(f"cl {self.cl} outside (0, 1)")
-        if self.n_bins < 1 or self.mc_realizations < 100:
-            raise ConfigError("n_bins must be >= 1 and mc_realizations >= 100")
+        if self.n_bins < 1:
+            raise ConfigError(f"n_bins {self.n_bins} < 1")
+        if self.mc_realizations < 100:
+            raise ConfigError(f"mc_realizations {self.mc_realizations} < 100")
 
 
 @dataclass(frozen=True)
@@ -98,49 +107,64 @@ class RunConfig:
             raise ConfigError(f"duplicate source ids: {ids}")
 
 
-class _Section:
-    """Wrapper that tracks consumed keys so typos are rejected."""
+# How each key of a section is read: a unit kind of _UNIT_SCALES, or a
+# function of the word. Keys a file leaves out keep the dataclass default.
+_SECTIONS = {
+    "params": (NonlinearParams, {
+        "eps_gamma": parse_number,
+        "v0": "voltage",
+        "v1": "voltage",
+        "vs": "voltage",
+        "interpretation": Interpretation,
+    }),
+    "acquisition": (AcquisitionConfig, {
+        "cycle_duration": "time",
+        "record_window": "time",
+        "sample_rate": "sample_rate",
+        "filter_tau": "time",
+        "carrier_freq": "frequency",
+        "sigma_low": "voltage",
+        "sigma_high": "voltage",
+        "range_threshold": "voltage",
+        "drift_rate": "drift",
+        "mode": AcquisitionMode,
+    }),
+    "analysis": (AnalysisSettings, {
+        "threshold": "voltage",
+        "n_bins": _integer,
+        "mc_realizations": _integer,
+        "cl": parse_number,
+        "bound_rule": str,
+    }),
+}
+# int(), not _integer: seeds above 2**53 stay exact and `count = 2e1` is an error
+_RUN_KEYS = {"seed": int}
+_SOURCE_KEYS = {"kind": SourceKind, "count": int, "fidelity": parse_number}
 
-    def __init__(self, name, mapping):
-        self.name = name
-        self.mapping = dict(mapping)
-        self.used = set()
 
-    def get(self, key, default=None, required=False):
-        if key in self.mapping:
-            self.used.add(key)
-            return self.mapping[key]
-        if required:
-            raise ConfigError(f"[{self.name}] missing required key {key!r}")
-        return default
+def _section(name, raw, kinds, required=()):
+    """Read each key of section [name] as `kinds` says; unknown keys are an error."""
+    unknown = sorted(set(raw) - set(kinds))
+    if unknown:
+        raise ConfigError(f"[{name}] unknown keys: {unknown}")
+    values = {}
+    for key, text in raw.items():
+        read = kinds[key]
+        try:
+            values[key] = parse_quantity(text, read) if isinstance(read, str) else read(text)
+        except ValueError as exc:
+            raise ConfigError(f"[{name}] {key}: {exc}") from exc
+    for key in required:
+        if key not in values:
+            raise ConfigError(f"[{name}] missing required key {key!r}")
+    return values
 
-    def check_exhausted(self):
-        extra = set(self.mapping) - self.used
-        if extra:
-            raise ConfigError(f"[{self.name}] unknown keys: {sorted(extra)}")
 
-
-def _quantity(section, key, kind, default):
-    raw = section.get(key)
-    if raw is None:
-        return default
+def _build(name, cls, **values):
     try:
-        return parse_quantity(raw, kind)
-    except ConfigError as exc:
-        raise ConfigError(f"[{section.name}] {key}: {exc}") from exc
-
-
-def _number(section, key, default, integer=False):
-    raw = section.get(key)
-    if raw is None:
-        return default
-    try:
-        value = parse_number(raw)
-        if integer and value != int(value):
-            raise ConfigError(f"{value!r} is not an integer")
-    except ConfigError as exc:
-        raise ConfigError(f"[{section.name}] {key}: {exc}") from exc
-    return int(value) if integer else value
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] {exc}") from exc
 
 
 def load_config(path: str | os.PathLike) -> RunConfig:
@@ -150,84 +174,21 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
 
-    sections = {name: _Section(name, parser[name]) for name in parser.sections()}
-
-    def take(name):
-        return sections.pop(name, _Section(name, {}))
-
-    run = take("run")
-    seed_raw = run.get("seed", required=True)
-    try:
-        seed = int(seed_raw)
-    except ValueError as exc:
-        raise ConfigError(f"[run] seed must be an integer, got {seed_raw!r}") from exc
-    run.check_exhausted()
-
-    p = take("params")
-    try:
-        params = NonlinearParams(
-            eps_gamma=_number(p, "eps_gamma", 0.0),
-            v0=_quantity(p, "v0", "voltage", 0.0),
-            v1=_quantity(p, "v1", "voltage", 3.0),
-            vs=_quantity(p, "vs", "voltage", 0.0),
-            interpretation=Interpretation(p.get("interpretation", "everett")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[params]: {exc}") from exc
-    p.check_exhausted()
-
-    a = take("acquisition")
-    try:
-        acquisition = AcquisitionConfig(
-            cycle_duration=_quantity(a, "cycle_duration", "time", 2.0),
-            record_window=_quantity(a, "record_window", "time", 1.0),
-            sample_rate=_quantity(a, "sample_rate", "sample_rate", 1000.0),
-            filter_tau=_quantity(a, "filter_tau", "time", 1e-3),
-            carrier_freq=_quantity(a, "carrier_freq", "frequency", 1e6),
-            sigma_low=_quantity(a, "sigma_low", "voltage", 3.4e-9),
-            sigma_high=_quantity(a, "sigma_high", "voltage", 1.8e-4),
-            range_threshold=_quantity(a, "range_threshold", "voltage", 1.0),
-            drift_rate=_quantity(a, "drift_rate", "drift", 0.0),
-            mode=AcquisitionMode(a.get("mode", "fast")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[acquisition]: {exc}") from exc
-    a.check_exhausted()
-
-    an = take("analysis")
-    analysis = AnalysisSettings(
-        threshold=_quantity(an, "threshold", "voltage", 1.0),
-        n_bins=_number(an, "n_bins", 50, integer=True),
-        mc_realizations=_number(an, "mc_realizations", 10_000, integer=True),
-        cl=_number(an, "cl", 0.90),
-        bound_rule=an.get("bound_rule", "central"),
-    )
-    an.check_exhausted()
+    sections = {name: parser[name] for name in parser.sections()}
+    seed = _section("run", sections.pop("run", {}), _RUN_KEYS, required=("seed",))["seed"]
+    parts = {
+        name: _build(name, cls, **_section(name, sections.pop(name, {}), kinds))
+        for name, (cls, kinds) in _SECTIONS.items()
+    }
 
     source_specs = []
-    for name in list(sections):
+    for name, raw in sections.items():
         if not name.startswith("source."):
             raise ConfigError(f"unknown section [{name}]")
-        s = sections.pop(name)
-        sid = name[len("source."):]
-        try:
-            kind = SourceKind(s.get("kind", required=True))
-            count = int(s.get("count", required=True))
-            if kind is SourceKind.CLASSICAL:
-                fid_raw = s.get("fidelity")
-                fidelity = 0.5 if fid_raw is None else parse_number(fid_raw)
-            else:
-                fidelity = parse_number(s.get("fidelity", required=True))
-            spec = SourceSpec(id=sid, kind=kind, fidelity=fidelity, count=count)
-        except ValueError as exc:
-            raise ConfigError(f"[{name}]: {exc}") from exc
-        s.check_exhausted()
-        source_specs.append(spec)
+        raw = dict(raw)
+        if raw.get("kind") == SourceKind.CLASSICAL.value:
+            raw.setdefault("fidelity", "0.5")
+        values = _section(name, raw, _SOURCE_KEYS, required=tuple(_SOURCE_KEYS))
+        source_specs.append(_build(name, SourceSpec, id=name[len("source."):], **values))
 
-    return RunConfig(
-        seed=seed,
-        sources=tuple(source_specs),
-        params=params,
-        acquisition=acquisition,
-        analysis=analysis,
-    )
+    return RunConfig(seed=seed, sources=tuple(source_specs), **parts)

@@ -35,14 +35,9 @@ class UnblindResult:
 
 def generate_bits(config: RunConfig) -> list[sources.BitString]:
     """One bit string per configured source, each from its own derived stream."""
-    out = []
-    for spec in config.sources:
-        rng = derive_rng(config.seed, "bits", spec.id)
-        if spec.kind is sources.SourceKind.CLASSICAL:
-            out.append(sources.generate_classical(spec.id, spec.count, rng))
-        else:
-            out.append(sources.generate_qubit(spec.id, spec.count, spec.fidelity, rng))
-    return out
+    return [
+        sources.generate(spec, derive_rng(config.seed, "bits", spec.id)) for spec in config.sources
+    ]
 
 
 def blind(config: RunConfig, strings: Sequence[sources.BitString]):

@@ -80,24 +80,9 @@ class BitString:
         return self.source == other.source and np.array_equal(self.bits, other.bits)
 
 
-def generate_classical(source_id: str, n: int, rng: np.random.Generator) -> BitString:
-    """n independent fair bits from a classical generator; fidelity 1/2 by definition."""
-    if n < 1:
-        raise ValueError(f"n {n} < 1")
-    spec = SourceSpec(id=source_id, kind=SourceKind.CLASSICAL, fidelity=0.5, count=n)
-    return BitString(source=spec, bits=rng.integers(0, 2, size=n, dtype=np.uint8))
-
-
-def generate_qubit(source_id: str, n: int, fidelity: float, rng: np.random.Generator) -> BitString:
-    """n recorded measurements of an equal-superposition qubit.
-
-    The recorded bit distribution is fair regardless of fidelity; fidelity is
-    metadata consumed downstream by the signal model.
-    """
-    if n < 1:
-        raise ValueError(f"n {n} < 1")
-    spec = SourceSpec(id=source_id, kind=SourceKind.QUBIT, fidelity=fidelity, count=n)
-    return BitString(source=spec, bits=rng.integers(0, 2, size=n, dtype=np.uint8))
+def generate(spec: SourceSpec, rng: np.random.Generator) -> BitString:
+    """spec.count fair bits for any kind of source; fidelity only enters the signal model."""
+    return BitString(spec, rng.integers(0, 2, size=spec.count, dtype=np.uint8))
 
 
 def write_bits(bitstring: BitString, path: str | os.PathLike) -> None:

@@ -1,11 +1,21 @@
+import dataclasses
+import hashlib
 import os
 
+import numpy as np
 import pytest
 
-from qvolt import cli
-from qvolt.config import ConfigError, load_config, parse_number, parse_quantity
-from qvolt.signal import AcquisitionMode
-from qvolt.sources import SourceKind
+from qvolt import cli, config
+from qvolt.config import (
+    AnalysisSettings,
+    ConfigError,
+    load_config,
+    parse_number,
+    parse_quantity,
+)
+from qvolt.model import NonlinearParams
+from qvolt.signal import AcquisitionConfig, AcquisitionMode
+from qvolt.sources import BitString, SourceKind, SourceSpec, write_bits
 
 MINIMAL_CFG = """\
 [run]
@@ -161,6 +171,111 @@ class TestLoadConfig:
         )
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, bad))
+
+    @pytest.mark.parametrize(
+        "old, new, section, key",
+        [
+            ("[source.q2]\nkind = qubit\n", "[source.q2]\n", "[source.q2]", "kind"),
+            ("count = 20\n", "", "[source.q2]", "count"),
+            ("fidelity = 0.99\n", "", "[source.q2]", "fidelity"),
+            ("[analysis]", "[acquisition]\nmode = slow\n\n[analysis]", "[acquisition]", "mode"),
+            ("eps_gamma = 0", "eps_gamma = 0\ninterpretation = bohm", "[params]",
+             "interpretation"),
+            ("mc_realizations = 200", "mc_realizations = 200\nbound_rule = widest", "[analysis]",
+             "bound_rule"),
+            ("mc_realizations = 200", "mc_realizations = 10", "[analysis]", "mc_realizations"),
+            ("[analysis]", "[acquisition]\nrecord_window = 3 s\n\n[analysis]", "[acquisition]",
+             "record_window"),
+        ],
+        ids=["no-kind", "no-count", "no-fidelity", "mode", "interpretation", "bound_rule",
+             "mc_realizations", "record_window"],
+    )
+    def test_errors_name_their_section_once_and_their_key(self, tmp_path, old, new, section, key):
+        assert old in MINIMAL_CFG
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(write_cfg(tmp_path, MINIMAL_CFG.replace(old, new, 1)))
+        message = str(excinfo.value)
+        assert message.startswith(section + " ") and message.count(section) == 1, message
+        assert key in message, message
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("name", sorted(config._SECTIONS))
+    def test_every_field_is_configurable(self, name):
+        cls, kinds = config._SECTIONS[name]
+        assert set(kinds) == {f.name for f in dataclasses.fields(cls)}
+
+    def test_empty_sections_load_the_dataclass_defaults(self, tmp_path):
+        text = "[run]\nseed = 1\n[params]\n[acquisition]\n[analysis]\n[source.c1]\n" \
+               "kind = classical\ncount = 4\n"
+        loaded = load_config(write_cfg(tmp_path, text))
+        assert loaded.params == NonlinearParams()
+        assert loaded.acquisition == AcquisitionConfig()
+        assert loaded.analysis == AnalysisSettings()
+        assert loaded.sources == (SourceSpec("c1", SourceKind.CLASSICAL, 0.5, 4),)
+
+    def test_seed_above_2_to_the_53_is_exact(self, tmp_path):
+        text = MINIMAL_CFG.replace("seed = 99", "seed = 123456789012345678901")
+        assert load_config(write_cfg(tmp_path, text)).seed == 123456789012345678901
+
+
+def _digests(out):
+    digests = {}
+    for name in os.listdir(out):
+        with open(os.path.join(out, name), "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+class TestReportIsTheThreeSteps:
+    def test_report_writes_what_the_steps_write(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        steps, report = str(tmp_path / "steps"), str(tmp_path / "report")
+        for step in ("run", "blinded-summary", "unblind-fit"):
+            assert cli.main([step, "--config", cfg, "--out", steps]) == 0
+        assert cli.main(["report", "--config", cfg, "--out", report]) == 0
+        step_files, report_files = _digests(steps), _digests(report)
+        assert "unblind_report.txt" in step_files
+        assert report_files.pop("report.txt")
+        assert report_files == step_files
+
+    def test_report_text_is_the_two_step_texts(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["report", "--config", cfg, "--out", out]) == 0
+        blinded = _read(os.path.join(out, "blinded_summary.txt"))
+        fit = _read(os.path.join(out, "unblind_report.txt"))
+        assert _read(os.path.join(out, "report.txt")) == blinded + "\n" + fit
+
+    def test_report_reads_the_bit_files_in_out(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        fresh, given, stepped = (str(tmp_path / n) for n in ("fresh", "given", "stepped"))
+        assert cli.main(["report", "--config", cfg, "--out", fresh]) == 0
+        for out in (given, stepped):
+            assert cli.main(["generate", "--config", cfg, "--out", out]) == 0
+            # all-zero bits: a valid file that the seed would not generate
+            spec = load_config(cfg).sources[0]
+            write_bits(BitString(spec, np.zeros(spec.count, dtype=np.uint8)),
+                       os.path.join(out, f"bits_{spec.id}.txt"))
+        assert cli.main(["report", "--config", cfg, "--out", given]) == 0
+        assert cli.main(["run", "--config", cfg, "--out", stepped]) == 0
+        readings = [_read(os.path.join(out, "readings.csv")) for out in (fresh, given, stepped)]
+        assert readings[1] == readings[2] != readings[0]
+
+    def test_report_refuses_partial_bit_files(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["generate", "--config", cfg, "--out", out]) == 0
+        os.remove(os.path.join(out, "bits_q2.txt"))
+        assert cli.main(["report", "--config", cfg, "--out", out]) == cli.EXIT_CONTRACT
+        assert "bits_q2.txt" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "readings.csv"))
+
 
 
 class TestCliCommands:

@@ -13,8 +13,7 @@ from qvolt.sources import (
     SourceKind,
     SourceSpec,
     bias_diagnostics,
-    generate_classical,
-    generate_qubit,
+    generate,
     ingest_bits,
     write_bits,
 )
@@ -46,39 +45,39 @@ class TestSourceSpec:
 
 class TestGenerators:
     def test_deterministic_under_fixed_seed(self):
-        a = generate_classical("c1", 8, np.random.default_rng(7))
-        b = generate_classical("c1", 8, np.random.default_rng(7))
+        a = generate(SourceSpec("c1", SourceKind.CLASSICAL, 0.5, 8), np.random.default_rng(7))
+        b = generate(SourceSpec("c1", SourceKind.CLASSICAL, 0.5, 8), np.random.default_rng(7))
         assert np.array_equal(a.bits, b.bits)
 
     def test_paper_classical_string(self, rng):
-        bs = generate_classical("c1", 60000, rng)
+        bs = generate(SourceSpec("c1", SourceKind.CLASSICAL, 0.5, 60000), rng)
         assert len(bs.bits) == 60000
         assert bs.source.fidelity == 0.5
 
     def test_classical_is_fair(self):
         n = 100_000
-        bs = generate_classical("c1", n, np.random.default_rng(11))
+        bs = generate(SourceSpec("c1", SourceKind.CLASSICAL, 0.5, n), np.random.default_rng(11))
         # 5 sigma of the binomial sd sqrt(1/(4n))
         assert abs(bs.bits.mean() - 0.5) < 5 * math.sqrt(1 / (4 * n))
 
     def test_qubit_metadata(self, rng):
-        q2 = generate_qubit("q2", 30000, 0.99, rng)
+        q2 = generate(SourceSpec("q2", SourceKind.QUBIT, 0.99, 30000), rng)
         assert len(q2.bits) == 30000
         assert q2.source.fidelity == 0.99
-        q3 = generate_qubit("q3", 10717, 0.55, rng)
+        q3 = generate(SourceSpec("q3", SourceKind.QUBIT, 0.55, 10717), rng)
         assert len(q3.bits) == 10717
         assert q3.source.fidelity == 0.55
 
     def test_qubit_bits_fair_regardless_of_fidelity(self):
         n = 10_000
-        bs = generate_qubit("q", n, 0.75, np.random.default_rng(13))
+        bs = generate(SourceSpec("q", SourceKind.QUBIT, 0.75, n), np.random.default_rng(13))
         assert abs(bs.bits.mean() - 0.5) < 5 * math.sqrt(1 / (4 * n))
 
     def test_rejects_empty_or_bad_fidelity(self, rng):
         with pytest.raises(ValueError):
-            generate_classical("c1", 0, rng)
+            generate(SourceSpec("c1", SourceKind.CLASSICAL, 0.5, 0), rng)
         with pytest.raises(ValueError):
-            generate_qubit("q", 10, 0.2, rng)
+            generate(SourceSpec("q", SourceKind.QUBIT, 0.2, 10), rng)
 
 
 class TestBitFile:
@@ -153,7 +152,7 @@ class TestBitFile:
             ingest_bits(path)
 
     def test_round_trip_paper_scale(self, tmp_path, rng):
-        original = generate_qubit("q3", 10717, 0.55, rng)
+        original = generate(SourceSpec("q3", SourceKind.QUBIT, 0.55, 10717), rng)
         path = tmp_path / "q3.txt"
         write_bits(original, path)
         assert ingest_bits(path) == original
@@ -186,7 +185,8 @@ class TestBiasDiagnostics:
         assert d.z_score == 0.0
 
     def test_fair_string_within_5_sigma(self):
-        bs = generate_classical("c1", 10_000, np.random.default_rng(21))
+        spec = SourceSpec("c1", SourceKind.CLASSICAL, 0.5, 10_000)
+        bs = generate(spec, np.random.default_rng(21))
         assert abs(bias_diagnostics(bs).z_score) < 5
 
     def test_rejects_empty(self):
