@@ -26,11 +26,9 @@ def main():
     mc = analysis.mc_errors(POINTS, np.random.default_rng(0), n_real=10_000)
     print(f"MC sd(slope) = {mc.sd_slope * 1e9:.4f} nV ({mc.n_realizations} realizations)")
 
-    for rule in ("central", "folded", "mc-percentile"):
-        bound = analysis.confidence_bound(
-            fit.eps, fit.sigma_eps, cl=0.90, rule=rule, rng=np.random.default_rng(1)
-        )
-        print(f"90% CL bound ({rule:13s}): |eps| < {bound:.3e}")
+    for rule in analysis.BoundRule:
+        bound = analysis.confidence_bound(fit.eps, fit.sigma_eps, cl=0.90, rule=rule)
+        print(f"90% CL bound ({rule.value:7s}): |eps| < {bound:.3e}")
 
 
 if __name__ == "__main__":

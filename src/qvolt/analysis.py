@@ -10,12 +10,20 @@ uncertainties and supplies the plot band.
 """
 
 from dataclasses import dataclass
+from enum import Enum
 import math
 from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 from scipy.optimize import brentq
+
+BAND_POINTS = 51  # x grid of the Monte Carlo plot band
+
+
+class BoundRule(str, Enum):
+    CENTRAL = "central"
+    FOLDED = "folded"
 
 
 @dataclass(frozen=True)
@@ -52,8 +60,7 @@ class FitResult:
     sigma_slope: float
     eps: float
     sigma_eps: float
-    bound_90: float | None = None
-    mc_realizations: int = 0
+    bound_90: float | None = None  # the bound at [analysis] cl; perfbench reads this name
 
 
 @dataclass(frozen=True)
@@ -160,7 +167,6 @@ def mc_errors(
     points: Sequence[RegressionPoint],
     rng: np.random.Generator,
     n_real: int = 10_000,
-    band_points: int = 51,
 ) -> MCResult:
     """Monte Carlo propagation: resample y_i ~ N(y_i, sigma_i), refit, report spread.
 
@@ -185,7 +191,7 @@ def mc_errors(
     slopes = samples @ c_slope
     intercepts = samples @ c_intercept
 
-    band_x = np.linspace(min(x.min(), 0.0), max(x.max(), 0.5), band_points)
+    band_x = np.linspace(min(x.min(), 0.0), max(x.max(), 0.5), BAND_POINTS)
     lines = np.outer(slopes, band_x) + intercepts[:, None]
     band_sd = lines.std(axis=0, ddof=1)
     band_fit = nominal.intercept + nominal.slope * band_x
@@ -205,34 +211,26 @@ def confidence_bound(
     eps_hat: float,
     sigma_eps: float,
     cl: float = 0.90,
-    rule: str = "central",
-    rng: np.random.Generator | None = None,
-    mc_draws: int = 200_000,
+    rule: BoundRule | str = BoundRule.CENTRAL,
 ) -> float:
-    """Upper bound on |eps| at confidence level `cl`.
+    """Upper bound on |eps| at confidence level `cl`, for eps_hat ~ N(eps, sigma_eps).
 
-    Rules:
-      central       |eps_hat| + z_{(1+cl)/2} * sigma  (default)
-      folded        smallest b with P(|X| <= b) = cl for X ~ N(eps_hat, sigma)
-      mc-percentile cl-quantile of |X| over Monte Carlo draws (needs rng)
+    Rules (a BoundRule or its word; any other word is a ValueError):
+      central  |eps_hat| + z_{(1+cl)/2} * sigma  (default)
+      folded   smallest b with P(|X| <= b) = cl for X ~ N(eps_hat, sigma)
     """
+    rule = BoundRule(rule)
     if not sigma_eps > 0:
         raise ValueError("sigma_eps must be > 0")
     if not 0.0 < cl < 1.0:
         raise ValueError(f"confidence level {cl} outside (0, 1)")
     e = abs(eps_hat)
-    if rule == "central":
+    if rule is BoundRule.CENTRAL:
         z = float(ndtri((1 + cl) / 2))
         return e + z * sigma_eps
-    if rule == "folded":
-        def coverage(b):
-            return float(ndtr((b - e) / sigma_eps) - ndtr((-b - e) / sigma_eps)) - cl
 
-        upper = e + 10 * sigma_eps
-        return float(brentq(coverage, 0.0, upper, xtol=1e-30, rtol=8.9e-16))
-    if rule == "mc-percentile":
-        if rng is None:
-            raise ValueError("mc-percentile rule requires an rng")
-        draws = rng.normal(eps_hat, sigma_eps, size=mc_draws)
-        return float(np.quantile(np.abs(draws), cl))
-    raise ValueError(f"unknown bound rule {rule!r}")
+    def coverage(b):
+        return float(ndtr((b - e) / sigma_eps) - ndtr((-b - e) / sigma_eps)) - cl
+
+    upper = e + 10 * sigma_eps
+    return float(brentq(coverage, 0.0, upper, xtol=1e-30, rtol=8.9e-16))

@@ -135,7 +135,7 @@ def _fit_step(values, key: blinding.BlindingKey, config: RunConfig, out: str) ->
         f"  eps       = {fit.eps:.6e} +- {fit.sigma_eps:.6e}",
         f"  Monte Carlo ({mc.n_realizations} realizations): "
         f"sd_slope = {mc.sd_slope:.6e} V, sd_intercept = {mc.sd_intercept:.6e} V",
-        f"  {config.analysis.cl * 100:.0f}% CL bound ({config.analysis.bound_rule}): "
+        f"  {config.analysis.cl * 100:.0f}% CL bound ({config.analysis.bound_rule.value}): "
         f"|eps| < {fit.bound_90:.6e}",
     ]
     text = "\n".join(lines) + "\n"

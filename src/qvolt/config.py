@@ -12,6 +12,7 @@ import math
 import os
 import re
 
+from .analysis import BoundRule
 from .model import Interpretation, NonlinearParams
 from .signal import AcquisitionConfig, AcquisitionMode
 from .sources import SourceKind, SourceSpec
@@ -78,11 +79,9 @@ class AnalysisSettings:
     n_bins: int = 50
     mc_realizations: int = 10_000
     cl: float = 0.90
-    bound_rule: str = "central"
+    bound_rule: BoundRule = BoundRule.CENTRAL
 
     def __post_init__(self):
-        if self.bound_rule not in ("central", "folded", "mc-percentile"):
-            raise ConfigError(f"unknown bound_rule {self.bound_rule!r}")
         if not 0.0 < self.cl < 1.0:
             raise ConfigError(f"cl {self.cl} outside (0, 1)")
         if self.n_bins < 1:
@@ -134,7 +133,7 @@ _SECTIONS = {
         "n_bins": _integer,
         "mc_realizations": _integer,
         "cl": parse_number,
-        "bound_rule": str,
+        "bound_rule": BoundRule,
     }),
 }
 # int(), not _integer: seeds above 2**53 stay exact and `count = 2e1` is an error
@@ -170,7 +169,10 @@ def _build(name, cls, **values):
 def load_config(path: str | os.PathLike) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     parser.optionxform = str
-    read = parser.read(path, encoding="utf-8")
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from exc
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
 

@@ -76,13 +76,14 @@ def blinded_summary(values: np.ndarray, config: RunConfig) -> BlindedSummary:
 
 def unblind_fit(values: np.ndarray, key: blinding.BlindingKey, config: RunConfig) -> UnblindResult:
     """Per-source low-voltage statistics, weighted fit, MC errors, and the bound."""
+    in_key, configured = key.source_counts(), {spec.id: spec.count for spec in config.sources}
+    if in_key != configured:
+        raise ValueError(f"key source counts {in_key} do not match the configured {configured}")
     grouped = blinding.unblind(values, key)
     per_low: dict[str, analysis.GaussianSummary] = {}
     per_hist: dict[str, analysis.HistogramResult] = {}
     points = []
     for spec in config.sources:
-        if spec.id not in grouped:
-            raise ValueError(f"key contains no entries for configured source {spec.id!r}")
         low, _ = analysis.classify(grouped[spec.id], config.analysis.threshold)
         summary = analysis.summarize(low)
         per_low[spec.id] = summary
@@ -99,13 +100,9 @@ def unblind_fit(values: np.ndarray, key: blinding.BlindingKey, config: RunConfig
         n_real=config.analysis.mc_realizations,
     )
     bound = analysis.confidence_bound(
-        fit.eps,
-        fit.sigma_eps,
-        cl=config.analysis.cl,
-        rule=config.analysis.bound_rule,
-        rng=derive_rng(config.seed, "bound"),
+        fit.eps, fit.sigma_eps, cl=config.analysis.cl, rule=config.analysis.bound_rule
     )
-    fit = replace(fit, bound_90=bound, mc_realizations=mc.n_realizations)
+    fit = replace(fit, bound_90=bound)
     return UnblindResult(
         per_source_low=per_low,
         per_source_hist=per_hist,

@@ -63,7 +63,7 @@ class AcquisitionConfig:
     sigma_low: float = 3.4e-9  # V per reading, sensitive range
     sigma_high: float = 1.8e-4  # V per reading, insensitive range
     range_threshold: float = 1.0  # V
-    drift_rate: float = 0.0  # V/s
+    drift_rate: float = 0.0  # V/s, within a cycle: t is measured from each cycle's start
     mode: AcquisitionMode = AcquisitionMode.FAST
 
     def __post_init__(self):

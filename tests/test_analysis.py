@@ -270,6 +270,8 @@ class TestConfidenceBound:
         assert all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_folded_rule_has_exact_coverage(self):
+        # checks the rule's defining equation P(|X| <= b) = cl for X ~ N(eps_hat, sigma),
+        # not its frequentist coverage (test_frequentist_coverage does that)
         from scipy.stats import norm
 
         e, s = 0.7e-11, 2.37e-11
@@ -277,19 +279,31 @@ class TestConfidenceBound:
         coverage = norm.cdf((b - e) / s) - norm.cdf((-b - e) / s)
         assert coverage == pytest.approx(0.90, abs=1e-9)
 
-    def test_mc_percentile_rule(self):
-        b = confidence_bound(
-            0.7e-11, 2.37e-11, rule="mc-percentile", rng=np.random.default_rng(6)
-        )
-        folded = confidence_bound(0.7e-11, 2.37e-11, rule="folded")
-        assert b == pytest.approx(folded, rel=0.02)
+    @pytest.mark.parametrize("rule", ["central", "folded"])
+    def test_frequentist_coverage(self, rule):
+        # P(bound(eps_hat) >= theta) for eps_hat ~ N(theta, 1): the bound grows with
+        # |eps_hat|, so it misses theta exactly when |eps_hat| < e_star, bound(e_star) = theta
+        from scipy.optimize import brentq
+        from scipy.stats import norm
+
+        cl = 0.90
+        coverage = {}
+        for theta in (0.0, 1.0, 2.0, 3.0, 5.0):
+            if confidence_bound(0.0, 1.0, cl, rule) >= theta:
+                coverage[theta] = 1.0
+                continue
+            e_star = brentq(lambda e: confidence_bound(e, 1.0, cl, rule) - theta, 0.0, theta)
+            coverage[theta] = 1.0 - (norm.cdf(e_star - theta) - norm.cdf(-e_star - theta))
+        assert min(coverage.values()) >= cl - 1e-3, coverage
+        # far from zero, central adds z_{(1+cl)/2} to |eps_hat| and so covers (1+cl)/2
+        far = {"central": (1 + cl) / 2, "folded": cl}[rule]
+        assert coverage[5.0] == pytest.approx(far, abs=1e-3), coverage
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             confidence_bound(0.0, 0.0)
         with pytest.raises(ValueError):
             confidence_bound(0.0, 1.0, cl=1.5)
-        with pytest.raises(ValueError):
-            confidence_bound(0.0, 1.0, rule="banana")
-        with pytest.raises(ValueError):
-            confidence_bound(0.0, 1.0, rule="mc-percentile")
+        for rule in ("banana", "mc-percentile"):
+            with pytest.raises(ValueError, match="BoundRule"):
+                confidence_bound(0.0, 1.0, rule=rule)

@@ -1,6 +1,8 @@
 import dataclasses
+import glob
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +39,9 @@ count = 20
 [analysis]
 mc_realizations = 200
 """
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def write_cfg(tmp_path, text=MINIMAL_CFG, name="run.cfg"):
@@ -97,8 +102,10 @@ class TestLoadConfig:
         assert config.acquisition.mode is AcquisitionMode.FAST
         assert config.analysis.mc_realizations == 200
 
-    def test_full_scale_config_ships_with_repo(self):
-        path = os.path.join(os.path.dirname(__file__), "..", "configs", "null.cfg")
+    @pytest.mark.parametrize(
+        "path", sorted(glob.glob(os.path.join(CONFIGS, "*.cfg"))), ids=os.path.basename
+    )
+    def test_full_scale_config_ships_with_repo(self, path):
         config = load_config(path)
         assert sum(s.count for s in config.sources) == 100717
         assert config.acquisition.filter_tau == pytest.approx(1e-3)
@@ -164,6 +171,22 @@ class TestLoadConfig:
         for step in ("generate", "run"):
             assert cli.main([step, "--config", bad, "--out", out]) == cli.EXIT_CONFIG
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "text, words",
+        [("seed = 1\n" + MINIMAL_CFG, "no section headers"),
+         (MINIMAL_CFG.replace("count = 40", "count = 40\ncount = 41"), "option 'count'"),
+         (MINIMAL_CFG + "\n[run]\nseed = 1\n", "section 'run' already exists"),
+         (MINIMAL_CFG + "bound_rule = mc-percentile\n", "[analysis] bound_rule")],
+        ids=["no-section-header", "repeated-key", "repeated-section", "mc-percentile"],
+    )
+    def test_rejected_config_text_exits_as_config_error(self, tmp_path, capsys, text, words):
+        bad = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError, match=re.escape(words)):
+            load_config(bad)
+        assert cli.main(["run", "--config", bad, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and words in err, err
 
     def test_classical_fidelity_must_be_half(self, tmp_path):
         bad = MINIMAL_CFG.replace(
@@ -386,6 +409,24 @@ class TestCliCommands:
             fh.writelines(lines[:-5])
         code = cli.main(["unblind-fit", "--config", cfg, "--out", out])
         assert code == cli.EXIT_CONTRACT
+
+    @pytest.mark.parametrize(
+        "run_text, fit_text",
+        [(MINIMAL_CFG + "\n[source.q3]\nkind = qubit\nfidelity = 0.55\ncount = 30\n",
+          MINIMAL_CFG),
+         (MINIMAL_CFG, MINIMAL_CFG.replace("count = 20", "count = 21"))],
+        ids=["dropped-source", "changed-count"],
+    )
+    def test_key_that_disagrees_with_the_config_exit_code(
+        self, tmp_path, capsys, run_text, fit_text
+    ):
+        out = str(tmp_path / "out")
+        run_cfg = write_cfg(tmp_path, run_text, "run.cfg")
+        assert cli.main(["run", "--config", run_cfg, "--out", out]) == 0
+        fit_cfg = write_cfg(tmp_path, fit_text, "fit.cfg")
+        assert cli.main(["unblind-fit", "--config", fit_cfg, "--out", out]) == cli.EXIT_CONTRACT
+        assert "do not match the configured" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "fit.csv"))
 
     def test_swapped_readings_rows_contract_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

@@ -43,9 +43,7 @@ def test_replay_fit_prints_fit_and_bounds():
     for start in ("intercept =", "slope     =", "eps       =", "MC sd(slope) ="):
         assert sum(line.startswith(start) for line in lines) == 1, lines
     rules = [line for line in lines if line.startswith("90% CL bound (")]
-    assert [r.split("(")[1].split(")")[0].strip() for r in rules] == [
-        "central", "folded", "mc-percentile"
-    ]
+    assert [r.split("(")[1].split(")")[0].strip() for r in rules] == ["central", "folded"]
 
 
 def test_pull_study_prints_each_rep_and_the_pull_summary(tmp_path):
