@@ -82,6 +82,7 @@ class AnalysisSettings:
     bound_rule: BoundRule = BoundRule.CENTRAL
 
     def __post_init__(self):
+        object.__setattr__(self, "bound_rule", BoundRule(self.bound_rule))
         if not 0.0 < self.cl < 1.0:
             raise ConfigError(f"cl {self.cl} outside (0, 1)")
         if self.n_bins < 1:

@@ -32,6 +32,7 @@ class NonlinearParams:
     interpretation: Interpretation = Interpretation.EVERETT
 
     def __post_init__(self):
+        object.__setattr__(self, "interpretation", Interpretation(self.interpretation))
         if not self.v1 > self.v0:
             raise ValueError(f"v1 ({self.v1}) must exceed v0 ({self.v0})")
         if not abs(self.vs) < self.v1 / 10:

@@ -16,14 +16,17 @@ modes produce matched reading distributions.
 Acquisition works on arrays of cycles. Cycle i's noise is the counter-
 addressed block i of one Philox stream (`seeds.cycle_rng`): one normal per
 cycle in fast mode, one per recorded sample in waveform mode. Waveform mode
-synthesises only the recorded window, WAVEFORM_BATCH_CYCLES cycles at a time,
-so memory stays bounded at any run length.
+synthesises only the recorded window, WAVEFORM_BATCH_CYCLES cycles at a time.
+Batches are independent, so they are dealt out to one thread per usable CPU;
+each thread reuses two batch-sized buffers, so memory stays bounded at any run
+length, and every reading is the same whatever the batching or thread count.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 import math
 import os
+import threading
 from typing import Sequence
 import warnings
 
@@ -33,9 +36,11 @@ from .model import NonlinearParams, expected_reading
 from .seeds import cycle_rng
 
 
-# Cycles synthesised per waveform batch: a (32, n_window_samples) block keeps
-# peak memory flat while amortising the per-call overhead.
-WAVEFORM_BATCH_CYCLES = 32
+# Cycles synthesised per waveform batch: each worker thread holds two
+# (16, n_window_samples) buffers, which keeps peak memory flat while amortising
+# the per-call overhead. On a 2-vCPU Xeon, 32 ran 10,071 cycles about 7% faster
+# but raised the process's peak RSS by 1.2 MiB more.
+WAVEFORM_BATCH_CYCLES = 16
 
 # Rows of a CSV body formatted by one `%` operation and written by one call:
 # large enough to amortise the per-block cost, small enough that the argument
@@ -67,6 +72,7 @@ class AcquisitionConfig:
     mode: AcquisitionMode = AcquisitionMode.FAST
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", AcquisitionMode(self.mode))
         if self.record_window > self.cycle_duration:
             raise ValueError("record_window must not exceed cycle_duration")
         settle = self.cycle_duration - self.record_window
@@ -124,30 +130,38 @@ def synthesize_cycle(
     cfg: AcquisitionConfig,
     noise,
     first_sample: int = 0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Samples first_sample.. of a cycle: exponential settling + linear drift + noise.
 
     v(t_i) = target + (prev - target) exp(-t_i / tau) + drift_rate * t_i + eta_i
     with eta_i Gaussian at the per-sample sigma of the range the target level
     puts the instrument on. Levels may be arrays of shape (batch,), giving a
-    (batch, n) block; `noise` holds the block's standard normals.
+    (batch, n) block; `noise` holds the block's standard normals and is not
+    changed. With `out`, a float array of the block's shape that does not
+    overlap `noise`, the block is written there and returned.
     """
     t = np.arange(first_sample, cfg.n_cycle_samples) / cfg.sample_rate
     prev = np.asarray(prev_level, dtype=float)[..., None]
     target = np.asarray(target_level, dtype=float)[..., None]
-    v = target + (prev - target) * np.exp(-t / cfg.filter_tau)
+    # (prev - target) exp(-t / tau) + target: the same float as target + (...)
+    v = np.multiply(prev - target, np.exp(-t / cfg.filter_tau), out=out)
+    v += target
     v += cfg.drift_rate * t
     sigma_sample = cfg.sigma_reading_for(target) * math.sqrt(cfg.n_window_samples)
     v += sigma_sample * noise
     return v
 
 
-def reduce_cycle(block: np.ndarray, cfg: AcquisitionConfig):
+def reduce_cycle(block: np.ndarray, cfg: AcquisitionConfig, out: np.ndarray | None = None):
     """One voltage per cycle: OLS line over the trailing window, evaluated at its midpoint.
 
     Equivalent to the mean of the slope-detrended window samples, so a drift
     term odd-symmetric about the midpoint cancels exactly. `block` has shape
     (..., n) with cycles along the last axis; a single cycle gives a float.
+    With `out`, a float array of the window's shape that does not overlap
+    `block`, the detrended window is written there instead of to new arrays;
+    the readings are returned either way and `block` is not changed.
     """
     nw = cfg.n_window_samples
     block = np.asarray(block, dtype=float)
@@ -160,8 +174,8 @@ def reduce_cycle(block: np.ndarray, cfg: AcquisitionConfig):
     tc = t - t.mean()
     # an elementwise product and sum, not a matrix product: BLAS may order a
     # row's sum differently by batch size, and a cycle must reduce the same alone
-    slope = (window * tc).sum(axis=-1) / np.dot(tc, tc)
-    detrended = window - slope[..., None] * tc
+    slope = np.multiply(window, tc, out=out).sum(axis=-1) / np.dot(tc, tc)
+    detrended = np.subtract(window, np.multiply(slope[..., None], tc, out=out), out=out)
     reading = detrended.mean(axis=-1)
     return float(reading) if reading.ndim == 0 else reading
 
@@ -217,18 +231,72 @@ def _fast_values(levels: np.ndarray, cfg: AcquisitionConfig, noise_seed: int) ->
 
 
 def _waveform_values(levels: np.ndarray, cfg: AcquisitionConfig, noise_seed: int) -> np.ndarray:
-    """Readings reduced from the synthesised record windows, WAVEFORM_BATCH_CYCLES at a time."""
+    """Readings reduced from the synthesised record windows, WAVEFORM_BATCH_CYCLES at a time.
+
+    Each batch writes only its own slice of the readings, so the batches run
+    on every usable CPU (`_on_workers`).
+    """
     n = len(levels)
     nw = cfg.n_window_samples
     first_sample = cfg.n_cycle_samples - nw
     prev = np.concatenate(([0.0], levels[:-1]))
     values = np.empty(n)
-    for lo in range(0, n, WAVEFORM_BATCH_CYCLES):
-        hi = min(lo + WAVEFORM_BATCH_CYCLES, n)
-        z = cycle_rng(noise_seed, lo, hi - lo, nw)
-        block = synthesize_cycle(prev[lo:hi], levels[lo:hi], cfg, z, first_sample)
-        values[lo:hi] = reduce_cycle(block, cfg)
+
+    def acquire(batch_starts):
+        # one worker's buffers: the noise buffer holds a batch's normals and,
+        # once they are synthesised into the work buffer, its detrended windows
+        rows = min(WAVEFORM_BATCH_CYCLES, n)
+        noise = np.empty((rows, nw), dtype=np.uint64)
+        work = np.empty((rows, nw))
+        for lo in batch_starts:
+            hi = min(lo + WAVEFORM_BATCH_CYCLES, n)
+            z = cycle_rng(noise_seed, lo, hi - lo, nw, out=noise[: hi - lo])
+            block = synthesize_cycle(
+                prev[lo:hi], levels[lo:hi], cfg, z, first_sample, out=work[: hi - lo]
+            )
+            values[lo:hi] = reduce_cycle(block, cfg, out=z)
+
+    _on_workers(acquire, range(0, n, WAVEFORM_BATCH_CYCLES))
     return values
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _on_workers(fn, items: Sequence) -> None:
+    """fn(share) for the items dealt round-robin into one share per usable CPU.
+
+    The calling thread runs the first share and a new thread each other one.
+    Every thread has ended when this returns, and an exception raised in any
+    share is raised here. `fn` releases the GIL in its numpy and scipy calls,
+    which is where the shares overlap.
+    """
+    k = min(_usable_cpus(), len(items))
+    shares = [items[w::k] for w in range(k)]
+    errors = []
+
+    def run(share):
+        try:
+            fn(share)
+        except BaseException as exc:  # raised by the caller once every thread has ended
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(share,)) for share in shares[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        for share in shares[:1]:
+            fn(share)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 _READINGS_HEADER = "blinded_index,reading_volts,range"

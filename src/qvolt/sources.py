@@ -49,6 +49,7 @@ class SourceSpec:
     count: int
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", SourceKind(self.kind))
         if not _SOURCE_ID.fullmatch(self.id):
             raise ValueError(f"source id {self.id!r} is not made of A-Z, a-z, 0-9, '_' and '-'")
         if self.kind is SourceKind.CLASSICAL and self.fidelity != 0.5:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qvolt import cli, config
+from qvolt.analysis import BoundRule
 from qvolt.config import (
     AnalysisSettings,
     ConfigError,
@@ -15,7 +16,7 @@ from qvolt.config import (
     parse_number,
     parse_quantity,
 )
-from qvolt.model import NonlinearParams
+from qvolt.model import Interpretation, NonlinearParams
 from qvolt.signal import AcquisitionConfig, AcquisitionMode
 from qvolt.sources import BitString, SourceKind, SourceSpec, write_bits
 
@@ -236,6 +237,24 @@ class TestConfigTable:
         assert loaded.acquisition == AcquisitionConfig()
         assert loaded.analysis == AnalysisSettings()
         assert loaded.sources == (SourceSpec("c1", SourceKind.CLASSICAL, 0.5, 4),)
+
+    @pytest.mark.parametrize(
+        "cls, name, kind, needs",
+        [
+            (AcquisitionConfig, "mode", AcquisitionMode, {}),
+            (NonlinearParams, "interpretation", Interpretation, {}),
+            (AnalysisSettings, "bound_rule", BoundRule, {}),
+            (SourceSpec, "kind", SourceKind, {"id": "s1", "fidelity": 0.5, "count": 4}),
+        ],
+        ids=["mode", "interpretation", "bound_rule", "kind"],
+    )
+    def test_enum_fields_set_from_code_are_coerced_and_checked(self, cls, name, kind, needs):
+        for member in kind:
+            made = cls(**needs, **{name: member.value})
+            assert getattr(made, name) is member
+            assert made == cls(**needs, **{name: member})
+        with pytest.raises(ValueError, match=kind.__name__):
+            cls(**needs, **{name: member.value + "t"})
 
     def test_seed_above_2_to_the_53_is_exact(self, tmp_path):
         text = MINIMAL_CFG.replace("seed = 99", "seed = 123456789012345678901")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
 
 from qvolt.seeds import cycle_rng, derive_seed, normals_from_raw
 
@@ -38,6 +39,13 @@ class TestCycleRng:
         assert abs(z.mean()) < 5 / np.sqrt(z.size)
         assert abs(z.std() - 1) < 0.01
 
+    @pytest.mark.parametrize("first", [0, 3])
+    def test_out_buffer_holds_the_same_normals(self, first):
+        out = np.zeros((5, 7), dtype=np.uint64)
+        z = cycle_rng(SEED, first, 5, 7, out=out)
+        assert np.shares_memory(z, out)
+        assert z.tobytes() == cycle_rng(SEED, first, 5, 7).tobytes()
+
     def test_empty_draw(self):
         assert cycle_rng(SEED, 3, 0, 1000).shape == (0, 1000)
 
@@ -59,3 +67,17 @@ class TestNormalsFromRaw:
         raw = np.array([0, 2**12, 2**63 - 1, 2**63, 2**64 - 2**12, 2**64 - 1], dtype=np.uint64)
         z = normals_from_raw(raw)
         assert np.all(np.diff(z) >= 0)
+
+    def test_equals_the_float_formula_bit_for_bit(self):
+        words = np.random.default_rng(3).integers(0, 2**64, 10**5, dtype=np.uint64)
+        raw = np.concatenate([np.array([0, 2**12 - 1, 2**64 - 1], dtype=np.uint64), words])
+        before = raw.copy()
+        # the map as a float expression: u = (top 52 bits + 1/2) * 2**-52
+        expected = ndtri(((raw >> np.uint64(12)) + 0.5) * 2.0**-52)
+        assert normals_from_raw(raw).tobytes() == expected.tobytes()
+        assert raw.tobytes() == before.tobytes()
+        out = np.empty_like(raw)
+        assert normals_from_raw(raw, out=out).tobytes() == expected.tobytes()
+        assert out.view(np.float64).tobytes() == expected.tobytes()
+        assert raw.tobytes() == before.tobytes()
+        assert normals_from_raw(raw, out=raw).tobytes() == expected.tobytes()

@@ -1,9 +1,14 @@
+import hashlib
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from qvolt.model import NonlinearParams
+from qvolt import signal
+from qvolt.model import NonlinearParams, expected_reading
 from qvolt.seeds import cycle_rng
 from qvolt.signal import (
     ROWS_PER_WRITE,
@@ -20,6 +25,14 @@ from qvolt.signal import (
 )
 
 QUIET = AcquisitionConfig(sigma_low=0.0, sigma_high=0.0)
+# waveform mode with visible settling (tau = 50 ms) and drift: every term of the synthesis counts
+WAVE = AcquisitionConfig(mode=AcquisitionMode.WAVEFORM, drift_rate=1e-9, filter_tau=0.05)
+WAVE_PARAMS = NonlinearParams(eps_gamma=1e-9, vs=-0.306e-9)
+B = WAVEFORM_BATCH_CYCLES
+
+# sha256 of the waveform readings of `waveform_run(103)`, from the serial
+# 32-cycle loop that acquisition ran before it ran on threads
+GOLDEN_WAVEFORM_SHA256 = "54c59bb2c6aefce3e8fed4d5fb9c7594b5c77a76afdd9f213b5bbdda05053870"
 
 # readings.csv of a small fixed set of readings, as the writer produced it
 # before readings were arrays
@@ -52,6 +65,34 @@ def readings_csv_reference(readings):
         for pos, (v, flag) in enumerate(rows)
     )
     return ("blinded_index,reading_volts,range\n" + body).encode()
+
+
+def waveform_run(n, seed=12):
+    """Waveform readings of n cycles of random bits at fidelity 0.99, and their levels."""
+    bits = np.random.default_rng(11).integers(0, 2, n)
+    fids = np.full(n, 0.99)
+    readings = run_acquisition(bits, fids, WAVE_PARAMS, WAVE, noise_seed=seed)
+    return readings.values, expected_reading(bits, fids, WAVE_PARAMS)
+
+
+def waveform_values_reference(levels, cfg, noise_seed, batch=32):
+    """Waveform readings from one serial loop over `batch`-cycle batches, without buffers."""
+    n = len(levels)
+    nw = cfg.n_window_samples
+    first = cfg.n_cycle_samples - nw
+    prev = np.concatenate(([0.0], levels[:-1]))
+    values = np.empty(n)
+    for lo in range(0, n, batch):
+        hi = min(lo + batch, n)
+        z = cycle_rng(noise_seed, lo, hi - lo, nw)
+        block = synthesize_cycle(prev[lo:hi], levels[lo:hi], cfg, z, first)
+        values[lo:hi] = reduce_cycle(block, cfg)
+    return values
+
+
+def use_cpus(monkeypatch, k):
+    """Make the process look as if it may run on k CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
 
 
 def lstsq_midpoint_oracle(window, rate):
@@ -125,6 +166,16 @@ class TestSynthesizeCycle:
             full = synthesize_cycle(p, t, cfg, zc)
             np.testing.assert_array_equal(row, full[first:])
 
+    def test_out_buffer_gives_the_same_block_and_leaves_noise_alone(self):
+        z = np.random.default_rng(1).standard_normal((3, WAVE.n_cycle_samples))
+        noise = z.copy()
+        prev, target = np.array([0.0, 3.0, -1e-9]), np.array([3.0, 0.0, 3.0])
+        out = np.full_like(z, np.nan)
+        block = synthesize_cycle(prev, target, WAVE, noise, out=out)
+        assert block is out
+        assert block.tobytes() == synthesize_cycle(prev, target, WAVE, z).tobytes()
+        assert noise.tobytes() == z.tobytes()
+
     def test_array_noise_scaled_per_sample(self):
         cfg = AcquisitionConfig(sigma_low=2e-9, sigma_high=1e-4)
         z = np.ones((2, cfg.n_cycle_samples))
@@ -173,6 +224,15 @@ class TestReduceCycle:
         batch = reduce_cycle(blocks, QUIET)
         assert batch.shape == (5,)
         assert batch.tolist() == [reduce_cycle(b, QUIET) for b in blocks]
+
+    def test_out_buffer_gives_the_same_readings_and_leaves_block_alone(self, rng):
+        blocks = rng.normal(0.5, 0.1, (5, QUIET.n_cycle_samples))
+        before = blocks.copy()
+        out = np.full((5, QUIET.n_window_samples), np.nan)
+        readings = reduce_cycle(blocks, QUIET, out=out)
+        assert readings.tobytes() == reduce_cycle(before, QUIET).tobytes()
+        assert blocks.tobytes() == before.tobytes()
+        assert reduce_cycle(blocks[0], QUIET, out=out[0]) == readings[0]
 
 
 class TestFastReading:
@@ -261,6 +321,74 @@ class TestRunAcquisition:
         prefix = run_acquisition(bits[:m], fids[:m], params, cfg, noise_seed=12)
         assert np.array_equal(prefix.values, full.values[:m])
         assert np.array_equal(prefix.insensitive, full.insensitive[:m])
+
+    def test_waveform_readings_are_pinned_bit_for_bit(self):
+        values, _ = waveform_run(103)
+        assert hashlib.sha256(values.tobytes()).hexdigest() == GOLDEN_WAVEFORM_SHA256
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    def test_workers_and_batch_split_do_not_change_readings(self, monkeypatch, n, workers):
+        use_cpus(monkeypatch, workers)
+        values, levels = waveform_run(n)
+        reference = waveform_values_reference(levels, WAVE, 12)
+        assert values.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, B + 1, 3 * B + 7])
+    def test_one_thread_per_usable_cpu_up_to_one_per_batch(self, monkeypatch, n, workers):
+        use_cpus(monkeypatch, workers)
+        threads = set()
+        draw = signal.cycle_rng
+
+        def recording_draw(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(signal, "cycle_rng", recording_draw)
+        waveform_run(n)
+        assert threading.main_thread() in threads
+        assert len(threads) == min(workers, -(-n // B))
+
+    def test_more_workers_than_cores_under_fast_thread_switching(self, monkeypatch):
+        # every batch writes its own slice of an uninitialised array: a lost or
+        # misplaced write leaves a value that differs from the serial reference
+        use_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            values, levels = waveform_run(8 * B + 3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert values.tobytes() == waveform_values_reference(levels, WAVE, 12).tobytes()
+
+    def test_cpu_count_where_affinity_is_unavailable(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert signal._usable_cpus() == 3
+        values, levels = waveform_run(3 * B + 7)
+        assert values.tobytes() == waveform_values_reference(levels, WAVE, 12).tobytes()
+
+    def test_no_thread_outlives_a_waveform_run(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+        before = threading.active_count()
+        waveform_run(3 * B + 7)
+        assert threading.active_count() == before
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+        reduce = signal.reduce_cycle
+
+        def failing_off_the_calling_thread(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            return reduce(*args, **kwargs)
+
+        monkeypatch.setattr(signal, "reduce_cycle", failing_off_the_calling_thread)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker failed"):
+            waveform_run(3 * B + 7)
+        assert threading.active_count() == before
 
     def test_fast_reading_is_level_plus_scaled_normal(self):
         bits = np.array([0, 1, 1, 0, 0])
