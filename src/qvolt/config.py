@@ -174,6 +174,8 @@ def load_config(path: str | os.PathLike) -> RunConfig:
         read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
 

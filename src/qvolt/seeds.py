@@ -32,9 +32,7 @@ def derive_rng(master: int, *labels) -> np.random.Generator:
     return np.random.default_rng(derive_seed(master, *labels))
 
 
-def cycle_rng(
-    noise_seed: int, first_cycle: int, n_cycles: int, per_cycle: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def cycle_rng(noise_seed: int, first_cycle: int, n_cycles: int, per_cycle: int) -> np.ndarray:
     """Standard normals of shape (n_cycles, per_cycle), one row per cycle from first_cycle on.
 
     Cycle i owns raw outputs [i * per_cycle, (i + 1) * per_cycle) of the Philox
@@ -43,10 +41,6 @@ def cycle_rng(
     skipping start % 4 words. Each word maps through the inverse normal CDF,
     one word per value, so a value depends only on its position: drawing a
     cycle alone, in any batch or in any order gives the same numbers.
-
-    With `out`, a uint64 array of shape (n_cycles, per_cycle), the normals are
-    written into its bytes and returned as its float64 view; without it they
-    replace the raw words in place.
     """
     if first_cycle < 0 or n_cycles < 0 or per_cycle < 1:
         raise ValueError(
@@ -57,14 +51,14 @@ def cycle_rng(
     bitgen.advance(start // 4)
     skip = start % 4
     raw = bitgen.random_raw(skip + n_cycles * per_cycle)[skip:].reshape(n_cycles, per_cycle)
-    return normals_from_raw(raw, out=raw if out is None else out)
+    return normals_from_raw(raw)
 
 
 # the bits of the float64 1.0: OR-ed onto a word k < 2**52 they give 1 + k * 2**-52
 _ONE_BITS = np.uint64(0x3FF0000000000000)
 
 
-def normals_from_raw(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def normals_from_raw(raw: np.ndarray) -> np.ndarray:
     """Standard normals from 64-bit words, via u = (top 52 bits + 1/2) / 2**52 in (0, 1).
 
     52 bits keep u's extremes, 2**-53 and 1 - 2**-53, exact in double
@@ -74,12 +68,10 @@ def normals_from_raw(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     u is built without a float conversion: the top 52 bits k of a word become
     the mantissa of 1 + k * 2**-52, and subtracting 1 - 2**-53 leaves
     (k + 1/2) * 2**-52. Both steps are exact (the subtraction by Sterbenz's
-    lemma), so u is the same float as ((k + 0.5) * 2**-52). With `out`, a
-    uint64 array of raw's shape (raw itself allowed), the normals are written
-    into its bytes and returned as its float64 view; without it into a new
-    array. `raw` is left unchanged unless it is `out`.
+    lemma), so u is the same float as ((k + 0.5) * 2**-52). The normals are a
+    new array; `raw` is left unchanged.
     """
-    words = np.right_shift(raw, np.uint64(12), out=out)
+    words = raw >> np.uint64(12)
     words |= _ONE_BITS
     u = words.view(np.float64)
     u -= 1.0 - 2.0**-53

@@ -18,8 +18,8 @@ addressed block i of one Philox stream (`seeds.cycle_rng`): one normal per
 cycle in fast mode, one per recorded sample in waveform mode. Waveform mode
 synthesises only the recorded window, WAVEFORM_BATCH_CYCLES cycles at a time.
 Batches are independent, so they are dealt out to one thread per usable CPU;
-each thread reuses two batch-sized buffers, so memory stays bounded at any run
-length, and every reading is the same whatever the batching or thread count.
+memory stays bounded at any run length, and every reading is the same
+whatever the batching or thread count.
 """
 
 from dataclasses import dataclass
@@ -36,10 +36,10 @@ from .model import NonlinearParams, expected_reading
 from .seeds import cycle_rng
 
 
-# Cycles synthesised per waveform batch: each worker thread holds two
-# (16, n_window_samples) buffers, which keeps peak memory flat while amortising
-# the per-call overhead. On a 2-vCPU Xeon, 32 ran 10,071 cycles about 7% faster
-# but raised the process's peak RSS by 1.2 MiB more.
+# Cycles synthesised per waveform batch: a batch's (16, n_window_samples)
+# arrays keep peak memory flat while amortising the per-call overhead. On a
+# 2-vCPU Xeon, 32 ran 10,071 cycles about 7% faster but raised the process's
+# peak RSS by 1.2 MiB more.
 WAVEFORM_BATCH_CYCLES = 16
 
 # Rows of a CSV body formatted by one `%` operation and written by one call:
@@ -73,6 +73,9 @@ class AcquisitionConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", AcquisitionMode(self.mode))
+        for name in ("cycle_duration", "record_window", "sample_rate", "filter_tau"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.record_window > self.cycle_duration:
             raise ValueError("record_window must not exceed cycle_duration")
         settle = self.cycle_duration - self.record_window
@@ -130,22 +133,19 @@ def synthesize_cycle(
     cfg: AcquisitionConfig,
     noise,
     first_sample: int = 0,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Samples first_sample.. of a cycle: exponential settling + linear drift + noise.
 
     v(t_i) = target + (prev - target) exp(-t_i / tau) + drift_rate * t_i + eta_i
     with eta_i Gaussian at the per-sample sigma of the range the target level
     puts the instrument on. Levels may be arrays of shape (batch,), giving a
-    (batch, n) block; `noise` holds the block's standard normals and is not
-    changed. With `out`, a float array of the block's shape that does not
-    overlap `noise`, the block is written there and returned.
+    (batch, n) block; `noise` holds the block's standard normals.
     """
     t = np.arange(first_sample, cfg.n_cycle_samples) / cfg.sample_rate
     prev = np.asarray(prev_level, dtype=float)[..., None]
     target = np.asarray(target_level, dtype=float)[..., None]
     # (prev - target) exp(-t / tau) + target: the same float as target + (...)
-    v = np.multiply(prev - target, np.exp(-t / cfg.filter_tau), out=out)
+    v = (prev - target) * np.exp(-t / cfg.filter_tau)
     v += target
     v += cfg.drift_rate * t
     sigma_sample = cfg.sigma_reading_for(target) * math.sqrt(cfg.n_window_samples)
@@ -153,43 +153,25 @@ def synthesize_cycle(
     return v
 
 
-def reduce_cycle(block: np.ndarray, cfg: AcquisitionConfig, out: np.ndarray | None = None):
+def reduce_cycle(block: np.ndarray, cfg: AcquisitionConfig):
     """One voltage per cycle: OLS line over the trailing window, evaluated at its midpoint.
 
     Equivalent to the mean of the slope-detrended window samples, so a drift
     term odd-symmetric about the midpoint cancels exactly. `block` has shape
     (..., n) with cycles along the last axis; a single cycle gives a float.
-    With `out`, a float array of the window's shape that does not overlap
-    `block`, the detrended window is written there instead of to new arrays;
-    the readings are returned either way and `block` is not changed.
     """
     nw = cfg.n_window_samples
     block = np.asarray(block, dtype=float)
     if block.shape[-1] < nw:
         raise ValueError(f"block of {block.shape[-1]} samples shorter than window ({nw})")
-    if nw < 2:
-        raise ValueError("window must contain at least 2 samples")
     window = block[..., -nw:]
     t = np.arange(nw) / cfg.sample_rate
     tc = t - t.mean()
     # an elementwise product and sum, not a matrix product: BLAS may order a
     # row's sum differently by batch size, and a cycle must reduce the same alone
-    slope = np.multiply(window, tc, out=out).sum(axis=-1) / np.dot(tc, tc)
-    detrended = np.subtract(window, np.multiply(slope[..., None], tc, out=out), out=out)
-    reading = detrended.mean(axis=-1)
+    slope = (window * tc).sum(axis=-1) / np.dot(tc, tc)
+    reading = (window - slope[..., None] * tc).mean(axis=-1)
     return float(reading) if reading.ndim == 0 else reading
-
-
-def fast_reading(expected, sigma, z):
-    """Draw reduced readings directly from their sampling distribution.
-
-    expected + sigma * z, elementwise, for standard normals z. Scalars give a
-    float.
-    """
-    if np.any(np.asarray(sigma) < 0):
-        raise ValueError(f"sigma {sigma} < 0")
-    value = expected + sigma * z
-    return float(value) if np.ndim(value) == 0 else value
 
 
 def run_acquisition(
@@ -225,9 +207,7 @@ def run_acquisition(
 def _fast_values(levels: np.ndarray, cfg: AcquisitionConfig, noise_seed: int) -> np.ndarray:
     """Readings drawn from their sampling distribution, one normal per cycle."""
     z = cycle_rng(noise_seed, 0, len(levels), 1)[:, 0]
-    return fast_reading(
-        levels + cfg.drift_rate * cfg.window_mid_time, cfg.sigma_reading_for(levels), z
-    )
+    return levels + cfg.drift_rate * cfg.window_mid_time + cfg.sigma_reading_for(levels) * z
 
 
 def _waveform_values(levels: np.ndarray, cfg: AcquisitionConfig, noise_seed: int) -> np.ndarray:
@@ -243,18 +223,11 @@ def _waveform_values(levels: np.ndarray, cfg: AcquisitionConfig, noise_seed: int
     values = np.empty(n)
 
     def acquire(batch_starts):
-        # one worker's buffers: the noise buffer holds a batch's normals and,
-        # once they are synthesised into the work buffer, its detrended windows
-        rows = min(WAVEFORM_BATCH_CYCLES, n)
-        noise = np.empty((rows, nw), dtype=np.uint64)
-        work = np.empty((rows, nw))
         for lo in batch_starts:
             hi = min(lo + WAVEFORM_BATCH_CYCLES, n)
-            z = cycle_rng(noise_seed, lo, hi - lo, nw, out=noise[: hi - lo])
-            block = synthesize_cycle(
-                prev[lo:hi], levels[lo:hi], cfg, z, first_sample, out=work[: hi - lo]
-            )
-            values[lo:hi] = reduce_cycle(block, cfg, out=z)
+            z = cycle_rng(noise_seed, lo, hi - lo, nw)
+            block = synthesize_cycle(prev[lo:hi], levels[lo:hi], cfg, z, first_sample)
+            values[lo:hi] = reduce_cycle(block, cfg)
 
     _on_workers(acquire, range(0, n, WAVEFORM_BATCH_CYCLES))
     return values
@@ -326,7 +299,12 @@ def read_readings(path: str | os.PathLike) -> Readings:
     if unknown.size:
         row = unknown[0]
         raise ValueError(f"{path}: row {row}: unknown range {words[row].decode('latin-1')!r}")
-    return Readings(rows["value"], insensitive)
+    values = rows["value"]
+    non_finite = np.flatnonzero(~np.isfinite(values))
+    if non_finite.size:
+        row = non_finite[0]
+        raise ValueError(f"{path}: row {row}: reading {values[row]} is not finite")
+    return Readings(values, insensitive)
 
 
 def write_rows(fh, row_format: str, *columns: np.ndarray) -> None:

@@ -189,6 +189,14 @@ class TestLoadConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and words in err, err
 
+    def test_non_utf8_config_exits_as_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(MINIMAL_CFG.encode() + b"# \xff\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_config(bad)
+        assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_classical_fidelity_must_be_half(self, tmp_path):
         bad = MINIMAL_CFG.replace(
             "kind = classical\ncount = 40", "kind = classical\nfidelity = 0.9\ncount = 40"

@@ -1,8 +1,15 @@
 """Smoke tests: the standalone scripts run against the current library API."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+
+import numpy as np
+
+from qvolt import signal
+from qvolt.model import NonlinearParams
+from qvolt.signal import AcquisitionConfig, AcquisitionMode
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
@@ -54,3 +61,28 @@ def test_pull_study_prints_each_rep_and_the_pull_summary(tmp_path):
         "rep   0", "rep   1", "rep   2"
     ]
     assert lines[-1].startswith("pull mean = ") and lines[-1].endswith("(3 repetitions)")
+
+
+def test_benchmark_tracer_installs_and_restores_over_the_library(monkeypatch):
+    # one usable CPU: the tracer's call counter is not guarded against threads
+    spec = importlib.util.spec_from_file_location(
+        "tracing", os.path.join(ROOT, "perfbench", "tracing.py")
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    cfg = AcquisitionConfig(mode=AcquisitionMode.WAVEFORM)
+    n = 40  # 3 batches of WAVEFORM_BATCH_CYCLES = 16
+    originals = {name: getattr(signal, name) for name in (
+        "run_acquisition", "cycle_rng", "expected_reading", "synthesize_cycle", "reduce_cycle",
+    )}
+    tracer = tracing.Tracer()
+    with tracer.installed("acquire"):
+        signal.run_acquisition(np.zeros(n, dtype=int), np.full(n, 0.5),
+                               NonlinearParams(), cfg, noise_seed=1)
+    counts = tracer.take_counts()
+    assert counts["signal.synthesize_cycle"] == 3
+    assert counts["signal.reduce_cycle"] == 3
+    assert counts["seeds.cycle_rng"] == 3
+    assert [span[0] for span in tracer.spans] == ["signal.run_acquisition"]
+    assert {name: getattr(signal, name) for name in originals} == originals
