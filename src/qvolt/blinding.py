@@ -1,8 +1,8 @@
 """Blinding protocol: permute the combined bit strings, persist the key, invert later.
 
-The permutation key maps each blinded cycle position back to its
-(source_id, within-source index) origin, held as two int arrays: the source
-code and the within-source index of each position. It lives in its own file,
+The permutation key is the permutation itself: blinded position p holds bit
+`permutation[p]` of the sources laid end to end, in the order of
+`source_ids`, with `counts[c]` bits from source c. It lives in its own file,
 written by the run step and read only by the explicit unblinding step; the
 blinded summary must never touch it.
 """
@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .signal import read_blinded_rows, write_rows
+from .signal import open_text, read_blinded_rows, write_rows
 from .sources import BitString
 
 
@@ -27,55 +27,51 @@ class KeyBijectionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class BlindingKey:
-    """Origin of every blinded position: a source, by its code, and the index within it."""
+    """The blinding permutation over the sources laid end to end, and the sources' sizes."""
 
-    source_ids: tuple  # of str; a source code indexes this tuple
-    source_code: np.ndarray  # int, the source of each blinded position
-    source_index: np.ndarray  # int, the within-source index of each blinded position
+    source_ids: tuple  # of str, in the order the sources are laid end to end
+    counts: np.ndarray  # int, the number of bits of each source
+    permutation: np.ndarray  # int, the end-to-end bit held by each blinded position
     seed_descriptor: str = ""
 
     def __post_init__(self):
         ids = tuple(self.source_ids)
-        code = np.asarray(self.source_code, dtype=np.intp)
-        index = np.asarray(self.source_index, dtype=np.intp)
-        for name, value in (("source_ids", ids), ("source_code", code), ("source_index", index)):
+        counts = np.asarray(self.counts, dtype=np.intp)
+        perm = np.asarray(self.permutation, dtype=np.intp)
+        for name, value in (("source_ids", ids), ("counts", counts), ("permutation", perm)):
             object.__setattr__(self, name, value)
-        if code.ndim != 1 or code.shape != index.shape:
-            raise KeyBijectionError("source codes and indices must be 1-D and of one length")
-        if len(set(ids)) != len(ids):
-            raise KeyBijectionError(f"duplicate source ids: {list(ids)}")
-        if code.min(initial=0) < 0 or code.max(initial=-1) >= len(ids):
-            raise KeyBijectionError(f"source codes outside 0..{len(ids) - 1}")
-        counts, slots = self._layout()
-        outside = (index < 0) | (index >= counts[code])
-        if outside.any():
-            c = code[outside.argmax()]
-            raise KeyBijectionError(f"source {ids[c]!r}: indices do not cover 0..{counts[c] - 1}")
-        # there are as many slots as positions: a bijection hits no slot twice
-        hits = np.bincount(slots, minlength=len(slots))
-        if hits.max(initial=0) > 1:
-            twice = (hits[slots] > 1).argmax()
-            raise KeyBijectionError(f"duplicated key entry {self.entries[twice]}")
+        n = len(perm)
+        if len(set(ids)) != len(ids) or counts.shape != (len(ids),) or perm.ndim != 1:
+            raise KeyBijectionError("need distinct ids, a count for each and a 1-D permutation")
+        sizes = counts.tolist()  # one per source, so cheaper to check in Python
+        if min(sizes, default=0) < 0 or sum(sizes) != n:
+            raise KeyBijectionError(f"source counts {sizes} do not split {n} positions")
+        outside = perm.view(np.uintp) >= n  # as unsigned, a negative entry is >= n too
+        if np.count_nonzero(outside):
+            p = outside.argmax()
+            raise KeyBijectionError(f"blinded position {p}: bit {perm[p]} outside 0..{n - 1}")
+        hits = np.bincount(perm, minlength=n)
+        if np.count_nonzero(hits) < n:  # n entries in 0..n-1 miss a bit only if one repeats
+            p, q = np.flatnonzero(perm == perm[(hits[perm] > 1).argmax()])[:2]
+            raise KeyBijectionError(f"blinded positions {p} and {q} both hold bit {perm[p]}")
 
     def __len__(self) -> int:
-        return len(self.source_code)
+        return len(self.permutation)
 
     @property
     def entries(self) -> tuple:
-        """(source_id, within-source index) of each blinded position, derived from the arrays."""
-        return tuple(zip(self.position_ids().tolist(), self.source_index.tolist()))
+        """(source_id, within-source index) of each blinded position."""
+        code, index = self.origins()
+        return tuple((self.source_ids[c], i) for c, i in zip(code.tolist(), index.tolist()))
 
-    def position_ids(self) -> np.ndarray:
-        """The source id of each blinded position, as an object array of str."""
-        return np.array(self.source_ids, dtype=object)[self.source_code]
+    def origins(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each blinded position's source, as an index into `source_ids`, and its index there."""
+        ends = self.counts.cumsum()
+        code = ends.searchsorted(self.permutation, side="right")
+        return code, self.permutation - (ends - self.counts)[code]
 
     def source_counts(self) -> dict[str, int]:
-        return dict(zip(self.source_ids, self._layout()[0].tolist()))
-
-    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
-        """Positions per source, and each position's slot in the sources laid end to end."""
-        counts = np.bincount(self.source_code, minlength=len(self.source_ids))
-        return counts, (np.cumsum(counts) - counts)[self.source_code] + self.source_index
+        return dict(zip(self.source_ids, self.counts.tolist()))
 
 
 def _fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -102,9 +98,7 @@ def combine_and_permute(
         raise ValueError("need at least one non-empty bit string")
     counts = [len(s.bits) for s in strings]
     perm = _fisher_yates(sum(counts), rng)
-    code = np.repeat(np.arange(len(strings)), counts)[perm]
-    index = np.concatenate([np.arange(c) for c in counts])[perm]
-    key = BlindingKey(tuple(s.source.id for s in strings), code, index, seed_descriptor)
+    key = BlindingKey(tuple(s.source.id for s in strings), counts, perm, seed_descriptor)
     return np.concatenate([s.bits for s in strings])[perm], key
 
 
@@ -113,10 +107,9 @@ def unblind(values, key: BlindingKey) -> dict[str, np.ndarray]:
     values = np.asarray(values, dtype=float)
     if len(values) != len(key):
         raise ValueError(f"{len(values)} readings but key has {len(key)} entries")
-    counts, slots = key._layout()
     grouped = np.empty(len(key))
-    grouped[slots] = values
-    return dict(zip(key.source_ids, np.split(grouped, np.cumsum(counts)[:-1])))
+    grouped[key.permutation] = values
+    return dict(zip(key.source_ids, np.split(grouped, np.cumsum(key.counts)[:-1])))
 
 
 _KEY_HEADER = "blinded_index,source_id,source_index"
@@ -125,11 +118,12 @@ _KEY_HEADER = "blinded_index,source_id,source_index"
 def write_key(key: BlindingKey, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# seed={key.seed_descriptor}\n{_KEY_HEADER}\n")
-        write_rows(fh, "%d,%s,%d\n", key.position_ids(), key.source_index)
+        code, index = key.origins()
+        write_rows(fh, "%d,%s,%d\n", np.array(key.source_ids, dtype=object)[code], index)
 
 
 def read_key(path: str | os.PathLike) -> BlindingKey:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, KeyFileError) as fh:
         first = fh.readline().rstrip("\n")
         if not first.startswith("# seed="):
             raise KeyFileError(f"{path}: missing '# seed=' comment line")
@@ -145,5 +139,13 @@ def read_key(path: str | os.PathLike) -> BlindingKey:
         dtype = [("pos", np.int64), ("source_id", f"S{width}"), ("source_index", np.int64)]
         rows = read_blinded_rows(fh, path, dtype, KeyFileError)
     ids, code = np.unique(rows["source_id"], return_inverse=True)
+    index = rows["source_index"]
+    # with no negative index, one past its source's count breaks the permutation
+    if (index < 0).any():
+        raise KeyFileError(f"{path}: blinded position {(index < 0).argmax()}: source_index < 0")
+    counts = np.bincount(code)
     ids = tuple(sid.decode("latin-1") for sid in ids.tolist())
-    return BlindingKey(ids, code, rows["source_index"], descriptor)
+    try:
+        return BlindingKey(ids, counts, (np.cumsum(counts) - counts)[code] + index, descriptor)
+    except KeyBijectionError as exc:
+        raise KeyBijectionError(f"{path}: {exc}") from exc

@@ -53,8 +53,8 @@ def acquire(
     key: blinding.BlindingKey,
 ) -> signal.Readings:
     """Simulate the acquisition; the key is provenance for the simulator only."""
-    fidelity_of = {s.id: s.fidelity for s in config.sources}
-    fidelities = np.array([fidelity_of[sid] for sid in key.source_ids])[key.source_code]
+    fidelity = {s.id: s.fidelity for s in config.sources}
+    fidelities = np.repeat([fidelity[sid] for sid in key.source_ids], key.counts)[key.permutation]
     noise_seed = derive_seed(config.seed, "noise")
     return signal.run_acquisition(
         blinded_bits, fidelities, config.params, config.acquisition, noise_seed

@@ -22,6 +22,7 @@ memory stays bounded at any run length, and every reading is the same
 whatever the batching or thread count.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 import math
@@ -285,7 +286,7 @@ def write_readings(readings: Readings, path: str | os.PathLike) -> None:
 
 
 def read_readings(path: str | os.PathLike) -> Readings:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != _READINGS_HEADER:
             raise ValueError(f"{path}: unexpected readings header {header!r}")
@@ -326,12 +327,31 @@ def write_rows(fh, row_format: str, *columns: np.ndarray) -> None:
         fh.write(row_format * (hi - lo) % tuple(args))
 
 
+@contextmanager
+def open_text(path: str | os.PathLike, error: type[Exception] = ValueError):
+    """Open a file as UTF-8 text; a byte that does not decode raises `error`, naming its line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise error(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+            raise
+
+
 def read_blinded_rows(fh, path, dtype, error: type[Exception] = ValueError) -> np.ndarray:
     """The rest of a CSV file as one structured array whose first field must count the rows."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             rows = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1)
+    except UnicodeDecodeError:
+        raise  # open_text names the line
     except ValueError as exc:
         raise error(f"{path}: {exc}") from exc
     pos = rows[rows.dtype.names[0]]

@@ -15,6 +15,8 @@ import re
 
 import numpy as np
 
+from .signal import open_text
+
 
 # Source ids name files (bits_<id>.txt) and fill a column of key.csv
 _SOURCE_ID = re.compile(r"[A-Za-z0-9_-]+")
@@ -99,7 +101,7 @@ def write_bits(bitstring: BitString, path: str | os.PathLike) -> None:
 
 def ingest_bits(path: str | os.PathLike) -> BitString:
     """Parse a bit file back into a BitString; header and body validated strictly."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, BitFileError) as fh:
         header = fh.readline().rstrip("\n")
         body = fh.read()
 

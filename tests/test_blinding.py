@@ -1,4 +1,5 @@
 from collections import Counter
+import re
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ GOLDEN_KEY_CSV = (
 
 def golden_key():
     # entries (q2, 1), (c1, 0), (q3_x, 0), (c1, 2), (q2, 0), (c1, 1)
-    return BlindingKey(("c1", "q2", "q3_x"), [1, 0, 2, 0, 1, 0], [1, 0, 0, 2, 0, 1], "42/blinding")
+    return BlindingKey(("c1", "q2", "q3_x"), [3, 2, 1], [4, 0, 5, 2, 3, 1], "42/blinding")
 
 
 def key_csv_reference(key):
@@ -55,14 +56,14 @@ def key_csv_reference(key):
 class TestBlindingKey:
     def test_rejects_duplicate_entry(self):
         with pytest.raises(KeyBijectionError):
-            BlindingKey(("a",), [0, 0], [0, 0])
+            BlindingKey(("a",), [2], [0, 0])
 
     def test_rejects_index_gap(self):
         with pytest.raises(KeyBijectionError):
-            BlindingKey(("a",), [0, 0], [0, 2])
+            BlindingKey(("a",), [2], [0, 2])
 
     def test_source_counts(self):
-        key = BlindingKey(("a", "b"), [0, 1, 0], [1, 0, 0])
+        key = BlindingKey(("a", "b"), [2, 1], [1, 2, 0])
         assert key.source_counts() == {"a": 2, "b": 1}
 
     def test_entries_derive_from_the_arrays(self):
@@ -73,19 +74,19 @@ class TestBlindingKey:
         assert len(key) == 6
 
     @pytest.mark.parametrize(
-        "ids, code, index",
+        "ids, counts, permutation",
         [
-            (("a",), [0, 1], [0, 0]),  # code with no source id
-            (("a",), [0, -1], [0, 0]),
-            (("a",), [0, 0], [1, -1]),  # negative index
-            (("a", "a"), [0, 1], [0, 0]),  # duplicate source id
-            (("a",), [0, 0], [0]),  # lengths differ
-            (("a", "b"), [0, 1, 1, 0], [0, 1, 1, 1]),  # b: index 1 twice, 0 missing
+            (("a",), [1, 1], [0, 1]),  # a count with no source id
+            (("a", "b"), [3, -1], [0, 1]),  # negative count
+            (("a",), [2], [1, -1]),  # negative slot
+            (("a", "a"), [1, 1], [0, 1]),  # duplicate source id
+            (("a",), [2], [0]),  # counts do not sum to the positions
+            (("a", "b"), [2, 2], [0, 3, 3, 1]),  # b: index 1 twice, 0 missing
         ],
     )
-    def test_rejects_non_bijections(self, ids, code, index):
+    def test_rejects_non_bijections(self, ids, counts, permutation):
         with pytest.raises(KeyBijectionError):
-            BlindingKey(ids, code, index)
+            BlindingKey(ids, counts, permutation)
 
 
 class TestCombineAndPermute:
@@ -166,7 +167,7 @@ class TestUnblind:
             assert grouped[sid][idx] == pos
 
     def test_rejects_length_mismatch(self):
-        key = BlindingKey(("a",), [0, 0], [0, 1])
+        key = BlindingKey(("a",), [2], [0, 1])
         with pytest.raises(ValueError):
             unblind([1.0], key)
 
@@ -190,7 +191,7 @@ class TestUnblind:
 
 class TestKeyFile:
     def test_round_trip_small(self, tmp_path):
-        key = BlindingKey(("a", "b"), [0, 1, 0], [1, 0, 0], seed_descriptor="42/blinding")
+        key = BlindingKey(("a", "b"), [2, 1], [1, 2, 0], seed_descriptor="42/blinding")
         path = tmp_path / "key.csv"
         write_key(key, path)
         back = read_key(path)
@@ -209,12 +210,8 @@ class TestKeyFile:
     )
     def test_block_writer_matches_the_row_reference(self, tmp_path, rng, n):
         ids = ("c1", "q" * 300, "q3_x")
-        code = rng.integers(0, len(ids), n)
-        index = np.empty(n, dtype=np.intp)
-        for c in range(len(ids)):
-            where = np.flatnonzero(code == c)
-            index[where] = rng.permutation(len(where))
-        key = BlindingKey(ids, code, index, "7/blinding")
+        counts = np.bincount(rng.integers(0, len(ids), n), minlength=len(ids))
+        key = BlindingKey(ids, counts, rng.permutation(n), "7/blinding")
         path = tmp_path / "key.csv"
         write_key(key, path)
         assert path.read_bytes() == key_csv_reference(key)
@@ -253,6 +250,38 @@ class TestKeyFile:
             "# seed=x\nblinded_index,source_id,source_index\n0,a,0\n1,a,0\n"
         )
         with pytest.raises(KeyBijectionError):
+            read_key(path)
+
+    @pytest.mark.parametrize(
+        "body, error, position",
+        [
+            ("0,a,0\n1,b,0\n2,b,2\n", KeyBijectionError, 2),
+            ("0,a,0\n1,b,0\n2,a,2\n", KeyBijectionError, 2),
+            # rejected before any per-bit count would need 2**40 bins
+            (f"0,a,0\n1,a,{2**40}\n", KeyBijectionError, 1),
+            # the source's offset plus this index wraps below zero in int64
+            (f"0,a,0\n1,b,0\n2,b,{2**63 - 1}\n", KeyBijectionError, 2),
+            ("0,a,0\n1,b,-1\n", KeyFileError, 1),
+            ("0,b,0\n1,a,0\n2,b,0\n", KeyBijectionError, 2),
+        ],
+        ids=["index past the last source", "index past an earlier source", "index far past",
+             "index at the int64 maximum", "negative index", "repeated entry"],
+    )
+    def test_rejection_names_the_file_and_the_row(self, tmp_path, body, error, position):
+        # the blinded position of a key entry is its data row
+        path = tmp_path / "key.csv"
+        path.write_text("# seed=x\nblinded_index,source_id,source_index\n" + body)
+        pattern = re.escape(f"{path}: blinded position") + rf"s? (\d+ and )?{position}\b"
+        with pytest.raises(error, match=pattern):
+            read_key(path)
+
+    @pytest.mark.parametrize("row", [0, 900], ids=["first row", "past 8 KiB"])
+    def test_non_utf8_byte_names_the_file_and_line(self, tmp_path, row):
+        rows = [f"{i},a,{i}\n".encode() for i in range(1000)]
+        rows[row] = rows[row].replace(b"a", b"\xff")
+        path = tmp_path / "key.csv"
+        path.write_bytes(b"# seed=x\nblinded_index,source_id,source_index\n" + b"".join(rows))
+        with pytest.raises(KeyFileError, match=re.escape(f"{path}: line {row + 3}: not UTF-8")):
             read_key(path)
 
     def test_malformed_row_rejected(self, tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import sys
 import threading
 
@@ -444,4 +445,13 @@ class TestReadingsFile:
             "0,-3.0e-10,sensitive\n"
         )
         with pytest.raises(ValueError, match="out of order"):
+            read_readings(path)
+
+    @pytest.mark.parametrize("row", [0, 900], ids=["first row", "past 8 KiB"])
+    def test_non_utf8_byte_names_the_file_and_line(self, tmp_path, row):
+        rows = [f"{i},1.0e+00,sensitive\n".encode() for i in range(1000)]
+        rows[row] = rows[row].replace(b"sensitive", b"sens\xffitive")
+        path = tmp_path / "readings.csv"
+        path.write_bytes(b"blinded_index,reading_volts,range\n" + b"".join(rows))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {row + 2}: not UTF-8")):
             read_readings(path)

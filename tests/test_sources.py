@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qvolt.sources import (
+    BitFileError,
     BitString,
     CountMismatchError,
     InvalidBitError,
@@ -99,6 +101,15 @@ class TestBitFile:
         path = tmp_path / "bits.txt"
         path.write_text("# id=q kind=qubit fidelity=0.9 n=2\n0\n2\n")
         with pytest.raises(InvalidBitError):
+            ingest_bits(path)
+
+    @pytest.mark.parametrize("row", [0, 9000], ids=["first row", "past 8 KiB"])
+    def test_non_utf8_byte_names_the_file_and_line(self, tmp_path, row):
+        rows = [b"0\n"] * 10000
+        rows[row] = b"\xff\n"
+        path = tmp_path / "bits.txt"
+        path.write_bytes(b"# id=q kind=qubit fidelity=0.9 n=10000\n" + b"".join(rows))
+        with pytest.raises(BitFileError, match=re.escape(f"{path}: line {row + 2}: not UTF-8")):
             ingest_bits(path)
 
     def test_golden_bytes(self, tmp_path):
