@@ -1,10 +1,11 @@
 """Blinding protocol: permute the combined bit strings, persist the key, invert later.
 
-The permutation key is the permutation itself: blinded position p holds bit
-`permutation[p]` of the sources laid end to end, in the order of
-`source_ids`, with `counts[c]` bits from source c. It lives in its own file,
-written by the run step and read only by the explicit unblinding step; the
-blinded summary must never touch it.
+The permutation key is the permutation itself, drawn by one
+`Generator.permutation` call on the run's blinding sub-stream: blinded
+position p holds bit `permutation[p]` of the sources laid end to end, in the
+order of `source_ids`, with `counts[c]` bits from source c. It lives in its
+own file, written by the run step and read only by the explicit unblinding
+step; the blinded summary must never touch it.
 """
 
 from dataclasses import dataclass
@@ -74,30 +75,19 @@ class BlindingKey:
         return dict(zip(self.source_ids, self.counts.tolist()))
 
 
-def _fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform permutation of range(n), drawn high-index-first from the stream."""
-    perm = list(range(n))
-    # swap i targets int(u * (i + 1)): the same IEEE multiply, truncated toward zero
-    targets = (rng.random(max(n - 1, 0)) * np.arange(n, 1, -1)).astype(np.intp).tolist()
-    for i, j in zip(range(n - 1, 0, -1), targets):
-        perm[i], perm[j] = perm[j], perm[i]
-    return np.array(perm, dtype=np.intp)
-
-
 def combine_and_permute(
     strings: Sequence[BitString],
     rng: np.random.Generator,
     seed_descriptor: str = "",
 ) -> tuple[np.ndarray, BlindingKey]:
-    """Concatenate the sources and apply a uniformly random permutation.
+    """Concatenate the sources and apply one `rng.permutation` of all their bits.
 
-    Returns the blinded bit sequence and the key mapping every blinded
-    position to its origin.
+    Returns the blinded bit sequence and the key holding that permutation.
     """
     if not strings or all(len(s.bits) == 0 for s in strings):
         raise ValueError("need at least one non-empty bit string")
     counts = [len(s.bits) for s in strings]
-    perm = _fisher_yates(sum(counts), rng)
+    perm = rng.permutation(sum(counts))
     key = BlindingKey(tuple(s.source.id for s in strings), counts, perm, seed_descriptor)
     return np.concatenate([s.bits for s in strings])[perm], key
 
@@ -131,20 +121,17 @@ def read_key(path: str | os.PathLike) -> BlindingKey:
         header = fh.readline().rstrip("\n")
         if header != _KEY_HEADER:
             raise KeyFileError(f"{path}: unexpected key header {header!r}")
-        body = fh.tell()
-        text = np.frombuffer(fh.read().encode(), np.uint8)
-        # no source id is longer than the longest line
-        width = int(np.diff(np.flatnonzero(text == ord("\n")), prepend=-1, append=len(text)).max())
-        fh.seek(body)
-        dtype = [("pos", np.int64), ("source_id", f"S{width}"), ("source_index", np.int64)]
+        dtype = [("pos", np.int64), ("source_id", object), ("source_index", np.int64)]
         rows = read_blinded_rows(fh, path, dtype, KeyFileError)
-    ids, code = np.unique(rows["source_id"], return_inverse=True)
+    names = rows["source_id"].tolist()
+    ids = tuple(sorted(set(names)))
+    number = {sid: c for c, sid in enumerate(ids)}
+    code = np.fromiter(map(number.__getitem__, names), np.intp, len(names))
     index = rows["source_index"]
     # with no negative index, one past its source's count breaks the permutation
     if (index < 0).any():
         raise KeyFileError(f"{path}: blinded position {(index < 0).argmax()}: source_index < 0")
     counts = np.bincount(code)
-    ids = tuple(sid.decode("latin-1") for sid in ids.tolist())
     try:
         return BlindingKey(ids, counts, (np.cumsum(counts) - counts)[code] + index, descriptor)
     except KeyBijectionError as exc:

@@ -10,6 +10,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import analysis, blinding, pipeline, signal, sources
 from .config import ConfigError, RunConfig, load_config
 
@@ -24,12 +26,10 @@ def _bits_path(out: str, sid: str) -> str:
 
 
 def _write_histogram_csv(path: str, hist: analysis.HistogramResult) -> None:
+    columns = (hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.overlay_density)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("bin_left,bin_right,count,overlay_density\n")
-        for left, right, count, dens in zip(
-            hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.overlay_density
-        ):
-            fh.write(f"{left:.15e},{right:.15e},{count},{dens:.15e}\n")
+        np.savetxt(fh, np.column_stack(columns), fmt="%.15e,%.15e,%d,%.15e",
+                   header="bin_left,bin_right,count,overlay_density", comments="")
 
 
 def _format_summary(tag: str, s: analysis.GaussianSummary) -> str:
@@ -119,9 +119,8 @@ def _fit_step(values, key: blinding.BlindingKey, config: RunConfig, out: str) ->
         fh.write(f"mc_sd_slope_volts,{mc.sd_slope:.15e},\n")
         fh.write(f"mc_sd_intercept_volts,{mc.sd_intercept:.15e},\n")
     with open(os.path.join(out, "band.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,fit,lo,hi\n")
-        for x, f, lo, hi in zip(mc.band_x, mc.band_fit, mc.band_lo, mc.band_hi):
-            fh.write(f"{x:.15e},{f:.15e},{lo:.15e},{hi:.15e}\n")
+        np.savetxt(fh, np.column_stack((mc.band_x, mc.band_fit, mc.band_lo, mc.band_hi)),
+                   fmt="%.15e", delimiter=",", header="x,fit,lo,hi", comments="")
     for sid, hist in result.per_source_hist.items():
         _write_histogram_csv(os.path.join(out, f"histogram_{sid}_low.csv"), hist)
 

@@ -68,14 +68,14 @@ class BitString:
     bits: np.ndarray  # uint8, values in {0, 1}
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        object.__setattr__(self, "bits", bits)
+        bits = np.asarray(self.bits)
         if bits.ndim != 1 or len(bits) != self.source.count:
             raise ValueError(
                 f"bit count {len(bits)} does not match source count {self.source.count}"
             )
-        if bits.size and bits.max() > 1:
+        if np.any((bits != 0) & (bits != 1)):  # before the cast, which would wrap 256 to 0
             raise ValueError("bits must be 0 or 1")
+        object.__setattr__(self, "bits", bits.astype(np.uint8, copy=False))
 
     def __eq__(self, other):
         if not isinstance(other, BitString):

@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s`. On a 2-vCPU machine the
 slowest tests are the blinding properties (criterion 7, 100,000 keys, about
 6 s) and the injection pull study (criterion 5, 100 full-scale repetitions,
-about 5 s); everything else finishes in about a second or less.
+about 2 s); everything else finishes in about a second or less.
 """
 
 import math

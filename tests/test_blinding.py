@@ -10,7 +10,6 @@ from qvolt.blinding import (
     BlindingKey,
     KeyBijectionError,
     KeyFileError,
-    _fisher_yates,
     combine_and_permute,
     read_key,
     unblind,
@@ -110,18 +109,21 @@ class TestCombineAndPermute:
         a = make_string("a", [0, 0])
         b = make_string("b", [1], 0.99, SourceKind.QUBIT)
         blinded, key = combine_and_permute([a, b], np.random.default_rng(123))
-        assert list(blinded) == [0, 0, 1]
-        assert key.entries == (("a", 1), ("a", 0), ("b", 0))
+        assert list(blinded) == [0, 1, 0]
+        assert key.entries == (("a", 0), ("b", 0), ("a", 1))
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 1000, 4097, 100717])
-    def test_permutation_matches_the_swap_reference(self, n):
-        # reference: the same high-index-first swaps, done on a numpy array
-        perm = np.arange(n)
-        u = np.random.default_rng(n).random(max(n - 1, 0))
-        for step, i in enumerate(range(n - 1, 0, -1)):
-            j = int(u[step] * (i + 1))
-            perm[i], perm[j] = perm[j], perm[i]
-        assert np.array_equal(_fisher_yates(n, np.random.default_rng(n)), perm)
+    @pytest.mark.parametrize(
+        "sizes",
+        [(1,), (1, 1), (2, 3), (600, 400), (4000, 96, 1), (60000, 30000, 10717)],
+        ids=lambda sizes: f"n{sum(sizes)}",
+    )
+    def test_key_is_the_generators_permutation(self, rng, sizes):
+        n = sum(sizes)
+        strings = [make_string(f"s{i}", rng.integers(0, 2, size)) for i, size in enumerate(sizes)]
+        blinded, key = combine_and_permute(strings, np.random.default_rng(n))
+        expected = np.random.default_rng(n).permutation(n)
+        assert np.array_equal(key.permutation, expected)
+        assert np.array_equal(blinded, np.concatenate([s.bits for s in strings])[expected])
 
     def test_rejects_duplicate_source_ids(self, rng):
         with pytest.raises(ValueError):
@@ -197,6 +199,14 @@ class TestKeyFile:
         back = read_key(path)
         assert back.entries == key.entries
         assert back.seed_descriptor == key.seed_descriptor
+
+    def test_non_ascii_id_round_trips(self, tmp_path):
+        key = BlindingKey(("ψ", "a"), [1, 2], [2, 0, 1], "7/blinding")
+        path = tmp_path / "key.csv"
+        write_key(key, path)
+        back = read_key(path)
+        assert back.entries == key.entries
+        assert back.source_counts() == {"a": 2, "ψ": 1}
 
     def test_golden_bytes(self, tmp_path):
         path = tmp_path / "key.csv"

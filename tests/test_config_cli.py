@@ -7,8 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from qvolt import cli, config
-from qvolt.analysis import BoundRule
+from qvolt import cli, config, pipeline
+from qvolt.analysis import BoundRule, HistogramResult
 from qvolt.config import (
     AnalysisSettings,
     ConfigError,
@@ -326,6 +326,41 @@ class TestReportIsTheThreeSteps:
         assert "bits_q2.txt" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "readings.csv"))
 
+
+
+def histogram_csv_reference(hist):
+    """A histogram CSV formatted one row at a time, as the CLI wrote it before `np.savetxt`."""
+    rows = zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.overlay_density)
+    body = "".join(f"{lo:.15e},{hi:.15e},{c},{d:.15e}\n" for lo, hi, c, d in rows)
+    return ("bin_left,bin_right,count,overlay_density\n" + body).encode()
+
+
+def band_csv_reference(mc):
+    """band.csv formatted one row at a time, as the CLI wrote it before `np.savetxt`."""
+    rows = zip(mc.band_x, mc.band_fit, mc.band_lo, mc.band_hi)
+    body = "".join(f"{x:.15e},{f:.15e},{lo:.15e},{hi:.15e}\n" for x, f, lo, hi in rows)
+    return ("x,fit,lo,hi\n" + body).encode()
+
+
+class TestTableWriters:
+    def test_histogram_matches_the_row_reference(self, tmp_path, rng):
+        edges = rng.normal(size=51) * 10.0 ** rng.integers(-300, 300, 51)
+        edges[[0, 7]] = -0.0, 0.0
+        density = rng.random(50) * 10.0 ** rng.integers(-12, 12, 50)
+        density[[3, 4]] = 0.0, -0.0
+        hist = HistogramResult(edges, rng.integers(0, 100_718, 50), density, 0.0, 1.0)
+        path = tmp_path / "histogram.csv"
+        cli._write_histogram_csv(str(path), hist)
+        assert path.read_bytes() == histogram_csv_reference(hist)
+
+    def test_fit_step_tables_match_the_row_reference(self, tmp_path):
+        config = load_config(write_cfg(tmp_path))
+        readings, key, _, result = pipeline.run_pipeline(config)
+        cli._fit_step(readings.values, key, config, str(tmp_path))
+        assert (tmp_path / "band.csv").read_bytes() == band_csv_reference(result.mc)
+        for sid, hist in result.per_source_hist.items():
+            written = (tmp_path / f"histogram_{sid}_low.csv").read_bytes()
+            assert written == histogram_csv_reference(hist)
 
 
 class TestCliCommands:

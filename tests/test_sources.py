@@ -82,6 +82,23 @@ class TestGenerators:
             generate(SourceSpec("q", SourceKind.QUBIT, 0.2, 10), rng)
 
 
+class TestBitString:
+    @pytest.mark.parametrize(
+        "bits",
+        [np.array([256, 0, 1]), [0.5, 1.5, 1.0], [0.0, np.nan, 1.0], [2, 0, 1], [-1, 0, 1]],
+        ids=["256 wraps to 0", "fractions", "nan", "two", "minus one"],
+    )
+    def test_rejects_values_other_than_0_and_1(self, bits):
+        spec = SourceSpec("s", SourceKind.QUBIT, 0.8, 3)
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            BitString(spec, bits)
+
+    def test_stores_exact_zeros_and_ones_as_uint8(self):
+        spec = SourceSpec("s", SourceKind.QUBIT, 0.8, 3)
+        bits = BitString(spec, [0.0, 1.0, True]).bits
+        assert bits.dtype == np.uint8 and bits.tolist() == [0, 1, 1]
+
+
 class TestBitFile:
     def test_direct_parse(self, tmp_path):
         path = tmp_path / "bits.txt"
