@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-from scipy.optimize import brentq
 
 BAND_POINTS = 51  # x grid of the Monte Carlo plot band
 
@@ -232,5 +231,11 @@ def confidence_bound(
     def coverage(b):
         return float(ndtr((b - e) / sigma_eps) - ndtr((-b - e) / sigma_eps)) - cl
 
-    upper = e + 10 * sigma_eps
-    return float(brentq(coverage, 0.0, upper, xtol=1e-30, rtol=8.9e-16))
+    # bisection: coverage rises with b, from -cl at 0 to >= 0 at 10 sigma past e
+    lo, hi = 0.0, e + 10 * sigma_eps
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if coverage(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi

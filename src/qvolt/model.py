@@ -12,8 +12,6 @@ from enum import Enum
 import math
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import binom
 
 
 class Interpretation(str, Enum):
@@ -65,19 +63,19 @@ def expected_reading(bit, fidelity, params: NonlinearParams):
 def net_fidelity_majority(per_cycle_fidelity: float, n: int) -> float:
     """Net fidelity of a majority vote over n readout repetitions.
 
-    P(majority correct) with a fair coin flip on even-n ties. Uses the exact
-    binomial tail; the test suite cross-checks against term-by-term enumeration.
+    P(majority correct) with a fair coin flip on even-n ties: the binomial
+    tail summed term by term with exact coefficients (math.comb), so n may not
+    exceed 1029, past which C(n, n/2) overflows a float.
     """
     p = per_cycle_fidelity
     if not 0.5 <= p <= 1.0:
         raise ValueError(f"per-cycle fidelity {p} outside [1/2, 1]")
-    if n < 1:
-        raise ValueError(f"n {n} < 1")
-    if n == 1:
-        return p
-    result = float(binom.sf(n // 2, n, p))
-    if n % 2 == 0:
-        result += 0.5 * float(binom.pmf(n // 2, n, p))
+    if not 1 <= n <= 1029:
+        raise ValueError(f"n {n} outside 1..1029")
+    result = 0.0
+    for k in range((n + 1) // 2, n + 1):
+        term = math.comb(n, k) * p**k * (1 - p) ** (n - k)
+        result += 0.5 * term if 2 * k == n else term
     # the exact value lies in [1/2, 1]; clip roundoff at the endpoints
     return min(max(result, 0.5), 1.0)
 
@@ -85,8 +83,8 @@ def net_fidelity_majority(per_cycle_fidelity: float, n: int) -> float:
 def per_cycle_from_net(net_target: float, n: int) -> float:
     """Per-repetition fidelity whose n-vote majority achieves `net_target`.
 
-    Inverts the monotone map net_fidelity_majority(., n) by root bracketing;
-    round-trip residual below 1e-12.
+    Inverts the monotone map net_fidelity_majority(., n) by 60 halvings of
+    [1/2, 1], which narrow it to adjacent floats; round-trip residual below 1e-12.
     """
     if not 0.5 <= net_target <= 1.0:
         raise ValueError(f"net target {net_target} outside [1/2, 1]")
@@ -96,12 +94,11 @@ def per_cycle_from_net(net_target: float, n: int) -> float:
         return 0.5
     if net_target == 1.0:
         return 1.0
-    p = brentq(
-        lambda q: net_fidelity_majority(q, n) - net_target,
-        0.5,
-        1.0,
-        xtol=1e-15,
-        rtol=8.9e-16,
-    )
-    assert math.isfinite(p)
-    return float(p)
+    lo, hi = 0.5, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if net_fidelity_majority(mid, n) < net_target:
+            lo = mid
+        else:
+            hi = mid
+    return hi

@@ -4,9 +4,10 @@ Everything here works on the demodulated (post-filter) signal; the carrier
 frequency is metadata only. Each 2 s switch cycle settles exponentially to
 its target level, drifts linearly, and carries Gaussian noise whose size
 depends on the instrument range. Only the trailing window of each cycle is
-recorded; the reduction fits a line to the window and returns its value at
-the window's temporal midpoint, which equals the mean of the slope-detrended
-samples.
+recorded; the reading is the mean of the window's samples. The OLS line
+through the window passes through (mean t, mean v), so the mean is that
+line's value at the window's temporal midpoint, and a drift term odd-symmetric
+about the midpoint cancels.
 
 Noise configuration is per-reading: sigma_low / sigma_high are standard
 deviations of the reduced reading. Waveform mode converts to per-sample
@@ -25,6 +26,7 @@ whatever the batching or thread count.
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+import functools
 import math
 import os
 import threading
@@ -142,36 +144,48 @@ def synthesize_cycle(
     puts the instrument on. Levels may be arrays of shape (batch,), giving a
     (batch, n) block; `noise` holds the block's standard normals.
     """
-    t = np.arange(first_sample, cfg.n_cycle_samples) / cfg.sample_rate
+    decay, drift = _time_terms(cfg, first_sample)
     prev = np.asarray(prev_level, dtype=float)[..., None]
     target = np.asarray(target_level, dtype=float)[..., None]
-    # (prev - target) exp(-t / tau) + target: the same float as target + (...)
-    v = (prev - target) * np.exp(-t / cfg.filter_tau)
-    v += target
-    v += cfg.drift_rate * t
     sigma_sample = cfg.sigma_reading_for(target) * math.sqrt(cfg.n_window_samples)
-    v += sigma_sample * noise
+    v = sigma_sample * noise
+    v += target
+    v += drift
+    # exp(-t / tau) is exactly 0 past its prefix, where the settling term adds nothing
+    v[..., : len(decay)] += (prev - target) * decay
     return v
 
 
-def reduce_cycle(block: np.ndarray, cfg: AcquisitionConfig):
-    """One voltage per cycle: OLS line over the trailing window, evaluated at its midpoint.
+@functools.lru_cache(maxsize=16)
+def _time_terms(cfg: AcquisitionConfig, first_sample: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-t / tau) up to its last nonzero value, and drift_rate * t, for samples first_sample..
 
-    Equivalent to the mean of the slope-detrended window samples, so a drift
-    term odd-symmetric about the midpoint cancels exactly. `block` has shape
-    (..., n) with cycles along the last axis; a single cycle gives a float.
+    Both depend on the config alone, so they are computed once per config and
+    returned read-only to every batch and thread.
+    """
+    t = np.arange(first_sample, cfg.n_cycle_samples) / cfg.sample_rate
+    decay = np.exp(-t / cfg.filter_tau)
+    # exp falls monotonically, so its zeros (underflow) are a suffix
+    decay = decay[: np.count_nonzero(decay)]
+    drift = cfg.drift_rate * t
+    decay.flags.writeable = False
+    drift.flags.writeable = False
+    return decay, drift
+
+
+def reduce_cycle(block: np.ndarray, cfg: AcquisitionConfig):
+    """One voltage per cycle: the mean of the trailing window's samples.
+
+    The OLS line through the window passes through (mean t, mean v), so this
+    is the line's value at the window's temporal midpoint, and a drift term
+    odd-symmetric about the midpoint cancels. `block` has shape (..., n) with
+    cycles along the last axis; a single cycle gives a float.
     """
     nw = cfg.n_window_samples
     block = np.asarray(block, dtype=float)
     if block.shape[-1] < nw:
         raise ValueError(f"block of {block.shape[-1]} samples shorter than window ({nw})")
-    window = block[..., -nw:]
-    t = np.arange(nw) / cfg.sample_rate
-    tc = t - t.mean()
-    # an elementwise product and sum, not a matrix product: BLAS may order a
-    # row's sum differently by batch size, and a cycle must reduce the same alone
-    slope = (window * tc).sum(axis=-1) / np.dot(tc, tc)
-    reading = (window - slope[..., None] * tc).mean(axis=-1)
+    reading = block[..., -nw:].mean(axis=-1)
     return float(reading) if reading.ndim == 0 else reading
 
 

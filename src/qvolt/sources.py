@@ -69,9 +69,9 @@ class BitString:
 
     def __post_init__(self):
         bits = np.asarray(self.bits)
-        if bits.ndim != 1 or len(bits) != self.source.count:
+        if bits.shape != (self.source.count,):
             raise ValueError(
-                f"bit count {len(bits)} does not match source count {self.source.count}"
+                f"bits of shape {bits.shape} do not match source count {self.source.count}"
             )
         if np.any((bits != 0) & (bits != 1)):  # before the cast, which would wrap 256 to 0
             raise ValueError("bits must be 0 or 1")

@@ -3,6 +3,8 @@ import glob
 import hashlib
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -520,3 +522,20 @@ class TestCliCommands:
             blinded = fh.read()
         assert "(threshold 1.0 V)" in blinded
         assert report_text.split("\n\n", 1)[0] + "\n" == blinded
+
+    def test_cli_import_leaves_out_scipy_stats_and_optimize(self):
+        # a fresh interpreter, so no module the test suite loaded counts
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        paths = (src, os.environ.get("PYTHONPATH"))
+        probe = (
+            "import sys, qvolt.cli; "
+            "print(*sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p)),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == []

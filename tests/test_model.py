@@ -125,6 +125,16 @@ class TestMajorityFidelity:
         with pytest.raises(ValueError):
             net_fidelity_majority(0.6, 0)
 
+    def test_exact_up_to_the_largest_n_a_float_holds(self):
+        from scipy.stats import binom
+
+        # C(1029, 514) is below the largest float; C(1030, 515) is above it
+        assert net_fidelity_majority(0.51, 1029) == pytest.approx(
+            float(binom.sf(514, 1029, 0.51)), abs=1e-14
+        )
+        with pytest.raises(ValueError, match="outside 1..1029"):
+            net_fidelity_majority(0.51, 1030)
+
 
 class TestPerCycleInversion:
     def test_fixed_points(self):

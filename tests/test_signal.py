@@ -30,9 +30,10 @@ WAVE = AcquisitionConfig(mode=AcquisitionMode.WAVEFORM, drift_rate=1e-9, filter_
 WAVE_PARAMS = NonlinearParams(eps_gamma=1e-9, vs=-0.306e-9)
 B = WAVEFORM_BATCH_CYCLES
 
-# sha256 of the waveform readings of `waveform_run(103)`, from the serial
-# 32-cycle loop that acquisition ran before it ran on threads
-GOLDEN_WAVEFORM_SHA256 = "54c59bb2c6aefce3e8fed4d5fb9c7594b5c77a76afdd9f213b5bbdda05053870"
+# sha256 of the waveform readings of `waveform_run(103)`: each window's mean,
+# over samples built as noise + target + drift + settling (the detrending
+# reduction that came before gave readings within 3 ulp of these)
+GOLDEN_WAVEFORM_SHA256 = "324976b9320fde74ee3d56404e1b6792431a9ae26cc9c8fc24db8dbae869b9e0"
 
 # readings.csv of a small fixed set of readings, as the writer produced it
 # before readings were arrays
@@ -93,6 +94,16 @@ def waveform_values_reference(levels, cfg, noise_seed, batch=32):
 def use_cpus(monkeypatch, k):
     """Make the process look as if it may run on k CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+def detrend_reduction_reference(block, cfg):
+    """The reading as the mean of the slope-detrended window, as reduce_cycle computed it before."""
+    nw = cfg.n_window_samples
+    window = block[..., -nw:]
+    t = np.arange(nw) / cfg.sample_rate
+    tc = t - t.mean()
+    slope = (window * tc).sum(axis=-1) / np.dot(tc, tc)
+    return (window - slope[..., None] * tc).mean(axis=-1)
 
 
 def lstsq_midpoint_oracle(window, rate):
@@ -185,6 +196,42 @@ class TestSynthesizeCycle:
         assert block[0, -1] == pytest.approx(2e-9 * scale, rel=1e-12)
         assert block[1, -1] == pytest.approx(3.0 + 1e-4 * scale, rel=1e-12)
 
+    # exp(-i / 1000) is nonzero for i <= 745 and underflows to 0 from i = 746 on
+    @pytest.mark.parametrize(
+        "tau, first, settling",
+        [(1e-3, 1000, 0), (1e-3, 0, 746), (0.05, 1000, 1000)],
+        ids=["window at 1 ms", "whole cycle at 1 ms", "window at 50 ms"],
+    )
+    def test_matches_the_explicit_formula(self, rng, tau, first, settling):
+        cfg = AcquisitionConfig(drift_rate=2e-9, filter_tau=tau, sigma_low=1e-6, sigma_high=1e-4)
+        assert len(signal._time_terms(cfg, first)[0]) == settling
+        prev = np.array([0.0, 3.0, 3.0, 0.0, 1e-9])
+        target = np.array([3.0, 0.0, 3.0, 0.0, -2e-9])
+        t = np.arange(first, cfg.n_cycle_samples) / cfg.sample_rate
+        z = rng.standard_normal((len(target), len(t)))
+        sigma = cfg.sigma_reading_for(target)[:, None] * np.sqrt(cfg.n_window_samples)
+        terms = [
+            target[:, None],
+            (prev - target)[:, None] * np.exp(-t / tau),
+            cfg.drift_rate * t,
+            sigma * z,
+        ]
+        expected = terms[0] + terms[1] + terms[2] + terms[3]
+        # the same four terms summed in another order: a few ulp of the largest
+        largest = np.max([np.abs(np.broadcast_to(x, z.shape)) for x in terms], axis=0)
+        block = synthesize_cycle(prev, target, cfg, z, first)
+        assert np.all(np.abs(block - expected) <= 4 * np.spacing(largest))
+
+    def test_time_terms_are_cached_read_only(self):
+        first = WAVE.n_cycle_samples - WAVE.n_window_samples
+        decay, drift = signal._time_terms(WAVE, first)
+        assert signal._time_terms(WAVE, first)[0] is decay
+        for terms in (decay, drift):
+            with pytest.raises(ValueError, match="read-only"):
+                terms[0] = 1.0
+        block = synthesize_cycle(np.zeros(2), np.ones(2), WAVE, np.zeros((2, len(drift))), first)
+        assert not np.shares_memory(block, drift)
+
 
 class TestReduceCycle:
     def test_constant_block(self):
@@ -215,6 +262,18 @@ class TestReduceCycle:
             base = reduce_cycle(block, QUIET)
             shifted = reduce_cycle(block + a * (t - t_mid), QUIET)
             assert abs(shifted - base) < 1e-12 * max(1.0, abs(base))
+
+    def test_within_a_few_ulp_of_the_detrend_formula(self, rng):
+        levels = rng.choice([0.0, 3.0, 1e-9], 64)
+        blocks = [
+            synthesize_cycle(np.roll(levels, 1), levels, WAVE, rng.standard_normal((64, 1000)), 1000),
+            rng.normal(rng.uniform(-3, 3, (64, 1)), rng.uniform(0, 0.5, (64, 1)), (64, 2000)),
+        ]
+        for block in blocks:
+            window = block[:, -WAVE.n_window_samples :]
+            ulp = np.spacing(np.abs(window).max(axis=-1))
+            diff = np.abs(reduce_cycle(block, WAVE) - detrend_reduction_reference(block, WAVE))
+            assert np.all(diff <= 4 * ulp)
 
     def test_rejects_short_block(self):
         with pytest.raises(ValueError):

@@ -93,6 +93,14 @@ class TestBitString:
         with pytest.raises(ValueError, match="bits must be 0 or 1"):
             BitString(spec, bits)
 
+    @pytest.mark.parametrize(
+        "bits", [np.array(1), [0, 1], [0, 1, 1, 0], [[0, 1, 1]]], ids=["0-d", "short", "long", "2-d"]
+    )
+    def test_rejects_shapes_other_than_one_bit_per_count(self, bits):
+        spec = SourceSpec("s", SourceKind.QUBIT, 0.8, 3)
+        with pytest.raises(ValueError, match="do not match source count 3"):
+            BitString(spec, bits)
+
     def test_stores_exact_zeros_and_ones_as_uint8(self):
         spec = SourceSpec("s", SourceKind.QUBIT, 0.8, 3)
         bits = BitString(spec, [0.0, 1.0, True]).bits
