@@ -77,9 +77,7 @@ class MCResult:
 class HistogramResult:
     bin_edges: np.ndarray
     counts: np.ndarray
-    overlay_density: np.ndarray  # Gaussian pdf at bin centers
-    mean: float
-    sd: float
+    overlay_density: np.ndarray  # N(sample mean, sample sd) pdf at bin centers
 
 
 def classify(values: Sequence[float], threshold: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -118,13 +116,7 @@ def histogram(values: Sequence[float], n_bins: int) -> HistogramResult:
         overlay = np.exp(-0.5 * z * z) / (stats.sd * math.sqrt(2 * math.pi))
     else:
         overlay = np.zeros_like(centers)
-    return HistogramResult(
-        bin_edges=edges,
-        counts=counts,
-        overlay_density=overlay,
-        mean=stats.mean,
-        sd=stats.sd,
-    )
+    return HistogramResult(bin_edges=edges, counts=counts, overlay_density=overlay)
 
 
 def wls_fit(points: Sequence[RegressionPoint], v1: float = 3.0) -> FitResult:

@@ -2,7 +2,7 @@
 
 The experiment spans nanovolt signals on a 3 V scale, so every physical
 quantity in a config file must carry an explicit unit suffix (V, nV, s, ms,
-Hz, V/s, ...) of the expected dimension; a bare number where a voltage is
+Sa/s, V/s, ...) of the expected dimension; a bare number where a voltage is
 expected is a hard error, not a guess.
 """
 
@@ -13,7 +13,7 @@ import os
 import re
 
 from .analysis import BoundRule
-from .model import Interpretation, NonlinearParams
+from .model import NonlinearParams
 from .signal import AcquisitionConfig, AcquisitionMode
 from .sources import SourceKind, SourceSpec
 
@@ -25,7 +25,6 @@ class ConfigError(ValueError):
 _UNIT_SCALES = {
     "voltage": {"V": 1.0, "mV": 1e-3, "uV": 1e-6, "nV": 1e-9, "pV": 1e-12},
     "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6},
-    "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6},
     "sample_rate": {"Sa/s": 1.0, "kSa/s": 1e3},
     "drift": {"V/s": 1.0, "mV/s": 1e-3, "uV/s": 1e-6, "nV/s": 1e-9},
 }
@@ -112,17 +111,14 @@ class RunConfig:
 _SECTIONS = {
     "params": (NonlinearParams, {
         "eps_gamma": parse_number,
-        "v0": "voltage",
         "v1": "voltage",
         "vs": "voltage",
-        "interpretation": Interpretation,
     }),
     "acquisition": (AcquisitionConfig, {
         "cycle_duration": "time",
         "record_window": "time",
         "sample_rate": "sample_rate",
         "filter_tau": "time",
-        "carrier_freq": "frequency",
         "sigma_low": "voltage",
         "sigma_high": "voltage",
         "range_threshold": "voltage",

@@ -3,20 +3,15 @@
 The nonlinear coupling shifts the detected voltage by eps_gamma times the
 state-averaged switch voltage. With readout fidelity f, an open-switch cycle
 reads vs + eps_gamma * v1 * (f - 1/2); a closed-switch cycle reads v1.
-Under a collapse (Copenhagen-style) interpretation the nonlinear term is
-identically zero. All functions here are pure and thread-safe.
+The bound on eps_gamma is read within the Everett interpretation, where the
+term couples the branches that the qubit measurement creates. All functions
+here are pure and thread-safe.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 import math
 
 import numpy as np
-
-
-class Interpretation(str, Enum):
-    EVERETT = "everett"
-    COPENHAGEN = "copenhagen"
 
 
 @dataclass(frozen=True)
@@ -24,15 +19,12 @@ class NonlinearParams:
     """Physics constants of the outcome model. Voltages in volts."""
 
     eps_gamma: float = 0.0
-    v0: float = 0.0
     v1: float = 3.0
     vs: float = 0.0
-    interpretation: Interpretation = Interpretation.EVERETT
 
     def __post_init__(self):
-        object.__setattr__(self, "interpretation", Interpretation(self.interpretation))
-        if not self.v1 > self.v0:
-            raise ValueError(f"v1 ({self.v1}) must exceed v0 ({self.v0})")
+        if not self.v1 > 0:
+            raise ValueError(f"v1 must be positive, got {self.v1}")
         if not abs(self.vs) < self.v1 / 10:
             raise ValueError(f"|vs| ({abs(self.vs)}) must be < v1/10 ({self.v1 / 10})")
 
@@ -52,10 +44,7 @@ def expected_reading(bit, fidelity, params: NonlinearParams):
     bad_fid = ~((f >= 0.5) & (f <= 1.0))
     if np.any(bad_fid):
         raise ValueError(f"fidelity {f[bad_fid][0]} outside [1/2, 1]")
-    if params.interpretation is Interpretation.COPENHAGEN:
-        low = np.full(f.shape, params.vs)
-    else:
-        low = params.vs + params.eps_gamma * params.v1 * (f - 0.5)
+    low = params.vs + params.eps_gamma * params.v1 * (f - 0.5)
     level = np.where(b == 1, params.v1, low)
     return float(level) if level.ndim == 0 else level
 

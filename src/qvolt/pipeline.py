@@ -63,9 +63,12 @@ def acquire(
 
 def blinded_summary(values: np.ndarray, config: RunConfig) -> BlindedSummary:
     """Pooled low/high statistics of the blinded reading values; never sees the key."""
-    if not len(values):
-        raise ValueError("no readings to summarize")
     low, high = analysis.classify(values, config.analysis.threshold)
+    for population, pooled in (("low", low), ("high", high)):
+        if not len(pooled):
+            raise ValueError(
+                f"no {population} readings to summarize (threshold {config.analysis.threshold} V)"
+            )
     return BlindedSummary(
         low=analysis.summarize(low),
         high=analysis.summarize(high),
@@ -85,7 +88,13 @@ def unblind_fit(values: np.ndarray, key: blinding.BlindingKey, config: RunConfig
     points = []
     for spec in config.sources:
         low, _ = analysis.classify(grouped[spec.id], config.analysis.threshold)
-        summary = analysis.summarize(low)
+        summary = analysis.summarize(low) if len(low) else None
+        if summary is None or not summary.sem > 0:
+            sem = "undefined" if summary is None else f"{summary.sem} V"
+            raise ValueError(
+                f"source {spec.id!r} has {len(low)} low readings with SEM {sem}: "
+                "the weighted fit needs an SEM > 0"
+            )
         per_low[spec.id] = summary
         per_hist[spec.id] = analysis.histogram(low, config.analysis.n_bins)
         points.append(

@@ -1,13 +1,12 @@
 """Demodulated lock-in waveform synthesis and per-cycle reduction.
 
-Everything here works on the demodulated (post-filter) signal; the carrier
-frequency is metadata only. Each 2 s switch cycle settles exponentially to
-its target level, drifts linearly, and carries Gaussian noise whose size
-depends on the instrument range. Only the trailing window of each cycle is
-recorded; the reading is the mean of the window's samples. The OLS line
-through the window passes through (mean t, mean v), so the mean is that
-line's value at the window's temporal midpoint, and a drift term odd-symmetric
-about the midpoint cancels.
+Everything here works on the demodulated (post-filter) signal. Each 2 s
+switch cycle settles exponentially to its target level, drifts linearly, and
+carries Gaussian noise whose size depends on the instrument range. Only the
+trailing window of each cycle is recorded; the reading is the mean of the
+window's samples. The OLS line through the window passes through (mean t,
+mean v), so the mean is that line's value at the window's temporal midpoint,
+and a drift term odd-symmetric about the midpoint cancels.
 
 Noise configuration is per-reading: sigma_low / sigma_high are standard
 deviations of the reduced reading. Waveform mode converts to per-sample
@@ -67,7 +66,6 @@ class AcquisitionConfig:
     record_window: float = 1.0  # s, trailing
     sample_rate: float = 1000.0  # Sa/s
     filter_tau: float = 1e-3  # s
-    carrier_freq: float = 1e6  # Hz, metadata only
     sigma_low: float = 3.4e-9  # V per reading, sensitive range
     sigma_high: float = 1.8e-4  # V per reading, insensitive range
     range_threshold: float = 1.0  # V
@@ -101,8 +99,13 @@ class AcquisitionConfig:
 
     @property
     def window_mid_time(self) -> float:
-        """Mean sample time of the record window, within the cycle."""
-        t0 = self.cycle_duration - self.record_window
+        """Mean sample time of the record window, within the cycle.
+
+        The window is samples n_cycle_samples - n_window_samples.. of the
+        cycle, the samples waveform mode records, so both modes see one
+        window whatever the rounding of sample_rate * duration.
+        """
+        t0 = (self.n_cycle_samples - self.n_window_samples) / self.sample_rate
         return t0 + (self.n_window_samples - 1) / (2 * self.sample_rate)
 
     def insensitive(self, level):

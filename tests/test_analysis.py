@@ -81,8 +81,10 @@ class TestHistogram:
     def test_overlay_uses_sample_statistics(self, rng):
         values = rng.normal(5.0, 2.0, 10_000)
         h = histogram(values, 30)
-        assert h.mean == pytest.approx(values.mean())
-        assert h.sd == pytest.approx(values.std(ddof=1))
+        centers = 0.5 * (h.bin_edges[:-1] + h.bin_edges[1:])
+        mean, sd = values.mean(), values.std(ddof=1)
+        pdf = np.exp(-0.5 * ((centers - mean) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
+        assert h.overlay_density == pytest.approx(pdf, rel=1e-12)
 
     def test_gaussian_data_matches_overlay_chi2(self):
         rng = np.random.default_rng(29)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import glob
 import hashlib
 import os
@@ -18,7 +19,7 @@ from qvolt.config import (
     parse_number,
     parse_quantity,
 )
-from qvolt.model import Interpretation, NonlinearParams
+from qvolt.model import NonlinearParams
 from qvolt.signal import AcquisitionConfig, AcquisitionMode
 from qvolt.sources import BitString, SourceKind, SourceSpec, write_bits
 
@@ -62,7 +63,7 @@ class TestQuantityParsing:
     def test_time_and_frequency_units(self):
         assert parse_quantity("1 ms", "time") == pytest.approx(1e-3)
         assert parse_quantity("2 s", "time") == 2.0
-        assert parse_quantity("1 MHz", "frequency") == 1e6
+        assert parse_quantity("1 kSa/s", "sample_rate") == 1e3
 
     def test_missing_unit_rejected(self):
         with pytest.raises(ConfigError):
@@ -86,11 +87,11 @@ class TestQuantityParsing:
 
     @pytest.mark.parametrize(
         "text, kind",
-        [("1e999 V", "voltage"), ("-1e999 nV", "voltage"), ("1e308 MHz", "frequency"),
+        [("1e999 V", "voltage"), ("-1e999 nV", "voltage"), ("1e308 kSa/s", "sample_rate"),
          ("nan V", "voltage"), ("inf s", "time")],
     )
     def test_quantity_rejects_non_finite(self, text, kind):
-        # "1e308 MHz" overflows only after scaling to Hz
+        # "1e308 kSa/s" overflows only after scaling to Sa/s
         with pytest.raises(ConfigError):
             parse_quantity(text, kind)
 
@@ -112,16 +113,27 @@ class TestLoadConfig:
         config = load_config(path)
         assert sum(s.count for s in config.sources) == 100717
         assert config.acquisition.filter_tau == pytest.approx(1e-3)
-        assert config.acquisition.carrier_freq == pytest.approx(1e6)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "nope.cfg")
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         path = write_cfg(tmp_path, MINIMAL_CFG + "\n[acquisition]\nbanana = 1 V\n")
         with pytest.raises(ConfigError):
             load_config(path)
+        # keys that earlier versions read and no output depended on
+        for old, new, section, key in [
+            ("eps_gamma = 0", "eps_gamma = 0\nv0 = 0 V", "params", "v0"),
+            ("eps_gamma = 0", "eps_gamma = 0\ninterpretation = everett", "params",
+             "interpretation"),
+            ("[analysis]", "[acquisition]\ncarrier_freq = 1 MHz\n\n[analysis]", "acquisition",
+             "carrier_freq"),
+        ]:
+            path = write_cfg(tmp_path, MINIMAL_CFG.replace(old, new, 1), f"{key}.cfg")
+            message = f"[{section}] unknown keys: [{key!r}]"
+            assert cli.main(["run", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_unitless_voltage_rejected(self, tmp_path):
         bad = MINIMAL_CFG.replace("vs = -0.306 nV", "vs = -0.306e-9")
@@ -213,16 +225,14 @@ class TestLoadConfig:
             ("count = 20\n", "", "[source.q2]", "count"),
             ("fidelity = 0.99\n", "", "[source.q2]", "fidelity"),
             ("[analysis]", "[acquisition]\nmode = slow\n\n[analysis]", "[acquisition]", "mode"),
-            ("eps_gamma = 0", "eps_gamma = 0\ninterpretation = bohm", "[params]",
-             "interpretation"),
             ("mc_realizations = 200", "mc_realizations = 200\nbound_rule = widest", "[analysis]",
              "bound_rule"),
             ("mc_realizations = 200", "mc_realizations = 10", "[analysis]", "mc_realizations"),
             ("[analysis]", "[acquisition]\nrecord_window = 3 s\n\n[analysis]", "[acquisition]",
              "record_window"),
         ],
-        ids=["no-kind", "no-count", "no-fidelity", "mode", "interpretation", "bound_rule",
-             "mc_realizations", "record_window"],
+        ids=["no-kind", "no-count", "no-fidelity", "mode", "bound_rule", "mc_realizations",
+             "record_window"],
     )
     def test_errors_name_their_section_once_and_their_key(self, tmp_path, old, new, section, key):
         assert old in MINIMAL_CFG
@@ -231,6 +241,76 @@ class TestLoadConfig:
         message = str(excinfo.value)
         assert message.startswith(section + " ") and message.count(section) == 1, message
         assert key in message, message
+
+
+# A small run for the guard against settings that change nothing. Its drift
+# makes the window's timing reach the fast-mode readings.
+GUARD_SECTIONS = {
+    "run": {"seed": "5"},
+    "params": {"eps_gamma": "0", "vs": "-0.306 nV"},
+    "acquisition": {"drift_rate": "1 nV/s"},
+    "analysis": {"mc_realizations": "200"},
+    "source.c1": {"kind": "classical", "count": "40"},
+    "source.q2": {"kind": "qubit", "fidelity": "0.99", "count": "20"},
+    "source.q3": {"kind": "qubit", "fidelity": "0.55", "count": "20"},
+}
+
+# For each config key, a value that changes an output of the guard run, and
+# the mode the run takes: waveform where the key acts only there.
+PERTURBED = {
+    ("params", "eps_gamma"): ("1e-9", "fast"),
+    ("params", "v1"): ("2.5 V", "fast"),
+    ("params", "vs"): ("0.5 nV", "fast"),
+    ("acquisition", "cycle_duration"): ("3 s", "fast"),
+    ("acquisition", "record_window"): ("0.5 s", "fast"),
+    ("acquisition", "sample_rate"): ("500 Sa/s", "fast"),
+    # at 1 ms the settling term underflows to 0 before the window starts
+    ("acquisition", "filter_tau"): ("40 ms", "waveform"),
+    ("acquisition", "sigma_low"): ("5 nV", "fast"),
+    ("acquisition", "sigma_high"): ("0.0002 V", "fast"),
+    # above the 3 V level: closed-switch cycles move to the sensitive range
+    ("acquisition", "range_threshold"): ("4 V", "fast"),
+    ("acquisition", "drift_rate"): ("2 nV/s", "fast"),
+    ("acquisition", "mode"): ("waveform", "fast"),
+    ("analysis", "threshold"): ("3 V", "fast"),
+    ("analysis", "n_bins"): ("20", "fast"),
+    ("analysis", "mc_realizations"): ("300", "fast"),
+    ("analysis", "cl"): ("0.95", "fast"),
+    ("analysis", "bound_rule"): ("folded", "fast"),
+}
+
+
+def _values(obj):
+    """Every value an output holds, in a fixed order, as nested lists of Python scalars."""
+    if dataclasses.is_dataclass(obj):
+        return [_values(getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    if isinstance(obj, dict):
+        return [[key, _values(value)] for key, value in obj.items()]
+    if isinstance(obj, (list, tuple)):
+        return [_values(item) for item in obj]
+    return np.asarray(obj).tolist()
+
+
+@pytest.fixture(scope="module")
+def guard_run(tmp_path_factory):
+    """run(mode, section, key, value): every output of the guard run, with one key set."""
+    folder = tmp_path_factory.mktemp("guard")
+
+    @functools.cache
+    def run(mode, section=None, key=None, value=None):
+        sections = {name: dict(keys) for name, keys in GUARD_SECTIONS.items()}
+        sections["acquisition"]["mode"] = mode
+        if section is not None:
+            sections[section][key] = value
+        text = "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for name, keys in sections.items()
+        )
+        path = folder / "guard.cfg"
+        path.write_text(text)
+        return repr(_values(pipeline.run_pipeline(load_config(path))))
+
+    return run
 
 
 class TestConfigTable:
@@ -252,11 +332,10 @@ class TestConfigTable:
         "cls, name, kind, needs",
         [
             (AcquisitionConfig, "mode", AcquisitionMode, {}),
-            (NonlinearParams, "interpretation", Interpretation, {}),
             (AnalysisSettings, "bound_rule", BoundRule, {}),
             (SourceSpec, "kind", SourceKind, {"id": "s1", "fidelity": 0.5, "count": 4}),
         ],
-        ids=["mode", "interpretation", "bound_rule", "kind"],
+        ids=["mode", "bound_rule", "kind"],
     )
     def test_enum_fields_set_from_code_are_coerced_and_checked(self, cls, name, kind, needs):
         for member in kind:
@@ -269,6 +348,24 @@ class TestConfigTable:
     def test_seed_above_2_to_the_53_is_exact(self, tmp_path):
         text = MINIMAL_CFG.replace("seed = 99", "seed = 123456789012345678901")
         assert load_config(write_cfg(tmp_path, text)).seed == 123456789012345678901
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [(name, key) for name, (_, kinds) in config._SECTIONS.items() for key in kinds],
+        ids=lambda word: word,
+    )
+    def test_every_key_changes_an_output(self, guard_run, section, key):
+        if (section, key) not in PERTURBED:
+            pytest.fail(f"[{section}] {key} has no entry in PERTURBED: give it a value that "
+                        "changes an output, or delete the key")
+        value, mode = PERTURBED[section, key]
+        assert guard_run(mode, section, key, value) != guard_run(mode), \
+            f"[{section}] {key} = {value} changes no output in {mode} mode"
+
+    def test_perturbed_names_only_config_keys(self):
+        keys = {(name, key) for name, (_, kinds) in config._SECTIONS.items() for key in kinds}
+        assert set(PERTURBED) <= keys
+
 
 
 def _digests(out):
@@ -350,7 +447,7 @@ class TestTableWriters:
         edges[[0, 7]] = -0.0, 0.0
         density = rng.random(50) * 10.0 ** rng.integers(-12, 12, 50)
         density[[3, 4]] = 0.0, -0.0
-        hist = HistogramResult(edges, rng.integers(0, 100_718, 50), density, 0.0, 1.0)
+        hist = HistogramResult(edges, rng.integers(0, 100_718, 50), density)
         path = tmp_path / "histogram.csv"
         cli._write_histogram_csv(str(path), hist)
         assert path.read_bytes() == histogram_csv_reference(hist)
@@ -491,6 +588,40 @@ class TestCliCommands:
         assert cli.main(["unblind-fit", "--config", fit_cfg, "--out", out]) == cli.EXIT_CONTRACT
         assert "do not match the configured" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "fit.csv"))
+
+    @pytest.mark.parametrize("bit, n_low, sem", [(0, 1, "0.0 V"), (1, 0, "undefined")],
+                             ids=["one-low-reading", "no-low-reading"])
+    def test_source_the_fit_cannot_weight_exit_code(self, tmp_path, capsys, bit, n_low, sem):
+        text = MINIMAL_CFG.replace("count = 20", "count = 1") \
+            + "\n[source.q3]\nkind = qubit\nfidelity = 0.55\ncount = 30\n"
+        cfg = write_cfg(tmp_path, text)
+        spec = load_config(cfg).sources[1]
+        for step in ("unblind-fit", "report"):
+            out = str(tmp_path / step)
+            assert cli.main(["generate", "--config", cfg, "--out", out]) == 0
+            write_bits(BitString(spec, np.array([bit], dtype=np.uint8)),
+                       os.path.join(out, "bits_q2.txt"))
+            if step == "unblind-fit":
+                assert cli.main(["run", "--config", cfg, "--out", out]) == 0
+                assert cli.main(["blinded-summary", "--config", cfg, "--out", out]) == 0
+            capsys.readouterr()
+            assert cli.main([step, "--config", cfg, "--out", out]) == cli.EXIT_CONTRACT
+            err = capsys.readouterr().err
+            assert f"source 'q2' has {n_low} low readings with SEM {sem}" in err, err
+            assert not os.path.exists(os.path.join(out, "fit.csv"))
+
+    def test_empty_blinded_population_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["generate", "--config", cfg, "--out", out]) == 0
+        for spec in load_config(cfg).sources:
+            write_bits(BitString(spec, np.zeros(spec.count, dtype=np.uint8)),
+                       os.path.join(out, f"bits_{spec.id}.txt"))
+        assert cli.main(["run", "--config", cfg, "--out", out]) == 0
+        capsys.readouterr()
+        assert cli.main(["blinded-summary", "--config", cfg, "--out", out]) == cli.EXIT_CONTRACT
+        err = capsys.readouterr().err
+        assert err == "error: no high readings to summarize (threshold 1.0 V)\n", err
 
     def test_swapped_readings_rows_contract_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

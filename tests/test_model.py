@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qvolt.model import (
-    Interpretation,
     NonlinearParams,
     expected_reading,
     net_fidelity_majority,
@@ -29,12 +28,12 @@ def majority_prob_enumeration(p, n):
 class TestNonlinearParams:
     def test_defaults_match_experiment(self):
         params = NonlinearParams()
-        assert params.v0 == 0.0
         assert params.v1 == 3.0
 
-    def test_rejects_v1_not_above_v0(self):
-        with pytest.raises(ValueError):
-            NonlinearParams(v0=3.0, v1=3.0)
+    @pytest.mark.parametrize("v1", [0.0, -3.0])
+    def test_rejects_non_positive_v1(self, v1):
+        with pytest.raises(ValueError, match="v1"):
+            NonlinearParams(v1=v1)
 
     def test_rejects_large_leakage(self):
         with pytest.raises(ValueError):
@@ -63,9 +62,8 @@ class TestExpectedReading:
         with pytest.raises(ValueError):
             expected_reading(0, 1.1, NonlinearParams())
 
-    @pytest.mark.parametrize("interpretation", list(Interpretation))
-    def test_arrays_match_scalar_calls(self, interpretation):
-        params = NonlinearParams(eps_gamma=1e-9, vs=-0.306e-9, interpretation=interpretation)
+    def test_arrays_match_scalar_calls(self):
+        params = NonlinearParams(eps_gamma=1e-9, vs=-0.306e-9)
         bits = np.array([0, 1, 0, 1, 0], dtype=np.uint8)
         fids = np.array([0.5, 0.5, 0.99, 0.55, 1.0])
         levels = expected_reading(bits, fids, params)
@@ -89,14 +87,6 @@ class TestExpectedReading:
         shift = expected_reading(0, f, params) - expected_reading(0, 0.5, params)
         # exact in real arithmetic; the subtraction cancels at the ulp of vs
         assert shift == pytest.approx(eps * 3.0 * (f - 0.5), rel=1e-9, abs=1e-16)
-
-    @given(f=st.floats(0.5, 1.0), eps=st.floats(-1e-3, 1e-3))
-    def test_copenhagen_independent_of_eps(self, f, eps):
-        params = NonlinearParams(
-            eps_gamma=eps, vs=-0.1e-9, interpretation=Interpretation.COPENHAGEN
-        )
-        assert expected_reading(0, f, params) == -0.1e-9
-        assert expected_reading(1, f, params) == 3.0
 
 
 class TestMajorityFidelity:

@@ -341,6 +341,20 @@ class TestRunAcquisition:
             assert readings.values[0] == pytest.approx(expected, rel=1e-9)
             assert readings.values[2] == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("sample_rate", [999.7, 1000.4, 1234.5])
+    def test_modes_share_the_window_when_samples_round(self, sample_rate):
+        # sample_rate * duration is not a whole number, so the window's samples are rounded
+        bits = np.array([0, 1, 0, 1], dtype=np.uint8)
+        fids = np.full(4, 0.99)
+        params = NonlinearParams(eps_gamma=1e-9, vs=-0.306e-9)
+        fast, wave = (
+            run_acquisition(bits, fids, params, AcquisitionConfig(
+                mode=mode, sample_rate=sample_rate, sigma_low=0.0, sigma_high=0.0,
+                drift_rate=1e-6,
+            ), 5).values
+            for mode in (AcquisitionMode.FAST, AcquisitionMode.WAVEFORM)
+        )
+        assert fast == pytest.approx(wave, rel=1e-14)
 
     @pytest.mark.parametrize("mode", list(AcquisitionMode))
     def test_prefix_of_bits_gives_prefix_of_readings(self, mode):
