@@ -15,7 +15,7 @@ import re
 from .analysis import BoundRule
 from .model import NonlinearParams
 from .signal import AcquisitionConfig, AcquisitionMode
-from .sources import SourceKind, SourceSpec
+from .sources import SourceSpec
 
 
 class ConfigError(ValueError):
@@ -135,7 +135,7 @@ _SECTIONS = {
 }
 # int(), not _integer: seeds above 2**53 stay exact and `count = 2e1` is an error
 _RUN_KEYS = {"seed": int}
-_SOURCE_KEYS = {"kind": SourceKind, "count": int, "fidelity": parse_number}
+_SOURCE_KEYS = {"count": int, "fidelity": parse_number}
 
 
 def _section(name, raw, kinds, required=()):
@@ -186,9 +186,6 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     for name, raw in sections.items():
         if not name.startswith("source."):
             raise ConfigError(f"unknown section [{name}]")
-        raw = dict(raw)
-        if raw.get("kind") == SourceKind.CLASSICAL.value:
-            raw.setdefault("fidelity", "0.5")
         values = _section(name, raw, _SOURCE_KEYS, required=tuple(_SOURCE_KEYS))
         source_specs.append(_build(name, SourceSpec, id=name[len("source."):], **values))
 

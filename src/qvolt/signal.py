@@ -86,8 +86,11 @@ class AcquisitionConfig:
             )
         if self.sample_rate * self.record_window < 2:
             raise ValueError("record window must contain at least 2 samples")
-        if self.sigma_low < 0 or self.sigma_high < 0:
+        if not (self.sigma_low >= 0 and self.sigma_high >= 0):
             raise ValueError("noise sigmas must be non-negative")
+        for name in ("range_threshold", "drift_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def n_cycle_samples(self) -> int:

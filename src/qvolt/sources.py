@@ -1,14 +1,14 @@
 """Control bit string generation, serialization, and sanity diagnostics.
 
-Three kinds of source feed the switch: a classical random-bit generator
-(fidelity pinned to 1/2) and qubit sources whose recorded bits are still
-fair Bernoulli draws, because measuring an equal superposition is 50/50
-regardless of readout fidelity. Fidelity rides along as metadata and only
-enters the signal model.
+A source is an id, a readout fidelity and a bit count. The classical
+random-bit generator is the source at fidelity 1/2, the systematics control;
+the qubit sources sit at their measured fidelities. Every source records fair
+Bernoulli draws, because measuring an equal superposition is 50/50 regardless
+of readout fidelity. Fidelity rides along as metadata and only enters the
+signal model.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 import math
 import os
 import re
@@ -20,11 +20,6 @@ from .signal import open_text
 
 # Source ids name files (bits_<id>.txt) and fill a column of key.csv
 _SOURCE_ID = re.compile(r"[A-Za-z0-9_-]+")
-
-
-class SourceKind(str, Enum):
-    CLASSICAL = "classical"
-    QUBIT = "qubit"
 
 
 class BitFileError(ValueError):
@@ -46,16 +41,17 @@ class CountMismatchError(BitFileError):
 @dataclass(frozen=True)
 class SourceSpec:
     id: str
-    kind: SourceKind
     fidelity: float
     count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", SourceKind(self.kind))
+        # a Python float, so the bit-file header holds a number ingest_bits reads back
+        object.__setattr__(self, "fidelity", float(self.fidelity))
         if not _SOURCE_ID.fullmatch(self.id):
             raise ValueError(f"source id {self.id!r} is not made of A-Z, a-z, 0-9, '_' and '-'")
-        if self.kind is SourceKind.CLASSICAL and self.fidelity != 0.5:
-            raise ValueError(f"classical source {self.id!r} must have fidelity exactly 1/2")
+        if self.id == "blinded":
+            # histogram_<id>_low.csv would overwrite the pooled histogram_blinded_low.csv
+            raise ValueError("source id 'blinded' is reserved for the blinded histogram")
         if not 0.5 <= self.fidelity <= 1.0:
             raise ValueError(f"fidelity {self.fidelity} outside [1/2, 1]")
         if self.count < 1:
@@ -84,7 +80,7 @@ class BitString:
 
 
 def generate(spec: SourceSpec, rng: np.random.Generator) -> BitString:
-    """spec.count fair bits for any kind of source; fidelity only enters the signal model."""
+    """spec.count fair bits at any fidelity; fidelity only enters the signal model."""
     return BitString(spec, rng.integers(0, 2, size=spec.count, dtype=np.uint8))
 
 
@@ -92,7 +88,7 @@ def write_bits(bitstring: BitString, path: str | os.PathLike) -> None:
     """Write the one-bit-per-line file format with its single header line."""
     src = bitstring.source
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# id={src.id} kind={src.kind.value} fidelity={src.fidelity!r} n={src.count}\n")
+        fh.write(f"# id={src.id} fidelity={src.fidelity!r} n={src.count}\n")
         # one digit and one newline per bit
         body = np.full(2 * len(bitstring.bits), ord("\n"), dtype=np.uint8)
         body[0::2] = bitstring.bits + ord("0")
@@ -114,10 +110,7 @@ def ingest_bits(path: str | os.PathLike) -> BitString:
         key, value = token.split("=", 1)
         fields[key] = value
     try:
-        source_id = fields["id"]
-        kind = SourceKind(fields["kind"])
-        fidelity = float(fields["fidelity"])
-        count = int(fields["n"])
+        spec = SourceSpec(fields["id"], float(fields["fidelity"]), int(fields["n"]))
     except (KeyError, ValueError) as exc:
         raise MalformedHeaderError(f"{path}: invalid header fields: {exc}") from exc
 
@@ -133,10 +126,10 @@ def ingest_bits(path: str | os.PathLike) -> BitString:
         line = body[start:body.index("\n", start)]
         raise InvalidBitError(f"{path}: line {start // 2 + 2}: expected '0' or '1', got {line!r}")
     bits = chars[0::2] - np.uint8(ord("0"))
-    if len(bits) != count:
-        raise CountMismatchError(f"{path}: header declares n={count} but body has {len(bits)} bits")
-
-    spec = SourceSpec(id=source_id, kind=kind, fidelity=fidelity, count=count)
+    if len(bits) != spec.count:
+        raise CountMismatchError(
+            f"{path}: header declares n={spec.count} but body has {len(bits)} bits"
+        )
     return BitString(source=spec, bits=bits)
 
 

@@ -4,12 +4,12 @@ import pytest
 from qvolt.config import AnalysisSettings, RunConfig
 from qvolt.model import NonlinearParams
 from qvolt.signal import AcquisitionConfig, AcquisitionMode
-from qvolt.sources import SourceKind, SourceSpec
+from qvolt.sources import SourceSpec
 
 PAPER_SOURCES = (
-    SourceSpec("c1", SourceKind.CLASSICAL, 0.5, 60000),
-    SourceSpec("q2", SourceKind.QUBIT, 0.99, 30000),
-    SourceSpec("q3", SourceKind.QUBIT, 0.55, 10717),
+    SourceSpec("c1", 0.5, 60000),
+    SourceSpec("q2", 0.99, 30000),
+    SourceSpec("q3", 0.55, 10717),
 )
 
 
@@ -36,9 +36,9 @@ def make_config(
 def scaled_sources(factor):
     """Paper source mix shrunk by `factor` for fast repeated-run tests."""
     return (
-        SourceSpec("c1", SourceKind.CLASSICAL, 0.5, max(2, 60000 // factor)),
-        SourceSpec("q2", SourceKind.QUBIT, 0.99, max(2, 30000 // factor)),
-        SourceSpec("q3", SourceKind.QUBIT, 0.55, max(2, 10717 // factor)),
+        SourceSpec("c1", 0.5, max(2, 60000 // factor)),
+        SourceSpec("q2", 0.99, max(2, 30000 // factor)),
+        SourceSpec("q3", 0.55, max(2, 10717 // factor)),
     )
 
 

@@ -19,7 +19,7 @@ from qvolt.model import net_fidelity_majority, per_cycle_from_net
 from qvolt.pipeline import run_pipeline
 from qvolt.seeds import derive_rng
 from qvolt.signal import AcquisitionConfig, AcquisitionMode, reduce_cycle, run_acquisition
-from qvolt.sources import BitString, SourceKind, SourceSpec
+from qvolt.sources import BitString, SourceSpec
 
 QUOTED_POINTS = (
     RegressionPoint(x=0.00, y=-0.307e-9, sigma=0.020e-9, label="c1"),
@@ -119,7 +119,7 @@ def test_criterion_7_blinding_properties():
             count = int(rng.integers(1, 68))  # total stays <= 200
             strings.append(
                 BitString(
-                    SourceSpec(f"s{i}", SourceKind.QUBIT, 0.9, count),
+                    SourceSpec(f"s{i}", 0.9, count),
                     rng.integers(0, 2, count, dtype=np.uint8),
                 )
             )
@@ -133,7 +133,7 @@ def test_criterion_7_blinding_properties():
     n_seeds = 100_000
     items = np.array([10, 20, 30, 40])
     base = BitString(
-        SourceSpec("u", SourceKind.QUBIT, 0.9, 4), np.array([0, 0, 1, 1], np.uint8)
+        SourceSpec("u", 0.9, 4), np.array([0, 0, 1, 1], np.uint8)
     )
     for seed in range(n_seeds):
         _, key = combine_and_permute([base], derive_rng(seed, "acc7"))

@@ -17,13 +17,11 @@ from qvolt.blinding import (
 )
 from qvolt.seeds import derive_rng
 from qvolt.signal import ROWS_PER_WRITE
-from qvolt.sources import BitString, SourceKind, SourceSpec
+from qvolt.sources import BitString, SourceSpec
 
 
-def make_string(sid, bits, fidelity=0.5, kind=SourceKind.CLASSICAL):
-    if kind is SourceKind.CLASSICAL:
-        fidelity = 0.5
-    spec = SourceSpec(sid, kind, fidelity, len(bits))
+def make_string(sid, bits, fidelity=0.5):
+    spec = SourceSpec(sid, fidelity, len(bits))
     return BitString(spec, np.array(bits, dtype=np.uint8))
 
 
@@ -97,8 +95,8 @@ class TestCombineAndPermute:
     def test_paper_scale_lengths(self, rng):
         strings = [
             make_string("c1", np.zeros(60000, dtype=np.uint8)),
-            make_string("q2", np.ones(30000, dtype=np.uint8), 0.99, SourceKind.QUBIT),
-            make_string("q3", np.zeros(10717, dtype=np.uint8), 0.55, SourceKind.QUBIT),
+            make_string("q2", np.ones(30000, dtype=np.uint8), 0.99),
+            make_string("q3", np.zeros(10717, dtype=np.uint8), 0.55),
         ]
         blinded, key = combine_and_permute(strings, rng)
         assert len(blinded) == 100717
@@ -107,7 +105,7 @@ class TestCombineAndPermute:
     def test_golden_permutation(self):
         # frozen output of the seeded generator; guards the permutation algorithm
         a = make_string("a", [0, 0])
-        b = make_string("b", [1], 0.99, SourceKind.QUBIT)
+        b = make_string("b", [1], 0.99)
         blinded, key = combine_and_permute([a, b], np.random.default_rng(123))
         assert list(blinded) == [0, 1, 0]
         assert key.entries == (("a", 0), ("b", 0), ("a", 1))
@@ -311,8 +309,8 @@ class TestKeyFile:
 
         strings = [
             make_string("c1", rng.integers(0, 2, 60000)),
-            make_string("q2", rng.integers(0, 2, 30000), 0.99, SourceKind.QUBIT),
-            make_string("q3", rng.integers(0, 2, 10717), 0.55, SourceKind.QUBIT),
+            make_string("q2", rng.integers(0, 2, 30000), 0.99),
+            make_string("q3", rng.integers(0, 2, 10717), 0.55),
         ]
         _, key = combine_and_permute(strings, rng)
         path = tmp_path / "key.csv"

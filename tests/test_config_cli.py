@@ -21,7 +21,7 @@ from qvolt.config import (
 )
 from qvolt.model import NonlinearParams
 from qvolt.signal import AcquisitionConfig, AcquisitionMode
-from qvolt.sources import BitString, SourceKind, SourceSpec, write_bits
+from qvolt.sources import BitString, SourceSpec, write_bits
 
 MINIMAL_CFG = """\
 [run]
@@ -32,11 +32,10 @@ eps_gamma = 0
 vs = -0.306 nV
 
 [source.c1]
-kind = classical
+fidelity = 0.5
 count = 40
 
 [source.q2]
-kind = qubit
 fidelity = 0.99
 count = 20
 
@@ -102,7 +101,6 @@ class TestLoadConfig:
         assert config.seed == 99
         assert config.params.vs == pytest.approx(-0.306e-9)
         assert [s.id for s in config.sources] == ["c1", "q2"]
-        assert config.sources[0].kind is SourceKind.CLASSICAL
         assert config.acquisition.mode is AcquisitionMode.FAST
         assert config.analysis.mc_realizations == 200
 
@@ -129,6 +127,7 @@ class TestLoadConfig:
              "interpretation"),
             ("[analysis]", "[acquisition]\ncarrier_freq = 1 MHz\n\n[analysis]", "acquisition",
              "carrier_freq"),
+            ("[source.q2]", "[source.q2]\nkind = qubit", "source.q2", "kind"),
         ]:
             path = write_cfg(tmp_path, MINIMAL_CFG.replace(old, new, 1), f"{key}.cfg")
             message = f"[{section}] unknown keys: [{key!r}]"
@@ -144,7 +143,7 @@ class TestLoadConfig:
         bad = "\n".join(
             line
             for line in MINIMAL_CFG.splitlines()
-            if not line.startswith(("[source", "kind", "count", "fidelity"))
+            if not line.startswith(("[source", "count", "fidelity"))
         )
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, bad))
@@ -211,17 +210,9 @@ class TestLoadConfig:
         assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
 
-    def test_classical_fidelity_must_be_half(self, tmp_path):
-        bad = MINIMAL_CFG.replace(
-            "kind = classical\ncount = 40", "kind = classical\nfidelity = 0.9\ncount = 40"
-        )
-        with pytest.raises(ConfigError):
-            load_config(write_cfg(tmp_path, bad))
-
     @pytest.mark.parametrize(
         "old, new, section, key",
         [
-            ("[source.q2]\nkind = qubit\n", "[source.q2]\n", "[source.q2]", "kind"),
             ("count = 20\n", "", "[source.q2]", "count"),
             ("fidelity = 0.99\n", "", "[source.q2]", "fidelity"),
             ("[analysis]", "[acquisition]\nmode = slow\n\n[analysis]", "[acquisition]", "mode"),
@@ -231,7 +222,7 @@ class TestLoadConfig:
             ("[analysis]", "[acquisition]\nrecord_window = 3 s\n\n[analysis]", "[acquisition]",
              "record_window"),
         ],
-        ids=["no-kind", "no-count", "no-fidelity", "mode", "bound_rule", "mc_realizations",
+        ids=["no-count", "no-fidelity", "mode", "bound_rule", "mc_realizations",
              "record_window"],
     )
     def test_errors_name_their_section_once_and_their_key(self, tmp_path, old, new, section, key):
@@ -250,14 +241,24 @@ GUARD_SECTIONS = {
     "params": {"eps_gamma": "0", "vs": "-0.306 nV"},
     "acquisition": {"drift_rate": "1 nV/s"},
     "analysis": {"mc_realizations": "200"},
-    "source.c1": {"kind": "classical", "count": "40"},
-    "source.q2": {"kind": "qubit", "fidelity": "0.99", "count": "20"},
-    "source.q3": {"kind": "qubit", "fidelity": "0.55", "count": "20"},
+    "source.c1": {"fidelity": "0.5", "count": "40"},
+    "source.q2": {"fidelity": "0.99", "count": "20"},
+    "source.q3": {"fidelity": "0.55", "count": "20"},
 }
+
+# Every key a config file may set; the source keys as set on [source.q2]
+CONFIG_KEYS = (
+    [("run", key) for key in config._RUN_KEYS]
+    + [("source.q2", key) for key in config._SOURCE_KEYS]
+    + [(name, key) for name, (_, kinds) in config._SECTIONS.items() for key in kinds]
+)
 
 # For each config key, a value that changes an output of the guard run, and
 # the mode the run takes: waveform where the key acts only there.
 PERTURBED = {
+    ("run", "seed"): ("6", "fast"),
+    ("source.q2", "count"): ("21", "fast"),
+    ("source.q2", "fidelity"): ("0.9", "fast"),
     ("params", "eps_gamma"): ("1e-9", "fast"),
     ("params", "v1"): ("2.5 V", "fast"),
     ("params", "vs"): ("0.5 nV", "fast"),
@@ -321,21 +322,20 @@ class TestConfigTable:
 
     def test_empty_sections_load_the_dataclass_defaults(self, tmp_path):
         text = "[run]\nseed = 1\n[params]\n[acquisition]\n[analysis]\n[source.c1]\n" \
-               "kind = classical\ncount = 4\n"
+               "fidelity = 0.5\ncount = 4\n"
         loaded = load_config(write_cfg(tmp_path, text))
         assert loaded.params == NonlinearParams()
         assert loaded.acquisition == AcquisitionConfig()
         assert loaded.analysis == AnalysisSettings()
-        assert loaded.sources == (SourceSpec("c1", SourceKind.CLASSICAL, 0.5, 4),)
+        assert loaded.sources == (SourceSpec("c1", 0.5, 4),)
 
     @pytest.mark.parametrize(
         "cls, name, kind, needs",
         [
             (AcquisitionConfig, "mode", AcquisitionMode, {}),
             (AnalysisSettings, "bound_rule", BoundRule, {}),
-            (SourceSpec, "kind", SourceKind, {"id": "s1", "fidelity": 0.5, "count": 4}),
         ],
-        ids=["mode", "bound_rule", "kind"],
+        ids=["mode", "bound_rule"],
     )
     def test_enum_fields_set_from_code_are_coerced_and_checked(self, cls, name, kind, needs):
         for member in kind:
@@ -345,15 +345,22 @@ class TestConfigTable:
         with pytest.raises(ValueError, match=kind.__name__):
             cls(**needs, **{name: member.value + "t"})
 
+    @pytest.mark.parametrize(
+        "cls, name",
+        [(AcquisitionConfig, "sigma_low"), (AcquisitionConfig, "sigma_high"),
+         (AcquisitionConfig, "range_threshold"), (AcquisitionConfig, "drift_rate"),
+         (NonlinearParams, "eps_gamma")],
+        ids=["sigma_low", "sigma_high", "range_threshold", "drift_rate", "eps_gamma"],
+    )
+    def test_nan_set_from_code_is_rejected(self, cls, name):
+        with pytest.raises(ValueError):
+            cls(**{name: float("nan")})
+
     def test_seed_above_2_to_the_53_is_exact(self, tmp_path):
         text = MINIMAL_CFG.replace("seed = 99", "seed = 123456789012345678901")
         assert load_config(write_cfg(tmp_path, text)).seed == 123456789012345678901
 
-    @pytest.mark.parametrize(
-        "section, key",
-        [(name, key) for name, (_, kinds) in config._SECTIONS.items() for key in kinds],
-        ids=lambda word: word,
-    )
+    @pytest.mark.parametrize("section, key", CONFIG_KEYS, ids=lambda word: word)
     def test_every_key_changes_an_output(self, guard_run, section, key):
         if (section, key) not in PERTURBED:
             pytest.fail(f"[{section}] {key} has no entry in PERTURBED: give it a value that "
@@ -363,8 +370,7 @@ class TestConfigTable:
             f"[{section}] {key} = {value} changes no output in {mode} mode"
 
     def test_perturbed_names_only_config_keys(self):
-        keys = {(name, key) for name, (_, kinds) in config._SECTIONS.items() for key in kinds}
-        assert set(PERTURBED) <= keys
+        assert set(PERTURBED) <= set(CONFIG_KEYS)
 
 
 
@@ -573,7 +579,7 @@ class TestCliCommands:
 
     @pytest.mark.parametrize(
         "run_text, fit_text",
-        [(MINIMAL_CFG + "\n[source.q3]\nkind = qubit\nfidelity = 0.55\ncount = 30\n",
+        [(MINIMAL_CFG + "\n[source.q3]\nfidelity = 0.55\ncount = 30\n",
           MINIMAL_CFG),
          (MINIMAL_CFG, MINIMAL_CFG.replace("count = 20", "count = 21"))],
         ids=["dropped-source", "changed-count"],
@@ -593,7 +599,7 @@ class TestCliCommands:
                              ids=["one-low-reading", "no-low-reading"])
     def test_source_the_fit_cannot_weight_exit_code(self, tmp_path, capsys, bit, n_low, sem):
         text = MINIMAL_CFG.replace("count = 20", "count = 1") \
-            + "\n[source.q3]\nkind = qubit\nfidelity = 0.55\ncount = 30\n"
+            + "\n[source.q3]\nfidelity = 0.55\ncount = 30\n"
         cfg = write_cfg(tmp_path, text)
         spec = load_config(cfg).sources[1]
         for step in ("unblind-fit", "report"):
@@ -622,6 +628,15 @@ class TestCliCommands:
         assert cli.main(["blinded-summary", "--config", cfg, "--out", out]) == cli.EXIT_CONTRACT
         err = capsys.readouterr().err
         assert err == "error: no high readings to summarize (threshold 1.0 V)\n", err
+
+    def test_source_named_blinded_exit_code(self, tmp_path, capsys):
+        # its per-source histogram would overwrite the pooled histogram_blinded_low.csv
+        cfg = write_cfg(tmp_path, MINIMAL_CFG.replace("[source.q2]", "[source.blinded]"))
+        out = str(tmp_path / "out")
+        assert cli.main(["report", "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [source.blinded] source id 'blinded'"), err
+        assert not os.path.exists(out)
 
     def test_swapped_readings_rows_contract_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

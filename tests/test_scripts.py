@@ -21,11 +21,10 @@ seed = 5
 vs = -0.306 nV
 
 [source.c1]
-kind = classical
+fidelity = 0.5
 count = 400
 
 [source.q2]
-kind = qubit
 fidelity = 0.99
 count = 200
 

@@ -12,7 +12,6 @@ from qvolt.sources import (
     CountMismatchError,
     InvalidBitError,
     MalformedHeaderError,
-    SourceKind,
     SourceSpec,
     bias_diagnostics,
     generate,
@@ -22,64 +21,60 @@ from qvolt.sources import (
 
 
 class TestSourceSpec:
-    def test_classical_fidelity_pinned_to_half(self):
-        with pytest.raises(ValueError):
-            SourceSpec("c1", SourceKind.CLASSICAL, 0.6, 10)
-
     def test_rejects_out_of_range_fidelity(self):
         with pytest.raises(ValueError):
-            SourceSpec("q", SourceKind.QUBIT, 0.3, 10)
+            SourceSpec("q", 0.3, 10)
         with pytest.raises(ValueError):
-            SourceSpec("q", SourceKind.QUBIT, 1.2, 10)
+            SourceSpec("q", 1.2, 10)
 
     @pytest.mark.parametrize("sid", ["q 2", "q,2", "", "q/2", "q.2", "q\u00e9"])
     def test_rejects_ids_outside_the_id_alphabet(self, sid):
         with pytest.raises(ValueError, match="source id"):
-            SourceSpec(sid, SourceKind.QUBIT, 0.9, 10)
+            SourceSpec(sid, 0.9, 10)
 
     def test_accepts_ids_in_the_id_alphabet(self):
-        assert SourceSpec("Q_2-b9", SourceKind.QUBIT, 0.9, 10).id == "Q_2-b9"
+        assert SourceSpec("Q_2-b9", 0.9, 10).id == "Q_2-b9"
 
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError):
-            SourceSpec("q", SourceKind.QUBIT, 0.9, 0)
+            SourceSpec("q", 0.9, 0)
 
 
 class TestGenerators:
     def test_deterministic_under_fixed_seed(self):
-        a = generate(SourceSpec("c1", SourceKind.CLASSICAL, 0.5, 8), np.random.default_rng(7))
-        b = generate(SourceSpec("c1", SourceKind.CLASSICAL, 0.5, 8), np.random.default_rng(7))
+        a = generate(SourceSpec("c1", 0.5, 8), np.random.default_rng(7))
+        b = generate(SourceSpec("c1", 0.5, 8), np.random.default_rng(7))
         assert np.array_equal(a.bits, b.bits)
 
     def test_paper_classical_string(self, rng):
-        bs = generate(SourceSpec("c1", SourceKind.CLASSICAL, 0.5, 60000), rng)
+        bs = generate(SourceSpec("c1", 0.5, 60000), rng)
         assert len(bs.bits) == 60000
         assert bs.source.fidelity == 0.5
 
     def test_classical_is_fair(self):
         n = 100_000
-        bs = generate(SourceSpec("c1", SourceKind.CLASSICAL, 0.5, n), np.random.default_rng(11))
+        bs = generate(SourceSpec("c1", 0.5, n), np.random.default_rng(11))
         # 5 sigma of the binomial sd sqrt(1/(4n))
         assert abs(bs.bits.mean() - 0.5) < 5 * math.sqrt(1 / (4 * n))
 
     def test_qubit_metadata(self, rng):
-        q2 = generate(SourceSpec("q2", SourceKind.QUBIT, 0.99, 30000), rng)
+        q2 = generate(SourceSpec("q2", 0.99, 30000), rng)
         assert len(q2.bits) == 30000
         assert q2.source.fidelity == 0.99
-        q3 = generate(SourceSpec("q3", SourceKind.QUBIT, 0.55, 10717), rng)
+        q3 = generate(SourceSpec("q3", 0.55, 10717), rng)
         assert len(q3.bits) == 10717
         assert q3.source.fidelity == 0.55
 
     def test_qubit_bits_fair_regardless_of_fidelity(self):
         n = 10_000
-        bs = generate(SourceSpec("q", SourceKind.QUBIT, 0.75, n), np.random.default_rng(13))
+        bs = generate(SourceSpec("q", 0.75, n), np.random.default_rng(13))
         assert abs(bs.bits.mean() - 0.5) < 5 * math.sqrt(1 / (4 * n))
 
     def test_rejects_empty_or_bad_fidelity(self, rng):
         with pytest.raises(ValueError):
-            generate(SourceSpec("c1", SourceKind.CLASSICAL, 0.5, 0), rng)
+            generate(SourceSpec("c1", 0.5, 0), rng)
         with pytest.raises(ValueError):
-            generate(SourceSpec("q", SourceKind.QUBIT, 0.2, 10), rng)
+            generate(SourceSpec("q", 0.2, 10), rng)
 
 
 class TestBitString:
@@ -89,7 +84,7 @@ class TestBitString:
         ids=["256 wraps to 0", "fractions", "nan", "two", "minus one"],
     )
     def test_rejects_values_other_than_0_and_1(self, bits):
-        spec = SourceSpec("s", SourceKind.QUBIT, 0.8, 3)
+        spec = SourceSpec("s", 0.8, 3)
         with pytest.raises(ValueError, match="bits must be 0 or 1"):
             BitString(spec, bits)
 
@@ -97,12 +92,12 @@ class TestBitString:
         "bits", [np.array(1), [0, 1], [0, 1, 1, 0], [[0, 1, 1]]], ids=["0-d", "short", "long", "2-d"]
     )
     def test_rejects_shapes_other_than_one_bit_per_count(self, bits):
-        spec = SourceSpec("s", SourceKind.QUBIT, 0.8, 3)
+        spec = SourceSpec("s", 0.8, 3)
         with pytest.raises(ValueError, match="do not match source count 3"):
             BitString(spec, bits)
 
     def test_stores_exact_zeros_and_ones_as_uint8(self):
-        spec = SourceSpec("s", SourceKind.QUBIT, 0.8, 3)
+        spec = SourceSpec("s", 0.8, 3)
         bits = BitString(spec, [0.0, 1.0, True]).bits
         assert bits.dtype == np.uint8 and bits.tolist() == [0, 1, 1]
 
@@ -138,14 +133,12 @@ class TestBitFile:
             ingest_bits(path)
 
     def test_golden_bytes(self, tmp_path):
-        # the bit file of a small fixed string, as the writer produced it before bits were
-        # written as one buffer
-        original = BitString(
-            SourceSpec("q-2", SourceKind.QUBIT, 0.99, 6), np.array([1, 0, 0, 1, 1, 0], np.uint8)
-        )
+        # the bit file of a small fixed string; the other tests here keep the older header,
+        # which also has a kind=<word> token, to show that such files still read
+        original = BitString(SourceSpec("q-2", 0.99, 6), np.array([1, 0, 0, 1, 1, 0], np.uint8))
         path = tmp_path / "bits.txt"
         write_bits(original, path)
-        assert path.read_bytes() == b"# id=q-2 kind=qubit fidelity=0.99 n=6\n1\n0\n0\n1\n1\n0\n"
+        assert path.read_bytes() == b"# id=q-2 fidelity=0.99 n=6\n1\n0\n0\n1\n1\n0\n"
         assert ingest_bits(path) == original
 
     @pytest.mark.parametrize(
@@ -183,12 +176,30 @@ class TestBitFile:
         path.write_text("id=q n=1\n0\n")
         with pytest.raises(MalformedHeaderError):
             ingest_bits(path)
-        path.write_text("# id=q kind=banana fidelity=0.9 n=1\n0\n")
-        with pytest.raises(MalformedHeaderError):
+
+    @pytest.mark.parametrize(
+        "text",
+        ["# id=q fidelity=0.4 n=1\n0\n", "# id=q fidelity=0.9 n=0\n",
+         "# id= fidelity=0.9 n=1\n0\n"],
+        ids=["fidelity", "count", "id"],
+    )
+    def test_header_values_a_source_rejects_name_the_file(self, tmp_path, text):
+        path = tmp_path / "bits.txt"
+        path.write_text(text)
+        with pytest.raises(MalformedHeaderError, match=f"^{re.escape(str(path))}: "):
             ingest_bits(path)
 
+    @pytest.mark.parametrize("fidelity", [np.float64(0.99), np.float32(0.99)],
+                             ids=["float64", "float32"])
+    def test_round_trip_numpy_fidelity(self, tmp_path, fidelity):
+        original = BitString(SourceSpec("q", fidelity, 3), np.array([1, 0, 1], np.uint8))
+        path = tmp_path / "bits.txt"
+        write_bits(original, path)
+        assert ingest_bits(path) == original
+        assert type(original.source.fidelity) is float
+
     def test_round_trip_paper_scale(self, tmp_path, rng):
-        original = generate(SourceSpec("q3", SourceKind.QUBIT, 0.55, 10717), rng)
+        original = generate(SourceSpec("q3", 0.55, 10717), rng)
         path = tmp_path / "q3.txt"
         write_bits(original, path)
         assert ingest_bits(path) == original
@@ -196,7 +207,7 @@ class TestBitFile:
     @settings(max_examples=50)
     @given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=200))
     def test_round_trip_property(self, bits, tmp_path_factory):
-        spec = SourceSpec("s", SourceKind.QUBIT, 0.8, len(bits))
+        spec = SourceSpec("s", 0.8, len(bits))
         original = BitString(spec, np.array(bits, dtype=np.uint8))
         path = tmp_path_factory.mktemp("bits") / "b.txt"
         write_bits(original, path)
@@ -205,7 +216,7 @@ class TestBitFile:
 
 class TestBiasDiagnostics:
     def _bitstring(self, bits):
-        spec = SourceSpec("s", SourceKind.QUBIT, 0.8, len(bits))
+        spec = SourceSpec("s", 0.8, len(bits))
         return BitString(spec, np.array(bits, dtype=np.uint8))
 
     def test_all_zeros(self):
@@ -221,12 +232,12 @@ class TestBiasDiagnostics:
         assert d.z_score == 0.0
 
     def test_fair_string_within_5_sigma(self):
-        spec = SourceSpec("c1", SourceKind.CLASSICAL, 0.5, 10_000)
+        spec = SourceSpec("c1", 0.5, 10_000)
         bs = generate(spec, np.random.default_rng(21))
         assert abs(bias_diagnostics(bs).z_score) < 5
 
     def test_rejects_empty(self):
-        spec = SourceSpec("s", SourceKind.QUBIT, 0.8, 1)
+        spec = SourceSpec("s", 0.8, 1)
         bs = BitString(spec, np.array([0], dtype=np.uint8))
         object.__setattr__(bs, "bits", np.array([], dtype=np.uint8))
         with pytest.raises(ValueError):
