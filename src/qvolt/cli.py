@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: generate, run, blinded-summary, unblind-fit, report. Each takes
---config <path> and --out <dir>. Exit codes: 0 success, 2 config error,
-3 I/O error, 4 contract violation (bad data, blinding discipline, mismatched
-key, ...).
+Subcommands: generate, run, blinded-summary, unblind-fit, report, one entry
+each in COMMANDS. Each takes --config <path> and --out <dir>. A subcommand
+writes its files and returns the text it prints; `main` prints that text and
+maps errors to exit codes: 0 success, 2 config error, 3 I/O error,
+4 contract violation (bad data, blinding discipline, mismatched key, ...).
 """
 
 import argparse
@@ -38,13 +39,12 @@ def _format_summary(tag: str, s: analysis.GaussianSummary) -> str:
     )
 
 
-def cmd_generate(config: RunConfig, out: str) -> int:
+def cmd_generate(config: RunConfig, out: str) -> str:
     strings = pipeline.generate_bits(config)
     for bs in strings:
         sources.write_bits(bs, _bits_path(out, bs.source.id))
-    for bs in strings:
-        print(f"wrote {_bits_path(out, bs.source.id)} ({bs.source.count} bits)")
-    return EXIT_OK
+    return "".join(f"wrote {_bits_path(out, bs.source.id)} ({bs.source.count} bits)\n"
+                   for bs in strings)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -73,11 +73,10 @@ def _run_step(config: RunConfig, out: str):
     return readings, key
 
 
-def cmd_run(config: RunConfig, out: str) -> int:
+def cmd_run(config: RunConfig, out: str) -> str:
     readings, _ = _run_step(config, out)
-    print(f"wrote {os.path.join(out, 'readings.csv')} ({len(readings)} readings)")
-    print(f"wrote {os.path.join(out, 'key.csv')} (keep sealed until unblinding)")
-    return EXIT_OK
+    return (f"wrote {os.path.join(out, 'readings.csv')} ({len(readings)} readings)\n"
+            f"wrote {os.path.join(out, 'key.csv')} (keep sealed until unblinding)\n")
 
 
 def _blinded_step(values, config: RunConfig, out: str) -> str:
@@ -95,15 +94,9 @@ def _blinded_step(values, config: RunConfig, out: str) -> str:
     return text
 
 
-def cmd_blinded_summary(config: RunConfig, out: str, key: str | None = None) -> int:
-    if key is not None:
-        raise ValueError(
-            "blinded-summary refuses to accept a permutation key: "
-            "unblinding is a separate, explicit step"
-        )
+def cmd_blinded_summary(config: RunConfig, out: str) -> str:
     readings = signal.read_readings(os.path.join(out, "readings.csv"))
-    print(_blinded_step(readings.values, config, out), end="")
-    return EXIT_OK
+    return _blinded_step(readings.values, config, out)
 
 
 def _fit_step(values, key: blinding.BlindingKey, config: RunConfig, out: str) -> str:
@@ -142,21 +135,28 @@ def _fit_step(values, key: blinding.BlindingKey, config: RunConfig, out: str) ->
     return text
 
 
-def cmd_unblind_fit(config: RunConfig, out: str) -> int:
+def cmd_unblind_fit(config: RunConfig, out: str) -> str:
     readings = signal.read_readings(os.path.join(out, "readings.csv"))
     key = blinding.read_key(os.path.join(out, "key.csv"))
-    print(_fit_step(readings.values, key, config, out), end="")
-    return EXIT_OK
+    return _fit_step(readings.values, key, config, out)
 
 
-def cmd_report(config: RunConfig, out: str) -> int:
+def cmd_report(config: RunConfig, out: str) -> str:
     """run, blinded-summary and unblind-fit in one go, the readings passed on in memory."""
     readings, key = _run_step(config, out)
     text = _blinded_step(readings.values, config, out)
     text += "\n" + _fit_step(readings.values, key, config, out)
     _write_text(os.path.join(out, "report.txt"), text)
-    print(text, end="")
-    return EXIT_OK
+    return text
+
+
+COMMANDS = {
+    "generate": cmd_generate,
+    "run": cmd_run,
+    "blinded-summary": cmd_blinded_summary,
+    "unblind-fit": cmd_unblind_fit,
+    "report": cmd_report,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and analyze the qubit-controlled voltage switch experiment.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("generate", "run", "blinded-summary", "unblind-fit", "report"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", required=True, help="output directory")
@@ -188,17 +188,13 @@ def main(argv=None) -> int:
 
     try:
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "generate":
-            return cmd_generate(config, args.out)
-        if args.command == "run":
-            return cmd_run(config, args.out)
-        if args.command == "blinded-summary":
-            return cmd_blinded_summary(config, args.out, key=args.key)
-        if args.command == "unblind-fit":
-            return cmd_unblind_fit(config, args.out)
-        if args.command == "report":
-            return cmd_report(config, args.out)
-        raise AssertionError(args.command)
+        if getattr(args, "key", None) is not None:
+            raise ValueError(
+                "blinded-summary refuses to accept a permutation key: "
+                "unblinding is a separate, explicit step"
+            )
+        print(COMMANDS[args.command](config, args.out), end="")
+        return EXIT_OK
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

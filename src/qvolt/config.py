@@ -9,6 +9,7 @@ expected is a hard error, not a guess.
 import configparser
 from dataclasses import dataclass, field
 import math
+import operator
 import os
 import re
 
@@ -82,6 +83,10 @@ class AnalysisSettings:
 
     def __post_init__(self):
         object.__setattr__(self, "bound_rule", BoundRule(self.bound_rule))
+        object.__setattr__(self, "n_bins", operator.index(self.n_bins))
+        object.__setattr__(self, "mc_realizations", operator.index(self.mc_realizations))
+        if not math.isfinite(self.threshold):
+            raise ConfigError(f"threshold {self.threshold} is not finite")
         if not 0.0 < self.cl < 1.0:
             raise ConfigError(f"cl {self.cl} outside (0, 1)")
         if self.n_bins < 1:

@@ -23,8 +23,9 @@ class NonlinearParams:
     vs: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.eps_gamma):
-            raise ValueError(f"eps_gamma must be finite, got {self.eps_gamma}")
+        for name in ("eps_gamma", "v1", "vs"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.v1 > 0:
             raise ValueError(f"v1 must be positive, got {self.v1}")
         if not abs(self.vs) < self.v1 / 10:

@@ -55,11 +55,6 @@ class AcquisitionMode(str, Enum):
     WAVEFORM = "waveform"
 
 
-class VoltageRange(str, Enum):
-    SENSITIVE = "sensitive"
-    INSENSITIVE = "insensitive"
-
-
 @dataclass(frozen=True)
 class AcquisitionConfig:
     cycle_duration: float = 2.0  # s
@@ -74,6 +69,10 @@ class AcquisitionConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", AcquisitionMode(self.mode))
+        for name in ("cycle_duration", "record_window", "sample_rate", "filter_tau",
+                     "sigma_low", "sigma_high", "range_threshold", "drift_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("cycle_duration", "record_window", "sample_rate", "filter_tau"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -88,9 +87,6 @@ class AcquisitionConfig:
             raise ValueError("record window must contain at least 2 samples")
         if not (self.sigma_low >= 0 and self.sigma_high >= 0):
             raise ValueError("noise sigmas must be non-negative")
-        for name in ("range_threshold", "drift_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def n_cycle_samples(self) -> int:
@@ -295,7 +291,7 @@ def _on_workers(fn, items: Sequence) -> None:
 
 _READINGS_HEADER = "blinded_index,reading_volts,range"
 # the range words of the readings file, indexed by the insensitive flag
-_RANGE_WORDS = np.array([r.value for r in VoltageRange], dtype=object)
+_RANGE_WORDS = np.array(["sensitive", "insensitive"], dtype=object)
 
 
 def write_readings(readings: Readings, path: str | os.PathLike) -> None:
@@ -315,8 +311,8 @@ def read_readings(path: str | os.PathLike) -> Readings:
             fh, path, [("pos", np.int64), ("value", np.float64), ("range", "S12")]
         )
     words = rows["range"]
-    insensitive = words == VoltageRange.INSENSITIVE.value.encode()
-    unknown = np.flatnonzero(~insensitive & (words != VoltageRange.SENSITIVE.value.encode()))
+    insensitive = words == b"insensitive"
+    unknown = np.flatnonzero(~insensitive & (words != b"sensitive"))
     if unknown.size:
         row = unknown[0]
         raise ValueError(f"{path}: row {row}: unknown range {words[row].decode('latin-1')!r}")

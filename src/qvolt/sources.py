@@ -10,6 +10,7 @@ signal model.
 
 from dataclasses import dataclass
 import math
+import operator
 import os
 import re
 
@@ -45,8 +46,9 @@ class SourceSpec:
     count: int
 
     def __post_init__(self):
-        # a Python float, so the bit-file header holds a number ingest_bits reads back
+        # Python numbers, so the bit-file header holds values ingest_bits reads back
         object.__setattr__(self, "fidelity", float(self.fidelity))
+        object.__setattr__(self, "count", operator.index(self.count))
         if not _SOURCE_ID.fullmatch(self.id):
             raise ValueError(f"source id {self.id!r} is not made of A-Z, a-z, 0-9, '_' and '-'")
         if self.id == "blinded":

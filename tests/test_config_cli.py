@@ -44,6 +44,14 @@ mc_realizations = 200
 """
 
 
+# every float field of the config dataclasses, each of which must be finite
+FLOAT_FIELDS = [
+    (cls, f.name)
+    for cls in (AcquisitionConfig, NonlinearParams, AnalysisSettings)
+    for f in dataclasses.fields(cls)
+    if f.type is float
+]
+
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
@@ -345,16 +353,27 @@ class TestConfigTable:
         with pytest.raises(ValueError, match=kind.__name__):
             cls(**needs, **{name: member.value + "t"})
 
-    @pytest.mark.parametrize(
-        "cls, name",
-        [(AcquisitionConfig, "sigma_low"), (AcquisitionConfig, "sigma_high"),
-         (AcquisitionConfig, "range_threshold"), (AcquisitionConfig, "drift_rate"),
-         (NonlinearParams, "eps_gamma")],
-        ids=["sigma_low", "sigma_high", "range_threshold", "drift_rate", "eps_gamma"],
-    )
-    def test_nan_set_from_code_is_rejected(self, cls, name):
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("cls, name", FLOAT_FIELDS, ids=[name for _, name in FLOAT_FIELDS])
+    def test_nan_set_from_code_is_rejected(self, cls, name, value):
         with pytest.raises(ValueError):
-            cls(**{name: float("nan")})
+            cls(**{name: value})
+
+    @pytest.mark.parametrize(
+        "cls, name, needs",
+        [
+            (SourceSpec, "count", {"id": "q", "fidelity": 0.9}),
+            (AnalysisSettings, "n_bins", {}),
+            (AnalysisSettings, "mc_realizations", {}),
+        ],
+        ids=["count", "n_bins", "mc_realizations"],
+    )
+    def test_integer_fields_set_from_code_are_integers(self, cls, name, needs):
+        made = cls(**needs, **{name: np.int64(250)})
+        assert type(getattr(made, name)) is int and getattr(made, name) == 250
+        for value in (250.0, 250.5):
+            with pytest.raises(TypeError):
+                cls(**needs, **{name: value})
 
     def test_seed_above_2_to_the_53_is_exact(self, tmp_path):
         text = MINIMAL_CFG.replace("seed = 99", "seed = 123456789012345678901")

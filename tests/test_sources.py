@@ -198,6 +198,15 @@ class TestBitFile:
         assert ingest_bits(path) == original
         assert type(original.source.fidelity) is float
 
+    @pytest.mark.parametrize("count, bits", [(np.int64(3), [1, 0, 1]), (True, [1])],
+                             ids=["int64", "bool"])
+    def test_round_trip_integer_like_count(self, tmp_path, count, bits):
+        original = BitString(SourceSpec("q", 0.9, count), np.array(bits, np.uint8))
+        path = tmp_path / "bits.txt"
+        write_bits(original, path)
+        assert ingest_bits(path) == original
+        assert type(original.source.count) is int
+
     def test_round_trip_paper_scale(self, tmp_path, rng):
         original = generate(SourceSpec("q3", 0.55, 10717), rng)
         path = tmp_path / "q3.txt"
