@@ -162,7 +162,11 @@ def mc_errors(
     """Monte Carlo propagation: resample y_i ~ N(y_i, sigma_i), refit, report spread.
 
     Returns parameter standard deviations and the one-standard-deviation band
-    of the fitted line on an x grid for plotting.
+    of the fitted line on an x grid for plotting. A drawn line's value at x is
+    intercept + slope * x, so the band's variance at x is
+    S_ii + 2 x S_is + x^2 S_ss, with S the 2x2 sample covariance (n - 1
+    denominator) of the drawn intercepts (i) and slopes (s). Memory stays
+    O(n_real): no (n_real, BAND_POINTS) array of lines is built.
     """
     if n_real < 100:
         raise ValueError("n_real must be >= 100")
@@ -183,8 +187,9 @@ def mc_errors(
     intercepts = samples @ c_intercept
 
     band_x = np.linspace(min(x.min(), 0.0), max(x.max(), 0.5), BAND_POINTS)
-    lines = np.outer(slopes, band_x) + intercepts[:, None]
-    band_sd = lines.std(axis=0, ddof=1)
+    (s_ii, s_is), (_, s_ss) = np.cov(intercepts, slopes)
+    # rounding can take a near-zero variance below 0, where the lines' sd is 0
+    band_sd = np.sqrt(np.maximum(s_ii + 2 * band_x * s_is + band_x**2 * s_ss, 0.0))
     band_fit = nominal.intercept + nominal.slope * band_x
 
     return MCResult(

@@ -112,6 +112,14 @@ def write_key(key: BlindingKey, path: str | os.PathLike) -> None:
         write_rows(fh, "%d,%s,%d\n", np.array(key.source_ids, dtype=object)[code], index)
 
 
+class _Codes(dict):
+    """Numbers each id the first time it is looked up: 0, 1, 2, ... in order of first sight."""
+
+    def __missing__(self, sid: str) -> int:
+        self[sid] = code = len(self)
+        return code
+
+
 def read_key(path: str | os.PathLike) -> BlindingKey:
     with open_text(path, KeyFileError) as fh:
         first = fh.readline().rstrip("\n")
@@ -121,12 +129,12 @@ def read_key(path: str | os.PathLike) -> BlindingKey:
         header = fh.readline().rstrip("\n")
         if header != _KEY_HEADER:
             raise KeyFileError(f"{path}: unexpected key header {header!r}")
-        dtype = [("pos", np.int64), ("source_id", object), ("source_index", np.int64)]
-        rows = read_blinded_rows(fh, path, dtype, KeyFileError)
-    names = rows["source_id"].tolist()
-    ids = tuple(sorted(set(names)))
-    number = {sid: c for c, sid in enumerate(ids)}
-    code = np.fromiter(map(number.__getitem__, names), np.intp, len(names))
+        codes = _Codes()
+        dtype = [("pos", np.int64), ("source_id", np.intp), ("source_index", np.int64)]
+        rows = read_blinded_rows(fh, path, dtype, KeyFileError, {1: codes.__getitem__})
+    ids = tuple(sorted(codes))
+    # renumber from order of first sight to sorted order: argsort inverts the sorted ids' codes
+    code = np.argsort([codes[sid] for sid in ids])[rows["source_id"]]
     index = rows["source_index"]
     # with no negative index, one past its source's count breaks the permutation
     if (index < 0).any():

@@ -104,6 +104,7 @@ class RunConfig:
     analysis: AnalysisSettings = field(default_factory=AnalysisSettings)
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", operator.index(self.seed))
         if not self.sources:
             raise ConfigError("at least one source is required")
         ids = [s.id for s in self.sources]

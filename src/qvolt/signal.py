@@ -316,7 +316,7 @@ def read_readings(path: str | os.PathLike) -> Readings:
     if unknown.size:
         row = unknown[0]
         raise ValueError(f"{path}: row {row}: unknown range {words[row].decode('latin-1')!r}")
-    values = rows["value"]
+    values = rows["value"].copy()  # a contiguous copy, so the row array is freed on return
     non_finite = np.flatnonzero(~np.isfinite(values))
     if non_finite.size:
         row = non_finite[0]
@@ -360,12 +360,27 @@ def open_text(path: str | os.PathLike, error: type[Exception] = ValueError):
             raise
 
 
-def read_blinded_rows(fh, path, dtype, error: type[Exception] = ValueError) -> np.ndarray:
-    """The rest of a CSV file as one structured array whose first field must count the rows."""
+def read_blinded_rows(
+    fh, path, dtype, error: type[Exception] = ValueError, converters=None
+) -> np.ndarray:
+    """The rest of a CSV file as one structured array whose first field must count the rows.
+
+    `converters` maps a column to a function of its field's text, as in `np.loadtxt`.
+    `encoding=None` hands each converter a `str`; numpy before 2.0 defaults to
+    "bytes" and would hand it latin-1 bytes.
+    """
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1)
+            rows = np.loadtxt(
+                fh,
+                delimiter=",",
+                dtype=dtype,
+                comments=None,
+                ndmin=1,
+                converters=converters,
+                encoding=None,
+            )
     except UnicodeDecodeError:
         raise  # open_text names the line
     except ValueError as exc:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qvolt.analysis import (
+    BAND_POINTS,
     RegressionPoint,
     classify,
     confidence_bound,
@@ -20,6 +22,12 @@ PAPER_POINTS = (
     RegressionPoint(x=0.00, y=-0.307e-9, sigma=0.020e-9, label="c1"),
     RegressionPoint(x=0.49, y=-0.316e-9, sigma=0.029e-9, label="q2"),
     RegressionPoint(x=0.05, y=-0.302e-9, sigma=0.047e-9, label="q3"),
+)
+
+# a two-point design: the fit passes through both points, and the band pinches between them
+TWO_POINTS = (
+    RegressionPoint(x=0.1, y=1e-9, sigma=0.2e-9, label="a"),
+    RegressionPoint(x=0.4, y=-1e-9, sigma=0.5e-9, label="b"),
 )
 
 
@@ -219,7 +227,70 @@ class TestEpsFromSlope:
             self.eps_of_slope(1.0, 0.0)
 
 
+def mc_lines_reference(points, rng, n_real):
+    """The Monte Carlo band by its definition: the sd at each x of every drawn line."""
+    x = np.array([p.x for p in points])
+    y = np.array([p.y for p in points])
+    sig = np.array([p.sigma for p in points])
+    w = 1.0 / sig**2
+    sw = w.sum()
+    xw = np.dot(w, x) / sw
+    c_slope = w * (x - xw) / np.dot(w, (x - xw) ** 2)
+    c_intercept = w / sw - xw * c_slope
+    samples = rng.normal(loc=y, scale=sig, size=(n_real, len(points)))
+    slopes = samples @ c_slope
+    intercepts = samples @ c_intercept
+    fit = wls_fit(points)
+    band_x = np.linspace(min(x.min(), 0.0), max(x.max(), 0.5), BAND_POINTS)
+    lines = np.outer(slopes, band_x) + intercepts[:, None]
+    return {
+        "sd_slope": float(slopes.std(ddof=1)),
+        "sd_intercept": float(intercepts.std(ddof=1)),
+        "band_x": band_x,
+        "band_fit": fit.intercept + fit.slope * band_x,
+        "band_sd": lines.std(axis=0, ddof=1),
+    }
+
+
 class TestMcErrors:
+    @pytest.mark.parametrize("n_real", [100, 1000, 10_000])
+    @pytest.mark.parametrize("points", [PAPER_POINTS, TWO_POINTS], ids=["paper", "two points"])
+    def test_band_matches_the_lines_reference(self, points, n_real):
+        mc = mc_errors(points, np.random.default_rng(6), n_real=n_real)
+        ref = mc_lines_reference(points, np.random.default_rng(6), n_real)
+        assert mc.sd_slope == ref["sd_slope"]
+        assert mc.sd_intercept == ref["sd_intercept"]
+        assert mc.band_x.tobytes() == ref["band_x"].tobytes()
+        assert mc.band_fit.tobytes() == ref["band_fit"].tobytes()
+        # the half-widths, to 1e-12 of the reference sd at each x
+        np.testing.assert_allclose(mc.band_hi - mc.band_fit, ref["band_sd"], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(mc.band_fit - mc.band_lo, ref["band_sd"], rtol=1e-12, atol=0)
+
+    def test_near_exact_point_keeps_the_band_finite(self):
+        # every drawn line passes within 1e-20 of (0.5, 2e-9), a grid x; there the
+        # covariance form's variance rounds to -3.9e-34 with this seed
+        points = [
+            RegressionPoint(x=0.1, y=1e-9, sigma=1e-9),
+            RegressionPoint(x=0.3, y=0.0, sigma=1e-9),
+            RegressionPoint(x=0.5, y=2e-9, sigma=1e-20),
+        ]
+        mc = mc_errors(points, np.random.default_rng(0), n_real=10_000)
+        assert mc.band_x[-1] == 0.5
+        assert np.isfinite(mc.band_lo).all() and np.isfinite(mc.band_hi).all()
+        assert (mc.band_lo <= mc.band_fit).all() and (mc.band_fit <= mc.band_hi).all()
+        assert mc.band_hi[-1] - mc.band_lo[-1] < 1e-15
+
+    def test_peak_memory_stays_below_one_mib(self):
+        # a (10,000 x 51) array of drawn lines would alone take 3.9 MiB
+        mc_errors(PAPER_POINTS, np.random.default_rng(7), n_real=100)  # imports, caches
+        tracemalloc.start()
+        try:
+            mc_errors(PAPER_POINTS, np.random.default_rng(7), n_real=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_degenerate_sigmas_give_zero_spread(self):
         points = [
             RegressionPoint(x=p.x, y=p.y, sigma=1e-20 * abs(p.y)) for p in PAPER_POINTS

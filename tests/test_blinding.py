@@ -1,5 +1,6 @@
 from collections import Counter
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,62 @@ class TestKeyFile:
         assert back.entries == key.entries
         assert back.seed_descriptor == key.seed_descriptor
 
+    @pytest.mark.parametrize(
+        "ids, counts",
+        [
+            (("z", "a", "m"), [2, 3, 1]),
+            (tuple(f"s{i:04d}" for i in range(2000)), [1] * 2000),
+            (("ψ", "a", "日本"), [1, 2, 3]),
+            (("c1", "q" * 300, "q3_x"), [3, 1, 2]),
+        ],
+        ids=["first row holds the last id", "2000 one-bit sources", "UTF-8 ids", "300-char id"],
+    )
+    def test_round_trip_ids_and_counts(self, tmp_path, ids, counts):
+        n = sum(counts)
+        perm = np.random.default_rng(11).permutation(n)
+        # blinded position 0 holds the first bit of the last id in sorted order
+        j = int(np.flatnonzero(perm == sum(counts[:ids.index(max(ids))]))[0])
+        perm[[0, j]] = perm[[j, 0]]
+        key = BlindingKey(ids, counts, perm, "5/blinding")
+        path = tmp_path / "key.csv"
+        write_key(key, path)
+        assert path.read_text(encoding="utf-8").splitlines()[2].split(",")[1] == max(ids)
+        back = read_key(path)
+        assert back.entries == key.entries
+        assert back.source_ids == tuple(sorted(ids))
+        assert back.source_counts() == key.source_counts()
+
+    def test_ids_are_text_under_the_numpy_1_loadtxt_default(self, tmp_path, monkeypatch):
+        # numpy before 2.0 defaults loadtxt to encoding="bytes", which hands converters latin-1 bytes
+        loadtxt = np.loadtxt
+
+        def numpy_1_loadtxt(*args, encoding="bytes", **kwargs):
+            return loadtxt(*args, encoding=encoding, **kwargs)
+
+        key = BlindingKey(("ψ", "c1"), [2, 1], np.array([2, 0, 1]), "5/blinding")
+        path = tmp_path / "key.csv"
+        write_key(key, path)
+        monkeypatch.setattr(np, "loadtxt", numpy_1_loadtxt)
+        back = read_key(path)
+        assert back.source_ids == ("c1", "ψ")
+        assert back.entries == key.entries
+
+    @pytest.mark.parametrize(
+        "body, entries",
+        [
+            ("0,,0\n1,a,0\n", (("", 0), ("a", 0))),
+            ("0,a,0\n1,,0\n", (("a", 0), ("", 0))),
+            ("0, ,0\n", ((" ", 0),)),
+        ],
+        ids=["empty id first", "empty id last", "blank id"],
+    )
+    def test_empty_source_id_is_an_id(self, tmp_path, body, entries):
+        path = tmp_path / "key.csv"
+        path.write_text("# seed=x\nblinded_index,source_id,source_index\n" + body)
+        key = read_key(path)
+        assert key.entries == entries
+        assert key.source_ids == tuple(sorted({sid for sid, _ in entries}))
+
     def test_long_ids_and_missing_final_newline(self, tmp_path):
         # a source id longer than any fixed field width, on a last line with no newline
         sid = "s" * 300
@@ -321,3 +378,22 @@ class TestKeyFile:
         assert back.entries == key.entries
         assert back.seed_descriptor == key.seed_descriptor
         assert elapsed < 1.0
+
+    def test_read_key_peak_memory(self, tmp_path, rng):
+        # an object column of 100,717 id strings would take the peak to 10.4 MiB
+        strings = [
+            make_string("c1", rng.integers(0, 2, 60000)),
+            make_string("q2", rng.integers(0, 2, 30000), 0.99),
+            make_string("q3", rng.integers(0, 2, 10717), 0.55),
+        ]
+        _, key = combine_and_permute(strings, rng)
+        path = tmp_path / "key.csv"
+        write_key(key, path)
+        read_key(path)  # imports, caches
+        tracemalloc.start()
+        try:
+            read_key(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20

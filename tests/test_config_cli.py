@@ -15,6 +15,7 @@ from qvolt.analysis import BoundRule, HistogramResult
 from qvolt.config import (
     AnalysisSettings,
     ConfigError,
+    RunConfig,
     load_config,
     parse_number,
     parse_quantity,
@@ -365,8 +366,9 @@ class TestConfigTable:
             (SourceSpec, "count", {"id": "q", "fidelity": 0.9}),
             (AnalysisSettings, "n_bins", {}),
             (AnalysisSettings, "mc_realizations", {}),
+            (RunConfig, "seed", {"sources": (SourceSpec("q", 0.9, 3),)}),
         ],
-        ids=["count", "n_bins", "mc_realizations"],
+        ids=["count", "n_bins", "mc_realizations", "seed"],
     )
     def test_integer_fields_set_from_code_are_integers(self, cls, name, needs):
         made = cls(**needs, **{name: np.int64(250)})
@@ -374,6 +376,12 @@ class TestConfigTable:
         for value in (250.0, 250.5):
             with pytest.raises(TypeError):
                 cls(**needs, **{name: value})
+
+    def test_bool_seed_is_recorded_as_its_int(self):
+        made = RunConfig(seed=True, sources=(SourceSpec("q", 0.9, 3),))
+        assert type(made.seed) is int and made.seed == 1
+        _, key = pipeline.blind(made, pipeline.generate_bits(made))
+        assert key.seed_descriptor == "1/blinding"
 
     def test_seed_above_2_to_the_53_is_exact(self, tmp_path):
         text = MINIMAL_CFG.replace("seed = 99", "seed = 123456789012345678901")

@@ -4,6 +4,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -528,3 +529,18 @@ class TestReadingsFile:
         path.write_bytes(b"blinded_index,reading_volts,range\n" + b"".join(rows))
         with pytest.raises(ValueError, match=re.escape(f"{path}: line {row + 2}: not UTF-8")):
             read_readings(path)
+
+    def test_read_readings_keeps_no_row_array(self, tmp_path, rng):
+        # a strided view into the 28-byte rows would keep all 2.8 MiB of them alive
+        n = 100_717
+        path = tmp_path / "readings.csv"
+        write_readings(Readings(rng.normal(0.0, 1e-9, n), rng.random(n) < 0.5), path)
+        read_readings(path)  # imports, caches
+        tracemalloc.start()
+        try:
+            readings = read_readings(path)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 1.2 * 2**20
+        assert readings.values.flags.owndata and readings.values.flags.c_contiguous
