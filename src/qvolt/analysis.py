@@ -12,10 +12,10 @@ uncertainties and supplies the plot band.
 from dataclasses import dataclass
 from enum import Enum
 import math
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 BAND_POINTS = 51  # x grid of the Monte Carlo plot band
 
@@ -221,12 +221,12 @@ def confidence_bound(
     if not 0.0 < cl < 1.0:
         raise ValueError(f"confidence level {cl} outside (0, 1)")
     e = abs(eps_hat)
+    normal = NormalDist()
     if rule is BoundRule.CENTRAL:
-        z = float(ndtri((1 + cl) / 2))
-        return e + z * sigma_eps
+        return e + normal.inv_cdf((1 + cl) / 2) * sigma_eps
 
     def coverage(b):
-        return float(ndtr((b - e) / sigma_eps) - ndtr((-b - e) / sigma_eps)) - cl
+        return normal.cdf((b - e) / sigma_eps) - normal.cdf((-b - e) / sigma_eps) - cl
 
     # bisection: coverage rises with b, from -cl at 0 to >= 0 at 10 sigma past e
     lo, hi = 0.0, e + 10 * sigma_eps

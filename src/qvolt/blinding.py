@@ -6,6 +6,13 @@ position p holds bit `permutation[p]` of the sources laid end to end, in the
 order of `source_ids`, with `counts[c]` bits from source c. It lives in its
 own file, written by the run step and read only by the explicit unblinding
 step; the blinded summary must never touch it.
+
+key.csv is the contract. After writing it, `write_key` writes
+`key.csv.cache` beside it (`signal.write_cache`): the key as `read_key`
+returns it, with the sha256 of the CSV bytes and of its own payload.
+`read_key` returns the cached key when the tag and both digests match, and
+otherwise parses the CSV. Both paths build the key with `_sorted_key`: ids
+in sorted order, with the counts and the permutation renumbered to match.
 """
 
 from dataclasses import dataclass
@@ -14,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .signal import open_text, read_blinded_rows, write_rows
+from .signal import open_text, read_blinded_rows, read_cache, write_cache, write_rows
 from .sources import BitString
 
 
@@ -59,12 +66,6 @@ class BlindingKey:
     def __len__(self) -> int:
         return len(self.permutation)
 
-    @property
-    def entries(self) -> tuple:
-        """(source_id, within-source index) of each blinded position."""
-        code, index = self.origins()
-        return tuple((self.source_ids[c], i) for c, i in zip(code.tolist(), index.tolist()))
-
     def origins(self) -> tuple[np.ndarray, np.ndarray]:
         """Each blinded position's source, as an index into `source_ids`, and its index there."""
         ends = self.counts.cumsum()
@@ -106,10 +107,43 @@ _KEY_HEADER = "blinded_index,source_id,source_index"
 
 
 def write_key(key: BlindingKey, path: str | os.PathLike) -> None:
+    """Write key.csv, then its cache, which holds the key `read_key` returns.
+
+    A comma or a line break in an id, or a line break in the seed descriptor,
+    gives a key.csv that does not parse back to the key, so it gets no cache.
+    """
+    code, index = key.origins()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# seed={key.seed_descriptor}\n{_KEY_HEADER}\n")
-        code, index = key.origins()
         write_rows(fh, "%d,%s,%d\n", np.array(key.source_ids, dtype=object)[code], index)
+    if any(c in sid for sid in key.source_ids for c in ",\n\r") or any(
+        c in key.seed_descriptor for c in "\n\r"
+    ):
+        return
+    # a key with sorted ids and no empty source is already the key read back
+    if list(key.source_ids) != sorted(key.source_ids) or not key.counts.all():
+        key = _sorted_key(key.source_ids, code, index, key.seed_descriptor)
+    write_cache(path, {"source_ids": list(key.source_ids), "seed": key.seed_descriptor},
+                {"counts": key.counts, "permutation": key.permutation})
+
+
+def _sorted_key(
+    ids: Sequence[str], code: np.ndarray, index: np.ndarray, descriptor: str
+) -> BlindingKey:
+    """The key whose blinded position p holds bit index[p] of source ids[code[p]], as read back.
+
+    The ids are sorted and the codes renumbered to match; an id that no
+    position holds is left out, as it has no row in key.csv.
+    """
+    held = np.flatnonzero(np.bincount(code, minlength=len(ids)))
+    kept = sorted(held.tolist(), key=ids.__getitem__)
+    rank = np.zeros(len(ids), dtype=np.intp)
+    rank[kept] = np.arange(len(kept))
+    code = rank[code]
+    counts = np.bincount(code, minlength=len(kept))
+    permutation = (np.cumsum(counts) - counts)[code]
+    permutation += index
+    return BlindingKey(tuple(ids[c] for c in kept), counts, permutation, descriptor)
 
 
 class _Codes(dict):
@@ -121,6 +155,11 @@ class _Codes(dict):
 
 
 def read_key(path: str | os.PathLike) -> BlindingKey:
+    cached = read_cache(path, {"counts": np.intp, "permutation": np.intp})
+    if cached is not None:
+        fields, arrays = cached
+        return BlindingKey(tuple(fields["source_ids"]), arrays["counts"],
+                           arrays["permutation"], fields["seed"])
     with open_text(path, KeyFileError) as fh:
         first = fh.readline().rstrip("\n")
         if not first.startswith("# seed="):
@@ -132,15 +171,11 @@ def read_key(path: str | os.PathLike) -> BlindingKey:
         codes = _Codes()
         dtype = [("pos", np.int64), ("source_id", np.intp), ("source_index", np.int64)]
         rows = read_blinded_rows(fh, path, dtype, KeyFileError, {1: codes.__getitem__})
-    ids = tuple(sorted(codes))
-    # renumber from order of first sight to sorted order: argsort inverts the sorted ids' codes
-    code = np.argsort([codes[sid] for sid in ids])[rows["source_id"]]
     index = rows["source_index"]
     # with no negative index, one past its source's count breaks the permutation
     if (index < 0).any():
         raise KeyFileError(f"{path}: blinded position {(index < 0).argmax()}: source_index < 0")
-    counts = np.bincount(code)
     try:
-        return BlindingKey(ids, counts, (np.cumsum(counts) - counts)[code] + index, descriptor)
+        return _sorted_key(tuple(codes), rows["source_id"], index, descriptor)
     except KeyBijectionError as exc:
         raise KeyBijectionError(f"{path}: {exc}") from exc

@@ -14,7 +14,6 @@ cycle or batch of cycles is drawn on its own without drawing those before it.
 import hashlib
 
 import numpy as np
-from scipy.special import ndtri
 
 
 def derive_seed(master: int, *labels) -> int:
@@ -70,7 +69,12 @@ def normals_from_raw(raw: np.ndarray) -> np.ndarray:
     (k + 1/2) * 2**-52. Both steps are exact (the subtraction by Sterbenz's
     lemma), so u is the same float as ((k + 0.5) * 2**-52). The normals are a
     new array; `raw` is left unchanged.
+
+    scipy is imported here, at first use, so that the steps that draw no
+    noise never load it.
     """
+    from scipy.special import ndtri
+
     words = raw >> np.uint64(12)
     words |= _ONE_BITS
     u = words.view(np.float64)

@@ -20,12 +20,21 @@ synthesises only the recorded window, WAVEFORM_BATCH_CYCLES cycles at a time.
 Batches are independent, so they are dealt out to one thread per usable CPU;
 memory stays bounded at any run length, and every reading is the same
 whatever the batching or thread count.
+
+The readings file, readings.csv, is the contract between the steps. After
+writing it, `write_readings` writes `readings.csv.cache` beside it: the same
+arrays in binary, with the sha256 of the CSV bytes and of its own payload
+(`write_cache`). `read_readings` returns the cached arrays when the tag and
+both digests match, and otherwise parses the CSV; either way it returns the
+same arrays or raises the same error. Readers never write a cache.
 """
 
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 import functools
+import hashlib
+import json
 import math
 import os
 import threading
@@ -48,6 +57,11 @@ WAVEFORM_BATCH_CYCLES = 16
 # large enough to amortise the per-block cost, small enough that the argument
 # list and the formatted text stay well under a MiB.
 ROWS_PER_WRITE = 4096
+
+# The first line of a CSV's cache file; a cache with any other first line is ignored.
+CACHE_TAG = b"qvolt csv cache 1\n"
+# Bytes read per call while hashing a file: the whole file is never in memory at once.
+HASH_CHUNK = 1 << 16
 
 
 class AcquisitionMode(str, Enum):
@@ -295,13 +309,20 @@ _RANGE_WORDS = np.array(["sensitive", "insensitive"], dtype=object)
 
 
 def write_readings(readings: Readings, path: str | os.PathLike) -> None:
+    """Write readings.csv, then its cache, which holds the arrays `read_readings` returns."""
     words = _RANGE_WORDS[readings.insensitive.astype(np.intp)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_READINGS_HEADER + "\n")
         write_rows(fh, "%d,%.17e,%s\n", readings.values, words)
+    write_cache(path, {}, {"values": np.asarray(readings.values, dtype=np.float64),
+                           "insensitive": np.asarray(readings.insensitive, dtype=bool)})
 
 
 def read_readings(path: str | os.PathLike) -> Readings:
+    cached = read_cache(path, {"values": np.float64, "insensitive": bool})
+    if cached is not None:
+        arrays = cached[1]
+        return _finite_readings(path, arrays["values"], arrays["insensitive"])
     with open_text(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != _READINGS_HEADER:
@@ -316,7 +337,11 @@ def read_readings(path: str | os.PathLike) -> Readings:
     if unknown.size:
         row = unknown[0]
         raise ValueError(f"{path}: row {row}: unknown range {words[row].decode('latin-1')!r}")
-    values = rows["value"].copy()  # a contiguous copy, so the row array is freed on return
+    # a contiguous copy, so the row array is freed on return
+    return _finite_readings(path, rows["value"].copy(), insensitive)
+
+
+def _finite_readings(path, values: np.ndarray, insensitive: np.ndarray) -> Readings:
     non_finite = np.flatnonzero(~np.isfinite(values))
     if non_finite.size:
         row = non_finite[0]
@@ -341,6 +366,72 @@ def write_rows(fh, row_format: str, *columns: np.ndarray) -> None:
         for field, column in enumerate(columns, 1):
             args[field::width] = column[lo:hi].tolist()
         fh.write(row_format * (hi - lo) % tuple(args))
+
+
+def file_sha256(path: str | os.PathLike) -> bytes:
+    """The sha256 digest of a file's bytes, read HASH_CHUNK bytes at a time."""
+    digest = hashlib.sha256()
+    chunk = bytearray(HASH_CHUNK)
+    view = memoryview(chunk)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(chunk):
+            digest.update(view[:n])
+    return digest.digest()
+
+
+def cache_path(path: str | os.PathLike) -> str:
+    """Where the cache of the CSV at `path` lives: beside it, with `.cache` appended."""
+    return os.fspath(path) + ".cache"
+
+
+def write_cache(path: str | os.PathLike, fields: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write the cache of the CSV just written at `path`.
+
+    The cache is CACHE_TAG, the sha256 of the CSV's bytes on disk, the sha256
+    of the payload, then the payload: one JSON line of `fields` and each
+    array's name, dtype and length, followed by the arrays' bytes in order.
+    """
+    arrays = {name: np.ascontiguousarray(a) for name, a in arrays.items()}
+    layout = [[name, a.dtype.str, len(a)] for name, a in arrays.items()]
+    meta = json.dumps({"fields": fields, "arrays": layout}).encode() + b"\n"
+    payload = hashlib.sha256(meta)
+    for a in arrays.values():
+        payload.update(a)
+    with open(cache_path(path), "wb") as fh:
+        fh.write(CACHE_TAG + file_sha256(path) + payload.digest() + meta)
+        for a in arrays.values():
+            fh.write(a)
+
+
+def read_cache(
+    path: str | os.PathLike, dtypes: dict
+) -> tuple[dict, dict[str, np.ndarray]] | None:
+    """The fields and arrays cached for the CSV at `path`, or None if the cache does not hold them.
+
+    The cache holds them when it exists, starts with CACHE_TAG, records the
+    sha256 of the CSV as it is now and the sha256 of its own payload, and
+    lists exactly the arrays named in `dtypes`, with those dtypes. Each array
+    returned owns its data.
+    """
+    try:
+        with open(cache_path(path), "rb") as fh:
+            if fh.read(len(CACHE_TAG)) != CACHE_TAG or fh.read(32) != file_sha256(path):
+                return None
+            want = fh.read(32)
+            payload = fh.read()
+    except OSError:  # no cache, or none readable; a CSV that cannot be read fails its parse
+        return None
+    if hashlib.sha256(payload).digest() != want:
+        return None
+    start = payload.index(b"\n") + 1
+    meta = json.loads(payload[:start])
+    if [a[:2] for a in meta["arrays"]] != [[name, np.dtype(d).str] for name, d in dtypes.items()]:
+        return None
+    arrays = {}
+    for name, dtype, n in meta["arrays"]:
+        arrays[name] = np.frombuffer(payload, dtype, n, start).copy()
+        start += arrays[name].nbytes
+    return meta["fields"], arrays
 
 
 @contextmanager

@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 from qvolt.config import AnalysisSettings, RunConfig
 from qvolt.model import NonlinearParams
-from qvolt.signal import AcquisitionConfig, AcquisitionMode
+from qvolt.signal import CACHE_TAG, AcquisitionConfig, AcquisitionMode, cache_path
 from qvolt.sources import SourceSpec
 
 PAPER_SOURCES = (
@@ -45,3 +47,80 @@ def scaled_sources(factor):
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)
+
+
+def origin_pairs(key):
+    """(source_id, within-source index) of each blinded position of a key."""
+    code, index = key.origins()
+    return [(key.source_ids[c], i) for c, i in zip(code.tolist(), index.tolist())]
+
+
+def assert_key_holds(key, entries):
+    """`key` is the key of these (source_id, index) entries, one per blinded position, as read back.
+
+    Its ids are the entries' ids in sorted order, its counts and permutation
+    number the sources in that order, and `origins()` gives the entries back.
+    """
+    ids = sorted({sid for sid, _ in entries})
+    rank = {sid: c for c, sid in enumerate(ids)}
+    code = np.array([rank[sid] for sid, _ in entries], dtype=np.intp)
+    index = np.array([i for _, i in entries], dtype=np.intp)
+    counts = np.bincount(code, minlength=len(ids))
+    assert key.source_ids == tuple(ids)
+    assert key.counts.tolist() == counts.tolist()
+    assert key.permutation.tolist() == ((np.cumsum(counts) - counts)[code] + index).tolist()
+    assert [a.tolist() for a in key.origins()] == [code.tolist(), index.tolist()]
+
+
+def count_parses(monkeypatch, module):
+    """The paths that `module`'s reader parses from now on, one entry per pass of its parser."""
+    calls = []
+    parse = module.read_blinded_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(module, "read_blinded_rows", counted)
+    return calls
+
+
+def _flip(data, at):
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+# ways a cache file can fail to hold its CSV's arrays, each a function of the cache's bytes
+CACHE_DAMAGE = {
+    "wrong tag": lambda data: _flip(data, 0),
+    "wrong CSV digest": lambda data: _flip(data, len(CACHE_TAG)),
+    "wrong payload digest": lambda data: _flip(data, len(CACHE_TAG) + 32),
+    "changed payload": lambda data: _flip(data, len(data) - 1),
+    "truncated payload": lambda data: data[:-1],
+    "empty file": lambda data: b"",
+}
+
+
+class CacheState:
+    """Whether a CSV under test has the cache its writer wrote beside it."""
+
+    def __init__(self, present):
+        self.present = present
+
+    def settle(self, path):
+        """After a writer ran: remove its cache, so the reader parses, unless it is present."""
+        if not self.present:
+            os.remove(cache_path(path))
+
+    def stale(self, path, write):
+        """Before a test writes its own file at `path`: leave a cache of write(path)'s file there.
+
+        The cache records the digest of the file `write` wrote, so it must be
+        ignored once the test's file replaces that one.
+        """
+        if self.present:
+            write(path)
+
+
+@pytest.fixture(params=[True, False], ids=["cache present", "cache removed"])
+def cache(request):
+    return CacheState(request.param)

@@ -137,7 +137,7 @@ def test_criterion_7_blinding_properties():
     )
     for seed in range(n_seeds):
         _, key = combine_and_permute([base], derive_rng(seed, "acc7"))
-        order = tuple(items[[idx for _, idx in key.entries]])
+        order = tuple(items[key.origins()[1]])
         counts[order] = counts.get(order, 0) + 1
     assert len(counts) == 24
     p = 1 / 24

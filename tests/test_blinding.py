@@ -1,4 +1,6 @@
 from collections import Counter
+import os
+import pathlib
 import re
 import tracemalloc
 
@@ -7,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CACHE_DAMAGE, assert_key_holds, count_parses, origin_pairs
+from qvolt import blinding
 from qvolt.blinding import (
     BlindingKey,
     KeyBijectionError,
@@ -17,7 +21,7 @@ from qvolt.blinding import (
     write_key,
 )
 from qvolt.seeds import derive_rng
-from qvolt.signal import ROWS_PER_WRITE
+from qvolt.signal import ROWS_PER_WRITE, cache_path
 from qvolt.sources import BitString, SourceSpec
 
 
@@ -47,7 +51,7 @@ def golden_key():
 
 def key_csv_reference(key):
     """key.csv formatted one row at a time, as the writer did before it wrote blocks."""
-    body = "".join(f"{pos},{sid},{idx}\n" for pos, (sid, idx) in enumerate(key.entries))
+    body = "".join(f"{pos},{sid},{idx}\n" for pos, (sid, idx) in enumerate(origin_pairs(key)))
     return f"# seed={key.seed_descriptor}\nblinded_index,source_id,source_index\n{body}".encode()
 
 
@@ -66,8 +70,8 @@ class TestBlindingKey:
 
     def test_entries_derive_from_the_arrays(self):
         key = golden_key()
-        assert key.entries == (
-            ("q2", 1), ("c1", 0), ("q3_x", 0), ("c1", 2), ("q2", 0), ("c1", 1)
+        assert_key_holds(
+            key, [("q2", 1), ("c1", 0), ("q3_x", 0), ("c1", 2), ("q2", 0), ("c1", 1)]
         )
         assert len(key) == 6
 
@@ -109,7 +113,7 @@ class TestCombineAndPermute:
         b = make_string("b", [1], 0.99)
         blinded, key = combine_and_permute([a, b], np.random.default_rng(123))
         assert list(blinded) == [0, 1, 0]
-        assert key.entries == (("a", 0), ("b", 0), ("a", 1))
+        assert_key_holds(key, [("a", 0), ("b", 0), ("a", 1)])
 
     @pytest.mark.parametrize(
         "sizes",
@@ -140,7 +144,7 @@ class TestCombineAndPermute:
         a = make_string("a", [0, 0, 1, 1])
         for seed in range(n_seeds):
             _, key = combine_and_permute([a], derive_rng(seed, "uniformity"))
-            order = tuple(items[[idx for _, idx in key.entries]])
+            order = tuple(items[key.origins()[1]])
             counts[order] += 1
         assert len(counts) == 24
         p = 1 / 24
@@ -164,7 +168,7 @@ class TestUnblind:
         # equal the blinded positions the key assigns to each source slot
         positions = np.arange(len(key), dtype=float)
         grouped = unblind(positions, key)
-        for pos, (sid, idx) in enumerate(key.entries):
+        for pos, (sid, idx) in enumerate(origin_pairs(key)):
             assert grouped[sid][idx] == pos
 
     def test_rejects_length_mismatch(self):
@@ -190,83 +194,187 @@ class TestUnblind:
             assert np.array_equal(grouped[s.source.id], s.bits.astype(float))
 
 
+# (ids, counts) of keys whose ids are in no particular order
+ID_CASES = pytest.mark.parametrize(
+    "ids, counts",
+    [
+        (("z", "a", "m"), [2, 3, 1]),
+        (tuple(f"s{i:04d}" for i in range(2000)), [1] * 2000),
+        (("ψ", "a", "日本"), [1, 2, 3]),
+        (("c1", "q" * 300, "q3_x"), [3, 1, 2]),
+    ],
+    ids=["first row holds the last id", "2000 one-bit sources", "UTF-8 ids", "300-char id"],
+)
+
+
+def id_case_key(ids, counts):
+    """A key of these sources whose blinded position 0 holds the first bit of the last id."""
+    n = sum(counts)
+    perm = np.random.default_rng(11).permutation(n)
+    j = int(np.flatnonzero(perm == sum(counts[:ids.index(max(ids))]))[0])
+    perm[[0, j]] = perm[[j, 0]]
+    return BlindingKey(ids, counts, perm, "5/blinding")
+
+
+def paper_key(rng):
+    strings = [
+        make_string("c1", rng.integers(0, 2, 60000)),
+        make_string("q2", rng.integers(0, 2, 30000), 0.99),
+        make_string("q3", rng.integers(0, 2, 10717), 0.55),
+    ]
+    return combine_and_permute(strings, rng)[1]
+
+
+def assert_same_arrays(a, b):
+    """Two keys hold the same ids, descriptor and arrays, bit for bit and dtype for dtype."""
+    assert (a.source_ids, a.seed_descriptor) == (b.source_ids, b.seed_descriptor)
+    for x, y in ((a.counts, b.counts), (a.permutation, b.permutation)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert x.flags.owndata and x.flags.c_contiguous
+
+
+def write_golden(path):
+    write_key(golden_key(), path)
+
+
 class TestKeyFile:
-    def test_round_trip_small(self, tmp_path):
+    def test_round_trip_small(self, tmp_path, cache):
         key = BlindingKey(("a", "b"), [2, 1], [1, 2, 0], seed_descriptor="42/blinding")
         path = tmp_path / "key.csv"
         write_key(key, path)
+        cache.settle(path)
         back = read_key(path)
-        assert back.entries == key.entries
+        assert_key_holds(back, origin_pairs(key))
         assert back.seed_descriptor == key.seed_descriptor
 
-    def test_non_ascii_id_round_trips(self, tmp_path):
+    def test_non_ascii_id_round_trips(self, tmp_path, cache):
         key = BlindingKey(("ψ", "a"), [1, 2], [2, 0, 1], "7/blinding")
         path = tmp_path / "key.csv"
         write_key(key, path)
+        cache.settle(path)
         back = read_key(path)
-        assert back.entries == key.entries
+        assert_key_holds(back, origin_pairs(key))
         assert back.source_counts() == {"a": 2, "ψ": 1}
 
-    def test_golden_bytes(self, tmp_path):
+    def test_golden_bytes(self, tmp_path, cache):
         path = tmp_path / "key.csv"
         write_key(golden_key(), path)
         assert path.read_bytes() == GOLDEN_KEY_CSV.encode()
-        assert read_key(path).entries == golden_key().entries
+        cache.settle(path)
+        assert_key_holds(read_key(path), origin_pairs(golden_key()))
 
     @pytest.mark.parametrize(
         "n",
         [0, 1, ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1, 2 * ROWS_PER_WRITE + 3],
     )
-    def test_block_writer_matches_the_row_reference(self, tmp_path, rng, n):
+    def test_block_writer_matches_the_row_reference(self, tmp_path, rng, n, cache):
         ids = ("c1", "q" * 300, "q3_x")
         counts = np.bincount(rng.integers(0, len(ids), n), minlength=len(ids))
         key = BlindingKey(ids, counts, rng.permutation(n), "7/blinding")
         path = tmp_path / "key.csv"
         write_key(key, path)
         assert path.read_bytes() == key_csv_reference(key)
+        cache.settle(path)
         back = read_key(path)
-        assert back.entries == key.entries
+        assert_key_holds(back, origin_pairs(key))
         assert back.seed_descriptor == key.seed_descriptor
 
-    @pytest.mark.parametrize(
-        "ids, counts",
-        [
-            (("z", "a", "m"), [2, 3, 1]),
-            (tuple(f"s{i:04d}" for i in range(2000)), [1] * 2000),
-            (("ψ", "a", "日本"), [1, 2, 3]),
-            (("c1", "q" * 300, "q3_x"), [3, 1, 2]),
-        ],
-        ids=["first row holds the last id", "2000 one-bit sources", "UTF-8 ids", "300-char id"],
-    )
-    def test_round_trip_ids_and_counts(self, tmp_path, ids, counts):
-        n = sum(counts)
-        perm = np.random.default_rng(11).permutation(n)
-        # blinded position 0 holds the first bit of the last id in sorted order
-        j = int(np.flatnonzero(perm == sum(counts[:ids.index(max(ids))]))[0])
-        perm[[0, j]] = perm[[j, 0]]
-        key = BlindingKey(ids, counts, perm, "5/blinding")
+    @ID_CASES
+    def test_round_trip_ids_and_counts(self, tmp_path, ids, counts, cache):
+        key = id_case_key(ids, counts)
         path = tmp_path / "key.csv"
         write_key(key, path)
         assert path.read_text(encoding="utf-8").splitlines()[2].split(",")[1] == max(ids)
+        cache.settle(path)
         back = read_key(path)
-        assert back.entries == key.entries
+        assert_key_holds(back, origin_pairs(key))
         assert back.source_ids == tuple(sorted(ids))
         assert back.source_counts() == key.source_counts()
+
+    @ID_CASES
+    def test_cache_hit_is_the_parse_bit_for_bit(self, tmp_path, ids, counts):
+        path = tmp_path / "key.csv"
+        write_key(id_case_key(ids, counts), path)
+        hit = read_key(path)
+        os.remove(cache_path(path))
+        assert_same_arrays(hit, read_key(path))
+
+    def test_cache_hit_is_the_parse_bit_for_bit_at_paper_scale(self, tmp_path, rng):
+        path = tmp_path / "key.csv"
+        write_key(paper_key(rng), path)
+        hit = read_key(path)
+        os.remove(cache_path(path))
+        assert_same_arrays(hit, read_key(path))
+
+    def test_cache_hit_skips_the_parser(self, tmp_path, monkeypatch):
+        path = tmp_path / "key.csv"
+        write_golden(path)
+        parses = count_parses(monkeypatch, blinding)
+        assert_key_holds(read_key(path), origin_pairs(golden_key()))
+        assert parses == []
+
+    @pytest.mark.parametrize("damage", list(CACHE_DAMAGE), ids=list(CACHE_DAMAGE))
+    def test_damaged_cache_is_ignored_and_left_as_it_is(self, tmp_path, monkeypatch, damage):
+        path = tmp_path / "key.csv"
+        write_golden(path)
+        cached = pathlib.Path(cache_path(path))
+        cached.write_bytes(CACHE_DAMAGE[damage](cached.read_bytes()))
+        before = cached.read_bytes()
+        parses = count_parses(monkeypatch, blinding)
+        assert_key_holds(read_key(path), origin_pairs(golden_key()))
+        assert parses == [path]
+        assert cached.read_bytes() == before
+
+    def test_reading_never_writes_a_cache(self, tmp_path):
+        path = tmp_path / "key.csv"
+        write_golden(path)
+        cached = pathlib.Path(cache_path(path))
+        before = cached.read_bytes(), cached.stat().st_mtime_ns
+        read_key(path)
+        assert (cached.read_bytes(), cached.stat().st_mtime_ns) == before
+        cached.unlink()
+        read_key(path)
+        assert not cached.exists()
+
+    @pytest.mark.parametrize(
+        "ids, descriptor",
+        [(("a,b", "c"), "1/blinding"), (("a\nb", "c"), "1/blinding"), (("a", "c"), "1\r2")],
+        ids=["comma in an id", "line break in an id", "line break in the descriptor"],
+    )
+    def test_key_that_does_not_parse_back_gets_no_cache(self, tmp_path, ids, descriptor):
+        path = tmp_path / "key.csv"
+        write_key(BlindingKey(ids, [1, 1], [1, 0], descriptor), path)
+        assert not os.path.exists(cache_path(path))
+        with pytest.raises(KeyFileError):
+            read_key(path)
+
+    def test_comma_in_the_descriptor_parses_back_from_the_cache(self, tmp_path):
+        key = BlindingKey(("a", "c"), [1, 1], [1, 0], "1,2/blinding")
+        path = tmp_path / "key.csv"
+        write_key(key, path)
+        hit = read_key(path)
+        os.remove(cache_path(path))
+        assert_same_arrays(hit, read_key(path))
+        assert hit.seed_descriptor == key.seed_descriptor
 
     def test_ids_are_text_under_the_numpy_1_loadtxt_default(self, tmp_path, monkeypatch):
         # numpy before 2.0 defaults loadtxt to encoding="bytes", which hands converters latin-1 bytes
         loadtxt = np.loadtxt
+        calls = []
 
         def numpy_1_loadtxt(*args, encoding="bytes", **kwargs):
+            calls.append(encoding)
             return loadtxt(*args, encoding=encoding, **kwargs)
 
         key = BlindingKey(("ψ", "c1"), [2, 1], np.array([2, 0, 1]), "5/blinding")
         path = tmp_path / "key.csv"
         write_key(key, path)
+        os.remove(cache_path(path))  # the parser is under test
         monkeypatch.setattr(np, "loadtxt", numpy_1_loadtxt)
         back = read_key(path)
+        assert calls == [None]
         assert back.source_ids == ("c1", "ψ")
-        assert back.entries == key.entries
+        assert_key_holds(back, origin_pairs(key))
 
     @pytest.mark.parametrize(
         "body, entries",
@@ -277,40 +385,45 @@ class TestKeyFile:
         ],
         ids=["empty id first", "empty id last", "blank id"],
     )
-    def test_empty_source_id_is_an_id(self, tmp_path, body, entries):
+    def test_empty_source_id_is_an_id(self, tmp_path, body, entries, cache):
         path = tmp_path / "key.csv"
+        cache.stale(path, write_golden)
         path.write_text("# seed=x\nblinded_index,source_id,source_index\n" + body)
         key = read_key(path)
-        assert key.entries == entries
+        assert_key_holds(key, entries)
         assert key.source_ids == tuple(sorted({sid for sid, _ in entries}))
 
-    def test_long_ids_and_missing_final_newline(self, tmp_path):
+    def test_long_ids_and_missing_final_newline(self, tmp_path, cache):
         # a source id longer than any fixed field width, on a last line with no newline
         sid = "s" * 300
         path = tmp_path / "key.csv"
+        cache.stale(path, write_golden)
         path.write_text(f"# seed=x\nblinded_index,source_id,source_index\n0,a,0\n\n1,{sid},0")
         key = read_key(path)
-        assert key.entries == (("a", 0), (sid, 0))
+        assert_key_holds(key, [("a", 0), (sid, 0)])
 
     @pytest.mark.parametrize(
         "body",
         ["0,a,0,extra\n", "0,a,1.5\n", "0,a,x\n", "0.0,a,0\n"],
         ids=["four fields", "fractional index", "word index", "fractional position"],
     )
-    def test_malformed_fields_rejected(self, tmp_path, body):
+    def test_malformed_fields_rejected(self, tmp_path, body, cache):
         path = tmp_path / "key.csv"
+        cache.stale(path, write_golden)
         path.write_text("# seed=x\nblinded_index,source_id,source_index\n" + body)
         with pytest.raises(KeyFileError):
             read_key(path)
 
-    def test_rows_out_of_order_rejected(self, tmp_path):
+    def test_rows_out_of_order_rejected(self, tmp_path, cache):
         path = tmp_path / "key.csv"
+        cache.stale(path, write_golden)
         path.write_text("# seed=x\nblinded_index,source_id,source_index\n1,a,0\n0,a,1\n")
         with pytest.raises(KeyFileError, match="out of order"):
             read_key(path)
 
-    def test_duplicate_entry_rejected(self, tmp_path):
+    def test_duplicate_entry_rejected(self, tmp_path, cache):
         path = tmp_path / "key.csv"
+        cache.stale(path, write_golden)
         path.write_text(
             "# seed=x\nblinded_index,source_id,source_index\n0,a,0\n1,a,0\n"
         )
@@ -332,63 +445,58 @@ class TestKeyFile:
         ids=["index past the last source", "index past an earlier source", "index far past",
              "index at the int64 maximum", "negative index", "repeated entry"],
     )
-    def test_rejection_names_the_file_and_the_row(self, tmp_path, body, error, position):
+    def test_rejection_names_the_file_and_the_row(self, tmp_path, body, error, position, cache):
         # the blinded position of a key entry is its data row
         path = tmp_path / "key.csv"
+        cache.stale(path, write_golden)
         path.write_text("# seed=x\nblinded_index,source_id,source_index\n" + body)
         pattern = re.escape(f"{path}: blinded position") + rf"s? (\d+ and )?{position}\b"
         with pytest.raises(error, match=pattern):
             read_key(path)
 
     @pytest.mark.parametrize("row", [0, 900], ids=["first row", "past 8 KiB"])
-    def test_non_utf8_byte_names_the_file_and_line(self, tmp_path, row):
+    def test_non_utf8_byte_names_the_file_and_line(self, tmp_path, row, cache):
         rows = [f"{i},a,{i}\n".encode() for i in range(1000)]
         rows[row] = rows[row].replace(b"a", b"\xff")
         path = tmp_path / "key.csv"
+        cache.stale(path, write_golden)
         path.write_bytes(b"# seed=x\nblinded_index,source_id,source_index\n" + b"".join(rows))
         with pytest.raises(KeyFileError, match=re.escape(f"{path}: line {row + 3}: not UTF-8")):
             read_key(path)
 
-    def test_malformed_row_rejected(self, tmp_path):
+    def test_malformed_row_rejected(self, tmp_path, cache):
         path = tmp_path / "key.csv"
+        cache.stale(path, write_golden)
         path.write_text("# seed=x\nblinded_index,source_id,source_index\n0,a\n")
         with pytest.raises(KeyFileError):
             read_key(path)
 
-    def test_missing_seed_comment_rejected(self, tmp_path):
+    def test_missing_seed_comment_rejected(self, tmp_path, cache):
         path = tmp_path / "key.csv"
+        cache.stale(path, write_golden)
         path.write_text("blinded_index,source_id,source_index\n0,a,0\n")
         with pytest.raises(KeyFileError):
             read_key(path)
 
-    def test_round_trip_paper_scale(self, tmp_path, rng):
+    def test_round_trip_paper_scale(self, tmp_path, rng, cache):
         import time
 
-        strings = [
-            make_string("c1", rng.integers(0, 2, 60000)),
-            make_string("q2", rng.integers(0, 2, 30000), 0.99),
-            make_string("q3", rng.integers(0, 2, 10717), 0.55),
-        ]
-        _, key = combine_and_permute(strings, rng)
+        key = paper_key(rng)
         path = tmp_path / "key.csv"
         write_key(key, path)
+        cache.settle(path)
         start = time.perf_counter()
         back = read_key(path)
         elapsed = time.perf_counter() - start
-        assert back.entries == key.entries
+        assert_key_holds(back, origin_pairs(key))
         assert back.seed_descriptor == key.seed_descriptor
         assert elapsed < 1.0
 
-    def test_read_key_peak_memory(self, tmp_path, rng):
+    def test_read_key_peak_memory(self, tmp_path, rng, cache):
         # an object column of 100,717 id strings would take the peak to 10.4 MiB
-        strings = [
-            make_string("c1", rng.integers(0, 2, 60000)),
-            make_string("q2", rng.integers(0, 2, 30000), 0.99),
-            make_string("q3", rng.integers(0, 2, 10717), 0.55),
-        ]
-        _, key = combine_and_permute(strings, rng)
         path = tmp_path / "key.csv"
-        write_key(key, path)
+        write_key(paper_key(rng), path)
+        cache.settle(path)
         read_key(path)  # imports, caches
         tracemalloc.start()
         try:

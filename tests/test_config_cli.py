@@ -422,7 +422,7 @@ class TestReportIsTheThreeSteps:
             assert cli.main([step, "--config", cfg, "--out", steps]) == 0
         assert cli.main(["report", "--config", cfg, "--out", report]) == 0
         step_files, report_files = _digests(steps), _digests(report)
-        assert "unblind_report.txt" in step_files
+        assert {"unblind_report.txt", "readings.csv.cache", "key.csv.cache"} <= set(step_files)
         assert report_files.pop("report.txt")
         assert report_files == step_files
 
@@ -591,18 +591,24 @@ class TestCliCommands:
         code = cli.main(["blinded-summary", "--config", cfg, "--out", out])
         assert code == cli.EXIT_IO
 
-    def test_mismatched_key_contract_exit_code(self, tmp_path):
+    def test_mismatched_key_contract_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         out = str(tmp_path / "out")
         cli.main(["run", "--config", cfg, "--out", out])
-        # truncate the key: unblinding must refuse
+        # truncate the key: unblinding must refuse, whatever its cache holds
         key_path = os.path.join(out, "key.csv")
+        assert os.path.exists(key_path + ".cache")
         with open(key_path) as fh:
             lines = fh.readlines()
         with open(key_path, "w") as fh:
             fh.writelines(lines[:-5])
+        capsys.readouterr()
         code = cli.main(["unblind-fit", "--config", cfg, "--out", out])
         assert code == cli.EXIT_CONTRACT
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            rf"error: {re.escape(key_path)}: blinded position \d+: bit \d+ outside 0\.\.\d+\n", err
+        ), err
 
     @pytest.mark.parametrize(
         "run_text, fit_text",
@@ -670,6 +676,7 @@ class TestCliCommands:
         out = str(tmp_path / "out")
         assert cli.main(["run", "--config", cfg, "--out", out]) == 0
         path = os.path.join(out, "readings.csv")
+        assert os.path.exists(path + ".cache")  # of the readings before the swap
         with open(path) as fh:
             lines = fh.readlines()
         low = next(i for i, line in enumerate(lines[1:], 1) if line.endswith("sensitive\n")
@@ -712,3 +719,27 @@ class TestCliCommands:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == []
+
+    @pytest.mark.parametrize("step", [None, "generate", "blinded-summary", "unblind-fit"],
+                             ids=["import", "generate", "blinded-summary", "unblind-fit"])
+    def test_steps_that_draw_no_noise_leave_out_scipy(self, tmp_path, step):
+        # a fresh interpreter, so no module the test suite loaded counts
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "--config", cfg, "--out", out]) == 0
+        assert {"readings.csv.cache", "key.csv.cache"} <= set(os.listdir(out))
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        paths = (src, os.environ.get("PYTHONPATH"))
+        call = f"cli.main({[step, '--config', cfg, '--out', out]!r})" if step else "0"
+        probe = (
+            "import contextlib, io, sys; from qvolt import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): code = {call}\n"
+            "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p)),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0"]

@@ -1,6 +1,7 @@
 """Smoke tests: the standalone scripts run against the current library API."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -85,3 +86,19 @@ def test_benchmark_tracer_installs_and_restores_over_the_library(monkeypatch):
     assert counts["seeds.cycle_rng"] == 3
     assert [span[0] for span in tracer.spans] == ["signal.run_acquisition"]
     assert {name: getattr(signal, name) for name in originals} == originals
+
+
+def test_cli_steps_times_each_step_in_a_fresh_process(tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_CFG)
+    lines = run_script("cli_steps.py", "--config", str(cfg), "--reps", "1")
+    assert lines[0].split()[:2] == ["step", "median"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[0] for row in rows] == ["generate", "run", "blinded-summary", "unblind-fit"]
+    for _, wall, rss in rows:
+        assert float(wall) > 0 and float(rss) > 0
+    record = json.loads("\n".join(run_script(
+        "cli_steps.py", "--config", str(cfg), "--reps", "1", "--json"
+    )))
+    assert list(record["median"]) == [row[0] for row in rows]
+    assert all(len(r["wall_s"]) == len(r["peak_rss_mib"]) == 1 for r in record["per_rep"].values())

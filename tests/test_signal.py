@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import pathlib
 import re
 import sys
 import threading
@@ -9,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import CACHE_DAMAGE, count_parses
 from qvolt import signal
 from qvolt.model import NonlinearParams, expected_reading
 from qvolt.seeds import cycle_rng
@@ -18,6 +20,7 @@ from qvolt.signal import (
     AcquisitionConfig,
     AcquisitionMode,
     Readings,
+    cache_path,
     read_readings,
     reduce_cycle,
     run_acquisition,
@@ -448,26 +451,39 @@ class TestRunAcquisition:
         assert readings.values.tolist() == (level + sigma * z).tolist()
 
 
+def write_golden(path):
+    write_readings(GOLDEN_READINGS, path)
+
+
+def assert_same_readings(a, b):
+    """Two Readings hold the same arrays, bit for bit and dtype for dtype, each owning its data."""
+    for x, y in ((a.values, b.values), (a.insensitive, b.insensitive)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert x.flags.owndata and x.flags.c_contiguous
+
+
 class TestReadingsFile:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path, cache):
         readings = Readings(np.array([-0.306e-9, 3.0000001]), np.array([False, True]))
         path = tmp_path / "readings.csv"
         write_readings(readings, path)
+        cache.settle(path)
         back = read_readings(path)
         assert back.values.tolist() == readings.values.tolist()
         assert back.insensitive.tolist() == readings.insensitive.tolist()
 
-    def test_golden_bytes(self, tmp_path):
+    def test_golden_bytes(self, tmp_path, cache):
         path = tmp_path / "readings.csv"
         write_readings(GOLDEN_READINGS, path)
         assert path.read_bytes() == GOLDEN_READINGS_CSV.encode()
+        cache.settle(path)
         back = read_readings(path)
         # -0.0 == 0.0, so compare the bits of each value
         assert back.values.tobytes() == GOLDEN_READINGS.values.tobytes()
         assert back.insensitive.tolist() == GOLDEN_READINGS.insensitive.tolist()
 
     @pytest.mark.parametrize("n", WRITE_SIZES)
-    def test_block_writer_matches_the_row_reference(self, tmp_path, rng, n):
+    def test_block_writer_matches_the_row_reference(self, tmp_path, rng, n, cache):
         values = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-300, 300, n)
         k = min(n, len(SPECIAL_VALUES))
         values[:k] = SPECIAL_VALUES[:k]
@@ -475,16 +491,71 @@ class TestReadingsFile:
         path = tmp_path / "readings.csv"
         write_readings(readings, path)
         assert path.read_bytes() == readings_csv_reference(readings)
+        cache.settle(path)
         back = read_readings(path)
         assert back.values.tobytes() == values.tobytes()
         assert back.insensitive.tolist() == readings.insensitive.tolist()
 
-    def test_round_trip_is_exact_for_random_values(self, tmp_path, rng):
+    def test_round_trip_is_exact_for_random_values(self, tmp_path, rng, cache):
         values = rng.normal(0.0, 1.0, 5000) * 10.0 ** rng.integers(-300, 300, 5000)
         readings = Readings(values, values > 1.0)
         path = tmp_path / "readings.csv"
         write_readings(readings, path)
+        cache.settle(path)
         assert read_readings(path).values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("mode", list(AcquisitionMode))
+    def test_cache_hit_is_the_parse_bit_for_bit_at_paper_scale(self, tmp_path, mode):
+        bits = np.random.default_rng(5).integers(0, 2, 100_717)
+        fids = np.repeat([0.5, 0.99, 0.55], [60000, 30000, 10717])
+        cfg = AcquisitionConfig(mode=mode, drift_rate=1e-9)
+        path = tmp_path / "readings.csv"
+        write_readings(run_acquisition(bits, fids, WAVE_PARAMS, cfg, noise_seed=6), path)
+        hit = read_readings(path)
+        os.remove(cache_path(path))
+        assert_same_readings(hit, read_readings(path))
+
+    def test_cache_hit_skips_the_parser(self, tmp_path, monkeypatch):
+        path = tmp_path / "readings.csv"
+        write_golden(path)
+        parses = count_parses(monkeypatch, signal)
+        assert read_readings(path).values.tobytes() == GOLDEN_READINGS.values.tobytes()
+        assert parses == []
+
+    @pytest.mark.parametrize("damage", list(CACHE_DAMAGE), ids=list(CACHE_DAMAGE))
+    def test_damaged_cache_is_ignored_and_left_as_it_is(self, tmp_path, monkeypatch, damage):
+        path = tmp_path / "readings.csv"
+        write_golden(path)
+        cached = pathlib.Path(cache_path(path))
+        cached.write_bytes(CACHE_DAMAGE[damage](cached.read_bytes()))
+        before = cached.read_bytes()
+        parses = count_parses(monkeypatch, signal)
+        back = read_readings(path)
+        assert parses == [path]
+        assert back.values.tobytes() == GOLDEN_READINGS.values.tobytes()
+        assert back.insensitive.tolist() == GOLDEN_READINGS.insensitive.tolist()
+        assert cached.read_bytes() == before
+
+    def test_reading_never_writes_a_cache(self, tmp_path):
+        path = tmp_path / "readings.csv"
+        write_golden(path)
+        cached = pathlib.Path(cache_path(path))
+        before = cached.read_bytes(), cached.stat().st_mtime_ns
+        read_readings(path)
+        assert (cached.read_bytes(), cached.stat().st_mtime_ns) == before
+        cached.unlink()
+        read_readings(path)
+        assert not cached.exists()
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_reading_is_rejected_on_both_paths(self, tmp_path, value, cache):
+        values = np.array([1e-9, 3.0, -2e-9, value, 3.0])
+        path = tmp_path / "readings.csv"
+        write_readings(Readings(values, values > 1.0), path)
+        cache.settle(path)
+        message = re.escape(f"{path}: row 3: reading {value} is not finite")
+        with pytest.raises(ValueError, match=message):
+            read_readings(path)
 
     @pytest.mark.parametrize(
         "row",
@@ -494,25 +565,29 @@ class TestReadingsFile:
         ids=["two fields", "four fields", "capitalised range", "long range word",
              "word value", "fractional position", "nan value", "inf value"],
     )
-    def test_rejects_malformed_rows(self, tmp_path, row):
+    def test_rejects_malformed_rows(self, tmp_path, row, cache):
         path = tmp_path / "readings.csv"
+        cache.stale(path, write_golden)
         path.write_text("blinded_index,reading_volts,range\n" + row)
         with pytest.raises(ValueError):
             read_readings(path)
 
-    def test_header_only_is_empty(self, tmp_path):
+    def test_header_only_is_empty(self, tmp_path, cache):
         path = tmp_path / "readings.csv"
+        cache.stale(path, write_golden)
         path.write_text("blinded_index,reading_volts,range\n")
         assert len(read_readings(path)) == 0
 
-    def test_rejects_bad_header(self, tmp_path):
+    def test_rejects_bad_header(self, tmp_path, cache):
         path = tmp_path / "readings.csv"
+        cache.stale(path, write_golden)
         path.write_text("nope\n1,2,sensitive\n")
         with pytest.raises(ValueError):
             read_readings(path)
 
-    def test_rejects_rows_out_of_order(self, tmp_path):
+    def test_rejects_rows_out_of_order(self, tmp_path, cache):
         path = tmp_path / "readings.csv"
+        cache.stale(path, write_golden)
         path.write_text(
             "blinded_index,reading_volts,range\n"
             "1,3.0e+00,insensitive\n"
@@ -522,19 +597,21 @@ class TestReadingsFile:
             read_readings(path)
 
     @pytest.mark.parametrize("row", [0, 900], ids=["first row", "past 8 KiB"])
-    def test_non_utf8_byte_names_the_file_and_line(self, tmp_path, row):
+    def test_non_utf8_byte_names_the_file_and_line(self, tmp_path, row, cache):
         rows = [f"{i},1.0e+00,sensitive\n".encode() for i in range(1000)]
         rows[row] = rows[row].replace(b"sensitive", b"sens\xffitive")
         path = tmp_path / "readings.csv"
+        cache.stale(path, write_golden)
         path.write_bytes(b"blinded_index,reading_volts,range\n" + b"".join(rows))
         with pytest.raises(ValueError, match=re.escape(f"{path}: line {row + 2}: not UTF-8")):
             read_readings(path)
 
-    def test_read_readings_keeps_no_row_array(self, tmp_path, rng):
+    def test_read_readings_keeps_no_row_array(self, tmp_path, rng, cache):
         # a strided view into the 28-byte rows would keep all 2.8 MiB of them alive
         n = 100_717
         path = tmp_path / "readings.csv"
         write_readings(Readings(rng.normal(0.0, 1e-9, n), rng.random(n) < 0.5), path)
+        cache.settle(path)
         read_readings(path)  # imports, caches
         tracemalloc.start()
         try:
