@@ -110,16 +110,18 @@ def write_key(key: BlindingKey, path: str | os.PathLike) -> None:
     """Write key.csv, then its cache, which holds the key `read_key` returns.
 
     A comma or a line break in an id, or a line break in the seed descriptor,
-    gives a key.csv that does not parse back to the key, so it gets no cache.
+    would give a key.csv that does not parse back, so it raises ValueError
+    before the file is opened.
     """
+    for sid in key.source_ids:
+        if any(c in sid for c in ",\n\r"):
+            raise ValueError(f"{path}: source id {sid!r} holds a comma or a line break")
+    if any(c in key.seed_descriptor for c in "\n\r"):
+        raise ValueError(f"{path}: seed descriptor {key.seed_descriptor!r} holds a line break")
     code, index = key.origins()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# seed={key.seed_descriptor}\n{_KEY_HEADER}\n")
         write_rows(fh, "%d,%s,%d\n", np.array(key.source_ids, dtype=object)[code], index)
-    if any(c in sid for sid in key.source_ids for c in ",\n\r") or any(
-        c in key.seed_descriptor for c in "\n\r"
-    ):
-        return
     # a key with sorted ids and no empty source is already the key read back
     if list(key.source_ids) != sorted(key.source_ids) or not key.counts.all():
         key = _sorted_key(key.source_ids, code, index, key.seed_descriptor)

@@ -5,6 +5,10 @@ each in COMMANDS. Each takes --config <path> and --out <dir>. A subcommand
 writes its files and returns the text it prints; `main` prints that text and
 maps errors to exit codes: 0 success, 2 config error, 3 I/O error,
 4 contract violation (bad data, blinding discipline, mismatched key, ...).
+
+`report` is `run`, then `blinded-summary`, then `unblind-fit`, each reading
+the files the step before it wrote, so it goes through the same readers and
+checks as the separate steps; it adds report.txt.
 """
 
 import argparse
@@ -48,11 +52,11 @@ def cmd_generate(config: RunConfig, out: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
-def _run_step(config: RunConfig, out: str):
+def cmd_run(config: RunConfig, out: str) -> str:
     """Blind and acquire the bit files in `out` (fresh bits if none); write readings and key."""
     paths = [_bits_path(out, spec.id) for spec in config.sources]
     missing = [p for p in paths if not os.path.exists(p)]
@@ -70,18 +74,14 @@ def _run_step(config: RunConfig, out: str):
     readings = pipeline.acquire(config, blinded_bits, key)
     signal.write_readings(readings, os.path.join(out, "readings.csv"))
     blinding.write_key(key, os.path.join(out, "key.csv"))
-    return readings, key
-
-
-def cmd_run(config: RunConfig, out: str) -> str:
-    readings, _ = _run_step(config, out)
     return (f"wrote {os.path.join(out, 'readings.csv')} ({len(readings)} readings)\n"
             f"wrote {os.path.join(out, 'key.csv')} (keep sealed until unblinding)\n")
 
 
-def _blinded_step(values, config: RunConfig, out: str) -> str:
-    """Pooled low/high summary of the blinded values: histogram and blinded_summary.txt."""
-    summary = pipeline.blinded_summary(values, config)
+def cmd_blinded_summary(config: RunConfig, out: str) -> str:
+    """Pooled low/high summary of the blinded readings: histogram and blinded_summary.txt."""
+    readings = signal.read_readings(os.path.join(out, "readings.csv"))
+    summary = pipeline.blinded_summary(readings.values, config)
     _write_histogram_csv(os.path.join(out, "histogram_blinded_low.csv"), summary.low_hist)
     lines = [
         f"blinded summary of {summary.n_total} readings "
@@ -94,14 +94,11 @@ def _blinded_step(values, config: RunConfig, out: str) -> str:
     return text
 
 
-def cmd_blinded_summary(config: RunConfig, out: str) -> str:
-    readings = signal.read_readings(os.path.join(out, "readings.csv"))
-    return _blinded_step(readings.values, config, out)
-
-
-def _fit_step(values, key: blinding.BlindingKey, config: RunConfig, out: str) -> str:
+def cmd_unblind_fit(config: RunConfig, out: str) -> str:
     """Unblind, fit and bound: fit.csv, band.csv, per-source histograms, unblind_report.txt."""
-    result = pipeline.unblind_fit(values, key, config)
+    readings = signal.read_readings(os.path.join(out, "readings.csv"))
+    key = blinding.read_key(os.path.join(out, "key.csv"))
+    result = pipeline.unblind_fit(readings.values, key, config)
     fit, mc = result.fit, result.mc
     with open(os.path.join(out, "fit.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("parameter,value,sigma\n")
@@ -135,17 +132,10 @@ def _fit_step(values, key: blinding.BlindingKey, config: RunConfig, out: str) ->
     return text
 
 
-def cmd_unblind_fit(config: RunConfig, out: str) -> str:
-    readings = signal.read_readings(os.path.join(out, "readings.csv"))
-    key = blinding.read_key(os.path.join(out, "key.csv"))
-    return _fit_step(readings.values, key, config, out)
-
-
 def cmd_report(config: RunConfig, out: str) -> str:
-    """run, blinded-summary and unblind-fit in one go, the readings passed on in memory."""
-    readings, key = _run_step(config, out)
-    text = _blinded_step(readings.values, config, out)
-    text += "\n" + _fit_step(readings.values, key, config, out)
+    """run, blinded-summary and unblind-fit, each reading the files the one before wrote."""
+    cmd_run(config, out)
+    text = cmd_blinded_summary(config, out) + "\n" + cmd_unblind_fit(config, out)
     _write_text(os.path.join(out, "report.txt"), text)
     return text
 

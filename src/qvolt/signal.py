@@ -309,7 +309,12 @@ _RANGE_WORDS = np.array(["sensitive", "insensitive"], dtype=object)
 
 
 def write_readings(readings: Readings, path: str | os.PathLike) -> None:
-    """Write readings.csv, then its cache, which holds the arrays `read_readings` returns."""
+    """Write readings.csv, then its cache, which holds the arrays `read_readings` returns.
+
+    A reading that is not finite raises ValueError before the file is opened,
+    as `read_readings` would reject it.
+    """
+    _finite_readings(path, readings.values, readings.insensitive)
     words = _RANGE_WORDS[readings.insensitive.astype(np.intp)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_READINGS_HEADER + "\n")

@@ -1,4 +1,4 @@
-"""Control bit string generation, serialization, and sanity diagnostics.
+"""Control bit string generation and serialization.
 
 A source is an id, a readout fidelity and a bit count. The classical
 random-bit generator is the source at fidelity 1/2, the systematics control;
@@ -9,7 +9,6 @@ signal model.
 """
 
 from dataclasses import dataclass
-import math
 import operator
 import os
 import re
@@ -133,25 +132,3 @@ def ingest_bits(path: str | os.PathLike) -> BitString:
             f"{path}: header declares n={spec.count} but body has {len(bits)} bits"
         )
     return BitString(source=spec, bits=bits)
-
-
-@dataclass(frozen=True)
-class BiasDiagnostics:
-    ones_fraction: float
-    longest_run: int
-    z_score: float
-
-
-def bias_diagnostics(bitstring: BitString) -> BiasDiagnostics:
-    """Sanity screen: ones fraction, longest run of equal bits, binomial z-score."""
-    bits = bitstring.bits
-    n = len(bits)
-    if n == 0:
-        raise ValueError("empty bit string")
-    ones = int(bits.sum())
-    # run lengths from positions where the value changes
-    changes = np.flatnonzero(np.diff(bits.astype(np.int8)))
-    boundaries = np.concatenate(([-1], changes, [n - 1]))
-    longest = int(np.max(np.diff(boundaries)))
-    z = (ones - n / 2) / math.sqrt(n / 4)
-    return BiasDiagnostics(ones_fraction=ones / n, longest_run=longest, z_score=z)

@@ -341,12 +341,12 @@ class TestKeyFile:
         [(("a,b", "c"), "1/blinding"), (("a\nb", "c"), "1/blinding"), (("a", "c"), "1\r2")],
         ids=["comma in an id", "line break in an id", "line break in the descriptor"],
     )
-    def test_key_that_does_not_parse_back_gets_no_cache(self, tmp_path, ids, descriptor):
+    def test_writer_refuses_a_key_that_would_not_parse_back(self, tmp_path, ids, descriptor):
         path = tmp_path / "key.csv"
-        write_key(BlindingKey(ids, [1, 1], [1, 0], descriptor), path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*line break"):
+            write_key(BlindingKey(ids, [1, 1], [1, 0], descriptor), path)
+        assert not path.exists()
         assert not os.path.exists(cache_path(path))
-        with pytest.raises(KeyFileError):
-            read_key(path)
 
     def test_comma_in_the_descriptor_parses_back_from_the_cache(self, tmp_path):
         key = BlindingKey(("a", "c"), [1, 1], [1, 0], "1,2/blinding")

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from qvolt import cli, config, pipeline
+from qvolt import blinding, cli, config, pipeline, signal
 from qvolt.analysis import BoundRule, HistogramResult
 from qvolt.config import (
     AnalysisSettings,
@@ -415,6 +415,20 @@ def _read(path):
 
 
 class TestReportIsTheThreeSteps:
+    def test_report_reads_back_the_files_run_wrote(self, tmp_path, monkeypatch):
+        reads = []
+        for module, name in ((signal, "read_readings"), (blinding, "read_key")):
+            def spy(path, read=getattr(module, name), name=name):
+                reads.append((name, os.path.basename(path)))
+                return read(path)
+
+            monkeypatch.setattr(module, name, spy)
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["report", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        # blinded-summary reads the readings, then unblind-fit reads them and the key
+        assert reads == [("read_readings", "readings.csv"), ("read_readings", "readings.csv"),
+                         ("read_key", "key.csv")]
+
     def test_report_writes_what_the_steps_write(self, tmp_path):
         cfg = write_cfg(tmp_path)
         steps, report = str(tmp_path / "steps"), str(tmp_path / "report")
@@ -487,8 +501,9 @@ class TestTableWriters:
 
     def test_fit_step_tables_match_the_row_reference(self, tmp_path):
         config = load_config(write_cfg(tmp_path))
-        readings, key, _, result = pipeline.run_pipeline(config)
-        cli._fit_step(readings.values, key, config, str(tmp_path))
+        _, _, _, result = pipeline.run_pipeline(config)
+        cli.cmd_run(config, str(tmp_path))
+        cli.cmd_unblind_fit(config, str(tmp_path))
         assert (tmp_path / "band.csv").read_bytes() == band_csv_reference(result.mc)
         for sid, hist in result.per_source_hist.items():
             written = (tmp_path / f"histogram_{sid}_low.csv").read_bytes()

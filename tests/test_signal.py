@@ -550,12 +550,27 @@ class TestReadingsFile:
     @pytest.mark.parametrize("value", [math.nan, -math.inf])
     def test_non_finite_reading_is_rejected_on_both_paths(self, tmp_path, value, cache):
         values = np.array([1e-9, 3.0, -2e-9, value, 3.0])
+        insensitive = values > 1.0
         path = tmp_path / "readings.csv"
-        write_readings(Readings(values, values > 1.0), path)
+        # written by hand, as write_readings refuses these values
+        rows = "".join(f"{i},{v!r},{'insensitive' if hi else 'sensitive'}\n"
+                       for i, (v, hi) in enumerate(zip(values.tolist(), insensitive)))
+        path.write_text("blinded_index,reading_volts,range\n" + rows)
+        signal.write_cache(path, {}, {"values": values, "insensitive": insensitive})
         cache.settle(path)
         message = re.escape(f"{path}: row 3: reading {value} is not finite")
         with pytest.raises(ValueError, match=message):
             read_readings(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_writer_refuses_a_non_finite_reading(self, tmp_path, value):
+        values = np.array([1e-9, 3.0, -2e-9, value, 3.0])
+        path = tmp_path / "readings.csv"
+        message = re.escape(f"{path}: row 3: reading {value} is not finite")
+        with pytest.raises(ValueError, match=message):
+            write_readings(Readings(values, values > 1.0), path)
+        assert not path.exists()
+        assert not os.path.exists(cache_path(path))
 
     @pytest.mark.parametrize(
         "row",

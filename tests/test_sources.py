@@ -13,7 +13,6 @@ from qvolt.sources import (
     InvalidBitError,
     MalformedHeaderError,
     SourceSpec,
-    bias_diagnostics,
     generate,
     ingest_bits,
     write_bits,
@@ -222,32 +221,3 @@ class TestBitFile:
         write_bits(original, path)
         assert ingest_bits(path) == original
 
-
-class TestBiasDiagnostics:
-    def _bitstring(self, bits):
-        spec = SourceSpec("s", 0.8, len(bits))
-        return BitString(spec, np.array(bits, dtype=np.uint8))
-
-    def test_all_zeros(self):
-        d = bias_diagnostics(self._bitstring([0] * 10))
-        assert d.ones_fraction == 0.0
-        assert d.longest_run == 10
-        assert d.z_score == pytest.approx(-math.sqrt(10))
-
-    def test_alternating(self):
-        d = bias_diagnostics(self._bitstring([0, 1] * 5))
-        assert d.ones_fraction == 0.5
-        assert d.longest_run == 1
-        assert d.z_score == 0.0
-
-    def test_fair_string_within_5_sigma(self):
-        spec = SourceSpec("c1", 0.5, 10_000)
-        bs = generate(spec, np.random.default_rng(21))
-        assert abs(bias_diagnostics(bs).z_score) < 5
-
-    def test_rejects_empty(self):
-        spec = SourceSpec("s", 0.8, 1)
-        bs = BitString(spec, np.array([0], dtype=np.uint8))
-        object.__setattr__(bs, "bits", np.array([], dtype=np.uint8))
-        with pytest.raises(ValueError):
-            bias_diagnostics(bs)
