@@ -25,14 +25,6 @@ from .signal import open_text, read_blinded_rows, read_cache, write_cache, write
 from .sources import BitString
 
 
-class KeyFileError(ValueError):
-    """Malformed key file content."""
-
-
-class KeyBijectionError(ValueError):
-    """Key entries do not form a bijection onto the sources."""
-
-
 @dataclass(frozen=True, eq=False)
 class BlindingKey:
     """The blinding permutation over the sources laid end to end, and the sources' sizes."""
@@ -50,18 +42,18 @@ class BlindingKey:
             object.__setattr__(self, name, value)
         n = len(perm)
         if len(set(ids)) != len(ids) or counts.shape != (len(ids),) or perm.ndim != 1:
-            raise KeyBijectionError("need distinct ids, a count for each and a 1-D permutation")
+            raise ValueError("need distinct ids, a count for each and a 1-D permutation")
         sizes = counts.tolist()  # one per source, so cheaper to check in Python
         if min(sizes, default=0) < 0 or sum(sizes) != n:
-            raise KeyBijectionError(f"source counts {sizes} do not split {n} positions")
+            raise ValueError(f"source counts {sizes} do not split {n} positions")
         outside = perm.view(np.uintp) >= n  # as unsigned, a negative entry is >= n too
         if np.count_nonzero(outside):
             p = outside.argmax()
-            raise KeyBijectionError(f"blinded position {p}: bit {perm[p]} outside 0..{n - 1}")
+            raise ValueError(f"blinded position {p}: bit {perm[p]} outside 0..{n - 1}")
         hits = np.bincount(perm, minlength=n)
         if np.count_nonzero(hits) < n:  # n entries in 0..n-1 miss a bit only if one repeats
             p, q = np.flatnonzero(perm == perm[(hits[perm] > 1).argmax()])[:2]
-            raise KeyBijectionError(f"blinded positions {p} and {q} both hold bit {perm[p]}")
+            raise ValueError(f"blinded positions {p} and {q} both hold bit {perm[p]}")
 
     def __len__(self) -> int:
         return len(self.permutation)
@@ -122,9 +114,7 @@ def write_key(key: BlindingKey, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# seed={key.seed_descriptor}\n{_KEY_HEADER}\n")
         write_rows(fh, "%d,%s,%d\n", np.array(key.source_ids, dtype=object)[code], index)
-    # a key with sorted ids and no empty source is already the key read back
-    if list(key.source_ids) != sorted(key.source_ids) or not key.counts.all():
-        key = _sorted_key(key.source_ids, code, index, key.seed_descriptor)
+    key = _sorted_key(key.source_ids, code, index, key.seed_descriptor)
     write_cache(path, {"source_ids": list(key.source_ids), "seed": key.seed_descriptor},
                 {"counts": key.counts, "permutation": key.permutation})
 
@@ -162,22 +152,22 @@ def read_key(path: str | os.PathLike) -> BlindingKey:
         fields, arrays = cached
         return BlindingKey(tuple(fields["source_ids"]), arrays["counts"],
                            arrays["permutation"], fields["seed"])
-    with open_text(path, KeyFileError) as fh:
+    with open_text(path) as fh:
         first = fh.readline().rstrip("\n")
         if not first.startswith("# seed="):
-            raise KeyFileError(f"{path}: missing '# seed=' comment line")
+            raise ValueError(f"{path}: missing '# seed=' comment line")
         descriptor = first[len("# seed="):]
         header = fh.readline().rstrip("\n")
         if header != _KEY_HEADER:
-            raise KeyFileError(f"{path}: unexpected key header {header!r}")
+            raise ValueError(f"{path}: unexpected key header {header!r}")
         codes = _Codes()
         dtype = [("pos", np.int64), ("source_id", np.intp), ("source_index", np.int64)]
-        rows = read_blinded_rows(fh, path, dtype, KeyFileError, {1: codes.__getitem__})
+        rows = read_blinded_rows(fh, path, dtype, {1: codes.__getitem__})
     index = rows["source_index"]
     # with no negative index, one past its source's count breaks the permutation
     if (index < 0).any():
-        raise KeyFileError(f"{path}: blinded position {(index < 0).argmax()}: source_index < 0")
+        raise ValueError(f"{path}: blinded position {(index < 0).argmax()}: source_index < 0")
     try:
         return _sorted_key(tuple(codes), rows["source_id"], index, descriptor)
-    except KeyBijectionError as exc:
-        raise KeyBijectionError(f"{path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

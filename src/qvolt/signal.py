@@ -440,8 +440,8 @@ def read_cache(
 
 
 @contextmanager
-def open_text(path: str | os.PathLike, error: type[Exception] = ValueError):
-    """Open a file as UTF-8 text; a byte that does not decode raises `error`, naming its line."""
+def open_text(path: str | os.PathLike):
+    """Open a file as UTF-8 text; a byte that does not decode is a ValueError naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             yield fh
@@ -452,15 +452,15 @@ def open_text(path: str | os.PathLike, error: type[Exception] = ValueError):
                 data.decode("utf-8")
             except UnicodeDecodeError as exc:
                 line = data.count(b"\n", 0, exc.start) + 1
-                raise error(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+                raise ValueError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
             raise
 
 
-def read_blinded_rows(
-    fh, path, dtype, error: type[Exception] = ValueError, converters=None
-) -> np.ndarray:
+def read_blinded_rows(fh, path, dtype, converters=None) -> np.ndarray:
     """The rest of a CSV file as one structured array whose first field must count the rows.
 
+    A field that does not parse, or a first field out of order, is a
+    ValueError naming `path` (and the row, when out of order).
     `converters` maps a column to a function of its field's text, as in `np.loadtxt`.
     `encoding=None` hands each converter a `str`; numpy before 2.0 defaults to
     "bytes" and would hand it latin-1 bytes.
@@ -480,10 +480,10 @@ def read_blinded_rows(
     except UnicodeDecodeError:
         raise  # open_text names the line
     except ValueError as exc:
-        raise error(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     pos = rows[rows.dtype.names[0]]
     misplaced = np.flatnonzero(pos != np.arange(len(pos)))
     if misplaced.size:
         row = misplaced[0]
-        raise error(f"{path}: row {row}: blinded_index {pos[row]} out of order")
+        raise ValueError(f"{path}: row {row}: blinded_index {pos[row]} out of order")
     return rows

@@ -22,22 +22,6 @@ from .signal import open_text
 _SOURCE_ID = re.compile(r"[A-Za-z0-9_-]+")
 
 
-class BitFileError(ValueError):
-    """Base class for bit-file parsing failures."""
-
-
-class MalformedHeaderError(BitFileError):
-    pass
-
-
-class InvalidBitError(BitFileError):
-    pass
-
-
-class CountMismatchError(BitFileError):
-    pass
-
-
 @dataclass(frozen=True)
 class SourceSpec:
     id: str
@@ -98,22 +82,22 @@ def write_bits(bitstring: BitString, path: str | os.PathLike) -> None:
 
 def ingest_bits(path: str | os.PathLike) -> BitString:
     """Parse a bit file back into a BitString; header and body validated strictly."""
-    with open_text(path, BitFileError) as fh:
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n")
         body = fh.read()
 
     if not header.startswith("# "):
-        raise MalformedHeaderError(f"{path}: missing '# ' header line")
+        raise ValueError(f"{path}: missing '# ' header line")
     fields = {}
     for token in header[2:].split():
         if "=" not in token:
-            raise MalformedHeaderError(f"{path}: bad header token {token!r}")
+            raise ValueError(f"{path}: bad header token {token!r}")
         key, value = token.split("=", 1)
         fields[key] = value
     try:
         spec = SourceSpec(fields["id"], float(fields["fidelity"]), int(fields["n"]))
     except (KeyError, ValueError) as exc:
-        raise MalformedHeaderError(f"{path}: invalid header fields: {exc}") from exc
+        raise ValueError(f"{path}: invalid header fields: {exc}") from exc
 
     # a valid body alternates a digit and a newline; the last newline is optional
     if body and not body.endswith("\n"):
@@ -125,10 +109,10 @@ def ingest_bits(path: str | os.PathLike) -> BitString:
     if bad.size:
         start = int(bad[0]) - int(bad[0]) % 2
         line = body[start:body.index("\n", start)]
-        raise InvalidBitError(f"{path}: line {start // 2 + 2}: expected '0' or '1', got {line!r}")
+        raise ValueError(f"{path}: line {start // 2 + 2}: expected '0' or '1', got {line!r}")
     bits = chars[0::2] - np.uint8(ord("0"))
     if len(bits) != spec.count:
-        raise CountMismatchError(
+        raise ValueError(
             f"{path}: header declares n={spec.count} but body has {len(bits)} bits"
         )
     return BitString(source=spec, bits=bits)

@@ -13,8 +13,6 @@ from conftest import CACHE_DAMAGE, assert_key_holds, count_parses, origin_pairs
 from qvolt import blinding
 from qvolt.blinding import (
     BlindingKey,
-    KeyBijectionError,
-    KeyFileError,
     combine_and_permute,
     read_key,
     unblind,
@@ -55,13 +53,16 @@ def key_csv_reference(key):
     return f"# seed={key.seed_descriptor}\nblinded_index,source_id,source_index\n{body}".encode()
 
 
+SHAPE_MESSAGE = "need distinct ids, a count for each and a 1-D permutation"
+
+
 class TestBlindingKey:
     def test_rejects_duplicate_entry(self):
-        with pytest.raises(KeyBijectionError):
+        with pytest.raises(ValueError, match="^blinded positions 0 and 1 both hold bit 0$"):
             BlindingKey(("a",), [2], [0, 0])
 
     def test_rejects_index_gap(self):
-        with pytest.raises(KeyBijectionError):
+        with pytest.raises(ValueError, match=r"^blinded position 1: bit 2 outside 0\.\.1$"):
             BlindingKey(("a",), [2], [0, 2])
 
     def test_source_counts(self):
@@ -76,18 +77,20 @@ class TestBlindingKey:
         assert len(key) == 6
 
     @pytest.mark.parametrize(
-        "ids, counts, permutation",
+        "ids, counts, permutation, message",
         [
-            (("a",), [1, 1], [0, 1]),  # a count with no source id
-            (("a", "b"), [3, -1], [0, 1]),  # negative count
-            (("a",), [2], [1, -1]),  # negative slot
-            (("a", "a"), [1, 1], [0, 1]),  # duplicate source id
-            (("a",), [2], [0]),  # counts do not sum to the positions
-            (("a", "b"), [2, 2], [0, 3, 3, 1]),  # b: index 1 twice, 0 missing
+            (("a",), [1, 1], [0, 1], SHAPE_MESSAGE),
+            (("a", "b"), [3, -1], [0, 1], "source counts [3, -1] do not split 2 positions"),
+            (("a",), [2], [1, -1], "blinded position 1: bit -1 outside 0..1"),
+            (("a", "a"), [1, 1], [0, 1], SHAPE_MESSAGE),
+            (("a",), [2], [0], "source counts [2] do not split 1 positions"),
+            (("a", "b"), [2, 2], [0, 3, 3, 1], "blinded positions 1 and 2 both hold bit 3"),
         ],
+        ids=["count with no source id", "negative count", "negative slot", "duplicate source id",
+             "counts do not sum to the positions", "b: index 1 twice, 0 missing"],
     )
-    def test_rejects_non_bijections(self, ids, counts, permutation):
-        with pytest.raises(KeyBijectionError):
+    def test_rejects_non_bijections(self, ids, counts, permutation, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             BlindingKey(ids, counts, permutation)
 
 
@@ -403,22 +406,27 @@ class TestKeyFile:
         assert_key_holds(key, [("a", 0), (sid, 0)])
 
     @pytest.mark.parametrize(
-        "body",
-        ["0,a,0,extra\n", "0,a,1.5\n", "0,a,x\n", "0.0,a,0\n"],
+        "body, message",
+        [
+            ("0,a,0,extra\n", "requires 3 columns but 4 were found at row 1"),
+            ("0,a,1.5\n", "could not convert string '1.5' to int64 at row 0, column 3"),
+            ("0,a,x\n", "could not convert string 'x' to int64 at row 0, column 3"),
+            ("0.0,a,0\n", "could not convert string '0.0' to int64 at row 0, column 1"),
+        ],
         ids=["four fields", "fractional index", "word index", "fractional position"],
     )
-    def test_malformed_fields_rejected(self, tmp_path, body, cache):
+    def test_malformed_fields_rejected(self, tmp_path, body, message, cache):
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
         path.write_text("# seed=x\nblinded_index,source_id,source_index\n" + body)
-        with pytest.raises(KeyFileError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
             read_key(path)
 
     def test_rows_out_of_order_rejected(self, tmp_path, cache):
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
         path.write_text("# seed=x\nblinded_index,source_id,source_index\n1,a,0\n0,a,1\n")
-        with pytest.raises(KeyFileError, match="out of order"):
+        with pytest.raises(ValueError, match="out of order"):
             read_key(path)
 
     def test_duplicate_entry_rejected(self, tmp_path, cache):
@@ -427,31 +435,33 @@ class TestKeyFile:
         path.write_text(
             "# seed=x\nblinded_index,source_id,source_index\n0,a,0\n1,a,0\n"
         )
-        with pytest.raises(KeyBijectionError):
+        message = f"{path}: blinded positions 0 and 1 both hold bit 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_key(path)
 
     @pytest.mark.parametrize(
-        "body, error, position",
+        "body, tail, position",
         [
-            ("0,a,0\n1,b,0\n2,b,2\n", KeyBijectionError, 2),
-            ("0,a,0\n1,b,0\n2,a,2\n", KeyBijectionError, 2),
+            ("0,a,0\n1,b,0\n2,b,2\n", "outside 0..", 2),
+            ("0,a,0\n1,b,0\n2,a,2\n", "both hold bit", 2),
             # rejected before any per-bit count would need 2**40 bins
-            (f"0,a,0\n1,a,{2**40}\n", KeyBijectionError, 1),
+            (f"0,a,0\n1,a,{2**40}\n", "outside 0..", 1),
             # the source's offset plus this index wraps below zero in int64
-            (f"0,a,0\n1,b,0\n2,b,{2**63 - 1}\n", KeyBijectionError, 2),
-            ("0,a,0\n1,b,-1\n", KeyFileError, 1),
-            ("0,b,0\n1,a,0\n2,b,0\n", KeyBijectionError, 2),
+            (f"0,a,0\n1,b,0\n2,b,{2**63 - 1}\n", "outside 0..", 2),
+            # a file error, found before the key's bijection check
+            ("0,a,0\n1,b,-1\n", "source_index < 0", 1),
+            ("0,b,0\n1,a,0\n2,b,0\n", "both hold bit", 2),
         ],
         ids=["index past the last source", "index past an earlier source", "index far past",
              "index at the int64 maximum", "negative index", "repeated entry"],
     )
-    def test_rejection_names_the_file_and_the_row(self, tmp_path, body, error, position, cache):
+    def test_rejection_names_the_file_and_the_row(self, tmp_path, body, tail, position, cache):
         # the blinded position of a key entry is its data row
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
         path.write_text("# seed=x\nblinded_index,source_id,source_index\n" + body)
         pattern = re.escape(f"{path}: blinded position") + rf"s? (\d+ and )?{position}\b"
-        with pytest.raises(error, match=pattern):
+        with pytest.raises(ValueError, match=pattern + ".*" + re.escape(tail)):
             read_key(path)
 
     @pytest.mark.parametrize("row", [0, 900], ids=["first row", "past 8 KiB"])
@@ -461,21 +471,23 @@ class TestKeyFile:
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
         path.write_bytes(b"# seed=x\nblinded_index,source_id,source_index\n" + b"".join(rows))
-        with pytest.raises(KeyFileError, match=re.escape(f"{path}: line {row + 3}: not UTF-8")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {row + 3}: not UTF-8")):
             read_key(path)
 
     def test_malformed_row_rejected(self, tmp_path, cache):
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
         path.write_text("# seed=x\nblinded_index,source_id,source_index\n0,a\n")
-        with pytest.raises(KeyFileError):
+        message = "requires 3 columns but 2 were found at row 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
             read_key(path)
 
     def test_missing_seed_comment_rejected(self, tmp_path, cache):
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
         path.write_text("blinded_index,source_id,source_index\n0,a,0\n")
-        with pytest.raises(KeyFileError):
+        message = f"{path}: missing '# seed=' comment line"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_key(path)
 
     def test_round_trip_paper_scale(self, tmp_path, rng, cache):

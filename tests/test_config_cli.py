@@ -705,6 +705,44 @@ class TestCliCommands:
         assert "out of order" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "fit.csv"))
 
+    @pytest.mark.parametrize(
+        "step, name, line, field, text, message",
+        [
+            ("run", "bits_c1.txt", 5, 0, b"2", "line 5: expected '0' or '1', got '2'"),
+            ("run", "bits_c1.txt", 1, 0, b"# id=c1 fidelity=0.5 n=abc",
+             "invalid header fields: invalid literal for int() with base 10: 'abc'"),
+            ("blinded-summary", "readings.csv", 5, 2, b"sensitiv",
+             "row 3: unknown range 'sensitiv'"),
+            ("unblind-fit", "key.csv", 5, 2, b"-1", "blinded position 2: source_index < 0"),
+            ("run", "bits_c1.txt", 5, 0, b"\xff", "line 5: not UTF-8 text (invalid start byte)"),
+            ("blinded-summary", "readings.csv", 5, 2, b"\xff",
+             "line 5: not UTF-8 text (invalid start byte)"),
+            ("unblind-fit", "key.csv", 5, 1, b"\xff",
+             "line 5: not UTF-8 text (invalid start byte)"),
+        ],
+        ids=["bit 2", "header n=abc", "range sensitiv", "negative source_index",
+             "bit file byte ff", "readings byte ff", "key byte ff"],
+    )
+    def test_bad_input_file_contract_exit_code(
+        self, tmp_path, capsys, step, name, line, field, text, message
+    ):
+        # the field-th comma-separated field of the line-th line is replaced by text
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "out")
+        first = "generate" if step == "run" else "run"
+        assert cli.main([first, "--config", cfg, "--out", out]) == 0
+        path = os.path.join(out, name)
+        with open(path, "rb") as fh:
+            lines = fh.readlines()
+        fields = lines[line - 1].rstrip(b"\n").split(b",")
+        fields[field] = text
+        lines[line - 1] = b",".join(fields) + b"\n"
+        with open(path, "wb") as fh:
+            fh.writelines(lines)
+        capsys.readouterr()
+        assert cli.main([step, "--config", cfg, "--out", out]) == cli.EXIT_CONTRACT
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_report_blinded_section_equals_blinded_summary(self, tmp_path):
         cfg = write_cfg(tmp_path)
         out = str(tmp_path / "out")
