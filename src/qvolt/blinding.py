@@ -21,7 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .signal import open_text, read_blinded_rows, read_cache, write_cache, write_rows
+from .signal import (
+    int_field, open_text, read_blinded_rows, read_cache, text_field, write_cache, write_csv,
+)
 from .sources import BitString
 
 
@@ -111,11 +113,15 @@ def write_key(key: BlindingKey, path: str | os.PathLike) -> None:
     if any(c in key.seed_descriptor for c in "\n\r"):
         raise ValueError(f"{path}: seed descriptor {key.seed_descriptor!r} holds a line break")
     code, index = key.origins()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# seed={key.seed_descriptor}\n{_KEY_HEADER}\n")
-        write_rows(fh, "%d,%s,%d\n", np.array(key.source_ids, dtype=object)[code], index)
+    ids = [sid.encode() for sid in key.source_ids]
+
+    def rows(lo, hi):
+        return [int_field(np.arange(lo, hi)), text_field(ids, code[lo:hi]),
+                int_field(index[lo:hi])]
+
+    digest = write_csv(path, f"# seed={key.seed_descriptor}\n{_KEY_HEADER}", len(key), rows)
     key = _sorted_key(key.source_ids, code, index, key.seed_descriptor)
-    write_cache(path, {"source_ids": list(key.source_ids), "seed": key.seed_descriptor},
+    write_cache(path, digest, {"source_ids": list(key.source_ids), "seed": key.seed_descriptor},
                 {"counts": key.counts, "permutation": key.permutation})
 
 

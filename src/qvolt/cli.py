@@ -78,9 +78,29 @@ def cmd_run(config: RunConfig, out: str) -> str:
             f"wrote {os.path.join(out, 'key.csv')} (keep sealed until unblinding)\n")
 
 
+def _check_ranges(path: str, readings: signal.Readings, threshold: float) -> None:
+    """Each reading's recorded range must be the range of its class: insensitive exactly when high.
+
+    The class is the one `analysis.classify` gives, above the threshold or not.
+    """
+    high = readings.values > threshold
+    wrong = np.flatnonzero(high != readings.insensitive)
+    if wrong.size:
+        row = wrong[0]
+        side = "above" if high[row] else "at or below"
+        word = "insensitive" if readings.insensitive[row] else "sensitive"
+        raise ValueError(f"{path}: row {row}: reading {float(readings.values[row])} V is {side} "
+                         f"the threshold {threshold} V but was recorded on the {word} range")
+
+
 def cmd_blinded_summary(config: RunConfig, out: str) -> str:
-    """Pooled low/high summary of the blinded readings: histogram and blinded_summary.txt."""
-    readings = signal.read_readings(os.path.join(out, "readings.csv"))
+    """Pooled low/high summary of the blinded readings: histogram and blinded_summary.txt.
+
+    A reading whose recorded range disagrees with its class is a ValueError (`_check_ranges`).
+    """
+    path = os.path.join(out, "readings.csv")
+    readings = signal.read_readings(path)
+    _check_ranges(path, readings, config.analysis.threshold)
     summary = pipeline.blinded_summary(readings.values, config)
     _write_histogram_csv(os.path.join(out, "histogram_blinded_low.csv"), summary.low_hist)
     lines = [

@@ -21,12 +21,14 @@ Batches are independent, so they are dealt out to one thread per usable CPU;
 memory stays bounded at any run length, and every reading is the same
 whatever the batching or thread count.
 
-The readings file, readings.csv, is the contract between the steps. After
-writing it, `write_readings` writes `readings.csv.cache` beside it: the same
-arrays in binary, with the sha256 of the CSV bytes and of its own payload
-(`write_cache`). `read_readings` returns the cached arrays when the tag and
-both digests match, and otherwise parses the CSV; either way it returns the
-same arrays or raises the same error. Readers never write a cache.
+The readings file, readings.csv, is the contract between the steps.
+`write_csv` builds its rows as numpy byte arrays, a block at a time, and
+hashes them as it writes them. Then `write_readings` writes
+`readings.csv.cache` beside it: the same arrays in binary, with that sha256
+of the CSV bytes and the sha256 of its own payload (`write_cache`).
+`read_readings` returns the cached arrays when the tag and both digests
+match, and otherwise parses the CSV; either way it returns the same arrays
+or raises the same error. Readers never write a cache.
 """
 
 from contextlib import contextmanager
@@ -53,10 +55,10 @@ from .seeds import cycle_rng
 # peak RSS by 1.2 MiB more.
 WAVEFORM_BATCH_CYCLES = 16
 
-# Rows of a CSV body formatted by one `%` operation and written by one call:
-# large enough to amortise the per-block cost, small enough that the argument
-# list and the formatted text stay well under a MiB.
-ROWS_PER_WRITE = 4096
+# Rows of a CSV built as arrays and written by one call (`write_csv`): large
+# enough to amortise numpy's per-call cost, small enough that the block's
+# arrays stay near 2 MiB.
+CSV_BLOCK_ROWS = 8192
 
 # The first line of a CSV's cache file; a cache with any other first line is ignored.
 CACHE_TAG = b"qvolt csv cache 1\n"
@@ -305,7 +307,7 @@ def _on_workers(fn, items: Sequence) -> None:
 
 _READINGS_HEADER = "blinded_index,reading_volts,range"
 # the range words of the readings file, indexed by the insensitive flag
-_RANGE_WORDS = np.array(["sensitive", "insensitive"], dtype=object)
+_RANGE_WORDS = (b"sensitive", b"insensitive")
 
 
 def write_readings(readings: Readings, path: str | os.PathLike) -> None:
@@ -315,12 +317,15 @@ def write_readings(readings: Readings, path: str | os.PathLike) -> None:
     as `read_readings` would reject it.
     """
     _finite_readings(path, readings.values, readings.insensitive)
-    words = _RANGE_WORDS[readings.insensitive.astype(np.intp)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_READINGS_HEADER + "\n")
-        write_rows(fh, "%d,%.17e,%s\n", readings.values, words)
-    write_cache(path, {}, {"values": np.asarray(readings.values, dtype=np.float64),
-                           "insensitive": np.asarray(readings.insensitive, dtype=bool)})
+    values = np.asarray(readings.values, dtype=np.float64)
+    insensitive = np.asarray(readings.insensitive, dtype=bool)
+
+    def rows(lo, hi):
+        return [int_field(np.arange(lo, hi)), float_field(values[lo:hi]),
+                text_field(_RANGE_WORDS, insensitive[lo:hi])]
+
+    digest = write_csv(path, _READINGS_HEADER, len(values), rows)
+    write_cache(path, digest, {}, {"values": values, "insensitive": insensitive})
 
 
 def read_readings(path: str | os.PathLike) -> Readings:
@@ -354,23 +359,168 @@ def _finite_readings(path, values: np.ndarray, insensitive: np.ndarray) -> Readi
     return Readings(values, insensitive)
 
 
-def write_rows(fh, row_format: str, *columns: np.ndarray) -> None:
-    """Write one row per entry of the columns, each row as `row_format`.
+def write_csv(path: str | os.PathLike, header: str, n: int, rows) -> bytes:
+    """Write a header line and n rows to the file at `path`; return the sha256 of its bytes.
 
-    The format's first field is the row number; the columns fill the rest.
-    ROWS_PER_WRITE rows are formatted by one `%` operation over a flat
-    argument list built from the block's slices, and written by one call, so
-    the Python objects alive at once are those of one block.
+    `rows(lo, hi)` gives the fields of rows lo..hi-1, each a pair (chars, keep)
+    of (width, hi - lo) arrays: column r of `chars` holds row r's field
+    padded to the width, and column r of `keep` marks the bytes that are the
+    field's. The fields are joined by commas and each row ends in a newline.
+    CSV_BLOCK_ROWS rows are built, written and hashed at a time, so one
+    block's arrays are the only memory the writer adds.
     """
-    n = len(columns[0])
-    width = len(columns) + 1
-    for lo in range(0, n, ROWS_PER_WRITE):
-        hi = min(lo + ROWS_PER_WRITE, n)
-        args = [None] * ((hi - lo) * width)
-        args[0::width] = range(lo, hi)
-        for field, column in enumerate(columns, 1):
-            args[field::width] = column[lo:hi].tolist()
-        fh.write(row_format * (hi - lo) % tuple(args))
+    head = header.encode() + b"\n"
+    digest = hashlib.sha256(head)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            block = _joined(rows(lo, min(lo + CSV_BLOCK_ROWS, n)))
+            fh.write(block)
+            digest.update(block)
+    return digest.digest()
+
+
+def _joined(fields: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The bytes of the rows these fields make: each field and a comma, the last and a newline."""
+    n = fields[0][0].shape[1]
+    chars, keep = [], []
+    for i, (field_chars, field_keep) in enumerate(fields):
+        sep = b"," if i < len(fields) - 1 else b"\n"
+        chars += [field_chars, np.full((1, n), ord(sep), np.uint8)]
+        keep += [field_keep, np.ones((1, n), bool)]
+    # row-major order of the (rows, width) transpose: row after row, each field in turn
+    return np.concatenate(chars).T[np.concatenate(keep).T]
+
+
+def _digits(v: np.ndarray, out: np.ndarray) -> None:
+    """The low len(out) decimal digits of uint32 v as ASCII, most significant in out[0]."""
+    for row in out[::-1]:
+        q = v // 10
+        row[...] = v - q * 10
+        v = q
+    out += ord("0")
+
+
+def int_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`%d` of non-negative integers: their digits, right-aligned, leading zeros not kept.
+
+    The digits come from 9-digit uint32 limbs, split off in uint64.
+    """
+    v = np.asarray(values).astype(np.uint64)
+    width = len(str(int(v.max())))
+    chars = np.empty((width, len(v)), np.uint8)
+    end = width
+    while end > 9:
+        q = v // 10**9
+        _digits((v - q * 10**9).astype(np.uint32), chars[end - 9:end])
+        v, end = q, end - 9
+    _digits(v.astype(np.uint32), chars[:end])
+    keep = np.logical_or.accumulate(chars != ord("0"), axis=0)
+    keep[-1] = True
+    return chars, keep
+
+
+def text_field(table: Sequence[bytes], code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of table[code[r]] for each row r, kept by each entry's length.
+
+    Padding is dropped by width, never by value, so an entry may hold any byte.
+    """
+    lengths = np.array([len(entry) for entry in table], dtype=np.intp)
+    held = np.arange(lengths.max()) < lengths[:, None]
+    lut = np.zeros(held.shape, np.uint8)
+    lut[held] = np.frombuffer(b"".join(table), np.uint8)
+    code = np.asarray(code, dtype=np.intp)
+    return lut.take(code, axis=0).T, held.take(code, axis=0).T
+
+
+# |x| in [FLOAT_KERNEL_MIN, FLOAT_KERNEL_MAX): the window of the exact `%.17e`
+# kernel, `_decimal18`. Its scales s = 17 - floor(log10 |x|) run over 0..27,
+# and 5**27 < 2**63. It holds no zero and no subnormal.
+FLOAT_KERNEL_MIN = 1e-10
+FLOAT_KERNEL_MAX = 1e18
+_POW5 = np.array([5**s for s in range(28)], dtype=np.uint64)
+
+
+def float_field(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`%.17e` of finite floats, the same bytes as Python's `%` gives.
+
+    Inside the kernel's window the 18 digits and the decade come from
+    `_decimal18`; the few values outside it are formatted by `%` and spliced in.
+    """
+    ax = np.abs(x)
+    exact = (ax >= FLOAT_KERNEL_MIN) & (ax < FLOAT_KERNEL_MAX)
+    d, e = _decimal18(np.where(exact, ax, 1.0))
+    # [-]d.ddddddddddddddddde+dd, and a 25th column for `%`'s three-digit exponents
+    chars = np.empty((25, len(x)), np.uint8)
+    chars[0] = ord("-")
+    top = d // 10**9
+    _digits(top.astype(np.uint32), chars[2:11])
+    _digits((d - top * 10**9).astype(np.uint32), chars[11:20])
+    chars[1] = chars[2]
+    chars[2] = ord(".")
+    chars[20] = ord("e")
+    chars[21] = np.where(e < 0, ord("-"), ord("+"))
+    _digits(np.abs(e).astype(np.uint32), chars[22:24])
+    keep = np.ones(chars.shape, bool)
+    keep[0] = np.signbit(x)
+    keep[24] = False
+    others = np.flatnonzero(~exact)
+    if others.size:
+        text = [b"%.17e" % v for v in x[others].tolist()]
+        text_chars, text_keep = text_field(text, np.arange(len(text)))
+        chars[:len(text_chars), others] = text_chars
+        keep[:, others] = False
+        keep[:len(text_keep), others] = text_keep
+    return chars, keep
+
+
+def _decimal18(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 18 digits D and the decade e of `%.17e` of each |x| in the kernel's window.
+
+    D = round_half_even(|x| * 10**s) with s = 17 - e. x = M * 2**E exactly, so
+    D = round_half_even(M * 5**s * 2**(E + s)), all in integers (`_scaled`).
+    log10 gives e, but it may be one off next to
+    a power of ten: an e whose unrounded D falls outside [10**17, 10**18) is
+    moved by one and D recomputed. D never rounds up to 10**18, which would
+    take a double in the window less than 10**p * 5e-19 below some 10**p;
+    none lies that close.
+    """
+    bits = ax.view(np.uint64)
+    m = (bits & (2**52 - 1)) | 2**52
+    exp2 = (bits >> 52).astype(np.int64) - 1075
+    # the window holds the true decade, so clipping only moves e towards it
+    s = 17 - np.clip(np.floor(np.log10(ax)), -10, 17).astype(np.int64)
+    q, up = _scaled(m, exp2, s)
+    while (wrong := np.flatnonzero((q < 10**17) | (q >= 10**18))).size:
+        s[wrong] += np.where(q[wrong] < 10**17, 1, -1)
+        q[wrong], up[wrong] = _scaled(m[wrong], exp2[wrong], s[wrong])
+    return q + up, 17 - s
+
+
+def _scaled(m: np.ndarray, exp2: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(m * 10**s * 2**exp2), and whether rounding it half to even adds one.
+
+    m < 2**53 and 5**s < 2**63, so m * 5**s is formed exactly, in two uint64
+    halves (hi, lo) from 32-bit limbs; the result, under 2**64, is that
+    product shifted by exp2 + s bits.
+    """
+    b = _POW5[s]
+    a0, a1, b0, b1 = m & 0xFFFFFFFF, m >> 32, b & 0xFFFFFFFF, b >> 32
+    low = a0 * b0
+    mid = a1 * b0 + a0 * b1  # < 2**53 + 2**63
+    lo = low + (mid << 32)
+    hi = a1 * b1 + (mid >> 32) + (lo < low)
+    t = exp2 + s
+    # bits shifted out, at least 1 so that hi << (64 - k) is defined; at most 60 in the window
+    k = np.maximum(-t, 1).astype(np.uint64)
+    q = (hi << (64 - k)) | (lo >> k)
+    rem = lo & ((np.uint64(1) << k) - 1)
+    half = np.uint64(1) << (k - 1)
+    up = (rem > half) | ((rem == half) & ((q & 1) == 1))
+    left = t >= 0  # then hi is 0, and the shift left is exact
+    q[left] = lo[left] << t[left].astype(np.uint64)
+    up[left] = False
+    return q, up
 
 
 def file_sha256(path: str | os.PathLike) -> bytes:
@@ -389,10 +539,12 @@ def cache_path(path: str | os.PathLike) -> str:
     return os.fspath(path) + ".cache"
 
 
-def write_cache(path: str | os.PathLike, fields: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write the cache of the CSV just written at `path`.
+def write_cache(
+    path: str | os.PathLike, csv_sha256: bytes, fields: dict, arrays: dict[str, np.ndarray]
+) -> None:
+    """Write the cache of the CSV just written at `path`, whose bytes have the digest `csv_sha256`.
 
-    The cache is CACHE_TAG, the sha256 of the CSV's bytes on disk, the sha256
+    The cache is CACHE_TAG, the sha256 of the CSV's bytes, the sha256
     of the payload, then the payload: one JSON line of `fields` and each
     array's name, dtype and length, followed by the arrays' bytes in order.
     """
@@ -403,7 +555,7 @@ def write_cache(path: str | os.PathLike, fields: dict, arrays: dict[str, np.ndar
     for a in arrays.values():
         payload.update(a)
     with open(cache_path(path), "wb") as fh:
-        fh.write(CACHE_TAG + file_sha256(path) + payload.digest() + meta)
+        fh.write(CACHE_TAG + csv_sha256 + payload.digest() + meta)
         for a in arrays.values():
             fh.write(a)
 

@@ -93,10 +93,15 @@ def ingest_bits(path: str | os.PathLike) -> BitString:
         if "=" not in token:
             raise ValueError(f"{path}: bad header token {token!r}")
         key, value = token.split("=", 1)
+        if key in fields:
+            raise ValueError(f"{path}: header token {token!r} repeats the '{key}=' field")
         fields[key] = value
+    for key in ("id", "fidelity", "n"):
+        if key not in fields:
+            raise ValueError(f"{path}: header has no '{key}=' field")
     try:
         spec = SourceSpec(fields["id"], float(fields["fidelity"]), int(fields["n"]))
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: invalid header fields: {exc}") from exc
 
     # a valid body alternates a digit and a newline; the last newline is optional

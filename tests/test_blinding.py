@@ -19,7 +19,7 @@ from qvolt.blinding import (
     write_key,
 )
 from qvolt.seeds import derive_rng
-from qvolt.signal import ROWS_PER_WRITE, cache_path
+from qvolt.signal import CSV_BLOCK_ROWS, cache_path
 from qvolt.sources import BitString, SourceSpec
 
 
@@ -268,7 +268,7 @@ class TestKeyFile:
 
     @pytest.mark.parametrize(
         "n",
-        [0, 1, ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1, 2 * ROWS_PER_WRITE + 3],
+        [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3],
     )
     def test_block_writer_matches_the_row_reference(self, tmp_path, rng, n, cache):
         ids = ("c1", "q" * 300, "q3_x")
@@ -281,6 +281,33 @@ class TestKeyFile:
         back = read_key(path)
         assert_key_holds(back, origin_pairs(key))
         assert back.seed_descriptor == key.seed_descriptor
+
+    @pytest.mark.parametrize(
+        "ids", [("a\x00b", "\x00", ""), ("ψ", "日本", "\x00ü\x00")],
+        ids=["NUL and empty", "NUL and UTF-8"],
+    )
+    def test_ids_with_any_byte_match_the_row_reference(self, tmp_path, rng, ids, cache):
+        # the writer drops an id's padding by its length, so a NUL in an id is kept
+        n = 50
+        counts = np.bincount(rng.integers(0, len(ids), n), minlength=len(ids))
+        key = BlindingKey(ids, counts, rng.permutation(n), "3/blinding")
+        path = tmp_path / "key.csv"
+        write_key(key, path)
+        assert path.read_bytes() == key_csv_reference(key)
+        cache.settle(path)
+        back = read_key(path)
+        assert_key_holds(back, origin_pairs(key))
+        assert back.source_ids == tuple(sorted(ids))
+
+    def test_index_widths_match_the_row_reference(self, tmp_path, rng, cache):
+        # both index columns grow from 1 to 6 digits, crossing 9 -> 10 and 99999 -> 100000
+        n = 100_010
+        key = BlindingKey(("a", "b"), [n - 5, 5], rng.permutation(n), "5/blinding")
+        path = tmp_path / "key.csv"
+        write_key(key, path)
+        assert path.read_bytes() == key_csv_reference(key)
+        cache.settle(path)
+        assert_key_holds(read_key(path), origin_pairs(key))
 
     @ID_CASES
     def test_round_trip_ids_and_counts(self, tmp_path, ids, counts, cache):

@@ -711,8 +711,14 @@ class TestCliCommands:
             ("run", "bits_c1.txt", 5, 0, b"2", "line 5: expected '0' or '1', got '2'"),
             ("run", "bits_c1.txt", 1, 0, b"# id=c1 fidelity=0.5 n=abc",
              "invalid header fields: invalid literal for int() with base 10: 'abc'"),
+            ("run", "bits_c1.txt", 1, 0, b"# id=c1 fidelity=0.5", "header has no 'n=' field"),
+            ("run", "bits_c1.txt", 1, 0, b"# id=c1 fidelity=0.5 n=3 n=1",
+             "header token 'n=1' repeats the 'n=' field"),
             ("blinded-summary", "readings.csv", 5, 2, b"sensitiv",
              "row 3: unknown range 'sensitiv'"),
+            ("blinded-summary", "readings.csv", 5, 2, b"sensitive",
+             "row 3: reading 2.9998853642131187 V is above the threshold 1.0 V "
+             "but was recorded on the sensitive range"),
             ("unblind-fit", "key.csv", 5, 2, b"-1", "blinded position 2: source_index < 0"),
             ("run", "bits_c1.txt", 5, 0, b"\xff", "line 5: not UTF-8 text (invalid start byte)"),
             ("blinded-summary", "readings.csv", 5, 2, b"\xff",
@@ -720,8 +726,9 @@ class TestCliCommands:
             ("unblind-fit", "key.csv", 5, 1, b"\xff",
              "line 5: not UTF-8 text (invalid start byte)"),
         ],
-        ids=["bit 2", "header n=abc", "range sensitiv", "negative source_index",
-             "bit file byte ff", "readings byte ff", "key byte ff"],
+        ids=["bit 2", "header n=abc", "header without n", "header n twice", "range sensitiv",
+             "range flipped", "negative source_index", "bit file byte ff", "readings byte ff",
+             "key byte ff"],
     )
     def test_bad_input_file_contract_exit_code(
         self, tmp_path, capsys, step, name, line, field, text, message

@@ -9,13 +9,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CACHE_DAMAGE, count_parses
 from qvolt import signal
 from qvolt.model import NonlinearParams, expected_reading
 from qvolt.seeds import cycle_rng
 from qvolt.signal import (
-    ROWS_PER_WRITE,
+    CSV_BLOCK_ROWS,
     WAVEFORM_BATCH_CYCLES,
     AcquisitionConfig,
     AcquisitionMode,
@@ -57,7 +59,7 @@ GOLDEN_READINGS_CSV = (
 )
 
 # row counts around the writer's block boundaries
-WRITE_SIZES = [0, 1, ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1, 2 * ROWS_PER_WRITE + 3]
+WRITE_SIZES = [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3]
 # -0.0, two subnormals, 3-digit exponents of both signs and the largest float
 SPECIAL_VALUES = [-0.0, 5e-324, 2.2e-310, 1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308]
 
@@ -451,6 +453,62 @@ class TestRunAcquisition:
         assert readings.values.tolist() == (level + sigma * z).tolist()
 
 
+def field_lines(field):
+    """The bytes of a (chars, keep) field, one row at a time, each row ended by a newline."""
+    chars, keep = field
+    return b"".join(chars[:, r][keep[:, r]].tobytes() + b"\n" for r in range(chars.shape[1]))
+
+
+def percent_lines(values):
+    return b"".join(b"%.17e\n" % v for v in np.asarray(values, dtype=float).tolist())
+
+
+def ulps_around(x, k):
+    """x and the k doubles on each side of it."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], -math.inf))
+        above.append(np.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+# values on and next to the edges of the exact kernel's window and of every decade
+FLOAT_EDGES = np.array(
+    [0.0, 5e-324, 2.2e-310, 2.225073858507201e-308, 2.2250738585072014e-308]
+    + ulps_around(signal.FLOAT_KERNEL_MIN, 3)
+    + ulps_around(signal.FLOAT_KERNEL_MAX, 3)
+    + [v for p in range(-12, 20) for v in ulps_around(10.0**p, 5)]
+    # 9.99... with more nines than a double holds, parsed to the power of ten or next to it
+    + [float(f"9.{'9' * k}e{p}") for p in range(-12, 20) for k in range(15, 20)]
+    # integers from 1e17, the first decade where the kernel's shift is to the left only
+    + [1e17 + 16 * k for k in range(5)] + [2.0**62, 9.99999999999999872e17]
+    + [2.0**63, 1e18 + 128, 1e19, 1.2345678901234567e21, 1.7976931348623157e308]
+)
+
+
+class TestFloatField:
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_matches_percent_format(self, x):
+        assert field_lines(signal.float_field(np.array([x]))) == percent_lines([x])
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(signal.FLOAT_KERNEL_MIN, signal.FLOAT_KERNEL_MAX, exclude_max=True),
+           st.sampled_from([1.0, -1.0]))
+    def test_matches_percent_format_in_the_kernel_window(self, x, sign):
+        assert field_lines(signal.float_field(np.array([sign * x]))) == percent_lines([sign * x])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    def test_edges_match_percent_format(self, sign):
+        values = sign * FLOAT_EDGES
+        assert field_lines(signal.float_field(values)) == percent_lines(values)
+
+    def test_ties_round_half_to_even(self, rng):
+        # odd multiples of 2**-4 from 1e14 have 19 significant digits, the last a 5
+        values = (rng.integers(2**50, 2**53, 2000) | 1) / 16.0
+        assert field_lines(signal.float_field(values)) == percent_lines(values)
+
+
 def write_golden(path):
     write_readings(GOLDEN_READINGS, path)
 
@@ -495,6 +553,17 @@ class TestReadingsFile:
         back = read_readings(path)
         assert back.values.tobytes() == values.tobytes()
         assert back.insensitive.tolist() == readings.insensitive.tolist()
+
+    def test_index_widths_match_the_row_reference(self, tmp_path, rng, cache):
+        # the index grows from 1 to 6 digits, crossing 9 -> 10 and 99999 -> 100000
+        n = 100_010
+        values = rng.normal(0.0, 1e-9, n)
+        readings = Readings(values, values > 0)
+        path = tmp_path / "readings.csv"
+        write_readings(readings, path)
+        assert path.read_bytes() == readings_csv_reference(readings)
+        cache.settle(path)
+        assert read_readings(path).values.tobytes() == values.tobytes()
 
     def test_round_trip_is_exact_for_random_values(self, tmp_path, rng, cache):
         values = rng.normal(0.0, 1.0, 5000) * 10.0 ** rng.integers(-300, 300, 5000)
@@ -556,7 +625,8 @@ class TestReadingsFile:
         rows = "".join(f"{i},{v!r},{'insensitive' if hi else 'sensitive'}\n"
                        for i, (v, hi) in enumerate(zip(values.tolist(), insensitive)))
         path.write_text("blinded_index,reading_volts,range\n" + rows)
-        signal.write_cache(path, {}, {"values": values, "insensitive": insensitive})
+        signal.write_cache(path, signal.file_sha256(path), {},
+                           {"values": values, "insensitive": insensitive})
         cache.settle(path)
         message = re.escape(f"{path}: row 3: reading {value} is not finite")
         with pytest.raises(ValueError, match=message):
@@ -636,3 +706,17 @@ class TestReadingsFile:
             tracemalloc.stop()
         assert retained < 1.2 * 2**20
         assert readings.values.flags.owndata and readings.values.flags.c_contiguous
+
+    def test_write_readings_peak_memory_at_paper_scale(self, tmp_path, rng):
+        # one block's arrays at a time, under the 3.94 MiB that write_key peaks at
+        n = 100_717
+        readings = Readings(rng.normal(0.0, 1e-9, n), rng.random(n) < 0.5)
+        path = tmp_path / "readings.csv"
+        write_readings(readings, path)  # imports, caches
+        tracemalloc.start()
+        try:
+            write_readings(readings, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.94 * 2**20

@@ -176,6 +176,31 @@ class TestBitFile:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ingest_bits(path)
 
+    @pytest.mark.parametrize("field", ["id", "fidelity", "n"])
+    def test_missing_header_field_is_named(self, tmp_path, field):
+        path = tmp_path / "bits.txt"
+        tokens = {"id": "id=q", "fidelity": "fidelity=0.9", "n": "n=1"}
+        del tokens[field]
+        path.write_text(f"# {' '.join(tokens.values())}\n0\n")
+        message = f"{path}: header has no '{field}=' field"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ingest_bits(path)
+
+    @pytest.mark.parametrize(
+        "header, token, field",
+        [("# id=q fidelity=0.9 n=2 n=1", "n=1", "n"),
+         ("# id=q id=q fidelity=0.9 n=1", "id=q", "id"),
+         ("# id=q fidelity=0.9 fidelity=0.9 n=1", "fidelity=0.9", "fidelity")],
+        ids=["n", "id", "fidelity"],
+    )
+    def test_repeated_header_field_is_rejected(self, tmp_path, header, token, field):
+        # the last n=1 would otherwise make a 1-bit source of the 1-bit body
+        path = tmp_path / "bits.txt"
+        path.write_text(f"{header}\n0\n")
+        message = f"{path}: header token '{token}' repeats the '{field}=' field"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ingest_bits(path)
+
     @pytest.mark.parametrize(
         "text",
         ["# id=q fidelity=0.4 n=1\n0\n", "# id=q fidelity=0.9 n=0\n",
