@@ -22,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .signal import (
-    int_field, open_text, read_blinded_rows, read_cache, text_field, write_cache, write_csv,
+    CSV_BLOCK_ROWS, byte_table, int_field, open_text, read_blinded_rows, read_cache, text_field,
+    write_cache, write_csv,
 )
 from .sources import BitString
 
@@ -98,6 +99,9 @@ def unblind(values, key: BlindingKey) -> dict[str, np.ndarray]:
 
 
 _KEY_HEADER = "blinded_index,source_id,source_index"
+# Id bytes a key.csv block holds per row before it holds fewer rows than
+# CSV_BLOCK_ROWS: a block holds at most 256 KiB of id bytes whatever the ids' length.
+KEY_BLOCK_ID_BYTES = 32
 
 
 def write_key(key: BlindingKey, path: str | os.PathLike) -> None:
@@ -113,13 +117,16 @@ def write_key(key: BlindingKey, path: str | os.PathLike) -> None:
     if any(c in key.seed_descriptor for c in "\n\r"):
         raise ValueError(f"{path}: seed descriptor {key.seed_descriptor!r} holds a line break")
     code, index = key.origins()
-    ids = [sid.encode() for sid in key.source_ids]
+    ids = byte_table([sid.encode() for sid in key.source_ids])
 
     def rows(lo, hi):
         return [int_field(np.arange(lo, hi)), text_field(ids, code[lo:hi]),
                 int_field(index[lo:hi])]
 
-    digest = write_csv(path, f"# seed={key.seed_descriptor}\n{_KEY_HEADER}", len(key), rows)
+    # every row's id is padded to the longest, so a longer id takes fewer rows a block
+    block_rows = CSV_BLOCK_ROWS * KEY_BLOCK_ID_BYTES // max(KEY_BLOCK_ID_BYTES, ids[0].shape[1])
+    digest = write_csv(path, f"# seed={key.seed_descriptor}\n{_KEY_HEADER}", len(key), rows,
+                       block_rows)
     key = _sorted_key(key.source_ids, code, index, key.seed_descriptor)
     write_cache(path, digest, {"source_ids": list(key.source_ids), "seed": key.seed_descriptor},
                 {"counts": key.counts, "permutation": key.permutation})

@@ -78,29 +78,31 @@ def cmd_run(config: RunConfig, out: str) -> str:
             f"wrote {os.path.join(out, 'key.csv')} (keep sealed until unblinding)\n")
 
 
-def _check_ranges(path: str, readings: signal.Readings, threshold: float) -> None:
-    """Each reading's recorded range must be the range of its class: insensitive exactly when high.
+def _check_ranges(path: str, readings: signal.Readings, acq: signal.AcquisitionConfig) -> None:
+    """Each reading's recorded range must be the one `[acquisition] range_threshold` gives it.
 
-    The class is the one `analysis.classify` gives, above the threshold or not.
+    The flag was set on the noise-free level, so a reading that noise or drift
+    carries across the range threshold is refused too.
     """
-    high = readings.values > threshold
-    wrong = np.flatnonzero(high != readings.insensitive)
+    insensitive = acq.insensitive(readings.values)
+    wrong = np.flatnonzero(insensitive != readings.insensitive)
     if wrong.size:
         row = wrong[0]
-        side = "above" if high[row] else "at or below"
+        side = "above" if insensitive[row] else "at or below"
         word = "insensitive" if readings.insensitive[row] else "sensitive"
         raise ValueError(f"{path}: row {row}: reading {float(readings.values[row])} V is {side} "
-                         f"the threshold {threshold} V but was recorded on the {word} range")
+                         f"the range threshold {acq.range_threshold} V but was recorded on "
+                         f"the {word} range")
 
 
 def cmd_blinded_summary(config: RunConfig, out: str) -> str:
     """Pooled low/high summary of the blinded readings: histogram and blinded_summary.txt.
 
-    A reading whose recorded range disagrees with its class is a ValueError (`_check_ranges`).
+    A reading whose recorded range disagrees with its value is a ValueError (`_check_ranges`).
     """
     path = os.path.join(out, "readings.csv")
     readings = signal.read_readings(path)
-    _check_ranges(path, readings, config.analysis.threshold)
+    _check_ranges(path, readings, config.acquisition)
     summary = pipeline.blinded_summary(readings.values, config)
     _write_histogram_csv(os.path.join(out, "histogram_blinded_low.csv"), summary.low_hist)
     lines = [

@@ -319,10 +319,11 @@ def write_readings(readings: Readings, path: str | os.PathLike) -> None:
     _finite_readings(path, readings.values, readings.insensitive)
     values = np.asarray(readings.values, dtype=np.float64)
     insensitive = np.asarray(readings.insensitive, dtype=bool)
+    words = byte_table(_RANGE_WORDS)
 
     def rows(lo, hi):
         return [int_field(np.arange(lo, hi)), float_field(values[lo:hi]),
-                text_field(_RANGE_WORDS, insensitive[lo:hi])]
+                text_field(words, insensitive[lo:hi])]
 
     digest = write_csv(path, _READINGS_HEADER, len(values), rows)
     write_cache(path, digest, {}, {"values": values, "insensitive": insensitive})
@@ -359,22 +360,24 @@ def _finite_readings(path, values: np.ndarray, insensitive: np.ndarray) -> Readi
     return Readings(values, insensitive)
 
 
-def write_csv(path: str | os.PathLike, header: str, n: int, rows) -> bytes:
+def write_csv(
+    path: str | os.PathLike, header: str, n: int, rows, block_rows: int = CSV_BLOCK_ROWS
+) -> bytes:
     """Write a header line and n rows to the file at `path`; return the sha256 of its bytes.
 
     `rows(lo, hi)` gives the fields of rows lo..hi-1, each a pair (chars, keep)
     of (width, hi - lo) arrays: column r of `chars` holds row r's field
     padded to the width, and column r of `keep` marks the bytes that are the
     field's. The fields are joined by commas and each row ends in a newline.
-    CSV_BLOCK_ROWS rows are built, written and hashed at a time, so one
+    `block_rows` rows are built, written and hashed at a time, so one
     block's arrays are the only memory the writer adds.
     """
     head = header.encode() + b"\n"
     digest = hashlib.sha256(head)
     with open(path, "wb") as fh:
         fh.write(head)
-        for lo in range(0, n, CSV_BLOCK_ROWS):
-            block = _joined(rows(lo, min(lo + CSV_BLOCK_ROWS, n)))
+        for lo in range(0, n, block_rows):
+            block = _joined(rows(lo, min(lo + block_rows, n)))
             fh.write(block)
             digest.update(block)
     return digest.digest()
@@ -420,15 +423,23 @@ def int_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return chars, keep
 
 
-def text_field(table: Sequence[bytes], code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bytes of table[code[r]] for each row r, kept by each entry's length.
+def byte_table(entries: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """The entries as (len(entries), longest) rows of bytes, and the mask of each one's length."""
+    lengths = np.array([len(entry) for entry in entries], dtype=np.intp)
+    held = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    lut = np.zeros(held.shape, np.uint8)
+    lut[held] = np.frombuffer(b"".join(entries), np.uint8)
+    return lut, held
+
+
+def text_field(
+    table: tuple[np.ndarray, np.ndarray], code: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of entry code[r] of a `byte_table` for each row r, kept by the entry's length.
 
     Padding is dropped by width, never by value, so an entry may hold any byte.
     """
-    lengths = np.array([len(entry) for entry in table], dtype=np.intp)
-    held = np.arange(lengths.max()) < lengths[:, None]
-    lut = np.zeros(held.shape, np.uint8)
-    lut[held] = np.frombuffer(b"".join(table), np.uint8)
+    lut, held = table
     code = np.asarray(code, dtype=np.intp)
     return lut.take(code, axis=0).T, held.take(code, axis=0).T
 
@@ -467,7 +478,7 @@ def float_field(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     others = np.flatnonzero(~exact)
     if others.size:
         text = [b"%.17e" % v for v in x[others].tolist()]
-        text_chars, text_keep = text_field(text, np.arange(len(text)))
+        text_chars, text_keep = text_field(byte_table(text), np.arange(len(text)))
         chars[:len(text_chars), others] = text_chars
         keep[:, others] = False
         keep[:len(text_keep), others] = text_keep

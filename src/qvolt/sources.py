@@ -80,6 +80,10 @@ def write_bits(bitstring: BitString, path: str | os.PathLike) -> None:
         fh.write(body.tobytes().decode("ascii"))
 
 
+# the header fields a bit file declares; ingest_bits skips any other token
+_HEADER_FIELDS = ("id", "fidelity", "n")
+
+
 def ingest_bits(path: str | os.PathLike) -> BitString:
     """Parse a bit file back into a BitString; header and body validated strictly."""
     with open_text(path) as fh:
@@ -93,10 +97,10 @@ def ingest_bits(path: str | os.PathLike) -> BitString:
         if "=" not in token:
             raise ValueError(f"{path}: bad header token {token!r}")
         key, value = token.split("=", 1)
-        if key in fields:
+        if key in _HEADER_FIELDS and key in fields:
             raise ValueError(f"{path}: header token {token!r} repeats the '{key}=' field")
         fields[key] = value
-    for key in ("id", "fidelity", "n"):
+    for key in _HEADER_FIELDS:
         if key not in fields:
             raise ValueError(f"{path}: header has no '{key}=' field")
     try:

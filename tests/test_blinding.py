@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import CACHE_DAMAGE, assert_key_holds, count_parses, origin_pairs
 from qvolt import blinding
 from qvolt.blinding import (
+    KEY_BLOCK_ID_BYTES,
     BlindingKey,
     combine_and_permute,
     read_key,
@@ -21,6 +22,9 @@ from qvolt.blinding import (
 from qvolt.seeds import derive_rng
 from qvolt.signal import CSV_BLOCK_ROWS, cache_path
 from qvolt.sources import BitString, SourceSpec
+
+# rows of a key.csv block when the longest id has 300 bytes
+LONG_ID_BLOCK_ROWS = CSV_BLOCK_ROWS * KEY_BLOCK_ID_BYTES // 300
 
 
 def make_string(sid, bits, fidelity=0.5):
@@ -268,7 +272,8 @@ class TestKeyFile:
 
     @pytest.mark.parametrize(
         "n",
-        [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3],
+        [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3,
+         LONG_ID_BLOCK_ROWS - 1, LONG_ID_BLOCK_ROWS, LONG_ID_BLOCK_ROWS + 1],
     )
     def test_block_writer_matches_the_row_reference(self, tmp_path, rng, n, cache):
         ids = ("c1", "q" * 300, "q3_x")
@@ -281,6 +286,18 @@ class TestKeyFile:
         back = read_key(path)
         assert_key_holds(back, origin_pairs(key))
         assert back.seed_descriptor == key.seed_descriptor
+
+    @pytest.mark.parametrize(
+        "n", [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3]
+    )
+    def test_short_ids_match_the_row_reference(self, tmp_path, rng, n):
+        # ids within KEY_BLOCK_ID_BYTES: CSV_BLOCK_ROWS rows a block
+        ids = ("c1", "q" * KEY_BLOCK_ID_BYTES, "q3")
+        counts = np.bincount(rng.integers(0, len(ids), n), minlength=len(ids))
+        key = BlindingKey(ids, counts, rng.permutation(n), "7/blinding")
+        path = tmp_path / "key.csv"
+        write_key(key, path)
+        assert path.read_bytes() == key_csv_reference(key)
 
     @pytest.mark.parametrize(
         "ids", [("a\x00b", "\x00", ""), ("ψ", "日本", "\x00ü\x00")],
@@ -530,6 +547,25 @@ class TestKeyFile:
         assert_key_holds(back, origin_pairs(key))
         assert back.seed_descriptor == key.seed_descriptor
         assert elapsed < 1.0
+
+    def test_write_key_peak_memory_does_not_grow_with_the_id(self, tmp_path):
+        # a longer id takes fewer rows a block; with CSV_BLOCK_ROWS rows in every block,
+        # a 300-byte id peaked at 13 MiB
+        peaks = []
+        for length in (2, 300):
+            n = 100_717
+            perm = np.random.default_rng(1).permutation(n)
+            key = BlindingKey(("c1", "q" * length, "q3"), [60000, 30000, 10717], perm, "1/blinding")
+            path = tmp_path / "key.csv"
+            write_key(key, path)  # imports, caches
+            tracemalloc.start()
+            try:
+                write_key(key, path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 3.95 * 2**20
+        assert peaks[1] < peaks[0] + 2**18
 
     def test_read_key_peak_memory(self, tmp_path, rng, cache):
         # an object column of 100,717 id strings would take the peak to 10.4 MiB

@@ -463,6 +463,19 @@ class TestReportIsTheThreeSteps:
         readings = [_read(os.path.join(out, "readings.csv")) for out in (fresh, given, stepped)]
         assert readings[1] == readings[2] != readings[0]
 
+    @pytest.mark.parametrize(
+        "text",
+        [MINIMAL_CFG + "\n[acquisition]\nrange_threshold = 4 V\n",
+         MINIMAL_CFG.replace("[analysis]\n", "[analysis]\nthreshold = 3 V\n")],
+        ids=["range_threshold above the levels", "analysis threshold at the high level"],
+    )
+    def test_report_accepts_thresholds_set_apart(self, tmp_path, text):
+        # the range flag follows [acquisition] range_threshold, not [analysis] threshold
+        cfg = write_cfg(tmp_path, text)
+        out = str(tmp_path / "out")
+        assert cli.main(["report", "--config", cfg, "--out", out]) == 0
+        assert cli.main(["blinded-summary", "--config", cfg, "--out", out]) == 0
+
     def test_report_refuses_partial_bit_files(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         out = str(tmp_path / "out")
@@ -717,7 +730,7 @@ class TestCliCommands:
             ("blinded-summary", "readings.csv", 5, 2, b"sensitiv",
              "row 3: unknown range 'sensitiv'"),
             ("blinded-summary", "readings.csv", 5, 2, b"sensitive",
-             "row 3: reading 2.9998853642131187 V is above the threshold 1.0 V "
+             "row 3: reading 2.9998853642131187 V is above the range threshold 1.0 V "
              "but was recorded on the sensitive range"),
             ("unblind-fit", "key.csv", 5, 2, b"-1", "blinded position 2: source_index < 0"),
             ("run", "bits_c1.txt", 5, 0, b"\xff", "line 5: not UTF-8 text (invalid start byte)"),

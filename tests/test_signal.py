@@ -509,6 +509,27 @@ class TestFloatField:
         assert field_lines(signal.float_field(values)) == percent_lines(values)
 
 
+# integers on and next to the 9-digit limb edges, up to the widest uint64
+INT_EDGES = [0, 9, 10, 99_999, 100_000, 10**9 - 1, 10**9, 10**9 + 1, 2**32 - 1, 2**32,
+             10**18 - 1, 10**18, 10**18 + 1, 2**53, 2**63, 10**19, 2**64 - 1]
+
+
+class TestIntField:
+    def test_edges_match_percent_format(self):
+        values = np.array(INT_EDGES, dtype=np.uint64)
+        assert field_lines(signal.int_field(values)) == b"".join(b"%d\n" % v for v in INT_EDGES)
+
+    @pytest.mark.parametrize("v", INT_EDGES)
+    def test_one_row_matches_percent_format(self, v):
+        assert field_lines(signal.int_field(np.array([v], dtype=np.uint64))) == b"%d\n" % v
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
+    def test_matches_percent_format(self, values):
+        field = signal.int_field(np.array(values, dtype=np.uint64))
+        assert field_lines(field) == b"".join(b"%d\n" % v for v in values)
+
+
 def write_golden(path):
     write_readings(GOLDEN_READINGS, path)
 

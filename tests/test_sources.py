@@ -201,6 +201,11 @@ class TestBitFile:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ingest_bits(path)
 
+    def test_repeated_unknown_token_is_skipped(self, tmp_path):
+        path = tmp_path / "bits.txt"
+        path.write_text("# id=q kind=a fidelity=0.9 kind=b n=1\n0\n")
+        assert ingest_bits(path) == BitString(SourceSpec("q", 0.9, 1), np.array([0], np.uint8))
+
     @pytest.mark.parametrize(
         "text",
         ["# id=q fidelity=0.4 n=1\n0\n", "# id=q fidelity=0.9 n=0\n",
