@@ -11,9 +11,9 @@ import numpy as np
 from qvolt import analysis
 
 POINTS = [
-    analysis.RegressionPoint(x=0.00, y=-0.307e-9, sigma=0.020e-9, label="c1"),
-    analysis.RegressionPoint(x=0.49, y=-0.316e-9, sigma=0.029e-9, label="q2"),
-    analysis.RegressionPoint(x=0.05, y=-0.302e-9, sigma=0.047e-9, label="q3"),
+    analysis.RegressionPoint(x=0.00, y=-0.307e-9, sigma=0.020e-9),
+    analysis.RegressionPoint(x=0.49, y=-0.316e-9, sigma=0.029e-9),
+    analysis.RegressionPoint(x=0.05, y=-0.302e-9, sigma=0.047e-9),
 ]
 
 

@@ -42,7 +42,6 @@ class RegressionPoint:
     x: float  # fidelity - 1/2
     y: float  # mean low reading, V
     sigma: float  # SEM of y, V
-    label: str = ""
 
     def __post_init__(self):
         if not self.sigma > 0:

@@ -6,13 +6,6 @@ position p holds bit `permutation[p]` of the sources laid end to end, in the
 order of `source_ids`, with `counts[c]` bits from source c. It lives in its
 own file, written by the run step and read only by the explicit unblinding
 step; the blinded summary must never touch it.
-
-key.csv is the contract. After writing it, `write_key` writes
-`key.csv.cache` beside it (`signal.write_cache`): the key as `read_key`
-returns it, with the sha256 of the CSV bytes and of its own payload.
-`read_key` returns the cached key when the tag and both digests match, and
-otherwise parses the CSV. Both paths build the key with `_sorted_key`: ids
-in sorted order, with the counts and the permutation renumbered to match.
 """
 
 from dataclasses import dataclass
@@ -21,10 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .signal import (
-    CSV_BLOCK_ROWS, byte_table, int_field, open_text, read_blinded_rows, read_cache, text_field,
-    write_cache, write_csv,
-)
+from . import files
 from .sources import BitString
 
 
@@ -117,19 +107,20 @@ def write_key(key: BlindingKey, path: str | os.PathLike) -> None:
     if any(c in key.seed_descriptor for c in "\n\r"):
         raise ValueError(f"{path}: seed descriptor {key.seed_descriptor!r} holds a line break")
     code, index = key.origins()
-    ids = byte_table([sid.encode() for sid in key.source_ids])
+    ids = files.byte_table([sid.encode() for sid in key.source_ids])
 
     def rows(lo, hi):
-        return [int_field(np.arange(lo, hi)), text_field(ids, code[lo:hi]),
-                int_field(index[lo:hi])]
+        return [files.int_field(np.arange(lo, hi)), files.text_field(ids, code[lo:hi]),
+                files.int_field(index[lo:hi])]
 
     # every row's id is padded to the longest, so a longer id takes fewer rows a block
-    block_rows = CSV_BLOCK_ROWS * KEY_BLOCK_ID_BYTES // max(KEY_BLOCK_ID_BYTES, ids[0].shape[1])
-    digest = write_csv(path, f"# seed={key.seed_descriptor}\n{_KEY_HEADER}", len(key), rows,
-                       block_rows)
-    key = _sorted_key(key.source_ids, code, index, key.seed_descriptor)
-    write_cache(path, digest, {"source_ids": list(key.source_ids), "seed": key.seed_descriptor},
-                {"counts": key.counts, "permutation": key.permutation})
+    block_rows = (files.CSV_BLOCK_ROWS * KEY_BLOCK_ID_BYTES
+                  // max(KEY_BLOCK_ID_BYTES, ids[0].shape[1]))
+    read_back = _sorted_key(key.source_ids, code, index, key.seed_descriptor)
+    files.write_csv(path, f"# seed={key.seed_descriptor}\n{_KEY_HEADER}", len(key), rows,
+                    {"counts": read_back.counts, "permutation": read_back.permutation},
+                    {"source_ids": list(read_back.source_ids), "seed": key.seed_descriptor},
+                    block_rows)
 
 
 def _sorted_key(
@@ -160,27 +151,27 @@ class _Codes(dict):
 
 
 def read_key(path: str | os.PathLike) -> BlindingKey:
-    cached = read_cache(path, {"counts": np.intp, "permutation": np.intp})
+    cached = files.read_cache(path, {"counts": np.intp, "permutation": np.intp},
+                              {"source_ids": list, "seed": str})
     if cached is not None:
         fields, arrays = cached
         return BlindingKey(tuple(fields["source_ids"]), arrays["counts"],
                            arrays["permutation"], fields["seed"])
-    with open_text(path) as fh:
-        first = fh.readline().rstrip("\n")
-        if not first.startswith("# seed="):
-            raise ValueError(f"{path}: missing '# seed=' comment line")
-        descriptor = first[len("# seed="):]
-        header = fh.readline().rstrip("\n")
-        if header != _KEY_HEADER:
-            raise ValueError(f"{path}: unexpected key header {header!r}")
-        codes = _Codes()
-        dtype = [("pos", np.int64), ("source_id", np.intp), ("source_index", np.int64)]
-        rows = read_blinded_rows(fh, path, dtype, {1: codes.__getitem__})
+    codes = _Codes()
+    dtype = [("pos", np.int64), ("source_id", np.intp), ("source_index", np.int64)]
+    head, rows = files.read_rows(path, 2, _key_head, dtype, {1: codes.__getitem__})
     index = rows["source_index"]
     # with no negative index, one past its source's count breaks the permutation
     if (index < 0).any():
         raise ValueError(f"{path}: blinded position {(index < 0).argmax()}: source_index < 0")
     try:
-        return _sorted_key(tuple(codes), rows["source_id"], index, descriptor)
+        return _sorted_key(tuple(codes), rows["source_id"], index, head[0][len("# seed="):])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _key_head(path, lines: list[str]) -> None:
+    if not lines[0].startswith("# seed="):
+        raise ValueError(f"{path}: missing '# seed=' comment line")
+    if lines[1] != _KEY_HEADER:
+        raise ValueError(f"{path}: unexpected key header {lines[1]!r}")

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, blinding, pipeline, signal, sources
+from . import analysis, blinding, files, pipeline, signal, sources
 from .config import ConfigError, RunConfig, load_config
 
 EXIT_OK = 0
@@ -30,17 +30,8 @@ def _bits_path(out: str, sid: str) -> str:
     return os.path.join(out, f"bits_{sid}.txt")
 
 
-def _write_histogram_csv(path: str, hist: analysis.HistogramResult) -> None:
-    columns = (hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.overlay_density)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, np.column_stack(columns), fmt="%.15e,%.15e,%d,%.15e",
-                   header="bin_left,bin_right,count,overlay_density", comments="")
-
-
 def _format_summary(tag: str, s: analysis.GaussianSummary) -> str:
-    return (
-        f"{tag}: n={s.n}  mean={s.mean:.6e} V  sd={s.sd:.6e} V  sem={s.sem:.6e} V"
-    )
+    return f"{tag}: n={s.n}  mean={s.mean:.6e} V  sd={s.sd:.6e} V  sem={s.sem:.6e} V"
 
 
 def cmd_generate(config: RunConfig, out: str) -> str:
@@ -49,11 +40,6 @@ def cmd_generate(config: RunConfig, out: str) -> str:
         sources.write_bits(bs, _bits_path(out, bs.source.id))
     return "".join(f"wrote {_bits_path(out, bs.source.id)} ({bs.source.count} bits)\n"
                    for bs in strings)
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
 
 
 def cmd_run(config: RunConfig, out: str) -> str:
@@ -104,7 +90,7 @@ def cmd_blinded_summary(config: RunConfig, out: str) -> str:
     readings = signal.read_readings(path)
     _check_ranges(path, readings, config.acquisition)
     summary = pipeline.blinded_summary(readings.values, config)
-    _write_histogram_csv(os.path.join(out, "histogram_blinded_low.csv"), summary.low_hist)
+    files.write_histogram(os.path.join(out, "histogram_blinded_low.csv"), summary.low_hist)
     lines = [
         f"blinded summary of {summary.n_total} readings "
         f"(threshold {config.analysis.threshold} V)",
@@ -112,7 +98,7 @@ def cmd_blinded_summary(config: RunConfig, out: str) -> str:
         _format_summary("high", summary.high),
     ]
     text = "\n".join(lines) + "\n"
-    _write_text(os.path.join(out, "blinded_summary.txt"), text)
+    files.write_text(os.path.join(out, "blinded_summary.txt"), text)
     return text
 
 
@@ -122,19 +108,10 @@ def cmd_unblind_fit(config: RunConfig, out: str) -> str:
     key = blinding.read_key(os.path.join(out, "key.csv"))
     result = pipeline.unblind_fit(readings.values, key, config)
     fit, mc = result.fit, result.mc
-    with open(os.path.join(out, "fit.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("parameter,value,sigma\n")
-        fh.write(f"intercept_volts,{fit.intercept:.15e},{fit.sigma_intercept:.15e}\n")
-        fh.write(f"slope_volts,{fit.slope:.15e},{fit.sigma_slope:.15e}\n")
-        fh.write(f"eps,{fit.eps:.15e},{fit.sigma_eps:.15e}\n")
-        fh.write(f"bound_{int(round(config.analysis.cl * 100))},{fit.bound_90:.15e},\n")
-        fh.write(f"mc_sd_slope_volts,{mc.sd_slope:.15e},\n")
-        fh.write(f"mc_sd_intercept_volts,{mc.sd_intercept:.15e},\n")
-    with open(os.path.join(out, "band.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, np.column_stack((mc.band_x, mc.band_fit, mc.band_lo, mc.band_hi)),
-                   fmt="%.15e", delimiter=",", header="x,fit,lo,hi", comments="")
+    files.write_fit(os.path.join(out, "fit.csv"), fit, mc, config.analysis.cl)
+    files.write_band(os.path.join(out, "band.csv"), mc)
     for sid, hist in result.per_source_hist.items():
-        _write_histogram_csv(os.path.join(out, f"histogram_{sid}_low.csv"), hist)
+        files.write_histogram(os.path.join(out, f"histogram_{sid}_low.csv"), hist)
 
     lines = ["unblinded per-source low-voltage summaries:"]
     for sid, s in result.per_source_low.items():
@@ -150,7 +127,7 @@ def cmd_unblind_fit(config: RunConfig, out: str) -> str:
         f"|eps| < {fit.bound_90:.6e}",
     ]
     text = "\n".join(lines) + "\n"
-    _write_text(os.path.join(out, "unblind_report.txt"), text)
+    files.write_text(os.path.join(out, "unblind_report.txt"), text)
     return text
 
 
@@ -158,7 +135,7 @@ def cmd_report(config: RunConfig, out: str) -> str:
     """run, blinded-summary and unblind-fit, each reading the files the one before wrote."""
     cmd_run(config, out)
     text = cmd_blinded_summary(config, out) + "\n" + cmd_unblind_fit(config, out)
-    _write_text(os.path.join(out, "report.txt"), text)
+    files.write_text(os.path.join(out, "report.txt"), text)
     return text
 
 

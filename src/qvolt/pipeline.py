@@ -28,7 +28,6 @@ class BlindedSummary:
 class UnblindResult:
     per_source_low: dict  # source_id -> GaussianSummary of low readings
     per_source_hist: dict  # source_id -> HistogramResult of low readings
-    points: tuple  # RegressionPoints ordered as config sources
     fit: analysis.FitResult
     mc: analysis.MCResult
 
@@ -97,28 +96,13 @@ def unblind_fit(values: np.ndarray, key: blinding.BlindingKey, config: RunConfig
             )
         per_low[spec.id] = summary
         per_hist[spec.id] = analysis.histogram(low, config.analysis.n_bins)
-        points.append(
-            analysis.RegressionPoint(
-                x=spec.fidelity - 0.5, y=summary.mean, sigma=summary.sem, label=spec.id
-            )
-        )
+        points.append(analysis.RegressionPoint(spec.fidelity - 0.5, summary.mean, summary.sem))
     fit = analysis.wls_fit(points, v1=config.params.v1)
-    mc = analysis.mc_errors(
-        points,
-        derive_rng(config.seed, "mc"),
-        n_real=config.analysis.mc_realizations,
-    )
-    bound = analysis.confidence_bound(
-        fit.eps, fit.sigma_eps, cl=config.analysis.cl, rule=config.analysis.bound_rule
-    )
-    fit = replace(fit, bound_90=bound)
-    return UnblindResult(
-        per_source_low=per_low,
-        per_source_hist=per_hist,
-        points=tuple(points),
-        fit=fit,
-        mc=mc,
-    )
+    mc = analysis.mc_errors(points, derive_rng(config.seed, "mc"),
+                            n_real=config.analysis.mc_realizations)
+    fit = replace(fit, bound_90=analysis.confidence_bound(
+        fit.eps, fit.sigma_eps, cl=config.analysis.cl, rule=config.analysis.bound_rule))
+    return UnblindResult(per_source_low=per_low, per_source_hist=per_hist, fit=fit, mc=mc)
 
 
 def run_pipeline(config: RunConfig):

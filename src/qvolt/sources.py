@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 
-from .signal import open_text
+from . import files
 
 
 # Source ids name files (bits_<id>.txt) and fill a column of key.csv
@@ -72,12 +72,11 @@ def generate(spec: SourceSpec, rng: np.random.Generator) -> BitString:
 def write_bits(bitstring: BitString, path: str | os.PathLike) -> None:
     """Write the one-bit-per-line file format with its single header line."""
     src = bitstring.source
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# id={src.id} fidelity={src.fidelity!r} n={src.count}\n")
-        # one digit and one newline per bit
-        body = np.full(2 * len(bitstring.bits), ord("\n"), dtype=np.uint8)
-        body[0::2] = bitstring.bits + ord("0")
-        fh.write(body.tobytes().decode("ascii"))
+    # one digit and one newline per bit
+    body = np.full(2 * len(bitstring.bits), ord("\n"), dtype=np.uint8)
+    body[0::2] = bitstring.bits + ord("0")
+    files.write_text(path, f"# id={src.id} fidelity={src.fidelity!r} n={src.count}\n"
+                     + body.tobytes().decode("ascii"))
 
 
 # the header fields a bit file declares; ingest_bits skips any other token
@@ -86,7 +85,7 @@ _HEADER_FIELDS = ("id", "fidelity", "n")
 
 def ingest_bits(path: str | os.PathLike) -> BitString:
     """Parse a bit file back into a BitString; header and body validated strictly."""
-    with open_text(path) as fh:
+    with files.open_text(path) as fh:
         header = fh.readline().rstrip("\n")
         body = fh.read()
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 
 import numpy as np
@@ -5,7 +7,9 @@ import pytest
 
 from qvolt.config import AnalysisSettings, RunConfig
 from qvolt.model import NonlinearParams
-from qvolt.signal import CACHE_TAG, AcquisitionConfig, AcquisitionMode, cache_path
+from qvolt import files
+from qvolt.files import CACHE_TAG, cache_path
+from qvolt.signal import AcquisitionConfig, AcquisitionMode
 from qvolt.sources import SourceSpec
 
 PAPER_SOURCES = (
@@ -72,21 +76,42 @@ def assert_key_holds(key, entries):
     assert [a.tolist() for a in key.origins()] == [code.tolist(), index.tolist()]
 
 
-def count_parses(monkeypatch, module):
-    """The paths that `module`'s reader parses from now on, one entry per pass of its parser."""
+def count_parses(monkeypatch):
+    """The paths that the CSV readers parse from now on, one entry per pass of the parser."""
     calls = []
-    parse = module.read_blinded_rows
+    parse = files.read_rows
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[0])
         return parse(*args, **kwargs)
 
-    monkeypatch.setattr(module, "read_blinded_rows", counted)
+    monkeypatch.setattr(files, "read_rows", counted)
     return calls
 
 
 def _flip(data, at):
     return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+def relaid(change):
+    """A cache damage that rewrites the payload as change(meta, array bytes) gives it.
+
+    The payload's digest is recomputed, so only the layout is wrong.
+    """
+    def damage(data):
+        head = len(CACHE_TAG) + 32
+        payload = data[head + 32:]
+        start = payload.index(b"\n") + 1
+        meta, tail = change(json.loads(payload[:start]), payload[start:])
+        payload = json.dumps(meta).encode() + b"\n" + tail
+        return data[:head] + hashlib.sha256(payload).digest() + payload
+
+    return damage
+
+
+def _longer_last_array(meta):
+    meta["arrays"][-1][2] += 1
+    return meta
 
 
 # ways a cache file can fail to hold its CSV's arrays, each a function of the cache's bytes
@@ -97,6 +122,11 @@ CACHE_DAMAGE = {
     "changed payload": lambda data: _flip(data, len(data) - 1),
     "truncated payload": lambda data: data[:-1],
     "empty file": lambda data: b"",
+    "no arrays entry": relaid(lambda meta, tail: ({"fields": meta["fields"]}, tail)),
+    "meta is a JSON list": relaid(lambda meta, tail: ([meta["fields"], meta["arrays"]], tail)),
+    "array past the payload": relaid(lambda meta, tail: (_longer_last_array(meta), tail)),
+    "payload past the arrays": relaid(lambda meta, tail: (meta, tail + b"\0")),
+    "unknown field": relaid(lambda meta, tail: ({**meta, "fields": {"unknown": 0}}, tail)),
 }
 
 

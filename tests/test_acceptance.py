@@ -22,9 +22,9 @@ from qvolt.signal import AcquisitionConfig, AcquisitionMode, reduce_cycle, run_a
 from qvolt.sources import BitString, SourceSpec
 
 QUOTED_POINTS = (
-    RegressionPoint(x=0.00, y=-0.307e-9, sigma=0.020e-9, label="c1"),
-    RegressionPoint(x=0.49, y=-0.316e-9, sigma=0.029e-9, label="q2"),
-    RegressionPoint(x=0.05, y=-0.302e-9, sigma=0.047e-9, label="q3"),
+    RegressionPoint(x=0.00, y=-0.307e-9, sigma=0.020e-9),
+    RegressionPoint(x=0.49, y=-0.316e-9, sigma=0.029e-9),
+    RegressionPoint(x=0.05, y=-0.302e-9, sigma=0.047e-9),
 )
 
 

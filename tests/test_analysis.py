@@ -19,15 +19,15 @@ from qvolt.analysis import (
 
 # per-source low-voltage summaries quoted for the experimental run (volts)
 PAPER_POINTS = (
-    RegressionPoint(x=0.00, y=-0.307e-9, sigma=0.020e-9, label="c1"),
-    RegressionPoint(x=0.49, y=-0.316e-9, sigma=0.029e-9, label="q2"),
-    RegressionPoint(x=0.05, y=-0.302e-9, sigma=0.047e-9, label="q3"),
+    RegressionPoint(x=0.00, y=-0.307e-9, sigma=0.020e-9),
+    RegressionPoint(x=0.49, y=-0.316e-9, sigma=0.029e-9),
+    RegressionPoint(x=0.05, y=-0.302e-9, sigma=0.047e-9),
 )
 
 # a two-point design: the fit passes through both points, and the band pinches between them
 TWO_POINTS = (
-    RegressionPoint(x=0.1, y=1e-9, sigma=0.2e-9, label="a"),
-    RegressionPoint(x=0.4, y=-1e-9, sigma=0.5e-9, label="b"),
+    RegressionPoint(x=0.1, y=1e-9, sigma=0.2e-9),
+    RegressionPoint(x=0.4, y=-1e-9, sigma=0.5e-9),
 )
 
 

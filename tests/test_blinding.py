@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CACHE_DAMAGE, assert_key_holds, count_parses, origin_pairs
-from qvolt import blinding
+from conftest import CACHE_DAMAGE, assert_key_holds, count_parses, origin_pairs, relaid
 from qvolt.blinding import (
     KEY_BLOCK_ID_BYTES,
     BlindingKey,
@@ -20,8 +19,19 @@ from qvolt.blinding import (
     write_key,
 )
 from qvolt.seeds import derive_rng
-from qvolt.signal import CSV_BLOCK_ROWS, cache_path
+from qvolt.files import CSV_BLOCK_ROWS, cache_path
 from qvolt.sources import BitString, SourceSpec
+
+# the ways any cache can be damaged, and a key cache whose fields are not the key's
+KEY_CACHE_DAMAGE = {
+    **CACHE_DAMAGE,
+    "fields lack source_ids": relaid(
+        lambda meta, tail: ({**meta, "fields": {"seed": meta["fields"]["seed"]}}, tail)
+    ),
+    "source_ids not a list": relaid(
+        lambda meta, tail: ({**meta, "fields": {**meta["fields"], "source_ids": "c1q2"}}, tail)
+    ),
+}
 
 # rows of a key.csv block when the longest id has 300 bytes
 LONG_ID_BLOCK_ROWS = CSV_BLOCK_ROWS * KEY_BLOCK_ID_BYTES // 300
@@ -356,18 +366,18 @@ class TestKeyFile:
     def test_cache_hit_skips_the_parser(self, tmp_path, monkeypatch):
         path = tmp_path / "key.csv"
         write_golden(path)
-        parses = count_parses(monkeypatch, blinding)
+        parses = count_parses(monkeypatch)
         assert_key_holds(read_key(path), origin_pairs(golden_key()))
         assert parses == []
 
-    @pytest.mark.parametrize("damage", list(CACHE_DAMAGE), ids=list(CACHE_DAMAGE))
+    @pytest.mark.parametrize("damage", list(KEY_CACHE_DAMAGE), ids=list(KEY_CACHE_DAMAGE))
     def test_damaged_cache_is_ignored_and_left_as_it_is(self, tmp_path, monkeypatch, damage):
         path = tmp_path / "key.csv"
         write_golden(path)
         cached = pathlib.Path(cache_path(path))
-        cached.write_bytes(CACHE_DAMAGE[damage](cached.read_bytes()))
+        cached.write_bytes(KEY_CACHE_DAMAGE[damage](cached.read_bytes()))
         before = cached.read_bytes()
-        parses = count_parses(monkeypatch, blinding)
+        parses = count_parses(monkeypatch)
         assert_key_holds(read_key(path), origin_pairs(golden_key()))
         assert parses == [path]
         assert cached.read_bytes() == before
@@ -530,6 +540,15 @@ class TestKeyFile:
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
         path.write_text("blinded_index,source_id,source_index\n0,a,0\n")
+        message = f"{path}: missing '# seed=' comment line"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_key(path)
+
+    def test_missing_seed_comment_is_reported_before_the_rows(self, tmp_path, cache):
+        # read as the head, the header and row 0 leave rows that start at blinded_index 1
+        path = tmp_path / "key.csv"
+        cache.stale(path, write_golden)
+        path.write_text("blinded_index,source_id,source_index\n0,a,0\n1,a,1\n2,b,0\n")
         message = f"{path}: missing '# seed=' comment line"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_key(path)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from qvolt import blinding, cli, config, pipeline, signal
+from qvolt import blinding, cli, config, files, pipeline, signal
 from qvolt.analysis import BoundRule, HistogramResult
 from qvolt.config import (
     AnalysisSettings,
@@ -501,7 +501,34 @@ def band_csv_reference(mc):
     return ("x,fit,lo,hi\n" + body).encode()
 
 
+# sha256 of each file that `generate` and then `report` write for MINIMAL_CFG: every
+# writer's bytes, the bit files, the reports and both caches included
+REPORT_FILE_SHA256 = {
+    "band.csv": "cdac91647635f8dfccb0a2856b20624061102d59650c3400c486fd12ea6c8e79",
+    "bits_c1.txt": "0287f35c08f08f639e8c942bffbe56d51953a5360ddfb6ac19c5c72439cff1f6",
+    "bits_q2.txt": "c0dcdcd19fdb82ec8559ecfd422bec1a133a4e9a5b48bb2791410cc64b25708b",
+    "blinded_summary.txt": "5fd65ddbf6c65ec67ebc079424f740758b16b8e0203b8252d6d22575539ac551",
+    "fit.csv": "37551aff774ff9f9298a673996914a5b46fed364b1b790c10cf1761cab5480ae",
+    "histogram_blinded_low.csv": "31792d1a2d38ec6c0f81155de297756a166e508f1eddd61abf5c71c33ea3aa95",
+    "histogram_c1_low.csv": "7890ff21ecc6c70219e9d252063748d585699dc54ab82b379ed2eccabd64fc5c",
+    "histogram_q2_low.csv": "622dd7991612232796d965d149155f238c7379243027617e0260ba7e8dbc01af",
+    "key.csv": "ff1f1104b7a4f15e8604427c6823acedcc94fe2697d4ed9848c4c0a19575a366",
+    "key.csv.cache": "5bc38a8e2bc7a507763dabafc2d80dd82721d5dda9892d54ca8e974291bf1db9",
+    "readings.csv": "d1848ea2f9559aae0cf1a5714e27b70b503793124a8babf9a2ef926ea7800c86",
+    "readings.csv.cache": "e10b613fb0088b09f51cfdc4c15da5f5c10615c493023d8600334852c470b580",
+    "report.txt": "9561cc651d68e4c980885ede443dad6c64e4afca7fc66888c39a13d0ed3d500a",
+    "unblind_report.txt": "c44144478977bb4c06095b5fdb5ff4e629fa8e1bdfb80a397353d1099d061c24",
+}
+
+
 class TestTableWriters:
+    def test_every_file_keeps_its_recorded_bytes(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["generate", "--config", cfg, "--out", out]) == 0
+        assert cli.main(["report", "--config", cfg, "--out", out]) == 0
+        assert _digests(out) == REPORT_FILE_SHA256
+
     def test_histogram_matches_the_row_reference(self, tmp_path, rng):
         edges = rng.normal(size=51) * 10.0 ** rng.integers(-300, 300, 51)
         edges[[0, 7]] = -0.0, 0.0
@@ -509,7 +536,7 @@ class TestTableWriters:
         density[[3, 4]] = 0.0, -0.0
         hist = HistogramResult(edges, rng.integers(0, 100_718, 50), density)
         path = tmp_path / "histogram.csv"
-        cli._write_histogram_csv(str(path), hist)
+        files.write_histogram(str(path), hist)
         assert path.read_bytes() == histogram_csv_reference(hist)
 
     def test_fit_step_tables_match_the_row_reference(self, tmp_path):

@@ -13,16 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CACHE_DAMAGE, count_parses
-from qvolt import signal
+from qvolt import files, signal
+from qvolt.files import CSV_BLOCK_ROWS, cache_path
 from qvolt.model import NonlinearParams, expected_reading
 from qvolt.seeds import cycle_rng
 from qvolt.signal import (
-    CSV_BLOCK_ROWS,
     WAVEFORM_BATCH_CYCLES,
     AcquisitionConfig,
     AcquisitionMode,
     Readings,
-    cache_path,
     read_readings,
     reduce_cycle,
     run_acquisition,
@@ -475,8 +474,8 @@ def ulps_around(x, k):
 # values on and next to the edges of the exact kernel's window and of every decade
 FLOAT_EDGES = np.array(
     [0.0, 5e-324, 2.2e-310, 2.225073858507201e-308, 2.2250738585072014e-308]
-    + ulps_around(signal.FLOAT_KERNEL_MIN, 3)
-    + ulps_around(signal.FLOAT_KERNEL_MAX, 3)
+    + ulps_around(files.FLOAT_KERNEL_MIN, 3)
+    + ulps_around(files.FLOAT_KERNEL_MAX, 3)
     + [v for p in range(-12, 20) for v in ulps_around(10.0**p, 5)]
     # 9.99... with more nines than a double holds, parsed to the power of ten or next to it
     + [float(f"9.{'9' * k}e{p}") for p in range(-12, 20) for k in range(15, 20)]
@@ -490,23 +489,23 @@ class TestFloatField:
     @settings(max_examples=500, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_matches_percent_format(self, x):
-        assert field_lines(signal.float_field(np.array([x]))) == percent_lines([x])
+        assert field_lines(files.float_field(np.array([x]))) == percent_lines([x])
 
     @settings(max_examples=500, deadline=None)
-    @given(st.floats(signal.FLOAT_KERNEL_MIN, signal.FLOAT_KERNEL_MAX, exclude_max=True),
+    @given(st.floats(files.FLOAT_KERNEL_MIN, files.FLOAT_KERNEL_MAX, exclude_max=True),
            st.sampled_from([1.0, -1.0]))
     def test_matches_percent_format_in_the_kernel_window(self, x, sign):
-        assert field_lines(signal.float_field(np.array([sign * x]))) == percent_lines([sign * x])
+        assert field_lines(files.float_field(np.array([sign * x]))) == percent_lines([sign * x])
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
     def test_edges_match_percent_format(self, sign):
         values = sign * FLOAT_EDGES
-        assert field_lines(signal.float_field(values)) == percent_lines(values)
+        assert field_lines(files.float_field(values)) == percent_lines(values)
 
     def test_ties_round_half_to_even(self, rng):
         # odd multiples of 2**-4 from 1e14 have 19 significant digits, the last a 5
         values = (rng.integers(2**50, 2**53, 2000) | 1) / 16.0
-        assert field_lines(signal.float_field(values)) == percent_lines(values)
+        assert field_lines(files.float_field(values)) == percent_lines(values)
 
 
 # integers on and next to the 9-digit limb edges, up to the widest uint64
@@ -517,16 +516,16 @@ INT_EDGES = [0, 9, 10, 99_999, 100_000, 10**9 - 1, 10**9, 10**9 + 1, 2**32 - 1, 
 class TestIntField:
     def test_edges_match_percent_format(self):
         values = np.array(INT_EDGES, dtype=np.uint64)
-        assert field_lines(signal.int_field(values)) == b"".join(b"%d\n" % v for v in INT_EDGES)
+        assert field_lines(files.int_field(values)) == b"".join(b"%d\n" % v for v in INT_EDGES)
 
     @pytest.mark.parametrize("v", INT_EDGES)
     def test_one_row_matches_percent_format(self, v):
-        assert field_lines(signal.int_field(np.array([v], dtype=np.uint64))) == b"%d\n" % v
+        assert field_lines(files.int_field(np.array([v], dtype=np.uint64))) == b"%d\n" % v
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
     def test_matches_percent_format(self, values):
-        field = signal.int_field(np.array(values, dtype=np.uint64))
+        field = files.int_field(np.array(values, dtype=np.uint64))
         assert field_lines(field) == b"".join(b"%d\n" % v for v in values)
 
 
@@ -608,7 +607,7 @@ class TestReadingsFile:
     def test_cache_hit_skips_the_parser(self, tmp_path, monkeypatch):
         path = tmp_path / "readings.csv"
         write_golden(path)
-        parses = count_parses(monkeypatch, signal)
+        parses = count_parses(monkeypatch)
         assert read_readings(path).values.tobytes() == GOLDEN_READINGS.values.tobytes()
         assert parses == []
 
@@ -619,7 +618,7 @@ class TestReadingsFile:
         cached = pathlib.Path(cache_path(path))
         cached.write_bytes(CACHE_DAMAGE[damage](cached.read_bytes()))
         before = cached.read_bytes()
-        parses = count_parses(monkeypatch, signal)
+        parses = count_parses(monkeypatch)
         back = read_readings(path)
         assert parses == [path]
         assert back.values.tobytes() == GOLDEN_READINGS.values.tobytes()
@@ -646,8 +645,8 @@ class TestReadingsFile:
         rows = "".join(f"{i},{v!r},{'insensitive' if hi else 'sensitive'}\n"
                        for i, (v, hi) in enumerate(zip(values.tolist(), insensitive)))
         path.write_text("blinded_index,reading_volts,range\n" + rows)
-        signal.write_cache(path, signal.file_sha256(path), {},
-                           {"values": values, "insensitive": insensitive})
+        files.write_cache(path, files.file_sha256(path), {},
+                          {"values": values, "insensitive": insensitive})
         cache.settle(path)
         message = re.escape(f"{path}: row 3: reading {value} is not finite")
         with pytest.raises(ValueError, match=message):
@@ -689,6 +688,14 @@ class TestReadingsFile:
         cache.stale(path, write_golden)
         path.write_text("nope\n1,2,sensitive\n")
         with pytest.raises(ValueError):
+            read_readings(path)
+
+    def test_bad_header_is_reported_before_the_rows(self, tmp_path, cache):
+        path = tmp_path / "readings.csv"
+        cache.stale(path, write_golden)
+        path.write_text("nope\n1,2.0,sensitive\nx\n")
+        message = f"{path}: unexpected readings header 'nope'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_readings(path)
 
     def test_rejects_rows_out_of_order(self, tmp_path, cache):
