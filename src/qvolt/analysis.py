@@ -130,15 +130,8 @@ def wls_fit(points: Sequence[RegressionPoint], v1: float = 3.0) -> FitResult:
         raise ValueError("need at least 2 regression points")
     if v1 <= 0:
         raise ValueError("v1 must be > 0")
-    x = np.array([p.x for p in points])
-    y = np.array([p.y for p in points])
-    w = np.array([1.0 / p.sigma**2 for p in points])
-    if np.unique(x).size < 2:
-        raise ValueError("all x values equal: singular design")
-    sw = w.sum()
-    xw = float(np.dot(w, x) / sw)
+    x, y, w, sw, xw, sxx = _weighted(points)
     yw = float(np.dot(w, y) / sw)
-    sxx = float(np.dot(w, (x - xw) ** 2))
     slope = float(np.dot(w, (x - xw) * (y - yw)) / sxx)
     intercept = yw - slope * xw
     sigma_slope = sxx**-0.5
@@ -151,6 +144,19 @@ def wls_fit(points: Sequence[RegressionPoint], v1: float = 3.0) -> FitResult:
         eps=slope / v1,
         sigma_eps=sigma_slope / v1,
     )
+
+
+def _weighted(points: Sequence[RegressionPoint]) -> tuple:
+    """The points' x, y and weights w = 1/sigma^2, sum w, xw and sum w (x - xw)^2."""
+    x = np.array([p.x for p in points])
+    y = np.array([p.y for p in points])
+    w = np.array([1.0 / p.sigma**2 for p in points])
+    if np.unique(x).size < 2:
+        raise ValueError("all x values equal: singular design")
+    sw = w.sum()
+    xw = float(np.dot(w, x) / sw)
+    sxx = float(np.dot(w, (x - xw) ** 2))
+    return x, y, w, sw, xw, sxx
 
 
 def mc_errors(
@@ -170,13 +176,8 @@ def mc_errors(
     if n_real < 100:
         raise ValueError("n_real must be >= 100")
     nominal = wls_fit(points)  # validates the design
-    x = np.array([p.x for p in points])
-    y = np.array([p.y for p in points])
+    x, y, w, sw, xw, sxx = _weighted(points)
     sig = np.array([p.sigma for p in points])
-    w = 1.0 / sig**2
-    sw = w.sum()
-    xw = np.dot(w, x) / sw
-    sxx = np.dot(w, (x - xw) ** 2)
     # slope and intercept are linear in y: express as coefficient vectors
     c_slope = w * (x - xw) / sxx
     c_intercept = w / sw - xw * c_slope

@@ -89,13 +89,10 @@ def unblind(values, key: BlindingKey) -> dict[str, np.ndarray]:
 
 
 _KEY_HEADER = "blinded_index,source_id,source_index"
-# Id bytes a key.csv block holds per row before it holds fewer rows than
-# CSV_BLOCK_ROWS: a block holds at most 256 KiB of id bytes whatever the ids' length.
-KEY_BLOCK_ID_BYTES = 32
 
 
 def write_key(key: BlindingKey, path: str | os.PathLike) -> None:
-    """Write key.csv, then its cache, which holds the key `read_key` returns.
+    """Write key.csv, then its cache, which holds the columns `read_key` reads.
 
     A comma or a line break in an id, or a line break in the seed descriptor,
     would give a key.csv that does not parse back, so it raises ValueError
@@ -107,20 +104,8 @@ def write_key(key: BlindingKey, path: str | os.PathLike) -> None:
     if any(c in key.seed_descriptor for c in "\n\r"):
         raise ValueError(f"{path}: seed descriptor {key.seed_descriptor!r} holds a line break")
     code, index = key.origins()
-    ids = files.byte_table([sid.encode() for sid in key.source_ids])
-
-    def rows(lo, hi):
-        return [files.int_field(np.arange(lo, hi)), files.text_field(ids, code[lo:hi]),
-                files.int_field(index[lo:hi])]
-
-    # every row's id is padded to the longest, so a longer id takes fewer rows a block
-    block_rows = (files.CSV_BLOCK_ROWS * KEY_BLOCK_ID_BYTES
-                  // max(KEY_BLOCK_ID_BYTES, ids[0].shape[1]))
-    read_back = _sorted_key(key.source_ids, code, index, key.seed_descriptor)
-    files.write_csv(path, f"# seed={key.seed_descriptor}\n{_KEY_HEADER}", len(key), rows,
-                    {"counts": read_back.counts, "permutation": read_back.permutation},
-                    {"source_ids": list(read_back.source_ids), "seed": key.seed_descriptor},
-                    block_rows)
+    files.write_table(path, f"# seed={key.seed_descriptor}\n{_KEY_HEADER}",
+                      [(code, key.source_ids), index])
 
 
 def _sorted_key(
@@ -142,30 +127,13 @@ def _sorted_key(
     return BlindingKey(tuple(ids[c] for c in kept), counts, permutation, descriptor)
 
 
-class _Codes(dict):
-    """Numbers each id the first time it is looked up: 0, 1, 2, ... in order of first sight."""
-
-    def __missing__(self, sid: str) -> int:
-        self[sid] = code = len(self)
-        return code
-
-
 def read_key(path: str | os.PathLike) -> BlindingKey:
-    cached = files.read_cache(path, {"counts": np.intp, "permutation": np.intp},
-                              {"source_ids": list, "seed": str})
-    if cached is not None:
-        fields, arrays = cached
-        return BlindingKey(tuple(fields["source_ids"]), arrays["counts"],
-                           arrays["permutation"], fields["seed"])
-    codes = _Codes()
-    dtype = [("pos", np.int64), ("source_id", np.intp), ("source_index", np.int64)]
-    head, rows = files.read_rows(path, 2, _key_head, dtype, {1: codes.__getitem__})
-    index = rows["source_index"]
+    head, ((codes, ids), index) = files.read_table(path, 2, _key_head, (str, int))
     # with no negative index, one past its source's count breaks the permutation
     if (index < 0).any():
         raise ValueError(f"{path}: blinded position {(index < 0).argmax()}: source_index < 0")
     try:
-        return _sorted_key(tuple(codes), rows["source_id"], index, head[0][len("# seed="):])
+        return _sorted_key(ids, codes, index, head[0][len("# seed="):])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -4,10 +4,11 @@ The blinded summary is made before anyone reads key.csv, so the files the
 steps hand each other are the experiment's contract. Every open, format and
 parse of a file is here; the module that owns a table keeps its schema.
 
-`write_csv` writes a CSV, then `<csv>.cache` beside it: the arrays the CSV's
-reader returns, in binary, with the sha256 of the CSV and of its own payload.
-A reader takes them when `read_cache` finds them valid, and otherwise parses
-the CSV (`read_rows`), to the same arrays or the same error. Readers never
+readings.csv and key.csv are tables (`write_table`): head lines, then per
+blinded position its `blinded_index` and a field of each column. Beside a
+table, `<csv>.cache` holds its columns in binary, with the sha256 of the CSV
+and of its own payload. `read_table` takes the columns from a valid cache
+and otherwise parses the CSV, so each reader has one path. Readers never
 write a cache.
 """
 
@@ -21,12 +22,19 @@ import warnings
 import numpy as np
 
 
-# Rows of a CSV built as arrays and written by one call (`write_csv`): enough to
+# Rows of a table built as arrays and written by one call (`write_table`): enough to
 # amortise numpy's per-call cost, few enough that a block's arrays stay near 2 MiB.
 CSV_BLOCK_ROWS = 8192
+# Word bytes a block holds per row before it holds fewer rows than CSV_BLOCK_ROWS: each
+# row's word is padded to the longest, so a block holds at most 128 KiB of words, ~0.5 MiB
+# with their mask and the joined copies, what a block of short words takes for its ints.
+BLOCK_WORD_BYTES = 16
 
-# The first line of a CSV's cache file; a cache with any other first line is ignored.
-CACHE_TAG = b"qvolt csv cache 1\n"
+# The dtype of each kind of column, parsed and cached; a text column's is that of its codes.
+_DTYPES = {float: np.dtype(np.float64), int: np.dtype(np.int64), str: np.dtype(np.uint32)}
+
+# The first line of a table's cache file; a cache with any other first line is ignored.
+CACHE_TAG = b"qvolt csv cache 2\n"
 # Bytes read per call while hashing a file: the whole file is never in memory at once.
 HASH_CHUNK = 1 << 16
 
@@ -37,7 +45,7 @@ def write_text(path: str | os.PathLike, text: str) -> None:
         fh.write(text)
 
 
-def _write_table(path: str | os.PathLike, header: str, fmt: str, *columns) -> None:
+def _savetxt(path: str | os.PathLike, header: str, fmt: str, *columns) -> None:
     """A header line, then one row of `fmt` per row of the columns, by one `np.savetxt` call."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         np.savetxt(fh, np.column_stack(columns), fmt=fmt, header=header, comments="")
@@ -45,14 +53,14 @@ def _write_table(path: str | os.PathLike, header: str, fmt: str, *columns) -> No
 
 def write_histogram(path: str | os.PathLike, hist) -> None:
     """A histogram CSV of an `analysis.HistogramResult`: each bin's edges, count and overlay."""
-    _write_table(path, "bin_left,bin_right,count,overlay_density", "%.15e,%.15e,%d,%.15e",
-                 hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.overlay_density)
+    _savetxt(path, "bin_left,bin_right,count,overlay_density", "%.15e,%.15e,%d,%.15e",
+             hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.overlay_density)
 
 
 def write_band(path: str | os.PathLike, mc) -> None:
     """band.csv of an `analysis.MCResult`: the fit line and its Monte Carlo band."""
-    _write_table(path, "x,fit,lo,hi", "%.15e,%.15e,%.15e,%.15e",
-                 mc.band_x, mc.band_fit, mc.band_lo, mc.band_hi)
+    _savetxt(path, "x,fit,lo,hi", "%.15e,%.15e,%.15e,%.15e",
+             mc.band_x, mc.band_fit, mc.band_lo, mc.band_hi)
 
 
 def write_fit(path: str | os.PathLike, fit, mc, cl: float) -> None:
@@ -83,55 +91,95 @@ def open_text(path: str | os.PathLike):
             raise
 
 
-def read_rows(path, n_head: int, check_head, dtype, converters=None) -> tuple[list, np.ndarray]:
-    """The first n_head lines of a CSV, and the rest as one structured array.
+def read_table(path, n_head: int, check_head, kinds: Sequence[type]) -> tuple[list, list]:
+    """The head lines of a table (`write_table`), and its columns from its cache or its parse.
 
-    `check_head(path, lines)` raises ValueError for head lines that are not
-    the table's, before the rows are parsed. A field that does not parse, or
-    a first field that does not count the rows, is a ValueError naming `path`.
-    `converters` maps a column to a function of its field's text; with
-    `encoding=None` it gets a `str` (numpy 1.x would default to latin-1 bytes).
+    `check_head(path, lines)` raises ValueError for head lines that are not the
+    table's, on both paths and before any row is parsed. Column c of kind kinds[c]
+    is a float64 array for float, an int64 array for int, and for str (codes,
+    words): uint32 codes and the distinct words they index. Each array owns its data.
     """
     with open_text(path) as fh:
         head = [fh.readline().rstrip("\n") for _ in range(n_head)]
         check_head(path, head)
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1,
-                                  converters=converters, encoding=None)
-        except UnicodeDecodeError:
-            raise  # open_text names the line
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-    pos = rows[rows.dtype.names[0]]
+        columns = read_cache(path, kinds)
+        if columns is None:
+            columns = parse_rows(path, fh, kinds)
+    return head, columns
+
+
+def parse_rows(path, fh, kinds: Sequence[type]) -> list:
+    """The columns of the rows left in the open table `fh`, by one `np.loadtxt` pass.
+
+    A text column's `_Codes` numbers its words as they are parsed. A field that does
+    not parse, or a first field that does not count the rows, is a ValueError naming `path`.
+    """
+    codes = [_Codes() if kind is str else None for kind in kinds]
+    dtype = [("blinded_index", np.int64)] + [(f"c{c}", _DTYPES[k]) for c, k in enumerate(kinds)]
+    # with `encoding=None` a converter gets a `str` (numpy 1.x would default to latin-1 bytes)
+    converters = {c + 1: words.__getitem__ for c, words in enumerate(codes) if words is not None}
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1,
+                              converters=converters, encoding=None)
+    except UnicodeDecodeError:
+        raise  # open_text names the line
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    pos = rows["blinded_index"]
     misplaced = np.flatnonzero(pos != np.arange(len(pos)))
     if misplaced.size:
         row = misplaced[0]
         raise ValueError(f"{path}: row {row}: blinded_index {pos[row]} out of order")
-    return head, rows
+    # contiguous copies, so the rows are freed on return
+    return [rows[f"c{c}"].copy() if words is None else (rows[f"c{c}"].copy(), list(words))
+            for c, words in enumerate(codes)]
 
 
-def write_csv(path, header: str, n: int, rows, cached: dict, fields: dict | None = None,
-              block_rows: int = CSV_BLOCK_ROWS) -> None:
-    """Write a header line and n rows to the file at `path`, then its cache.
+class _Codes(dict):
+    """Numbers each word the first time it is looked up: 0, 1, 2, ... in order of first sight."""
 
-    `rows(lo, hi)` gives the fields of rows lo..hi-1, each a pair (chars, keep)
-    of (width, hi - lo) arrays: column r of `chars` holds row r's field
-    padded to the width, and column r of `keep` marks the bytes that are the
-    field's. The fields are joined by commas and each row ends in a newline.
-    `block_rows` rows are built, written and hashed at a time, so one block's
-    arrays are the only memory added. The cache holds `cached` and `fields`.
+    def __missing__(self, word: str) -> int:
+        self[word] = code = len(self)
+        return code
+
+
+def _column(column) -> tuple[type, np.ndarray, list | None]:
+    """A column's kind, its values or codes as an array of the kind's dtype, and words or None."""
+    if isinstance(column, tuple):
+        return str, np.ascontiguousarray(column[0], _DTYPES[str]), list(column[1])
+    kind = float if np.asarray(column).dtype.kind == "f" else int
+    return kind, np.ascontiguousarray(column, _DTYPES[kind]), None
+
+
+def write_table(path, head: str, columns: Sequence) -> None:
+    """Write the `head` line(s), then row r = r,<column fields> for each r, then the cache.
+
+    A float array's field is `%.17e`, a non-negative int array's `%d`, a text
+    column (codes, words)'s words[codes[r]]. The rows are built, written and
+    hashed a block at a time, so one block's arrays are the only memory added:
+    CSV_BLOCK_ROWS rows, or fewer when the widest word is over BLOCK_WORD_BYTES.
     """
-    head = header.encode() + b"\n"
-    digest = hashlib.sha256(head)
+    kinds, arrays, words = zip(*map(_column, columns))
+    tables = [None if w is None else byte_table([word.encode() for word in w]) for w in words]
+    widest = max((table[0].shape[1] for table in tables if table is not None), default=0)
+    block_rows = CSV_BLOCK_ROWS * BLOCK_WORD_BYTES // max(BLOCK_WORD_BYTES, widest)
+    formats = {float: float_field, int: int_field}
+    n = len(arrays[0])
+    head_bytes = head.encode() + b"\n"
+    digest = hashlib.sha256(head_bytes)
     with open(path, "wb") as fh:
-        fh.write(head)
+        fh.write(head_bytes)
         for lo in range(0, n, block_rows):
-            block = _joined(rows(lo, min(lo + block_rows, n)))
+            hi = min(lo + block_rows, n)
+            fields = [int_field(np.arange(lo, hi))]
+            fields += [formats[kind](a[lo:hi]) if table is None else text_field(table, a[lo:hi])
+                       for a, kind, table in zip(arrays, kinds, tables)]
+            block = _joined(fields)
             fh.write(block)
             digest.update(block)
-    write_cache(path, digest.digest(), fields or {}, cached)
+    write_cache(path, digest.digest(), [a if w is None else (a, w) for a, w in zip(arrays, words)])
 
 
 def _joined(fields: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -301,38 +349,33 @@ def cache_path(path: str | os.PathLike) -> str:
     return os.fspath(path) + ".cache"
 
 
-def write_cache(
-    path: str | os.PathLike, csv_sha256: bytes, fields: dict, arrays: dict[str, np.ndarray]
-) -> None:
-    """Write the cache of the CSV just written at `path`, whose bytes have the digest `csv_sha256`.
+def write_cache(path: str | os.PathLike, csv_sha256: bytes, columns: Sequence) -> None:
+    """Write the cache of the table just written at `path`, whose sha256 digest is `csv_sha256`.
 
-    The cache is CACHE_TAG, the sha256 of the CSV's bytes, the sha256
-    of the payload, then the payload: one JSON line of `fields` and each
-    array's name, dtype and length, followed by the arrays' bytes in order.
+    The cache is CACHE_TAG, the sha256 of the CSV's bytes and of the payload, then
+    the payload: one JSON line that lists each column's dtype, length and words (null
+    for a number column), then each column's array, a text column's codes as uint32.
     """
-    arrays = {name: np.ascontiguousarray(a) for name, a in arrays.items()}
-    layout = [[name, a.dtype.str, len(a)] for name, a in arrays.items()]
-    meta = json.dumps({"fields": fields, "arrays": layout}).encode() + b"\n"
+    _, arrays, words = zip(*map(_column, columns))
+    layout = [[a.dtype.str, len(a), w] for a, w in zip(arrays, words)]
+    meta = json.dumps(layout).encode() + b"\n"
     payload = hashlib.sha256(meta)
-    for a in arrays.values():
+    for a in arrays:
         payload.update(a)
     with open(cache_path(path), "wb") as fh:
         fh.write(CACHE_TAG + csv_sha256 + payload.digest() + meta)
-        for a in arrays.values():
+        for a in arrays:
             fh.write(a)
 
 
-def read_cache(
-    path: str | os.PathLike, dtypes: dict, fields: dict | None = None
-) -> tuple[dict, dict[str, np.ndarray]] | None:
-    """The fields and arrays cached for the CSV at `path`, or None if the cache does not hold them.
+def read_cache(path: str | os.PathLike, kinds: Sequence[type]) -> list | None:
+    """The columns cached for the table at `path`, or None if the cache does not hold them.
 
     The cache holds them when it exists, starts with CACHE_TAG, and records
-    the sha256 of the CSV as it is now and the sha256 of its own payload;
-    and when its JSON line is an object of exactly `fields` and `arrays`,
-    whose fields are exactly the names in `fields`, each of the type given
-    there, and whose arrays are exactly those named in `dtypes`, with those
-    dtypes, and fill the payload. Each array returned owns its data.
+    the sha256 of the CSV as it is now and of its own payload; and when its
+    JSON line lists one [dtype, n, words] per kind: the kind's dtype, one n
+    for all that makes the columns fill the payload, and words null for a
+    number column and distinct str for a text column, each code indexing them.
     """
     try:
         with open(cache_path(path), "rb") as fh:
@@ -346,22 +389,24 @@ def read_cache(
         return None
     start = payload.find(b"\n") + 1
     try:
-        meta = json.loads(payload[:start])
+        layout = json.loads(payload[:start])
     except ValueError:
         return None
-    if not isinstance(meta, dict) or meta.keys() != {"fields", "arrays"}:
+    n, extra = divmod(len(payload) - start, sum(_DTYPES[kind].itemsize for kind in kinds))
+    if extra or not (isinstance(layout, list) and len(layout) == len(kinds)):
         return None
-    got, layout, fields = meta["fields"], meta["arrays"], fields or {}
-    names = [[name, np.dtype(d).str] for name, d in dtypes.items()]
-    if not (isinstance(got, dict) and got.keys() == fields.keys()
-            and all(isinstance(got[name], kind) for name, kind in fields.items())
-            and isinstance(layout, list) and len(layout) == len(names)
-            and all(isinstance(a, list) and len(a) == 3 and a[:2] == name
-                    and type(a[2]) is int and a[2] >= 0 for a, name in zip(layout, names))
-            and start + sum(np.dtype(d).itemsize * n for _, d, n in layout) == len(payload)):
-        return None
-    arrays = {}
-    for name, dtype, n in layout:
-        arrays[name] = np.frombuffer(payload, dtype, n, start).copy()
-        start += arrays[name].nbytes
-    return got, arrays
+    columns = []
+    for entry, kind in zip(layout, kinds):
+        if not (isinstance(entry, list) and len(entry) == 3 and entry[:2] == [_DTYPES[kind].str, n]
+                and (entry[2] is None) == (kind is not str)):
+            return None
+        column = np.frombuffer(payload, _DTYPES[kind], n, start).copy()
+        start += column.nbytes
+        if kind is str:
+            words = entry[2]
+            if not (isinstance(words, list) and all(isinstance(w, str) for w in words)
+                    and len(set(words)) == len(words)) or (column >= len(words)).any():
+                return None
+            column = (column, words)
+        columns.append(column)
+    return columns

@@ -282,44 +282,30 @@ def _on_workers(fn, items: Sequence) -> None:
 
 
 _READINGS_HEADER = "blinded_index,reading_volts,range"
-# the range words of the readings file, indexed by the insensitive flag
-_RANGE_WORDS = (b"sensitive", b"insensitive")
+# each range word of the readings file, and its insensitive flag, which is its code when written
+_RANGE_FLAGS = {"sensitive": 0, "insensitive": 1}
 
 
 def write_readings(readings: Readings, path: str | os.PathLike) -> None:
-    """Write readings.csv, then its cache, which holds the arrays `read_readings` returns.
+    """Write readings.csv, then its cache, which holds the columns `read_readings` reads.
 
     A reading that is not finite raises ValueError before the file is opened,
     as `read_readings` would reject it.
     """
-    _finite_readings(path, readings.values, readings.insensitive)
-    values = np.asarray(readings.values, dtype=np.float64)
-    insensitive = np.asarray(readings.insensitive, dtype=bool)
-    words = files.byte_table(_RANGE_WORDS)
-
-    def rows(lo, hi):
-        return [files.int_field(np.arange(lo, hi)), files.float_field(values[lo:hi]),
-                files.text_field(words, insensitive[lo:hi])]
-
-    files.write_csv(path, _READINGS_HEADER, len(values), rows,
-                    {"values": values, "insensitive": insensitive})
+    _check_finite(path, readings.values)
+    files.write_table(path, _READINGS_HEADER,
+                      [readings.values, (readings.insensitive, tuple(_RANGE_FLAGS))])
 
 
 def read_readings(path: str | os.PathLike) -> Readings:
-    cached = files.read_cache(path, {"values": np.float64, "insensitive": bool})
-    if cached is not None:
-        return _finite_readings(path, cached[1]["values"], cached[1]["insensitive"])
-    # 12 bytes: a longer word is cut to 12, which matches neither range word
-    _, rows = files.read_rows(path, 1, _readings_head,
-                              [("pos", np.int64), ("value", np.float64), ("range", "S12")])
-    words = rows["range"]
-    insensitive = words == b"insensitive"
-    unknown = np.flatnonzero(~insensitive & (words != b"sensitive"))
+    _, (values, (codes, words)) = files.read_table(path, 1, _readings_head, (float, str))
+    flag = np.array([_RANGE_FLAGS.get(w, -1) for w in words], np.int8).take(codes)
+    unknown = np.flatnonzero(flag < 0)
     if unknown.size:
         row = unknown[0]
-        raise ValueError(f"{path}: row {row}: unknown range {words[row].decode('latin-1')!r}")
-    # a contiguous copy, so the row array is freed on return
-    return _finite_readings(path, rows["value"].copy(), insensitive)
+        raise ValueError(f"{path}: row {row}: unknown range {words[codes[row]]!r}")
+    _check_finite(path, values)
+    return Readings(values, flag == 1)
 
 
 def _readings_head(path, lines: list[str]) -> None:
@@ -327,9 +313,8 @@ def _readings_head(path, lines: list[str]) -> None:
         raise ValueError(f"{path}: unexpected readings header {lines[0]!r}")
 
 
-def _finite_readings(path, values: np.ndarray, insensitive: np.ndarray) -> Readings:
+def _check_finite(path, values: np.ndarray) -> None:
     non_finite = np.flatnonzero(~np.isfinite(values))
     if non_finite.size:
         row = non_finite[0]
         raise ValueError(f"{path}: row {row}: reading {values[row]} is not finite")
-    return Readings(values, insensitive)

@@ -79,13 +79,13 @@ def assert_key_holds(key, entries):
 def count_parses(monkeypatch):
     """The paths that the CSV readers parse from now on, one entry per pass of the parser."""
     calls = []
-    parse = files.read_rows
+    parse = files.parse_rows
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return parse(*args, **kwargs)
 
-    monkeypatch.setattr(files, "read_rows", counted)
+    monkeypatch.setattr(files, "parse_rows", counted)
     return calls
 
 
@@ -109,12 +109,44 @@ def relaid(change):
     return damage
 
 
-def _longer_last_array(meta):
-    meta["arrays"][-1][2] += 1
+def _longer_columns(meta):
+    for entry in meta:
+        entry[1] += 1
     return meta
 
 
-# ways a cache file can fail to hold its CSV's arrays, each a function of the cache's bytes
+def _text_column(meta):
+    """The index of a cache layout's text column, and where its codes start in the arrays' bytes."""
+    c = next(i for i, (_, _, words) in enumerate(meta) if words is not None)
+    return c, sum(np.dtype(dtype).itemsize * n for dtype, n, _ in meta[:c])
+
+
+def _code_past_the_words(meta, tail):
+    c, at = _text_column(meta)
+    dtype, _, words = meta[c]
+    code = np.array(len(words), dtype).tobytes()
+    return meta, tail[:at] + code + tail[at + len(code):]
+
+
+def _text_column_one_short(meta, tail):
+    c, at = _text_column(meta)
+    dtype, n, _ = meta[c]
+    meta[c][1] = n - 1
+    end = at + np.dtype(dtype).itemsize * n
+    return meta, tail[:end - np.dtype(dtype).itemsize] + tail[end:]
+
+
+def _with_words(words):
+    """A layout change that gives the text column words(its words) in place of its words."""
+    def change(meta, tail):
+        c, _ = _text_column(meta)
+        meta[c][2] = words(meta[c][2])
+        return meta, tail
+
+    return change
+
+
+# ways a cache file can fail to hold its CSV's columns, each a function of the cache's bytes
 CACHE_DAMAGE = {
     "wrong tag": lambda data: _flip(data, 0),
     "wrong CSV digest": lambda data: _flip(data, len(CACHE_TAG)),
@@ -122,11 +154,19 @@ CACHE_DAMAGE = {
     "changed payload": lambda data: _flip(data, len(data) - 1),
     "truncated payload": lambda data: data[:-1],
     "empty file": lambda data: b"",
-    "no arrays entry": relaid(lambda meta, tail: ({"fields": meta["fields"]}, tail)),
-    "meta is a JSON list": relaid(lambda meta, tail: ([meta["fields"], meta["arrays"]], tail)),
-    "array past the payload": relaid(lambda meta, tail: (_longer_last_array(meta), tail)),
-    "payload past the arrays": relaid(lambda meta, tail: (meta, tail + b"\0")),
-    "unknown field": relaid(lambda meta, tail: ({**meta, "fields": {"unknown": 0}}, tail)),
+    "no entry for the last column": relaid(lambda meta, tail: (meta[:-1], tail)),
+    "meta is a JSON object": relaid(lambda meta, tail: ({"columns": meta}, tail)),
+    "columns past the payload": relaid(lambda meta, tail: (_longer_columns(meta), tail)),
+    "payload past the columns": relaid(lambda meta, tail: (meta, tail + b"\0")),
+    "unknown column": relaid(
+        lambda meta, tail: (meta + [["<f8", meta[0][1], None]], tail + bytes(8 * meta[0][1]))
+    ),
+    "text column one entry short": relaid(_text_column_one_short),
+    "code past the word list": relaid(_code_past_the_words),
+    "no words": relaid(_with_words(lambda words: None)),
+    "words not a list": relaid(_with_words("".join)),
+    "a word not a str": relaid(_with_words(lambda words: [*words[:-1], 0])),
+    "a repeated word": relaid(_with_words(lambda words: [*words[:-1], words[0]])),
 }
 
 

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CACHE_DAMAGE, assert_key_holds, count_parses, origin_pairs, relaid
+from conftest import CACHE_DAMAGE, assert_key_holds, count_parses, origin_pairs
 from qvolt.blinding import (
-    KEY_BLOCK_ID_BYTES,
     BlindingKey,
     combine_and_permute,
     read_key,
@@ -19,22 +18,11 @@ from qvolt.blinding import (
     write_key,
 )
 from qvolt.seeds import derive_rng
-from qvolt.files import CSV_BLOCK_ROWS, cache_path
+from qvolt.files import BLOCK_WORD_BYTES, CSV_BLOCK_ROWS, cache_path
 from qvolt.sources import BitString, SourceSpec
 
-# the ways any cache can be damaged, and a key cache whose fields are not the key's
-KEY_CACHE_DAMAGE = {
-    **CACHE_DAMAGE,
-    "fields lack source_ids": relaid(
-        lambda meta, tail: ({**meta, "fields": {"seed": meta["fields"]["seed"]}}, tail)
-    ),
-    "source_ids not a list": relaid(
-        lambda meta, tail: ({**meta, "fields": {**meta["fields"], "source_ids": "c1q2"}}, tail)
-    ),
-}
-
 # rows of a key.csv block when the longest id has 300 bytes
-LONG_ID_BLOCK_ROWS = CSV_BLOCK_ROWS * KEY_BLOCK_ID_BYTES // 300
+LONG_ID_BLOCK_ROWS = CSV_BLOCK_ROWS * BLOCK_WORD_BYTES // 300
 
 
 def make_string(sid, bits, fidelity=0.5):
@@ -301,8 +289,8 @@ class TestKeyFile:
         "n", [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3]
     )
     def test_short_ids_match_the_row_reference(self, tmp_path, rng, n):
-        # ids within KEY_BLOCK_ID_BYTES: CSV_BLOCK_ROWS rows a block
-        ids = ("c1", "q" * KEY_BLOCK_ID_BYTES, "q3")
+        # ids within BLOCK_WORD_BYTES: CSV_BLOCK_ROWS rows a block
+        ids = ("c1", "q" * BLOCK_WORD_BYTES, "q3")
         counts = np.bincount(rng.integers(0, len(ids), n), minlength=len(ids))
         key = BlindingKey(ids, counts, rng.permutation(n), "7/blinding")
         path = tmp_path / "key.csv"
@@ -370,12 +358,12 @@ class TestKeyFile:
         assert_key_holds(read_key(path), origin_pairs(golden_key()))
         assert parses == []
 
-    @pytest.mark.parametrize("damage", list(KEY_CACHE_DAMAGE), ids=list(KEY_CACHE_DAMAGE))
+    @pytest.mark.parametrize("damage", list(CACHE_DAMAGE), ids=list(CACHE_DAMAGE))
     def test_damaged_cache_is_ignored_and_left_as_it_is(self, tmp_path, monkeypatch, damage):
         path = tmp_path / "key.csv"
         write_golden(path)
         cached = pathlib.Path(cache_path(path))
-        cached.write_bytes(KEY_CACHE_DAMAGE[damage](cached.read_bytes()))
+        cached.write_bytes(CACHE_DAMAGE[damage](cached.read_bytes()))
         before = cached.read_bytes()
         parses = count_parses(monkeypatch)
         assert_key_holds(read_key(path), origin_pairs(golden_key()))

@@ -513,9 +513,9 @@ REPORT_FILE_SHA256 = {
     "histogram_c1_low.csv": "7890ff21ecc6c70219e9d252063748d585699dc54ab82b379ed2eccabd64fc5c",
     "histogram_q2_low.csv": "622dd7991612232796d965d149155f238c7379243027617e0260ba7e8dbc01af",
     "key.csv": "ff1f1104b7a4f15e8604427c6823acedcc94fe2697d4ed9848c4c0a19575a366",
-    "key.csv.cache": "5bc38a8e2bc7a507763dabafc2d80dd82721d5dda9892d54ca8e974291bf1db9",
+    "key.csv.cache": "17e032ffc39f28ff4a45f3000d0efa2bbc9f1efe925a9861100d638168840a1d",
     "readings.csv": "d1848ea2f9559aae0cf1a5714e27b70b503793124a8babf9a2ef926ea7800c86",
-    "readings.csv.cache": "e10b613fb0088b09f51cfdc4c15da5f5c10615c493023d8600334852c470b580",
+    "readings.csv.cache": "244dc0d47df05775aa27458fbcaa3a8afb03406055fd7b313636c1fd62fb71e0",
     "report.txt": "9561cc651d68e4c980885ede443dad6c64e4afca7fc66888c39a13d0ed3d500a",
     "unblind_report.txt": "c44144478977bb4c06095b5fdb5ff4e629fa8e1bdfb80a397353d1099d061c24",
 }
@@ -756,6 +756,14 @@ class TestCliCommands:
              "header token 'n=1' repeats the 'n=' field"),
             ("blinded-summary", "readings.csv", 5, 2, b"sensitiv",
              "row 3: unknown range 'sensitiv'"),
+            ("blinded-summary", "readings.csv", 5, 2, b"sensitive\0",
+             "row 3: unknown range 'sensitive\\x00'"),
+            ("blinded-summary", "readings.csv", 5, 2, b"insensitive\0",
+             "row 3: unknown range 'insensitive\\x00'"),
+            ("blinded-summary", "readings.csv", 5, 2, b"insensitive_range",
+             "row 3: unknown range 'insensitive_range'"),
+            ("blinded-summary", "readings.csv", 5, 2, "ранг".encode(),
+             "row 3: unknown range 'ранг'"),
             ("blinded-summary", "readings.csv", 5, 2, b"sensitive",
              "row 3: reading 2.9998853642131187 V is above the range threshold 1.0 V "
              "but was recorded on the sensitive range"),
@@ -767,8 +775,9 @@ class TestCliCommands:
              "line 5: not UTF-8 text (invalid start byte)"),
         ],
         ids=["bit 2", "header n=abc", "header without n", "header n twice", "range sensitiv",
-             "range flipped", "negative source_index", "bit file byte ff", "readings byte ff",
-             "key byte ff"],
+             "range sensitive NUL", "range insensitive NUL", "range over 12 bytes",
+             "range outside latin-1", "range flipped", "negative source_index",
+             "bit file byte ff", "readings byte ff", "key byte ff"],
     )
     def test_bad_input_file_contract_exit_code(
         self, tmp_path, capsys, step, name, line, field, text, message

@@ -645,8 +645,8 @@ class TestReadingsFile:
         rows = "".join(f"{i},{v!r},{'insensitive' if hi else 'sensitive'}\n"
                        for i, (v, hi) in enumerate(zip(values.tolist(), insensitive)))
         path.write_text("blinded_index,reading_volts,range\n" + rows)
-        files.write_cache(path, files.file_sha256(path), {},
-                          {"values": values, "insensitive": insensitive})
+        files.write_cache(path, files.file_sha256(path),
+                          [values, (insensitive, ("sensitive", "insensitive"))])
         cache.settle(path)
         message = re.escape(f"{path}: row 3: reading {value} is not finite")
         with pytest.raises(ValueError, match=message):
