@@ -2,7 +2,8 @@
 
 The pipeline's estimator chain: split readings into low/high about the 1 V
 threshold, summarize each population (mean, sd, SEM), regress the per-source
-mean low voltage against (fidelity - 1/2) with weights 1/SEM^2, read the
+mean low voltage y against x = fidelity - 1/2 with weights 1/SEM^2 (three 1-D
+arrays, checked and fitted once, by `_weighted_line`), read the
 nonlinearity parameter off the slope divided by the closed-switch level, and
 convert estimate + uncertainty into a confidence bound. Monte Carlo
 resampling of the regression inputs cross-checks the closed-form parameter
@@ -35,19 +36,6 @@ class GaussianSummary:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-
-
-@dataclass(frozen=True)
-class RegressionPoint:
-    x: float  # fidelity - 1/2
-    y: float  # mean low reading, V
-    sigma: float  # SEM of y, V
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if not 0.0 <= self.x <= 0.5:
-            raise ValueError(f"x {self.x} outside [0, 1/2]")
 
 
 @dataclass(frozen=True)
@@ -118,27 +106,22 @@ def histogram(values: Sequence[float], n_bins: int) -> HistogramResult:
     return HistogramResult(bin_edges=edges, counts=counts, overlay_density=overlay)
 
 
-def wls_fit(points: Sequence[RegressionPoint], v1: float = 3.0) -> FitResult:
-    """Closed-form weighted least squares, weights 1/sigma^2.
+def wls_fit(x: np.ndarray, y: np.ndarray, sigma: np.ndarray, v1: float = 3.0) -> FitResult:
+    """Closed-form weighted least squares of y on x, weights 1/sigma^2.
 
+    x, y and sigma are 1-D arrays of one length, one entry per source.
     slope = sum w (x - xw)(y - yw) / sum w (x - xw)^2, intercept = yw - slope xw,
     sigma_slope = [sum w (x - xw)^2]^(-1/2),
     sigma_intercept = [1/sum w + xw^2 sigma_slope^2]^(1/2).
     The nonlinearity estimate is slope / v1 with the scaled uncertainty.
     """
-    if len(points) < 2:
-        raise ValueError("need at least 2 regression points")
     if v1 <= 0:
         raise ValueError("v1 must be > 0")
-    x, y, w, sw, xw, sxx = _weighted(points)
-    yw = float(np.dot(w, y) / sw)
-    slope = float(np.dot(w, (x - xw) * (y - yw)) / sxx)
-    intercept = yw - slope * xw
+    *_, sw, xw, sxx, intercept, slope = _weighted_line(x, y, sigma)
     sigma_slope = sxx**-0.5
-    sigma_intercept = math.sqrt(1.0 / sw + xw**2 * sigma_slope**2)
     return FitResult(
         intercept=intercept,
-        sigma_intercept=sigma_intercept,
+        sigma_intercept=math.sqrt(1.0 / sw + xw**2 * sigma_slope**2),
         slope=slope,
         sigma_slope=sigma_slope,
         eps=slope / v1,
@@ -146,43 +129,54 @@ def wls_fit(points: Sequence[RegressionPoint], v1: float = 3.0) -> FitResult:
     )
 
 
-def _weighted(points: Sequence[RegressionPoint]) -> tuple:
-    """The points' x, y and weights w = 1/sigma^2, sum w, xw and sum w (x - xw)^2."""
-    x = np.array([p.x for p in points])
-    y = np.array([p.y for p in points])
-    w = np.array([1.0 / p.sigma**2 for p in points])
+def _weighted_line(x: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> tuple:
+    """The checked x, y, sigma arrays, w = 1/sigma^2, sum w, xw, sum w (x - xw)^2, the line.
+
+    The checks: 1-D, one length, at least 2 points, sigma > 0, 0 <= x <= 1/2, x not all equal.
+    The line is the weighted fit's intercept and slope, in that order.
+    """
+    x, y, sigma = (np.asarray(a, dtype=float) for a in (x, y, sigma))
+    if not (x.ndim == y.ndim == sigma.ndim == 1 and len(x) == len(y) == len(sigma)):
+        raise ValueError("x, y and sigma must be 1-D arrays of one length, got shapes "
+                         f"{x.shape}, {y.shape} and {sigma.shape}")
+    if len(x) < 2:
+        raise ValueError("need at least 2 regression points")
+    if not (sigma > 0).all():  # a NaN too
+        raise ValueError(f"sigma must be > 0, got {sigma[~(sigma > 0)][0]}")
+    inside = (x >= 0.0) & (x <= 0.5)
+    if not inside.all():
+        raise ValueError(f"x {x[~inside][0]} outside [0, 1/2]")
     if np.unique(x).size < 2:
         raise ValueError("all x values equal: singular design")
+    # libm pow, as Python's float ** rounds; numpy's ** 2 squares, and may differ in the last bit
+    w = 1.0 / np.float_power(sigma, 2)
     sw = w.sum()
     xw = float(np.dot(w, x) / sw)
     sxx = float(np.dot(w, (x - xw) ** 2))
-    return x, y, w, sw, xw, sxx
+    yw = float(np.dot(w, y) / sw)
+    slope = float(np.dot(w, (x - xw) * (y - yw)) / sxx)
+    return x, y, sigma, w, sw, xw, sxx, yw - slope * xw, slope
 
 
-def mc_errors(
-    points: Sequence[RegressionPoint],
-    rng: np.random.Generator,
-    n_real: int = 10_000,
-) -> MCResult:
+def mc_errors(x: np.ndarray, y: np.ndarray, sigma: np.ndarray, rng: np.random.Generator,
+              n_real: int = 10_000) -> MCResult:
     """Monte Carlo propagation: resample y_i ~ N(y_i, sigma_i), refit, report spread.
 
-    Returns parameter standard deviations and the one-standard-deviation band
-    of the fitted line on an x grid for plotting. A drawn line's value at x is
-    intercept + slope * x, so the band's variance at x is
-    S_ii + 2 x S_is + x^2 S_ss, with S the 2x2 sample covariance (n - 1
+    Takes the arrays `wls_fit` takes. Returns parameter standard deviations and
+    the one-standard-deviation band of the fitted line on an x grid for plotting.
+    A drawn line's value at x is intercept + slope * x, so the band's variance
+    at x is S_ii + 2 x S_is + x^2 S_ss, with S the 2x2 sample covariance (n - 1
     denominator) of the drawn intercepts (i) and slopes (s). Memory stays
     O(n_real): no (n_real, BAND_POINTS) array of lines is built.
     """
     if n_real < 100:
         raise ValueError("n_real must be >= 100")
-    nominal = wls_fit(points)  # validates the design
-    x, y, w, sw, xw, sxx = _weighted(points)
-    sig = np.array([p.sigma for p in points])
+    x, y, sigma, w, sw, xw, sxx, intercept, slope = _weighted_line(x, y, sigma)
     # slope and intercept are linear in y: express as coefficient vectors
     c_slope = w * (x - xw) / sxx
     c_intercept = w / sw - xw * c_slope
 
-    samples = rng.normal(loc=y, scale=sig, size=(n_real, len(points)))
+    samples = rng.normal(loc=y, scale=sigma, size=(n_real, len(x)))
     slopes = samples @ c_slope
     intercepts = samples @ c_intercept
 
@@ -190,7 +184,7 @@ def mc_errors(
     (s_ii, s_is), (_, s_ss) = np.cov(intercepts, slopes)
     # rounding can take a near-zero variance below 0, where the lines' sd is 0
     band_sd = np.sqrt(np.maximum(s_ii + 2 * band_x * s_is + band_x**2 * s_ss, 0.0))
-    band_fit = nominal.intercept + nominal.slope * band_x
+    band_fit = intercept + slope * band_x
 
     return MCResult(
         sd_slope=float(slopes.std(ddof=1)),

@@ -123,7 +123,7 @@ def cmd_unblind_fit(config: RunConfig, out: str) -> str:
         f"  eps       = {fit.eps:.6e} +- {fit.sigma_eps:.6e}",
         f"  Monte Carlo ({mc.n_realizations} realizations): "
         f"sd_slope = {mc.sd_slope:.6e} V, sd_intercept = {mc.sd_intercept:.6e} V",
-        f"  {config.analysis.cl * 100:.0f}% CL bound ({config.analysis.bound_rule.value}): "
+        f"  {config.analysis.cl * 100:.15g}% CL bound ({config.analysis.bound_rule.value}): "
         f"|eps| < {fit.bound_90:.6e}",
     ]
     text = "\n".join(lines) + "\n"

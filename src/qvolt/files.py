@@ -69,7 +69,7 @@ def write_fit(path: str | os.PathLike, fit, mc, cl: float) -> None:
                f"intercept_volts,{fit.intercept:.15e},{fit.sigma_intercept:.15e}\n"
                f"slope_volts,{fit.slope:.15e},{fit.sigma_slope:.15e}\n"
                f"eps,{fit.eps:.15e},{fit.sigma_eps:.15e}\n"
-               f"bound_{int(round(cl * 100))},{fit.bound_90:.15e},\n"
+               f"bound_{cl * 100:.15g},{fit.bound_90:.15e},\n"
                f"mc_sd_slope_volts,{mc.sd_slope:.15e},\n"
                f"mc_sd_intercept_volts,{mc.sd_intercept:.15e},\n")
 
@@ -376,37 +376,41 @@ def read_cache(path: str | os.PathLike, kinds: Sequence[type]) -> list | None:
     JSON line lists one [dtype, n, words] per kind: the kind's dtype, one n
     for all that makes the columns fill the payload, and words null for a
     number column and distinct str for a text column, each code indexing them.
+    Each column is read into its own array, sized from the bytes left, and hashed on the way.
     """
     try:
         with open(cache_path(path), "rb") as fh:
             if fh.read(len(CACHE_TAG)) != CACHE_TAG or fh.read(32) != file_sha256(path):
                 return None
-            want = fh.read(32)
-            payload = fh.read()
+            want, meta = fh.read(32), fh.readline()
+            try:
+                layout = json.loads(meta)
+            except ValueError:
+                return None
+            n, extra = divmod(os.fstat(fh.fileno()).st_size - fh.tell(),
+                              sum(_DTYPES[kind].itemsize for kind in kinds))
+            if extra or not (isinstance(layout, list) and len(layout) == len(kinds)):
+                return None
+            payload = hashlib.sha256(meta)
+            columns = []
+            for entry, kind in zip(layout, kinds):
+                if not (isinstance(entry, list) and len(entry) == 3
+                        and entry[:2] == [_DTYPES[kind].str, n]
+                        and (entry[2] is None) == (kind is not str)):
+                    return None
+                column = np.empty(n, _DTYPES[kind])
+                if fh.readinto(column) != column.nbytes:
+                    return None
+                payload.update(column)
+                if kind is str:
+                    words = entry[2]
+                    if not (isinstance(words, list) and all(isinstance(w, str) for w in words)
+                            and len(set(words)) == len(words)) or (column >= len(words)).any():
+                        return None
+                    column = (column, words)
+                columns.append(column)
+            if fh.read(1) or payload.digest() != want:
+                return None
     except OSError:  # no cache, or none readable; a CSV that cannot be read fails its parse
         return None
-    if hashlib.sha256(payload).digest() != want:
-        return None
-    start = payload.find(b"\n") + 1
-    try:
-        layout = json.loads(payload[:start])
-    except ValueError:
-        return None
-    n, extra = divmod(len(payload) - start, sum(_DTYPES[kind].itemsize for kind in kinds))
-    if extra or not (isinstance(layout, list) and len(layout) == len(kinds)):
-        return None
-    columns = []
-    for entry, kind in zip(layout, kinds):
-        if not (isinstance(entry, list) and len(entry) == 3 and entry[:2] == [_DTYPES[kind].str, n]
-                and (entry[2] is None) == (kind is not str)):
-            return None
-        column = np.frombuffer(payload, _DTYPES[kind], n, start).copy()
-        start += column.nbytes
-        if kind is str:
-            words = entry[2]
-            if not (isinstance(words, list) and all(isinstance(w, str) for w in words)
-                    and len(set(words)) == len(words)) or (column >= len(words)).any():
-                return None
-            column = (column, words)
-        columns.append(column)
     return columns

@@ -96,9 +96,10 @@ def unblind_fit(values: np.ndarray, key: blinding.BlindingKey, config: RunConfig
             )
         per_low[spec.id] = summary
         per_hist[spec.id] = analysis.histogram(low, config.analysis.n_bins)
-        points.append(analysis.RegressionPoint(spec.fidelity - 0.5, summary.mean, summary.sem))
-    fit = analysis.wls_fit(points, v1=config.params.v1)
-    mc = analysis.mc_errors(points, derive_rng(config.seed, "mc"),
+        points.append((spec.fidelity - 0.5, summary.mean, summary.sem))
+    x, y, sem = zip(*points)
+    fit = analysis.wls_fit(x, y, sem, v1=config.params.v1)
+    mc = analysis.mc_errors(x, y, sem, derive_rng(config.seed, "mc"),
                             n_real=config.analysis.mc_realizations)
     fit = replace(fit, bound_90=analysis.confidence_bound(
         fit.eps, fit.sigma_eps, cl=config.analysis.cl, rule=config.analysis.bound_rule))

@@ -299,7 +299,7 @@ def write_readings(readings: Readings, path: str | os.PathLike) -> None:
 
 def read_readings(path: str | os.PathLike) -> Readings:
     _, (values, (codes, words)) = files.read_table(path, 1, _readings_head, (float, str))
-    flag = np.array([_RANGE_FLAGS.get(w, -1) for w in words], np.int8).take(codes)
+    flag = np.array([_RANGE_FLAGS.get(w, -1) for w in words], np.int8)[codes]
     unknown = np.flatnonzero(flag < 0)
     if unknown.size:
         row = unknown[0]

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import make_config
-from qvolt.analysis import RegressionPoint, confidence_bound, mc_errors, wls_fit
+from qvolt.analysis import confidence_bound, mc_errors, wls_fit
 from qvolt.blinding import combine_and_permute, unblind
 from qvolt.model import net_fidelity_majority, per_cycle_from_net
 from qvolt.pipeline import run_pipeline
@@ -21,10 +21,11 @@ from qvolt.seeds import derive_rng
 from qvolt.signal import AcquisitionConfig, AcquisitionMode, reduce_cycle, run_acquisition
 from qvolt.sources import BitString, SourceSpec
 
+# the fit's (x, y, sigma): fidelity - 1/2, mean low reading and its SEM (volts)
 QUOTED_POINTS = (
-    RegressionPoint(x=0.00, y=-0.307e-9, sigma=0.020e-9),
-    RegressionPoint(x=0.49, y=-0.316e-9, sigma=0.029e-9),
-    RegressionPoint(x=0.05, y=-0.302e-9, sigma=0.047e-9),
+    np.array([0.00, 0.49, 0.05]),
+    np.array([-0.307e-9, -0.316e-9, -0.302e-9]),
+    np.array([0.020e-9, 0.029e-9, 0.047e-9]),
 )
 
 
@@ -48,9 +49,9 @@ def report(number, description):
 
 @report(1, "WLS replay of the published per-source summaries")
 def test_criterion_1_wls_replay():
-    wls_fit(QUOTED_POINTS, v1=3.0)  # warm up before timing
+    wls_fit(*QUOTED_POINTS, v1=3.0)  # warm up before timing
     start = time.perf_counter()
-    fit = wls_fit(QUOTED_POINTS, v1=3.0)
+    fit = wls_fit(*QUOTED_POINTS, v1=3.0)
     elapsed = time.perf_counter() - start
     assert abs(fit.intercept - (-0.306e-9)) < 0.001e-9
     assert abs(fit.sigma_intercept - 0.019e-9) < 0.001e-9
@@ -60,7 +61,7 @@ def test_criterion_1_wls_replay():
 
 @report(2, "slope magnitude on the quoted (rounded) inputs")
 def test_criterion_2_slope_magnitude():
-    fit = wls_fit(QUOTED_POINTS, v1=3.0)
+    fit = wls_fit(*QUOTED_POINTS, v1=3.0)
     assert abs(fit.eps) <= 2.5e-11  # sign not asserted
 
 
@@ -102,8 +103,8 @@ def test_criterion_5_injection_recovery():
 @report(6, "Monte Carlo parameter spread matches the analytic WLS sigma")
 def test_criterion_6_mc_vs_analytic():
     start = time.perf_counter()
-    fit = wls_fit(QUOTED_POINTS)
-    mc = mc_errors(QUOTED_POINTS, np.random.default_rng(60), n_real=10_000)
+    fit = wls_fit(*QUOTED_POINTS)
+    mc = mc_errors(*QUOTED_POINTS, np.random.default_rng(60), n_real=10_000)
     elapsed = time.perf_counter() - start
     assert abs(mc.sd_slope / fit.sigma_slope - 1) < 0.03
     assert elapsed < 5

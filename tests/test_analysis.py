@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from qvolt.analysis import (
     BAND_POINTS,
-    RegressionPoint,
     classify,
     confidence_bound,
     histogram,
@@ -17,22 +17,20 @@ from qvolt.analysis import (
     wls_fit,
 )
 
-# per-source low-voltage summaries quoted for the experimental run (volts)
+# per-source low-voltage summaries quoted for the experimental run, as the fit's
+# (x, y, sigma): fidelity - 1/2, the mean low reading and its SEM (volts)
 PAPER_POINTS = (
-    RegressionPoint(x=0.00, y=-0.307e-9, sigma=0.020e-9),
-    RegressionPoint(x=0.49, y=-0.316e-9, sigma=0.029e-9),
-    RegressionPoint(x=0.05, y=-0.302e-9, sigma=0.047e-9),
+    np.array([0.00, 0.49, 0.05]),
+    np.array([-0.307e-9, -0.316e-9, -0.302e-9]),
+    np.array([0.020e-9, 0.029e-9, 0.047e-9]),
 )
 
 # a two-point design: the fit passes through both points, and the band pinches between them
-TWO_POINTS = (
-    RegressionPoint(x=0.1, y=1e-9, sigma=0.2e-9),
-    RegressionPoint(x=0.4, y=-1e-9, sigma=0.5e-9),
-)
+TWO_POINTS = (np.array([0.1, 0.4]), np.array([1e-9, -1e-9]), np.array([0.2e-9, 0.5e-9]))
 
 
 def chi2(points, slope, intercept):
-    return sum(((p.y - (intercept + slope * p.x)) / p.sigma) ** 2 for p in points)
+    return sum(((y - (intercept + slope * x)) / sigma) ** 2 for x, y, sigma in zip(*points))
 
 
 class TestClassify:
@@ -116,51 +114,40 @@ class TestHistogram:
 
 class TestWlsFit:
     def test_two_points_exact_interpolation(self):
-        points = [
-            RegressionPoint(x=0.0, y=1.0, sigma=0.5),
-            RegressionPoint(x=0.5, y=2.0, sigma=0.1),
-        ]
-        fit = wls_fit(points, v1=3.0)
+        fit = wls_fit([0.0, 0.5], [1.0, 2.0], [0.5, 0.1], v1=3.0)
         assert fit.intercept == pytest.approx(1.0, rel=1e-12)
         assert fit.slope == pytest.approx(2.0, rel=1e-12)
 
     def test_replays_published_intercept(self):
-        fit = wls_fit(PAPER_POINTS, v1=3.0)
+        fit = wls_fit(*PAPER_POINTS, v1=3.0)
         assert fit.intercept == pytest.approx(-0.306e-9, abs=0.001e-9)
         assert fit.sigma_intercept == pytest.approx(0.019e-9, abs=0.001e-9)
 
     def test_replays_published_slope_uncertainty(self):
-        fit = wls_fit(PAPER_POINTS, v1=3.0)
+        fit = wls_fit(*PAPER_POINTS, v1=3.0)
         assert fit.sigma_slope == pytest.approx(0.0710e-9, abs=0.0005e-9)
         assert fit.sigma_eps == pytest.approx(2.37e-11, abs=0.02e-11)
 
     def test_eps_is_slope_over_v1(self):
-        fit = wls_fit(PAPER_POINTS, v1=3.0)
+        fit = wls_fit(*PAPER_POINTS, v1=3.0)
         assert fit.eps * 3.0 == fit.slope
 
     def test_rejects_degenerate_design(self):
-        points = [
-            RegressionPoint(x=0.1, y=1.0, sigma=0.5),
-            RegressionPoint(x=0.1, y=2.0, sigma=0.1),
-        ]
         with pytest.raises(ValueError):
-            wls_fit(points)
+            wls_fit([0.1, 0.1], [1.0, 2.0], [0.5, 0.1])
         with pytest.raises(ValueError):
-            wls_fit(points[:1])
+            wls_fit([0.1], [1.0], [0.5])
 
     def test_closed_form_beats_grid_search(self, rng):
         # oracle equivalence: chi^2 at the closed-form optimum is not beaten
         # by any point of a fine grid around it
         for _ in range(20):
-            points = [
-                RegressionPoint(
-                    x=float(x),
-                    y=float(rng.normal(0, 1)),
-                    sigma=float(rng.uniform(0.1, 2.0)),
-                )
+            # rows x, y, sigma; drawn point by point, in the order of the draws
+            points = np.array([
+                (x, rng.normal(0, 1), rng.uniform(0.1, 2.0))
                 for x in (0.0, rng.uniform(0.2, 0.4), 0.5)
-            ]
-            fit = wls_fit(points)
+            ]).T
+            fit = wls_fit(*points)
             best = chi2(points, fit.slope, fit.intercept)
             slopes = fit.slope + np.linspace(-1, 1, 201) * max(abs(fit.slope), 1.0)
             intercepts = fit.intercept + np.linspace(-1, 1, 201) * max(
@@ -174,14 +161,9 @@ class TestWlsFit:
     @given(c=st.floats(0.01, 100.0))
     @settings(max_examples=50)
     def test_scale_equivariance(self, c):
-        fit = wls_fit(PAPER_POINTS, v1=3.0)
-        scaled = wls_fit(
-            [
-                RegressionPoint(x=p.x, y=c * p.y, sigma=c * p.sigma)
-                for p in PAPER_POINTS
-            ],
-            v1=3.0,
-        )
+        fit = wls_fit(*PAPER_POINTS, v1=3.0)
+        x, y, sigma = PAPER_POINTS
+        scaled = wls_fit(x, c * y, c * sigma, v1=3.0)
         assert scaled.slope == pytest.approx(c * fit.slope, rel=1e-9)
         assert scaled.intercept == pytest.approx(c * fit.intercept, rel=1e-9)
         assert scaled.sigma_slope == pytest.approx(c * fit.sigma_slope, rel=1e-9)
@@ -191,16 +173,11 @@ class TestWlsFit:
     @settings(max_examples=50)
     def test_x_shift_equivariance(self, d):
         # shifting x by d leaves the slope alone and moves the intercept by -slope*d
-        base = [
-            RegressionPoint(x=0.10, y=-0.307e-9, sigma=0.020e-9),
-            RegressionPoint(x=0.40, y=-0.316e-9, sigma=0.029e-9),
-            RegressionPoint(x=0.15, y=-0.302e-9, sigma=0.047e-9),
-        ]
-        fit = wls_fit(base, v1=3.0)
-        shifted = wls_fit(
-            [RegressionPoint(x=p.x + d, y=p.y, sigma=p.sigma) for p in base],
-            v1=3.0,
-        )
+        x = np.array([0.10, 0.40, 0.15])
+        y = np.array([-0.307e-9, -0.316e-9, -0.302e-9])
+        sigma = np.array([0.020e-9, 0.029e-9, 0.047e-9])
+        fit = wls_fit(x, y, sigma, v1=3.0)
+        shifted = wls_fit(x + d, y, sigma, v1=3.0)
         assert shifted.slope == pytest.approx(fit.slope, rel=1e-9)
         assert shifted.intercept == pytest.approx(
             fit.intercept - fit.slope * d, rel=1e-9, abs=1e-22
@@ -211,11 +188,7 @@ class TestEpsFromSlope:
     @staticmethod
     def eps_of_slope(slope, v1):
         # two points a half apart in x: the fitted slope is `slope` exactly
-        points = [
-            RegressionPoint(x=0.0, y=0.0, sigma=1.0),
-            RegressionPoint(x=0.5, y=0.5 * slope, sigma=1.0),
-        ]
-        return wls_fit(points, v1=v1).eps
+        return wls_fit([0.0, 0.5], [0.0, 0.5 * slope], [1.0, 1.0], v1=v1).eps
 
     def test_values(self):
         assert self.eps_of_slope(0.0, 3.0) == 0.0
@@ -229,18 +202,16 @@ class TestEpsFromSlope:
 
 def mc_lines_reference(points, rng, n_real):
     """The Monte Carlo band by its definition: the sd at each x of every drawn line."""
-    x = np.array([p.x for p in points])
-    y = np.array([p.y for p in points])
-    sig = np.array([p.sigma for p in points])
+    x, y, sig = points
     w = 1.0 / sig**2
     sw = w.sum()
     xw = np.dot(w, x) / sw
     c_slope = w * (x - xw) / np.dot(w, (x - xw) ** 2)
     c_intercept = w / sw - xw * c_slope
-    samples = rng.normal(loc=y, scale=sig, size=(n_real, len(points)))
+    samples = rng.normal(loc=y, scale=sig, size=(n_real, len(x)))
     slopes = samples @ c_slope
     intercepts = samples @ c_intercept
-    fit = wls_fit(points)
+    fit = wls_fit(*points)
     band_x = np.linspace(min(x.min(), 0.0), max(x.max(), 0.5), BAND_POINTS)
     lines = np.outer(slopes, band_x) + intercepts[:, None]
     return {
@@ -256,7 +227,7 @@ class TestMcErrors:
     @pytest.mark.parametrize("n_real", [100, 1000, 10_000])
     @pytest.mark.parametrize("points", [PAPER_POINTS, TWO_POINTS], ids=["paper", "two points"])
     def test_band_matches_the_lines_reference(self, points, n_real):
-        mc = mc_errors(points, np.random.default_rng(6), n_real=n_real)
+        mc = mc_errors(*points, np.random.default_rng(6), n_real=n_real)
         ref = mc_lines_reference(points, np.random.default_rng(6), n_real)
         assert mc.sd_slope == ref["sd_slope"]
         assert mc.sd_intercept == ref["sd_intercept"]
@@ -269,12 +240,8 @@ class TestMcErrors:
     def test_near_exact_point_keeps_the_band_finite(self):
         # every drawn line passes within 1e-20 of (0.5, 2e-9), a grid x; there the
         # covariance form's variance rounds to -3.9e-34 with this seed
-        points = [
-            RegressionPoint(x=0.1, y=1e-9, sigma=1e-9),
-            RegressionPoint(x=0.3, y=0.0, sigma=1e-9),
-            RegressionPoint(x=0.5, y=2e-9, sigma=1e-20),
-        ]
-        mc = mc_errors(points, np.random.default_rng(0), n_real=10_000)
+        x, y, sigma = [0.1, 0.3, 0.5], [1e-9, 0.0, 2e-9], [1e-9, 1e-9, 1e-20]
+        mc = mc_errors(x, y, sigma, np.random.default_rng(0), n_real=10_000)
         assert mc.band_x[-1] == 0.5
         assert np.isfinite(mc.band_lo).all() and np.isfinite(mc.band_hi).all()
         assert (mc.band_lo <= mc.band_fit).all() and (mc.band_fit <= mc.band_hi).all()
@@ -282,43 +249,71 @@ class TestMcErrors:
 
     def test_peak_memory_stays_below_one_mib(self):
         # a (10,000 x 51) array of drawn lines would alone take 3.9 MiB
-        mc_errors(PAPER_POINTS, np.random.default_rng(7), n_real=100)  # imports, caches
+        mc_errors(*PAPER_POINTS, np.random.default_rng(7), n_real=100)  # imports, caches
         tracemalloc.start()
         try:
-            mc_errors(PAPER_POINTS, np.random.default_rng(7), n_real=10_000)
+            mc_errors(*PAPER_POINTS, np.random.default_rng(7), n_real=10_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
 
     def test_degenerate_sigmas_give_zero_spread(self):
-        points = [
-            RegressionPoint(x=p.x, y=p.y, sigma=1e-20 * abs(p.y)) for p in PAPER_POINTS
-        ]
-        mc = mc_errors(points, np.random.default_rng(1), n_real=1000)
+        x, y, _ = PAPER_POINTS
+        mc = mc_errors(x, y, 1e-20 * abs(y), np.random.default_rng(1), n_real=1000)
         assert mc.sd_slope < 1e-18
         assert mc.sd_intercept < 1e-18
 
     def test_matches_analytic_at_paper_count(self):
-        fit = wls_fit(PAPER_POINTS)
-        mc = mc_errors(PAPER_POINTS, np.random.default_rng(2), n_real=10_000)
+        fit = wls_fit(*PAPER_POINTS)
+        mc = mc_errors(*PAPER_POINTS, np.random.default_rng(2), n_real=10_000)
         assert abs(mc.sd_slope / fit.sigma_slope - 1) < 0.03
         assert abs(mc.sd_intercept / fit.sigma_intercept - 1) < 0.05
 
     def test_deterministic_under_seed(self):
-        a = mc_errors(PAPER_POINTS, np.random.default_rng(3), n_real=500)
-        b = mc_errors(PAPER_POINTS, np.random.default_rng(3), n_real=500)
+        a = mc_errors(*PAPER_POINTS, np.random.default_rng(3), n_real=500)
+        b = mc_errors(*PAPER_POINTS, np.random.default_rng(3), n_real=500)
         assert a.sd_slope == b.sd_slope
         assert np.array_equal(a.band_lo, b.band_lo)
 
     def test_band_brackets_fit(self):
-        mc = mc_errors(PAPER_POINTS, np.random.default_rng(4), n_real=2000)
+        mc = mc_errors(*PAPER_POINTS, np.random.default_rng(4), n_real=2000)
         assert np.all(mc.band_lo < mc.band_fit)
         assert np.all(mc.band_hi > mc.band_fit)
 
     def test_rejects_too_few_realizations(self):
         with pytest.raises(ValueError):
-            mc_errors(PAPER_POINTS, np.random.default_rng(5), n_real=10)
+            mc_errors(*PAPER_POINTS, np.random.default_rng(5), n_real=10)
+
+
+ONE_LENGTH = "x, y and sigma must be 1-D arrays of one length, got shapes"
+# fit inputs (x, y, sigma) that both fits refuse, each with the start of its message
+BAD_FIT_INPUTS = {
+    "sigma zero": (([0.0, 0.5], [1.0, 2.0], [1.0, 0.0]), "sigma must be > 0, got 0.0"),
+    "sigma negative": (([0.0, 0.5], [1.0, 2.0], [-1.0, 1.0]), "sigma must be > 0, got -1.0"),
+    "sigma NaN": (([0.0, 0.5], [1.0, 2.0], [1.0, math.nan]), "sigma must be > 0, got nan"),
+    "x below 0": (([-0.1, 0.5], [1.0, 2.0], [1.0, 1.0]), "x -0.1 outside [0, 1/2]"),
+    "x above 1/2": (([0.0, 0.6], [1.0, 2.0], [1.0, 1.0]), "x 0.6 outside [0, 1/2]"),
+    "x NaN": (([math.nan, 0.5], [1.0, 2.0], [1.0, 1.0]), "x nan outside [0, 1/2]"),
+    "x all equal": (([0.2, 0.2], [1.0, 2.0], [1.0, 1.0]), "all x values equal"),
+    "unequal lengths": (([0.0, 0.5], [1.0, 2.0, 3.0], [1.0, 1.0]),
+                        f"{ONE_LENGTH} (2,), (3,) and (2,)"),
+    "one point": (([0.1], [1.0], [1.0]), "need at least 2 regression points"),
+    "2-D": (([[0.0, 0.5]], [[1.0, 2.0]], [[1.0, 1.0]]), f"{ONE_LENGTH} (1, 2), (1, 2) and (1, 2)"),
+}
+
+FITS = {
+    "wls_fit": wls_fit,
+    "mc_errors": lambda x, y, sigma: mc_errors(x, y, sigma, np.random.default_rng(0), 100),
+}
+
+
+@pytest.mark.parametrize("fit", list(FITS))
+@pytest.mark.parametrize("case", list(BAD_FIT_INPUTS))
+def test_fits_reject_bad_input(case, fit):
+    args, message = BAD_FIT_INPUTS[case]
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        FITS[fit](*args)
 
 
 class TestConfidenceBound:

@@ -521,6 +521,22 @@ REPORT_FILE_SHA256 = {
 }
 
 
+# sha256 of the fit's outputs that `generate` and then `report` write for each shipped
+# config: the paper's scale, 100,717 cycles and 10,000 Monte Carlo draws
+PAPER_FIT_SHA256 = {
+    "injected.cfg": {
+        "band.csv": "6a884102bf1e064f62964e6935b751b037429a69fefb8cc9ea492bf1b81a9e56",
+        "fit.csv": "0a0289e5a9f6f03323a26cc2fbe052e08df36049c28c4806165f2d921631c953",
+        "unblind_report.txt": "62c347cd142662272f39e9e4bd6d2109db09bab07bf16290ffb3497e0428bcb8",
+    },
+    "null.cfg": {
+        "band.csv": "8c7a8f4eb9e12c23eb18d05c462d90cf1d7166e17e2a595ed11c713e39dff5d5",
+        "fit.csv": "268c965cf6426c22d62cfd6c98beadce5d398d7a4aaa1e8cea4f829b4adf9cd8",
+        "unblind_report.txt": "0e70f2ad8377aac822bfd84043640a084bc34cc7d663a7ee38951f0fb58952d2",
+    },
+}
+
+
 class TestTableWriters:
     def test_every_file_keeps_its_recorded_bytes(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -528,6 +544,15 @@ class TestTableWriters:
         assert cli.main(["generate", "--config", cfg, "--out", out]) == 0
         assert cli.main(["report", "--config", cfg, "--out", out]) == 0
         assert _digests(out) == REPORT_FILE_SHA256
+
+    @pytest.mark.parametrize("name", sorted(PAPER_FIT_SHA256))
+    def test_paper_scale_fit_keeps_its_recorded_bytes(self, tmp_path, name):
+        cfg = os.path.join(CONFIGS, name)
+        out = str(tmp_path / "out")
+        assert cli.main(["generate", "--config", cfg, "--out", out]) == 0
+        assert cli.main(["report", "--config", cfg, "--out", out]) == 0
+        digests = _digests(out)
+        assert {f: digests[f] for f in PAPER_FIT_SHA256[name]} == PAPER_FIT_SHA256[name]
 
     def test_histogram_matches_the_row_reference(self, tmp_path, rng):
         edges = rng.normal(size=51) * 10.0 ** rng.integers(-300, 300, 51)
@@ -629,6 +654,17 @@ class TestCliCommands:
         with open(os.path.join(out, "report.txt")) as fh:
             text = fh.read()
         assert "bound" in text
+
+    @pytest.mark.parametrize("cl, percent", [("0.999", "99.9"), ("0.95", "95"),
+                                             ("0.9999999", "99.99999")])
+    def test_cl_label_keeps_the_digits_of_cl(self, tmp_path, cl, percent):
+        cfg = write_cfg(tmp_path, MINIMAL_CFG.replace("[analysis]\n", f"[analysis]\ncl = {cl}\n"))
+        out = tmp_path / "out"
+        assert cli.main(["report", "--config", cfg, "--out", str(out)]) == 0
+        for report in ("unblind_report.txt", "report.txt"):
+            assert f"\n  {percent}% CL bound (central): |eps| < " in (out / report).read_text()
+        rows = [line.split(",")[0] for line in (out / "fit.csv").read_text().splitlines()]
+        assert rows[4] == f"bound_{percent}"
 
     def test_config_error_exit_code(self, tmp_path):
         bad = write_cfg(tmp_path, MINIMAL_CFG.replace("vs = -0.306 nV", "vs = oops"))

@@ -735,6 +735,23 @@ class TestReadingsFile:
         assert retained < 1.2 * 2**20
         assert readings.values.flags.owndata and readings.values.flags.c_contiguous
 
+    def test_cache_hit_peak_memory_at_paper_scale(self, tmp_path, rng, monkeypatch):
+        # the cached columns take 1.15 MiB; reading the whole payload and then copying
+        # each column out of it, with the range codes cast to intp, peaked at 2.42 MiB
+        n = 100_717
+        path = tmp_path / "readings.csv"
+        write_readings(Readings(rng.normal(0.0, 1e-9, n), rng.random(n) < 0.5), path)
+        read_readings(path)  # imports, caches
+        parses = count_parses(monkeypatch)
+        tracemalloc.start()
+        try:
+            read_readings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parses == []
+        assert peak < 1.6 * 2**20
+
     def test_write_readings_peak_memory_at_paper_scale(self, tmp_path, rng):
         # one block's arrays at a time, under the 3.94 MiB that write_key peaks at
         n = 100_717
