@@ -108,32 +108,24 @@ def write_key(key: BlindingKey, path: str | os.PathLike) -> None:
                       [(code, key.source_ids), index])
 
 
-def _sorted_key(
-    ids: Sequence[str], code: np.ndarray, index: np.ndarray, descriptor: str
-) -> BlindingKey:
-    """The key whose blinded position p holds bit index[p] of source ids[code[p]], as read back.
-
-    The ids are sorted and the codes renumbered to match; an id that no
-    position holds is left out, as it has no row in key.csv.
-    """
-    held = np.flatnonzero(np.bincount(code, minlength=len(ids)))
-    kept = sorted(held.tolist(), key=ids.__getitem__)
-    rank = np.zeros(len(ids), dtype=np.intp)
-    rank[kept] = np.arange(len(kept))
-    code = rank[code]
-    counts = np.bincount(code, minlength=len(kept))
-    permutation = (np.cumsum(counts) - counts)[code]
-    permutation += index
-    return BlindingKey(tuple(ids[c] for c in kept), counts, permutation, descriptor)
-
-
 def read_key(path: str | os.PathLike) -> BlindingKey:
-    head, ((codes, ids), index) = files.read_table(path, 2, _key_head, (str, int))
+    """The key whose blinded position p holds bit source_index[p] of source source_id[p].
+
+    The ids are sorted and the counts and permutation follow them; an id that
+    no position holds is left out, as it has no row in key.csv.
+    """
+    head, ((code, ids), index) = files.read_table(path, 2, _key_head, (str, int))
     # with no negative index, one past its source's count breaks the permutation
     if (index < 0).any():
         raise ValueError(f"{path}: blinded position {(index < 0).argmax()}: source_index < 0")
+    counts = np.bincount(code, minlength=len(ids))
+    held = sorted(np.flatnonzero(counts).tolist(), key=ids.__getitem__)
+    counts = counts[held]
+    start = np.zeros(len(ids), dtype=np.intp)  # each held source's first end-to-end bit
+    start[held] = counts.cumsum() - counts
+    index += start[code]  # read_table's column is ours: it becomes the permutation
     try:
-        return _sorted_key(ids, codes, index, head[0][len("# seed="):])
+        return BlindingKey(tuple(ids[c] for c in held), counts, index, head[0][len("# seed="):])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

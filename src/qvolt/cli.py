@@ -15,8 +15,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import analysis, blinding, files, pipeline, signal, sources
 from .config import ConfigError, RunConfig, load_config
 
@@ -64,31 +62,14 @@ def cmd_run(config: RunConfig, out: str) -> str:
             f"wrote {os.path.join(out, 'key.csv')} (keep sealed until unblinding)\n")
 
 
-def _check_ranges(path: str, readings: signal.Readings, acq: signal.AcquisitionConfig) -> None:
-    """Each reading's recorded range must be the one `[acquisition] range_threshold` gives it.
-
-    The flag was set on the noise-free level, so a reading that noise or drift
-    carries across the range threshold is refused too.
-    """
-    insensitive = acq.insensitive(readings.values)
-    wrong = np.flatnonzero(insensitive != readings.insensitive)
-    if wrong.size:
-        row = wrong[0]
-        side = "above" if insensitive[row] else "at or below"
-        word = "insensitive" if readings.insensitive[row] else "sensitive"
-        raise ValueError(f"{path}: row {row}: reading {float(readings.values[row])} V is {side} "
-                         f"the range threshold {acq.range_threshold} V but was recorded on "
-                         f"the {word} range")
-
-
 def cmd_blinded_summary(config: RunConfig, out: str) -> str:
     """Pooled low/high summary of the blinded readings: histogram and blinded_summary.txt.
 
-    A reading whose recorded range disagrees with its value is a ValueError (`_check_ranges`).
+    A reading whose recorded range disagrees with its value is a ValueError (`check_ranges`).
     """
     path = os.path.join(out, "readings.csv")
     readings = signal.read_readings(path)
-    _check_ranges(path, readings, config.acquisition)
+    signal.check_ranges(path, readings, config.acquisition)
     summary = pipeline.blinded_summary(readings.values, config)
     files.write_histogram(os.path.join(out, "histogram_blinded_low.csv"), summary.low_hist)
     lines = [
@@ -104,8 +85,15 @@ def cmd_blinded_summary(config: RunConfig, out: str) -> str:
 
 def cmd_unblind_fit(config: RunConfig, out: str) -> str:
     """Unblind, fit and bound: fit.csv, band.csv, per-source histograms, unblind_report.txt."""
-    readings = signal.read_readings(os.path.join(out, "readings.csv"))
-    key = blinding.read_key(os.path.join(out, "key.csv"))
+    readings_path, key_path = os.path.join(out, "readings.csv"), os.path.join(out, "key.csv")
+    readings, key = signal.read_readings(readings_path), blinding.read_key(key_path)
+    if len(readings) != len(key):
+        raise ValueError(f"{readings_path}: {len(readings)} readings but {key_path} has "
+                         f"{len(key)} entries")
+    in_key, configured = key.source_counts(), {spec.id: spec.count for spec in config.sources}
+    if in_key != configured:
+        raise ValueError(f"{key_path}: key source counts {in_key} do not match the configured "
+                         f"{configured}")
     result = pipeline.unblind_fit(readings.values, key, config)
     fit, mc = result.fit, result.mc
     files.write_fit(os.path.join(out, "fit.csv"), fit, mc, config.analysis.cl)
@@ -123,8 +111,8 @@ def cmd_unblind_fit(config: RunConfig, out: str) -> str:
         f"  eps       = {fit.eps:.6e} +- {fit.sigma_eps:.6e}",
         f"  Monte Carlo ({mc.n_realizations} realizations): "
         f"sd_slope = {mc.sd_slope:.6e} V, sd_intercept = {mc.sd_intercept:.6e} V",
-        f"  {config.analysis.cl * 100:.15g}% CL bound ({config.analysis.bound_rule.value}): "
-        f"|eps| < {fit.bound_90:.6e}",
+        f"  {files.cl_percent(config.analysis.cl)}% CL bound "
+        f"({config.analysis.bound_rule.value}): |eps| < {fit.bound_90:.6e}",
     ]
     text = "\n".join(lines) + "\n"
     files.write_text(os.path.join(out, "unblind_report.txt"), text)

@@ -63,13 +63,18 @@ def write_band(path: str | os.PathLike, mc) -> None:
              mc.band_x, mc.band_fit, mc.band_lo, mc.band_hi)
 
 
+def cl_percent(cl: float) -> str:
+    """The label of a confidence level in percent, as fit.csv and the reports print it."""
+    return f"{cl * 100:.15g}"
+
+
 def write_fit(path: str | os.PathLike, fit, mc, cl: float) -> None:
     """fit.csv: the fitted parameters and their sigmas, the bound at `cl`, the Monte Carlo sds."""
     write_text(path, "parameter,value,sigma\n"
                f"intercept_volts,{fit.intercept:.15e},{fit.sigma_intercept:.15e}\n"
                f"slope_volts,{fit.slope:.15e},{fit.sigma_slope:.15e}\n"
                f"eps,{fit.eps:.15e},{fit.sigma_eps:.15e}\n"
-               f"bound_{cl * 100:.15g},{fit.bound_90:.15e},\n"
+               f"bound_{cl_percent(cl)},{fit.bound_90:.15e},\n"
                f"mc_sd_slope_volts,{mc.sd_slope:.15e},\n"
                f"mc_sd_intercept_volts,{mc.sd_intercept:.15e},\n")
 

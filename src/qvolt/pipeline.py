@@ -78,9 +78,6 @@ def blinded_summary(values: np.ndarray, config: RunConfig) -> BlindedSummary:
 
 def unblind_fit(values: np.ndarray, key: blinding.BlindingKey, config: RunConfig) -> UnblindResult:
     """Per-source low-voltage statistics, weighted fit, MC errors, and the bound."""
-    in_key, configured = key.source_counts(), {spec.id: spec.count for spec in config.sources}
-    if in_key != configured:
-        raise ValueError(f"key source counts {in_key} do not match the configured {configured}")
     grouped = blinding.unblind(values, key)
     per_low: dict[str, analysis.GaussianSummary] = {}
     per_hist: dict[str, analysis.HistogramResult] = {}

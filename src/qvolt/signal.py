@@ -308,6 +308,23 @@ def read_readings(path: str | os.PathLike) -> Readings:
     return Readings(values, flag == 1)
 
 
+def check_ranges(path, readings: Readings, acq: AcquisitionConfig) -> None:
+    """Each reading's recorded range must be the one `[acquisition] range_threshold` gives it.
+
+    The flag was set on the noise-free level, so a reading that noise or drift
+    carries across the range threshold is refused too.
+    """
+    insensitive = acq.insensitive(readings.values)
+    wrong = np.flatnonzero(insensitive != readings.insensitive)
+    if wrong.size:
+        row = wrong[0]
+        side = "above" if insensitive[row] else "at or below"
+        word = tuple(_RANGE_FLAGS)[int(readings.insensitive[row])]
+        raise ValueError(f"{path}: row {row}: reading {float(readings.values[row])} V is {side} "
+                         f"the range threshold {acq.range_threshold} V but was recorded on "
+                         f"the {word} range")
+
+
 def _readings_head(path, lines: list[str]) -> None:
     if lines[0] != _READINGS_HEADER:
         raise ValueError(f"{path}: unexpected readings header {lines[0]!r}")

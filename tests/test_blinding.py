@@ -587,3 +587,18 @@ class TestKeyFile:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20
+
+    def test_read_key_peak_memory_at_paper_scale(self, tmp_path, rng, cache):
+        # 2.02 MiB on a cache hit: the 1.15 MiB of columns, the index column turned into the
+        # permutation in place, and BlindingKey's 0.77 MiB bincount; 3.08 MiB on a parse
+        path = tmp_path / "key.csv"
+        write_key(paper_key(rng), path)
+        cache.settle(path)
+        read_key(path)  # imports, caches
+        tracemalloc.start()
+        try:
+            read_key(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2.5 if cache.present else 3.3) * 2**20

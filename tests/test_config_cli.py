@@ -719,6 +719,39 @@ class TestCliCommands:
         assert "do not match the configured" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "fit.csv"))
 
+    def test_readings_and_key_of_different_lengths_name_both_files(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["report", "--config", cfg, "--out", str(out)]) == 0
+        readings, key = out / "readings.csv", out / "key.csv"
+        readings.write_text("".join(readings.read_text().splitlines(keepends=True)[:-1]))
+        capsys.readouterr()
+        assert cli.main(["unblind-fit", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONTRACT
+        err = capsys.readouterr().err
+        assert err == f"error: {readings}: 59 readings but {key} has 60 entries\n"
+
+    def test_key_counts_that_disagree_with_the_config_name_the_key(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", write_cfg(tmp_path), "--out", str(out)]) == 0
+        fit_cfg = write_cfg(tmp_path, MINIMAL_CFG.replace("count = 20", "count = 21"), "fit.cfg")
+        capsys.readouterr()
+        code = cli.main(["unblind-fit", "--config", fit_cfg, "--out", str(out)])
+        assert code == cli.EXIT_CONTRACT
+        assert capsys.readouterr().err == (
+            f"error: {out / 'key.csv'}: key source counts {{'c1': 40, 'q2': 20}} "
+            "do not match the configured {'c1': 40, 'q2': 21}\n"
+        )
+
+    def test_run_without_bit_files_writes_what_generate_then_run_writes(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        fresh, ingested = tmp_path / "fresh", tmp_path / "ingested"
+        assert cli.main(["run", "--config", cfg, "--out", str(fresh)]) == 0
+        assert not list(fresh.glob("bits_*"))
+        for step in ("generate", "run"):
+            assert cli.main([step, "--config", cfg, "--out", str(ingested)]) == 0
+        for name in ("readings.csv", "key.csv", "readings.csv.cache", "key.csv.cache"):
+            assert (fresh / name).read_bytes() == (ingested / name).read_bytes(), name
+
     @pytest.mark.parametrize("bit, n_low, sem", [(0, 1, "0.0 V"), (1, 0, "undefined")],
                              ids=["one-low-reading", "no-low-reading"])
     def test_source_the_fit_cannot_weight_exit_code(self, tmp_path, capsys, bit, n_low, sem):
