@@ -95,12 +95,12 @@ def write_key(key: BlindingKey, path: str | os.PathLike) -> None:
     """Write key.csv, then its cache, which holds the columns `read_key` reads.
 
     A comma or a line break in an id, or a line break in the seed descriptor,
-    would give a key.csv that does not parse back, so it raises ValueError
-    before the file is opened.
+    would give a key.csv that does not parse back, and the writer drops every
+    NUL as padding, so any of these raises ValueError before the file is opened.
     """
     for sid in key.source_ids:
-        if any(c in sid for c in ",\n\r"):
-            raise ValueError(f"{path}: source id {sid!r} holds a comma or a line break")
+        if any(c in sid for c in ",\n\r\0"):
+            raise ValueError(f"{path}: source id {sid!r} holds a comma, a line break or a NUL")
     if any(c in key.seed_descriptor for c in "\n\r"):
         raise ValueError(f"{path}: seed descriptor {key.seed_descriptor!r} holds a line break")
     code, index = key.origins()

@@ -33,6 +33,7 @@ def _format_summary(tag: str, s: analysis.GaussianSummary) -> str:
 
 
 def cmd_generate(config: RunConfig, out: str) -> str:
+    os.makedirs(out, exist_ok=True)
     strings = pipeline.generate_bits(config)
     for bs in strings:
         sources.write_bits(bs, _bits_path(out, bs.source.id))
@@ -42,6 +43,7 @@ def cmd_generate(config: RunConfig, out: str) -> str:
 
 def cmd_run(config: RunConfig, out: str) -> str:
     """Blind and acquire the bit files in `out` (fresh bits if none); write readings and key."""
+    os.makedirs(out, exist_ok=True)
     paths = [_bits_path(out, spec.id) for spec in config.sources]
     missing = [p for p in paths if not os.path.exists(p)]
     if 0 < len(missing) < len(paths):
@@ -164,7 +166,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        os.makedirs(args.out, exist_ok=True)
         if getattr(args, "key", None) is not None:
             raise ValueError(
                 "blinded-summary refuses to accept a permutation key: "

@@ -27,7 +27,7 @@ import numpy as np
 CSV_BLOCK_ROWS = 8192
 # Word bytes a block holds per row before it holds fewer rows than CSV_BLOCK_ROWS: each
 # row's word is padded to the longest, so a block holds at most 128 KiB of words, ~0.5 MiB
-# with their mask and the joined copies, what a block of short words takes for its ints.
+# with the joined copies and their NUL test, what a block of short words takes for its ints.
 BLOCK_WORD_BYTES = 16
 
 # The dtype of each kind of column, parsed and cached; a text column's is that of its codes.
@@ -162,13 +162,14 @@ def write_table(path, head: str, columns: Sequence) -> None:
     """Write the `head` line(s), then row r = r,<column fields> for each r, then the cache.
 
     A float array's field is `%.17e`, a non-negative int array's `%d`, a text
-    column (codes, words)'s words[codes[r]]. The rows are built, written and
-    hashed a block at a time, so one block's arrays are the only memory added:
-    CSV_BLOCK_ROWS rows, or fewer when the widest word is over BLOCK_WORD_BYTES.
+    column (codes, words)'s words[codes[r]], which may hold no NUL. The rows are
+    built, written and hashed a block at a time, so one block's arrays are the
+    only memory added: CSV_BLOCK_ROWS rows, or fewer when the widest word is
+    over BLOCK_WORD_BYTES.
     """
     kinds, arrays, words = zip(*map(_column, columns))
     tables = [None if w is None else byte_table([word.encode() for word in w]) for w in words]
-    widest = max((table[0].shape[1] for table in tables if table is not None), default=0)
+    widest = max((table.shape[1] for table in tables if table is not None), default=0)
     block_rows = CSV_BLOCK_ROWS * BLOCK_WORD_BYTES // max(BLOCK_WORD_BYTES, widest)
     formats = {float: float_field, int: int_field}
     n = len(arrays[0])
@@ -179,7 +180,7 @@ def write_table(path, head: str, columns: Sequence) -> None:
         for lo in range(0, n, block_rows):
             hi = min(lo + block_rows, n)
             fields = [int_field(np.arange(lo, hi))]
-            fields += [formats[kind](a[lo:hi]) if table is None else text_field(table, a[lo:hi])
+            fields += [formats[kind](a[lo:hi]) if table is None else table[a[lo:hi]].T
                        for a, kind, table in zip(arrays, kinds, tables)]
             block = _joined(fields)
             fh.write(block)
@@ -187,16 +188,19 @@ def write_table(path, head: str, columns: Sequence) -> None:
     write_cache(path, digest.digest(), [a if w is None else (a, w) for a, w in zip(arrays, words)])
 
 
-def _joined(fields: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """The bytes of the rows these fields make: each field and a comma, the last and a newline."""
-    n = fields[0][0].shape[1]
-    chars, keep = [], []
-    for i, (field_chars, field_keep) in enumerate(fields):
+def _joined(fields: list[np.ndarray]) -> np.ndarray:
+    """The bytes of the rows these fields make: each field and a comma, the last and a newline.
+
+    A field is a (width, rows) uint8 array whose NUL bytes are padding, and are dropped.
+    """
+    n = fields[0].shape[1]
+    parts = []
+    for i, field in enumerate(fields):
         sep = b"," if i < len(fields) - 1 else b"\n"
-        chars += [field_chars, np.full((1, n), ord(sep), np.uint8)]
-        keep += [field_keep, np.ones((1, n), bool)]
+        parts += [field, np.full((1, n), ord(sep), np.uint8)]
     # row-major order of the (rows, width) transpose: row after row, each field in turn
-    return np.concatenate(chars).T[np.concatenate(keep).T]
+    rows = np.concatenate(parts).T.ravel()
+    return rows[rows != 0]
 
 
 def _digits(v: np.ndarray, out: np.ndarray) -> None:
@@ -208,8 +212,8 @@ def _digits(v: np.ndarray, out: np.ndarray) -> None:
     out += ord("0")
 
 
-def int_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`%d` of non-negative integers: their digits, right-aligned, leading zeros not kept.
+def int_field(values: np.ndarray) -> np.ndarray:
+    """`%d` of non-negative integers: their digits, right-aligned, NUL over the leading zeros.
 
     The digits come from 9-digit uint32 limbs, split off in uint64.
     """
@@ -222,30 +226,15 @@ def int_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _digits((v - q * 10**9).astype(np.uint32), chars[end - 9:end])
         v, end = q, end - 9
     _digits(v.astype(np.uint32), chars[:end])
-    keep = np.logical_or.accumulate(chars != ord("0"), axis=0)
-    keep[-1] = True
-    return chars, keep
+    # the last digit is kept, so 0 is `0`
+    chars[:-1][np.logical_and.accumulate(chars[:-1] == ord("0"), axis=0)] = 0
+    return chars
 
 
-def byte_table(entries: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
-    """The entries as (len(entries), longest) rows of bytes, and the mask of each one's length."""
-    lengths = np.array([len(entry) for entry in entries], dtype=np.intp)
-    held = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    lut = np.zeros(held.shape, np.uint8)
-    lut[held] = np.frombuffer(b"".join(entries), np.uint8)
-    return lut, held
-
-
-def text_field(
-    table: tuple[np.ndarray, np.ndarray], code: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The bytes of entry code[r] of a `byte_table` for each row r, kept by the entry's length.
-
-    Padding is dropped by width, never by value, so an entry may hold any byte.
-    """
-    lut, held = table
-    code = np.asarray(code, dtype=np.intp)
-    return lut.take(code, axis=0).T, held.take(code, axis=0).T
+def byte_table(entries: Sequence[bytes]) -> np.ndarray:
+    """The entries as (len(entries), longest) rows of bytes, each padded with NUL."""
+    table = np.array(entries, dtype=bytes)
+    return table.view(np.uint8).reshape(len(table), table.itemsize)
 
 
 # |x| in [FLOAT_KERNEL_MIN, FLOAT_KERNEL_MAX): the window of the exact `%.17e`
@@ -256,8 +245,8 @@ FLOAT_KERNEL_MAX = 1e18
 _POW5 = np.array([5**s for s in range(28)], dtype=np.uint64)
 
 
-def float_field(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`%.17e` of finite floats, the same bytes as Python's `%` gives.
+def float_field(x: np.ndarray) -> np.ndarray:
+    """`%.17e` of finite floats, the same bytes as Python's `%` gives, NUL where it has none.
 
     Inside the kernel's window the 18 digits and the decade come from
     `_decimal18`; the few values outside it are formatted by `%` and spliced in.
@@ -267,7 +256,7 @@ def float_field(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d, e = _decimal18(np.where(exact, ax, 1.0))
     # [-]d.ddddddddddddddddde+dd, and a 25th column for `%`'s three-digit exponents
     chars = np.empty((25, len(x)), np.uint8)
-    chars[0] = ord("-")
+    chars[0] = np.where(np.signbit(x), ord("-"), 0)
     top = d // 10**9
     _digits(top.astype(np.uint32), chars[2:11])
     _digits((d - top * 10**9).astype(np.uint32), chars[11:20])
@@ -276,17 +265,13 @@ def float_field(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     chars[20] = ord("e")
     chars[21] = np.where(e < 0, ord("-"), ord("+"))
     _digits(np.abs(e).astype(np.uint32), chars[22:24])
-    keep = np.ones(chars.shape, bool)
-    keep[0] = np.signbit(x)
-    keep[24] = False
+    chars[24] = 0
     others = np.flatnonzero(~exact)
     if others.size:
-        text = [b"%.17e" % v for v in x[others].tolist()]
-        text_chars, text_keep = text_field(byte_table(text), np.arange(len(text)))
-        chars[:len(text_chars), others] = text_chars
-        keep[:, others] = False
-        keep[:len(text_keep), others] = text_keep
-    return chars, keep
+        text = byte_table([b"%.17e" % v for v in x[others].tolist()]).T
+        chars[:, others] = 0
+        chars[:len(text), others] = text
+    return chars
 
 
 def _decimal18(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -676,11 +676,14 @@ class TestCliCommands:
         )
         assert code == cli.EXIT_CONFIG
 
-    def test_missing_readings_io_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("step", ["blinded-summary", "unblind-fit"])
+    def test_missing_readings_io_exit_code(self, tmp_path, step):
+        # a step that only reads leaves no --out directory behind
         cfg = write_cfg(tmp_path)
         out = str(tmp_path / "empty")
-        code = cli.main(["blinded-summary", "--config", cfg, "--out", out])
+        code = cli.main([step, "--config", cfg, "--out", out])
         assert code == cli.EXIT_IO
+        assert not os.path.exists(out)
 
     def test_mismatched_key_contract_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
