@@ -91,12 +91,12 @@ def unblind(values, key: BlindingKey) -> dict[str, np.ndarray]:
 _KEY_HEADER = "blinded_index,source_id,source_index"
 
 
-def write_key(key: BlindingKey, path: str | os.PathLike) -> None:
+def write_key(key: BlindingKey, path: str | os.PathLike) -> bytes:
     """Write key.csv, then its cache, which holds the columns `read_key` reads.
 
-    A comma or a line break in an id, or a line break in the seed descriptor,
-    would give a key.csv that does not parse back, and the writer drops every
-    NUL as padding, so any of these raises ValueError before the file is opened.
+    A comma or a line break in an id, or a line break in the seed descriptor, would give a
+    key.csv that does not parse back, and the writer drops every NUL as padding, so any of
+    these raises ValueError before the file is opened. Returns key.csv's sha256 digest.
     """
     for sid in key.source_ids:
         if any(c in sid for c in ",\n\r\0"):
@@ -104,17 +104,17 @@ def write_key(key: BlindingKey, path: str | os.PathLike) -> None:
     if any(c in key.seed_descriptor for c in "\n\r"):
         raise ValueError(f"{path}: seed descriptor {key.seed_descriptor!r} holds a line break")
     code, index = key.origins()
-    files.write_table(path, f"# seed={key.seed_descriptor}\n{_KEY_HEADER}",
-                      [(code, key.source_ids), index])
+    return files.write_table(path, f"# seed={key.seed_descriptor}\n{_KEY_HEADER}",
+                             [(code, key.source_ids), index])
 
 
-def read_key(path: str | os.PathLike) -> BlindingKey:
+def read_key(path: str | os.PathLike) -> tuple[BlindingKey, bytes]:
     """The key whose blinded position p holds bit source_index[p] of source source_id[p].
 
     The ids are sorted and the counts and permutation follow them; an id that
-    no position holds is left out, as it has no row in key.csv.
+    no position holds is left out, as it has no row in key.csv. Also returns key.csv's sha256.
     """
-    head, ((code, ids), index) = files.read_table(path, 2, _key_head, (str, int))
+    head, ((code, ids), index), sha256 = files.read_table(path, 2, _key_head, (str, int))
     # with no negative index, one past its source's count breaks the permutation
     if (index < 0).any():
         raise ValueError(f"{path}: blinded position {(index < 0).argmax()}: source_index < 0")
@@ -125,9 +125,10 @@ def read_key(path: str | os.PathLike) -> BlindingKey:
     start[held] = counts.cumsum() - counts
     index += start[code]  # read_table's column is ours: it becomes the permutation
     try:
-        return BlindingKey(tuple(ids[c] for c in held), counts, index, head[0][len("# seed="):])
+        key = BlindingKey(tuple(ids[c] for c in held), counts, index, head[0][len("# seed="):])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    return key, sha256
 
 
 def _key_head(path, lines: list[str]) -> None:

@@ -5,6 +5,7 @@ each in COMMANDS. Each takes --config <path> and --out <dir>. A subcommand
 writes its files and returns the text it prints; `main` prints that text and
 maps errors to exit codes: 0 success, 2 config error, 3 I/O error,
 4 contract violation (bad data, blinding discipline, mismatched key, ...).
+`run` seals its readings and key (`files.seal`); the later steps refuse others.
 
 `report` is `run`, then `blinded-summary`, then `unblind-fit`, each reading
 the files the step before it wrote, so it goes through the same readers and
@@ -42,7 +43,7 @@ def cmd_generate(config: RunConfig, out: str) -> str:
 
 
 def cmd_run(config: RunConfig, out: str) -> str:
-    """Blind and acquire the bit files in `out` (fresh bits if none); write readings and key."""
+    """Blind and acquire the bit files in `out` (fresh bits if none); write and seal the tables."""
     os.makedirs(out, exist_ok=True)
     paths = [_bits_path(out, spec.id) for spec in config.sources]
     missing = [p for p in paths if not os.path.exists(p)]
@@ -58,20 +59,23 @@ def cmd_run(config: RunConfig, out: str) -> str:
 
     blinded_bits, key = pipeline.blind(config, strings)
     readings = pipeline.acquire(config, blinded_bits, key)
-    signal.write_readings(readings, os.path.join(out, "readings.csv"))
-    blinding.write_key(key, os.path.join(out, "key.csv"))
-    return (f"wrote {os.path.join(out, 'readings.csv')} ({len(readings)} readings)\n"
-            f"wrote {os.path.join(out, 'key.csv')} (keep sealed until unblinding)\n")
+    readings_path, key_path = os.path.join(out, "readings.csv"), os.path.join(out, "key.csv")
+    files.seal({readings_path: signal.write_readings(readings, readings_path),
+                key_path: blinding.write_key(key, key_path)})
+    return (f"wrote {readings_path} ({len(readings)} readings)\n"
+            f"wrote {key_path} (keep sealed until unblinding)\n")
 
 
 def cmd_blinded_summary(config: RunConfig, out: str) -> str:
     """Pooled low/high summary of the blinded readings: histogram and blinded_summary.txt.
 
-    A reading whose recorded range disagrees with its value is a ValueError (`check_ranges`).
+    A reading whose recorded range disagrees with its value is a ValueError (`check_ranges`),
+    and so are readings `run` did not seal.
     """
     path = os.path.join(out, "readings.csv")
-    readings = signal.read_readings(path)
+    readings, sha256 = signal.read_readings(path)
     signal.check_ranges(path, readings, config.acquisition)
+    files.check_seal({path: sha256})
     summary = pipeline.blinded_summary(readings.values, config)
     files.write_histogram(os.path.join(out, "histogram_blinded_low.csv"), summary.low_hist)
     lines = [
@@ -88,7 +92,8 @@ def cmd_blinded_summary(config: RunConfig, out: str) -> str:
 def cmd_unblind_fit(config: RunConfig, out: str) -> str:
     """Unblind, fit and bound: fit.csv, band.csv, per-source histograms, unblind_report.txt."""
     readings_path, key_path = os.path.join(out, "readings.csv"), os.path.join(out, "key.csv")
-    readings, key = signal.read_readings(readings_path), blinding.read_key(key_path)
+    readings, readings_sha256 = signal.read_readings(readings_path)
+    key, key_sha256 = blinding.read_key(key_path)
     if len(readings) != len(key):
         raise ValueError(f"{readings_path}: {len(readings)} readings but {key_path} has "
                          f"{len(key)} entries")
@@ -96,6 +101,8 @@ def cmd_unblind_fit(config: RunConfig, out: str) -> str:
     if in_key != configured:
         raise ValueError(f"{key_path}: key source counts {in_key} do not match the configured "
                          f"{configured}")
+    # after the checks above, so that a table that fails them gets their message
+    files.check_seal({readings_path: readings_sha256, key_path: key_sha256})
     result = pipeline.unblind_fit(readings.values, key, config)
     fit, mc = result.fit, result.mc
     files.write_fit(os.path.join(out, "fit.csv"), fit, mc, config.analysis.cl)

@@ -9,7 +9,8 @@ blinded position its `blinded_index` and a field of each column. Beside a
 table, `<csv>.cache` holds its columns in binary, with the sha256 of the CSV
 and of its own payload. `read_table` takes the columns from a valid cache
 and otherwise parses the CSV, so each reader has one path. Readers never
-write a cache.
+write a cache. Each hashes the CSV once and returns the digest, which
+`seal` records and `check_seal` checks in seal.json, beside the tables.
 """
 
 from contextlib import contextmanager
@@ -96,9 +97,10 @@ def open_text(path: str | os.PathLike):
             raise
 
 
-def read_table(path, n_head: int, check_head, kinds: Sequence[type]) -> tuple[list, list]:
-    """The head lines of a table (`write_table`), and its columns from its cache or its parse.
+def read_table(path, n_head: int, check_head, kinds: Sequence[type]) -> tuple[list, list, bytes]:
+    """The head lines of a table (`write_table`), its columns, and the sha256 digest of the CSV.
 
+    The CSV is hashed once, then its columns come from its cache or its parse.
     `check_head(path, lines)` raises ValueError for head lines that are not the
     table's, on both paths and before any row is parsed. Column c of kind kinds[c]
     is a float64 array for float, an int64 array for int, and for str (codes,
@@ -107,10 +109,11 @@ def read_table(path, n_head: int, check_head, kinds: Sequence[type]) -> tuple[li
     with open_text(path) as fh:
         head = [fh.readline().rstrip("\n") for _ in range(n_head)]
         check_head(path, head)
-        columns = read_cache(path, kinds)
+        sha256 = file_sha256(path)
+        columns = read_cache(path, sha256, kinds)
         if columns is None:
             columns = parse_rows(path, fh, kinds)
-    return head, columns
+    return head, columns, sha256
 
 
 def parse_rows(path, fh, kinds: Sequence[type]) -> list:
@@ -158,14 +161,14 @@ def _column(column) -> tuple[type, np.ndarray, list | None]:
     return kind, np.ascontiguousarray(column, _DTYPES[kind]), None
 
 
-def write_table(path, head: str, columns: Sequence) -> None:
+def write_table(path, head: str, columns: Sequence) -> bytes:
     """Write the `head` line(s), then row r = r,<column fields> for each r, then the cache.
 
     A float array's field is `%.17e`, a non-negative int array's `%d`, a text
     column (codes, words)'s words[codes[r]], which may hold no NUL. The rows are
     built, written and hashed a block at a time, so one block's arrays are the
     only memory added: CSV_BLOCK_ROWS rows, or fewer when the widest word is
-    over BLOCK_WORD_BYTES.
+    over BLOCK_WORD_BYTES. Returns the CSV's sha256 digest.
     """
     kinds, arrays, words = zip(*map(_column, columns))
     tables = [None if w is None else byte_table([word.encode() for word in w]) for w in words]
@@ -185,7 +188,9 @@ def write_table(path, head: str, columns: Sequence) -> None:
             block = _joined(fields)
             fh.write(block)
             digest.update(block)
-    write_cache(path, digest.digest(), [a if w is None else (a, w) for a, w in zip(arrays, words)])
+    sha256 = digest.digest()
+    write_cache(path, sha256, [a if w is None else (a, w) for a, w in zip(arrays, words)])
+    return sha256
 
 
 def _joined(fields: list[np.ndarray]) -> np.ndarray:
@@ -358,19 +363,19 @@ def write_cache(path: str | os.PathLike, csv_sha256: bytes, columns: Sequence) -
             fh.write(a)
 
 
-def read_cache(path: str | os.PathLike, kinds: Sequence[type]) -> list | None:
+def read_cache(path: str | os.PathLike, csv_sha256: bytes, kinds: Sequence[type]) -> list | None:
     """The columns cached for the table at `path`, or None if the cache does not hold them.
 
     The cache holds them when it exists, starts with CACHE_TAG, and records
-    the sha256 of the CSV as it is now and of its own payload; and when its
-    JSON line lists one [dtype, n, words] per kind: the kind's dtype, one n
+    the CSV's sha256 as it is now, `csv_sha256`, and that of its own payload;
+    and when its JSON line lists one [dtype, n, words] per kind: the kind's dtype, one n
     for all that makes the columns fill the payload, and words null for a
     number column and distinct str for a text column, each code indexing them.
     Each column is read into its own array, sized from the bytes left, and hashed on the way.
     """
     try:
         with open(cache_path(path), "rb") as fh:
-            if fh.read(len(CACHE_TAG)) != CACHE_TAG or fh.read(32) != file_sha256(path):
+            if fh.read(len(CACHE_TAG)) != CACHE_TAG or fh.read(32) != csv_sha256:
                 return None
             want, meta = fh.read(32), fh.readline()
             try:
@@ -404,3 +409,29 @@ def read_cache(path: str | os.PathLike, kinds: Sequence[type]) -> list | None:
     except OSError:  # no cache, or none readable; a CSV that cannot be read fails its parse
         return None
     return columns
+
+
+# The record beside the tables `run` wrote: a JSON object of each one's name and hex sha256.
+SEAL_NAME = "seal.json"
+
+
+def seal(digests: dict[str, bytes]) -> None:
+    """Write the seal of the tables {path: sha256 digest} of one directory: sorted, one a line."""
+    record = {os.path.basename(path): sha256.hex() for path, sha256 in digests.items()}
+    sealed = os.path.join(os.path.dirname(next(iter(digests))), SEAL_NAME)
+    write_text(sealed, json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
+def check_seal(digests: dict[str, bytes]) -> None:
+    """A ValueError unless the seal of the tables {path: sha256 digest} is JSON recording each."""
+    path = next(iter(digests))
+    sealed = os.path.join(os.path.dirname(path), SEAL_NAME)
+    try:
+        with open_text(sealed) as fh:
+            record = json.load(fh)
+    except (OSError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ValueError(f"{path}: its seal {sealed} cannot be read ({reason})") from None
+    for path, sha256 in digests.items():
+        if not isinstance(record, dict) or record.get(os.path.basename(path)) != sha256.hex():
+            raise ValueError(f"{path}: not the file that {sealed} records from `run`")

@@ -286,26 +286,27 @@ _READINGS_HEADER = "blinded_index,reading_volts,range"
 _RANGE_FLAGS = {"sensitive": 0, "insensitive": 1}
 
 
-def write_readings(readings: Readings, path: str | os.PathLike) -> None:
+def write_readings(readings: Readings, path: str | os.PathLike) -> bytes:
     """Write readings.csv, then its cache, which holds the columns `read_readings` reads.
 
-    A reading that is not finite raises ValueError before the file is opened,
-    as `read_readings` would reject it.
+    Returns readings.csv's sha256 digest. A reading that is not finite raises
+    ValueError before the file is opened, as `read_readings` would reject it.
     """
     _check_finite(path, readings.values)
-    files.write_table(path, _READINGS_HEADER,
-                      [readings.values, (readings.insensitive, tuple(_RANGE_FLAGS))])
+    return files.write_table(path, _READINGS_HEADER,
+                             [readings.values, (readings.insensitive, tuple(_RANGE_FLAGS))])
 
 
-def read_readings(path: str | os.PathLike) -> Readings:
-    _, (values, (codes, words)) = files.read_table(path, 1, _readings_head, (float, str))
+def read_readings(path: str | os.PathLike) -> tuple[Readings, bytes]:
+    """The readings in readings.csv, and its sha256 digest."""
+    _, (values, (codes, words)), sha256 = files.read_table(path, 1, _readings_head, (float, str))
     flag = np.array([_RANGE_FLAGS.get(w, -1) for w in words], np.int8)[codes]
     unknown = np.flatnonzero(flag < 0)
     if unknown.size:
         row = unknown[0]
         raise ValueError(f"{path}: row {row}: unknown range {words[codes[row]]!r}")
     _check_finite(path, values)
-    return Readings(values, flag == 1)
+    return Readings(values, flag == 1), sha256
 
 
 def check_ranges(path, readings: Readings, acq: AcquisitionConfig) -> None:

@@ -194,3 +194,16 @@ class CacheState:
 @pytest.fixture(params=[True, False], ids=["cache present", "cache removed"])
 def cache(request):
     return CacheState(request.param)
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """The paths `files.file_sha256` hashes from now on, in order."""
+    calls = []
+
+    def counted(path, sha256=files.file_sha256):
+        calls.append(path)
+        return sha256(path)
+
+    monkeypatch.setattr(files, "file_sha256", counted)
+    return calls

@@ -248,7 +248,7 @@ class TestKeyFile:
         path = tmp_path / "key.csv"
         write_key(key, path)
         cache.settle(path)
-        back = read_key(path)
+        back, _ = read_key(path)
         assert_key_holds(back, origin_pairs(key))
         assert back.seed_descriptor == key.seed_descriptor
 
@@ -257,7 +257,7 @@ class TestKeyFile:
         path = tmp_path / "key.csv"
         write_key(key, path)
         cache.settle(path)
-        back = read_key(path)
+        back, _ = read_key(path)
         assert_key_holds(back, origin_pairs(key))
         assert back.source_counts() == {"a": 2, "ψ": 1}
 
@@ -266,7 +266,7 @@ class TestKeyFile:
         write_key(golden_key(), path)
         assert path.read_bytes() == GOLDEN_KEY_CSV.encode()
         cache.settle(path)
-        assert_key_holds(read_key(path), origin_pairs(golden_key()))
+        assert_key_holds(read_key(path)[0], origin_pairs(golden_key()))
 
     @pytest.mark.parametrize(
         "n",
@@ -281,7 +281,7 @@ class TestKeyFile:
         write_key(key, path)
         assert path.read_bytes() == key_csv_reference(key)
         cache.settle(path)
-        back = read_key(path)
+        back, _ = read_key(path)
         assert_key_holds(back, origin_pairs(key))
         assert back.seed_descriptor == key.seed_descriptor
 
@@ -309,7 +309,7 @@ class TestKeyFile:
         write_key(key, path)
         assert path.read_bytes() == key_csv_reference(key)
         cache.settle(path)
-        back = read_key(path)
+        back, _ = read_key(path)
         assert_key_holds(back, origin_pairs(key))
         assert back.source_ids == tuple(sorted(ids))
 
@@ -321,7 +321,7 @@ class TestKeyFile:
         write_key(key, path)
         assert path.read_bytes() == key_csv_reference(key)
         cache.settle(path)
-        assert_key_holds(read_key(path), origin_pairs(key))
+        assert_key_holds(read_key(path)[0], origin_pairs(key))
 
     @ID_CASES
     def test_round_trip_ids_and_counts(self, tmp_path, ids, counts, cache):
@@ -330,7 +330,7 @@ class TestKeyFile:
         write_key(key, path)
         assert path.read_text(encoding="utf-8").splitlines()[2].split(",")[1] == max(ids)
         cache.settle(path)
-        back = read_key(path)
+        back, _ = read_key(path)
         assert_key_holds(back, origin_pairs(key))
         assert back.source_ids == tuple(sorted(ids))
         assert back.source_counts() == key.source_counts()
@@ -339,22 +339,22 @@ class TestKeyFile:
     def test_cache_hit_is_the_parse_bit_for_bit(self, tmp_path, ids, counts):
         path = tmp_path / "key.csv"
         write_key(id_case_key(ids, counts), path)
-        hit = read_key(path)
+        hit, _ = read_key(path)
         os.remove(cache_path(path))
-        assert_same_arrays(hit, read_key(path))
+        assert_same_arrays(hit, read_key(path)[0])
 
     def test_cache_hit_is_the_parse_bit_for_bit_at_paper_scale(self, tmp_path, rng):
         path = tmp_path / "key.csv"
         write_key(paper_key(rng), path)
-        hit = read_key(path)
+        hit, _ = read_key(path)
         os.remove(cache_path(path))
-        assert_same_arrays(hit, read_key(path))
+        assert_same_arrays(hit, read_key(path)[0])
 
     def test_cache_hit_skips_the_parser(self, tmp_path, monkeypatch):
         path = tmp_path / "key.csv"
         write_golden(path)
         parses = count_parses(monkeypatch)
-        assert_key_holds(read_key(path), origin_pairs(golden_key()))
+        assert_key_holds(read_key(path)[0], origin_pairs(golden_key()))
         assert parses == []
 
     @pytest.mark.parametrize("damage", list(CACHE_DAMAGE), ids=list(CACHE_DAMAGE))
@@ -365,7 +365,7 @@ class TestKeyFile:
         cached.write_bytes(CACHE_DAMAGE[damage](cached.read_bytes()))
         before = cached.read_bytes()
         parses = count_parses(monkeypatch)
-        assert_key_holds(read_key(path), origin_pairs(golden_key()))
+        assert_key_holds(read_key(path)[0], origin_pairs(golden_key()))
         assert parses == [path]
         assert cached.read_bytes() == before
 
@@ -398,9 +398,9 @@ class TestKeyFile:
         key = BlindingKey(("a", "c"), [1, 1], [1, 0], "1,2/blinding")
         path = tmp_path / "key.csv"
         write_key(key, path)
-        hit = read_key(path)
+        hit, _ = read_key(path)
         os.remove(cache_path(path))
-        assert_same_arrays(hit, read_key(path))
+        assert_same_arrays(hit, read_key(path)[0])
         assert hit.seed_descriptor == key.seed_descriptor
 
     def test_ids_are_text_under_the_numpy_1_loadtxt_default(self, tmp_path, monkeypatch):
@@ -417,7 +417,7 @@ class TestKeyFile:
         write_key(key, path)
         os.remove(cache_path(path))  # the parser is under test
         monkeypatch.setattr(np, "loadtxt", numpy_1_loadtxt)
-        back = read_key(path)
+        back, _ = read_key(path)
         assert calls == [None]
         assert back.source_ids == ("c1", "ψ")
         assert_key_holds(back, origin_pairs(key))
@@ -435,7 +435,7 @@ class TestKeyFile:
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
         path.write_text("# seed=x\nblinded_index,source_id,source_index\n" + body)
-        key = read_key(path)
+        key, _ = read_key(path)
         assert_key_holds(key, entries)
         assert key.source_ids == tuple(sorted({sid for sid, _ in entries}))
 
@@ -445,7 +445,7 @@ class TestKeyFile:
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
         path.write_text(f"# seed=x\nblinded_index,source_id,source_index\n0,a,0\n\n1,{sid},0")
-        key = read_key(path)
+        key, _ = read_key(path)
         assert_key_holds(key, [("a", 0), (sid, 0)])
 
     @pytest.mark.parametrize(
@@ -550,7 +550,7 @@ class TestKeyFile:
         write_key(key, path)
         cache.settle(path)
         start = time.perf_counter()
-        back = read_key(path)
+        back, _ = read_key(path)
         elapsed = time.perf_counter() - start
         assert_key_holds(back, origin_pairs(key))
         assert back.seed_descriptor == key.seed_descriptor

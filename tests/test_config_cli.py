@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import glob
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -502,7 +503,7 @@ def band_csv_reference(mc):
 
 
 # sha256 of each file that `generate` and then `report` write for MINIMAL_CFG: every
-# writer's bytes, the bit files, the reports and both caches included
+# writer's bytes, the bit files, the reports, both caches and the seal included
 REPORT_FILE_SHA256 = {
     "band.csv": "cdac91647635f8dfccb0a2856b20624061102d59650c3400c486fd12ea6c8e79",
     "bits_c1.txt": "0287f35c08f08f639e8c942bffbe56d51953a5360ddfb6ac19c5c72439cff1f6",
@@ -517,6 +518,7 @@ REPORT_FILE_SHA256 = {
     "readings.csv": "d1848ea2f9559aae0cf1a5714e27b70b503793124a8babf9a2ef926ea7800c86",
     "readings.csv.cache": "244dc0d47df05775aa27458fbcaa3a8afb03406055fd7b313636c1fd62fb71e0",
     "report.txt": "9561cc651d68e4c980885ede443dad6c64e4afca7fc66888c39a13d0ed3d500a",
+    "seal.json": "4af153819b6b66603657ce9b7de017b2034cf6292cc633e8660a5daa16d72e08",
     "unblind_report.txt": "c44144478977bb4c06095b5fdb5ff4e629fa8e1bdfb80a397353d1099d061c24",
 }
 
@@ -573,6 +575,81 @@ class TestTableWriters:
         for sid, hist in result.per_source_hist.items():
             written = (tmp_path / f"histogram_{sid}_low.csv").read_bytes()
             assert written == histogram_csv_reference(hist)
+
+
+class TestSeal:
+    """`run` seals readings.csv and key.csv; the later steps refuse a table it did not seal."""
+
+    @staticmethod
+    def ran(tmp_path, text=MINIMAL_CFG, name="out"):
+        cfg, out = write_cfg(tmp_path, text, f"{name}.cfg"), tmp_path / name
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        return cfg, out
+
+    def test_run_seals_the_tables_it_wrote(self, tmp_path):
+        _, out = self.ran(tmp_path)
+        assert json.loads((out / "seal.json").read_text()) == {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("readings.csv", "key.csv")
+        }
+
+    @pytest.mark.parametrize("step, names", [("run", []),
+                                             ("blinded-summary", ["readings.csv"]),
+                                             ("unblind-fit", ["readings.csv", "key.csv"])])
+    def test_each_step_hashes_each_table_once(self, tmp_path, hashed, step, names):
+        # `run` keeps the digests it wrote, and a reader checks its seal with the digest it read
+        cfg, out = self.ran(tmp_path)
+        hashed.clear()
+        assert cli.main([step, "--config", cfg, "--out", str(out)]) == 0
+        assert [os.path.basename(path) for path in hashed] == names
+
+    @pytest.mark.parametrize("step", ["blinded-summary", "unblind-fit"])
+    def test_swapped_readings_contract_exit_code(self, tmp_path, capsys, step):
+        # rows 1 and 2 trade value and range: every row parses and keeps its range
+        cfg, out = self.ran(tmp_path)
+        path = out / "readings.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        (i1, rest1), (i2, rest2) = (lines[r].split(",", 1) for r in (2, 3))
+        assert rest1 != rest2
+        lines[2:4] = [f"{i1},{rest2}", f"{i2},{rest1}"]
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert cli.main([step, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONTRACT
+        assert capsys.readouterr().err == (
+            f"error: {path}: not the file that {out / 'seal.json'} records from `run`\n")
+        assert not (out / "fit.csv").exists()
+
+    def test_key_of_another_seed_contract_exit_code(self, tmp_path, capsys):
+        # the same sources and counts, so only the seal tells the two keys apart
+        cfg, out = self.ran(tmp_path)
+        _, other = self.ran(tmp_path, MINIMAL_CFG.replace("seed = 99", "seed = 7"), "other")
+        key = out / "key.csv"
+        assert (other / "key.csv").read_bytes() != key.read_bytes()
+        key.write_bytes((other / "key.csv").read_bytes())
+        assert cli.main(["blinded-summary", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["unblind-fit", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONTRACT
+        assert capsys.readouterr().err == (
+            f"error: {key}: not the file that {out / 'seal.json'} records from `run`\n")
+        assert not (out / "fit.csv").exists()
+
+    @pytest.mark.parametrize("step", ["blinded-summary", "unblind-fit"])
+    @pytest.mark.parametrize("text, reason", [(None, "No such file or directory"),
+                                              ("sealed\n", "Expecting value: line 1 column 1")],
+                             ids=["deleted", "not JSON"])
+    def test_unreadable_seal_contract_exit_code(self, tmp_path, capsys, step, text, reason):
+        cfg, out = self.ran(tmp_path)
+        seal = out / "seal.json"
+        if text is None:
+            seal.unlink()
+        else:
+            seal.write_text(text)
+        capsys.readouterr()
+        assert cli.main([step, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONTRACT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'readings.csv'}: its seal {seal} cannot be read "
+                              f"({reason}"), err
+        assert not (out / "fit.csv").exists()
 
 
 class TestCliCommands:

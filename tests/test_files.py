@@ -1,15 +1,22 @@
-"""One module for the file contract: only `files` opens or parses a file, or names the cache."""
+"""One module for the file contract: only `files` opens or parses a file, or names the cache
+or the seal, and it hashes each table it reads once."""
 
 import ast
+import hashlib
 import pathlib
 
+import numpy as np
 import pytest
+
+from qvolt import files
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qvolt"
 # builtin open (or any .open), np.loadtxt and np.savetxt
 FILE_CALLS = {"open", "loadtxt", "savetxt"}
 # the cache beside a table is a detail of `files.read_table` and `files.write_table`
 CACHE_NAMES = {"read_cache", "write_cache", "cache_path", "CACHE_TAG"}
+# where the seal lives and what it is called are details of `files.seal` and `files.check_seal`
+SEAL_NAMES = {"SEAL_NAME", "seal.json"}
 OTHER_MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "files.py")
 
 
@@ -25,8 +32,8 @@ def file_calls(path):
     return calls
 
 
-def cache_names(path):
-    """(line, name) of each use of a CACHE_NAMES name in a module: bare, attribute or imported."""
+def used_names(path, wanted):
+    """(line, name) of each use of a `wanted` name in a module: bare, attribute, imported or str."""
     names = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name):
@@ -35,7 +42,9 @@ def cache_names(path):
             names.append((node.lineno, node.attr))
         elif isinstance(node, ast.ImportFrom):
             names += [(node.lineno, alias.name) for alias in node.names]
-    return [(line, name) for line, name in names if name in CACHE_NAMES]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.append((node.lineno, node.value))
+    return [(line, name) for line, name in names if name in wanted]
 
 
 @pytest.mark.parametrize("module", OTHER_MODULES)
@@ -45,7 +54,12 @@ def test_only_files_opens_or_parses_a_file(module):
 
 @pytest.mark.parametrize("module", OTHER_MODULES)
 def test_only_files_names_the_cache(module):
-    assert cache_names(SRC / module) == []
+    assert used_names(SRC / module, CACHE_NAMES) == []
+
+
+@pytest.mark.parametrize("module", OTHER_MODULES)
+def test_only_files_names_the_seal(module):
+    assert used_names(SRC / module, SEAL_NAMES) == []
 
 
 def test_the_guard_sees_every_call_in_files():
@@ -53,4 +67,21 @@ def test_the_guard_sees_every_call_in_files():
 
 
 def test_the_guard_sees_every_cache_name_in_files():
-    assert {name for _, name in cache_names(SRC / "files.py")} == CACHE_NAMES
+    assert {name for _, name in used_names(SRC / "files.py", CACHE_NAMES)} == CACHE_NAMES
+
+
+def test_the_guard_sees_every_seal_name_in_files():
+    assert {name for _, name in used_names(SRC / "files.py", SEAL_NAMES)} == SEAL_NAMES
+
+
+def test_a_table_is_hashed_once_and_its_digest_returned(tmp_path, cache, hashed):
+    path = tmp_path / "table.csv"
+    columns = [np.array([0.5, -1.25, 3.0]), (np.array([1, 0, 1]), ["a", "bc"])]
+    written = files.write_table(path, "blinded_index,x,word", columns)
+    assert hashed == []
+    cache.settle(path)
+    _, (x, (codes, words)), read = files.read_table(path, 1, lambda path, lines: None,
+                                                    (float, str))
+    assert read == written == hashlib.sha256(path.read_bytes()).digest()
+    assert hashed == [path]
+    assert x.tolist() == [0.5, -1.25, 3.0] and [words[c] for c in codes] == ["bc", "a", "bc"]

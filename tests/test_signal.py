@@ -545,7 +545,7 @@ class TestReadingsFile:
         path = tmp_path / "readings.csv"
         write_readings(readings, path)
         cache.settle(path)
-        back = read_readings(path)
+        back, _ = read_readings(path)
         assert back.values.tolist() == readings.values.tolist()
         assert back.insensitive.tolist() == readings.insensitive.tolist()
 
@@ -554,7 +554,7 @@ class TestReadingsFile:
         write_readings(GOLDEN_READINGS, path)
         assert path.read_bytes() == GOLDEN_READINGS_CSV.encode()
         cache.settle(path)
-        back = read_readings(path)
+        back, _ = read_readings(path)
         # -0.0 == 0.0, so compare the bits of each value
         assert back.values.tobytes() == GOLDEN_READINGS.values.tobytes()
         assert back.insensitive.tolist() == GOLDEN_READINGS.insensitive.tolist()
@@ -569,7 +569,7 @@ class TestReadingsFile:
         write_readings(readings, path)
         assert path.read_bytes() == readings_csv_reference(readings)
         cache.settle(path)
-        back = read_readings(path)
+        back, _ = read_readings(path)
         assert back.values.tobytes() == values.tobytes()
         assert back.insensitive.tolist() == readings.insensitive.tolist()
 
@@ -582,7 +582,7 @@ class TestReadingsFile:
         write_readings(readings, path)
         assert path.read_bytes() == readings_csv_reference(readings)
         cache.settle(path)
-        assert read_readings(path).values.tobytes() == values.tobytes()
+        assert read_readings(path)[0].values.tobytes() == values.tobytes()
 
     def test_round_trip_is_exact_for_random_values(self, tmp_path, rng, cache):
         values = rng.normal(0.0, 1.0, 5000) * 10.0 ** rng.integers(-300, 300, 5000)
@@ -590,7 +590,7 @@ class TestReadingsFile:
         path = tmp_path / "readings.csv"
         write_readings(readings, path)
         cache.settle(path)
-        assert read_readings(path).values.tobytes() == values.tobytes()
+        assert read_readings(path)[0].values.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("mode", list(AcquisitionMode))
     def test_cache_hit_is_the_parse_bit_for_bit_at_paper_scale(self, tmp_path, mode):
@@ -599,15 +599,15 @@ class TestReadingsFile:
         cfg = AcquisitionConfig(mode=mode, drift_rate=1e-9)
         path = tmp_path / "readings.csv"
         write_readings(run_acquisition(bits, fids, WAVE_PARAMS, cfg, noise_seed=6), path)
-        hit = read_readings(path)
+        hit, _ = read_readings(path)
         os.remove(cache_path(path))
-        assert_same_readings(hit, read_readings(path))
+        assert_same_readings(hit, read_readings(path)[0])
 
     def test_cache_hit_skips_the_parser(self, tmp_path, monkeypatch):
         path = tmp_path / "readings.csv"
         write_golden(path)
         parses = count_parses(monkeypatch)
-        assert read_readings(path).values.tobytes() == GOLDEN_READINGS.values.tobytes()
+        assert read_readings(path)[0].values.tobytes() == GOLDEN_READINGS.values.tobytes()
         assert parses == []
 
     @pytest.mark.parametrize("damage", list(CACHE_DAMAGE), ids=list(CACHE_DAMAGE))
@@ -618,7 +618,7 @@ class TestReadingsFile:
         cached.write_bytes(CACHE_DAMAGE[damage](cached.read_bytes()))
         before = cached.read_bytes()
         parses = count_parses(monkeypatch)
-        back = read_readings(path)
+        back, _ = read_readings(path)
         assert parses == [path]
         assert back.values.tobytes() == GOLDEN_READINGS.values.tobytes()
         assert back.insensitive.tolist() == GOLDEN_READINGS.insensitive.tolist()
@@ -680,7 +680,7 @@ class TestReadingsFile:
         path = tmp_path / "readings.csv"
         cache.stale(path, write_golden)
         path.write_text("blinded_index,reading_volts,range\n")
-        assert len(read_readings(path)) == 0
+        assert len(read_readings(path)[0]) == 0
 
     def test_rejects_bad_header(self, tmp_path, cache):
         path = tmp_path / "readings.csv"
@@ -727,7 +727,7 @@ class TestReadingsFile:
         read_readings(path)  # imports, caches
         tracemalloc.start()
         try:
-            readings = read_readings(path)
+            readings, _ = read_readings(path)
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -750,20 +750,6 @@ class TestReadingsFile:
             tracemalloc.stop()
         assert parses == []
         assert peak < 1.6 * 2**20
-
-    def test_write_readings_peak_memory_at_paper_scale(self, tmp_path, rng):
-        # one block's arrays at a time, under the 3.94 MiB that write_key peaks at
-        n = 100_717
-        readings = Readings(rng.normal(0.0, 1e-9, n), rng.random(n) < 0.5)
-        path = tmp_path / "readings.csv"
-        write_readings(readings, path)  # imports, caches
-        tracemalloc.start()
-        try:
-            write_readings(readings, path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.94 * 2**20
 
     def test_write_readings_peak_memory_has_no_padding_mask(self, tmp_path, rng):
         # a bool mask beside each field's bytes took the peak to 2.42 MiB
