@@ -6,11 +6,12 @@ parse of a file is here; the module that owns a table keeps its schema.
 
 readings.csv and key.csv are tables (`write_table`): head lines, then per
 blinded position its `blinded_index` and a field of each column. Beside a
-table, `<csv>.cache` holds its columns in binary, with the sha256 of the CSV
-and of its own payload. `read_table` takes the columns from a valid cache
-and otherwise parses the CSV, so each reader has one path. Readers never
-write a cache. Each hashes the CSV once and returns the digest, which
-`seal` records and `check_seal` checks in seal.json, beside the tables.
+table, `<csv>.cache` holds each text column's words and every column in
+little-endian binary, with the sha256 of the CSV and of its own payload.
+`read_table` takes the columns from a valid cache and otherwise parses the
+CSV, so each reader has one path. Readers never write a cache. Each hashes
+the CSV once and returns the digest, which `seal` records and `check_seal`
+checks in seal.json, beside the tables.
 """
 
 from contextlib import contextmanager
@@ -32,10 +33,11 @@ CSV_BLOCK_ROWS = 8192
 BLOCK_WORD_BYTES = 16
 
 # The dtype of each kind of column, parsed and cached; a text column's is that of its codes.
-_DTYPES = {float: np.dtype(np.float64), int: np.dtype(np.int64), str: np.dtype(np.uint32)}
+# A cache does not record them, so their byte order is spelled out.
+_DTYPES = {float: np.dtype("<f8"), int: np.dtype("<i8"), str: np.dtype("<u4")}
 
 # The first line of a table's cache file; a cache with any other first line is ignored.
-CACHE_TAG = b"qvolt csv cache 2\n"
+CACHE_TAG = b"qvolt csv cache 3\n"
 # Bytes read per call while hashing a file: the whole file is never in memory at once.
 HASH_CHUNK = 1 << 16
 
@@ -189,7 +191,7 @@ def write_table(path, head: str, columns: Sequence) -> bytes:
             fh.write(block)
             digest.update(block)
     sha256 = digest.digest()
-    write_cache(path, sha256, [a if w is None else (a, w) for a, w in zip(arrays, words)])
+    write_cache(path, sha256, columns)
     return sha256
 
 
@@ -348,12 +350,11 @@ def write_cache(path: str | os.PathLike, csv_sha256: bytes, columns: Sequence) -
     """Write the cache of the table just written at `path`, whose sha256 digest is `csv_sha256`.
 
     The cache is CACHE_TAG, the sha256 of the CSV's bytes and of the payload, then
-    the payload: one JSON line that lists each column's dtype, length and words (null
-    for a number column), then each column's array, a text column's codes as uint32.
+    the payload: one JSON line that lists each column's words (null for a number
+    column), then each column's array in its kind's dtype, a text column's codes.
     """
     _, arrays, words = zip(*map(_column, columns))
-    layout = [[a.dtype.str, len(a), w] for a, w in zip(arrays, words)]
-    meta = json.dumps(layout).encode() + b"\n"
+    meta = json.dumps(words).encode() + b"\n"
     payload = hashlib.sha256(meta)
     for a in arrays:
         payload.update(a)
@@ -368,9 +369,9 @@ def read_cache(path: str | os.PathLike, csv_sha256: bytes, kinds: Sequence[type]
 
     The cache holds them when it exists, starts with CACHE_TAG, and records
     the CSV's sha256 as it is now, `csv_sha256`, and that of its own payload;
-    and when its JSON line lists one [dtype, n, words] per kind: the kind's dtype, one n
-    for all that makes the columns fill the payload, and words null for a
-    number column and distinct str for a text column, each code indexing them.
+    when one array of each kind's dtype, all of one length, fills the payload
+    after its JSON line; and when that line lists one entry per kind: null for a
+    number column, and distinct str words for a text column, each code indexing them.
     Each column is read into its own array, sized from the bytes left, and hashed on the way.
     """
     try:
@@ -378,36 +379,33 @@ def read_cache(path: str | os.PathLike, csv_sha256: bytes, kinds: Sequence[type]
             if fh.read(len(CACHE_TAG)) != CACHE_TAG or fh.read(32) != csv_sha256:
                 return None
             want, meta = fh.read(32), fh.readline()
-            try:
-                layout = json.loads(meta)
-            except ValueError:
-                return None
             n, extra = divmod(os.fstat(fh.fileno()).st_size - fh.tell(),
                               sum(_DTYPES[kind].itemsize for kind in kinds))
-            if extra or not (isinstance(layout, list) and len(layout) == len(kinds)):
+            if extra:
                 return None
             payload = hashlib.sha256(meta)
-            columns = []
-            for entry, kind in zip(layout, kinds):
-                if not (isinstance(entry, list) and len(entry) == 3
-                        and entry[:2] == [_DTYPES[kind].str, n]
-                        and (entry[2] is None) == (kind is not str)):
-                    return None
-                column = np.empty(n, _DTYPES[kind])
+            arrays = [np.empty(n, _DTYPES[kind]) for kind in kinds]
+            for column in arrays:
                 if fh.readinto(column) != column.nbytes:
                     return None
                 payload.update(column)
-                if kind is str:
-                    words = entry[2]
-                    if not (isinstance(words, list) and all(isinstance(w, str) for w in words)
-                            and len(set(words)) == len(words)) or (column >= len(words)).any():
-                        return None
-                    column = (column, words)
-                columns.append(column)
-            if fh.read(1) or payload.digest() != want:
-                return None
-    except OSError:  # no cache, or none readable; a CSV that cannot be read fails its parse
+        if payload.digest() != want:
+            return None
+        words = json.loads(meta)
+    except (OSError, ValueError, RecursionError):  # no cache, none readable, or not JSON
         return None
+    if not (isinstance(words, list) and len(words) == len(kinds)):
+        return None
+    columns = []
+    for column, kind, w in zip(arrays, kinds, words):
+        if kind is str:
+            if not (isinstance(w, list) and all(isinstance(word, str) for word in w)
+                    and len(set(w)) == len(w)) or (column >= len(w)).any():
+                return None
+            column = (column, w)
+        elif w is not None:
+            return None
+        columns.append(column)
     return columns
 
 
@@ -429,7 +427,7 @@ def check_seal(digests: dict[str, bytes]) -> None:
     try:
         with open_text(sealed) as fh:
             record = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise ValueError(f"{path}: its seal {sealed} cannot be read ({reason})") from None
     for path, sha256 in digests.items():

@@ -93,57 +93,66 @@ def _flip(data, at):
     return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
 
 
-def relaid(change):
-    """A cache damage that rewrites the payload as change(meta, array bytes) gives it.
+def _resealed(change):
+    """A cache damage that rewrites the payload as change(JSON line, array bytes) gives it.
 
-    The payload's digest is recomputed, so only the layout is wrong.
+    The payload's digest is recomputed, so only the payload's content is wrong.
     """
     def damage(data):
         head = len(CACHE_TAG) + 32
         payload = data[head + 32:]
         start = payload.index(b"\n") + 1
-        meta, tail = change(json.loads(payload[:start]), payload[start:])
-        payload = json.dumps(meta).encode() + b"\n" + tail
+        payload = b"".join(change(payload[:start], payload[start:]))
         return data[:head] + hashlib.sha256(payload).digest() + payload
 
     return damage
 
 
-def _longer_columns(meta):
-    for entry in meta:
-        entry[1] += 1
-    return meta
+def relaid(change):
+    """A cache damage that rewrites the words and arrays as change(words, array bytes) gives them."""
+    def change_line(line, tail):
+        words, tail = change(json.loads(line), tail)
+        return json.dumps(words).encode() + b"\n", tail
+
+    return _resealed(change_line)
 
 
-def _text_column(meta):
-    """The index of a cache layout's text column, and where its codes start in the arrays' bytes."""
-    c = next(i for i, (_, _, words) in enumerate(meta) if words is not None)
-    return c, sum(np.dtype(dtype).itemsize * n for dtype, n, _ in meta[:c])
+def _row_bytes(words):
+    """The bytes a row takes in the arrays of cached columns with these words: 8 for a number
+    column (float64 or int64), 4 for a text column (uint32 codes)."""
+    return sum(8 if w is None else 4 for w in words)
 
 
-def _code_past_the_words(meta, tail):
-    c, at = _text_column(meta)
-    dtype, _, words = meta[c]
-    code = np.array(len(words), dtype).tobytes()
-    return meta, tail[:at] + code + tail[at + len(code):]
+def _rows(words, tail):
+    return len(tail) // _row_bytes(words)
 
 
-def _text_column_one_short(meta, tail):
-    c, at = _text_column(meta)
-    dtype, n, _ = meta[c]
-    meta[c][1] = n - 1
-    end = at + np.dtype(dtype).itemsize * n
-    return meta, tail[:end - np.dtype(dtype).itemsize] + tail[end:]
+def _text_codes(words, tail):
+    """The index of a cache's text column, and the slice of the arrays' bytes its codes fill."""
+    c = next(i for i, w in enumerate(words) if w is not None)
+    n = _rows(words, tail)
+    return c, slice(n * _row_bytes(words[:c]), n * _row_bytes(words[:c + 1]))
 
 
-def _with_words(words):
-    """A layout change that gives the text column words(its words) in place of its words."""
-    def change(meta, tail):
-        c, _ = _text_column(meta)
-        meta[c][2] = words(meta[c][2])
-        return meta, tail
+def _code_past_the_words(words, tail):
+    c, codes = _text_codes(words, tail)
+    code = np.array(len(words[c]), "<u4").tobytes()
+    return words, tail[:codes.start] + code + tail[codes.start + len(code):]
 
-    return change
+
+def _text_column_one_short(words, tail):
+    _, codes = _text_codes(words, tail)
+    return words, tail[:codes.stop - 4] + tail[codes.stop:]
+
+
+def _with_words(change):
+    """A cache damage that gives the text column change(its words) in place of its words."""
+    def with_words(words, tail):
+        c, _ = _text_codes(words, tail)
+        words[c] = change(words[c])
+        return words, tail
+
+    return relaid(with_words)
 
 
 # ways a cache file can fail to hold its CSV's columns, each a function of the cache's bytes
@@ -154,19 +163,25 @@ CACHE_DAMAGE = {
     "changed payload": lambda data: _flip(data, len(data) - 1),
     "truncated payload": lambda data: data[:-1],
     "empty file": lambda data: b"",
-    "no entry for the last column": relaid(lambda meta, tail: (meta[:-1], tail)),
-    "meta is a JSON object": relaid(lambda meta, tail: ({"columns": meta}, tail)),
-    "columns past the payload": relaid(lambda meta, tail: (_longer_columns(meta), tail)),
-    "payload past the columns": relaid(lambda meta, tail: (meta, tail + b"\0")),
+    "no entry for the last column": relaid(lambda words, tail: (words[:-1], tail)),
+    "meta is a JSON object": relaid(lambda words, tail: ({"columns": words}, tail)),
+    "meta not JSON": _resealed(lambda line, tail: (b"columns\n", tail)),
+    "meta nested past the recursion limit": _resealed(
+        lambda line, tail: (b"[" * 100_000 + b"\n", tail)
+    ),
+    "payload past the columns": relaid(lambda words, tail: (words, tail + b"\0")),
     "unknown column": relaid(
-        lambda meta, tail: (meta + [["<f8", meta[0][1], None]], tail + bytes(8 * meta[0][1]))
+        lambda words, tail: (words + [None], tail + bytes(8 * _rows(words, tail)))
     ),
     "text column one entry short": relaid(_text_column_one_short),
     "code past the word list": relaid(_code_past_the_words),
-    "no words": relaid(_with_words(lambda words: None)),
-    "words not a list": relaid(_with_words("".join)),
-    "a word not a str": relaid(_with_words(lambda words: [*words[:-1], 0])),
-    "a repeated word": relaid(_with_words(lambda words: [*words[:-1], words[0]])),
+    "words for a number column": relaid(
+        lambda words, tail: ([["a"] if w is None else w for w in words], tail)
+    ),
+    "no words": _with_words(lambda words: None),
+    "words not a list": _with_words("".join),
+    "a word not a str": _with_words(lambda words: [*words[:-1], 0]),
+    "a repeated word": _with_words(lambda words: [*words[:-1], words[0]]),
 }
 
 

@@ -514,9 +514,9 @@ REPORT_FILE_SHA256 = {
     "histogram_c1_low.csv": "7890ff21ecc6c70219e9d252063748d585699dc54ab82b379ed2eccabd64fc5c",
     "histogram_q2_low.csv": "622dd7991612232796d965d149155f238c7379243027617e0260ba7e8dbc01af",
     "key.csv": "ff1f1104b7a4f15e8604427c6823acedcc94fe2697d4ed9848c4c0a19575a366",
-    "key.csv.cache": "17e032ffc39f28ff4a45f3000d0efa2bbc9f1efe925a9861100d638168840a1d",
+    "key.csv.cache": "bc67e89431f8ea1298314c596028665c41792975bfd169c64ad5b504a69ed201",
     "readings.csv": "d1848ea2f9559aae0cf1a5714e27b70b503793124a8babf9a2ef926ea7800c86",
-    "readings.csv.cache": "244dc0d47df05775aa27458fbcaa3a8afb03406055fd7b313636c1fd62fb71e0",
+    "readings.csv.cache": "56695a18de21f17ed3b5b6ccefbc6ec9316998283e087f4eb36460df1902aa11",
     "report.txt": "9561cc651d68e4c980885ede443dad6c64e4afca7fc66888c39a13d0ed3d500a",
     "seal.json": "4af153819b6b66603657ce9b7de017b2034cf6292cc633e8660a5daa16d72e08",
     "unblind_report.txt": "c44144478977bb4c06095b5fdb5ff4e629fa8e1bdfb80a397353d1099d061c24",
@@ -635,8 +635,9 @@ class TestSeal:
 
     @pytest.mark.parametrize("step", ["blinded-summary", "unblind-fit"])
     @pytest.mark.parametrize("text, reason", [(None, "No such file or directory"),
-                                              ("sealed\n", "Expecting value: line 1 column 1")],
-                             ids=["deleted", "not JSON"])
+                                              ("sealed\n", "Expecting value: line 1 column 1"),
+                                              ("[" * 100_000, "maximum recursion depth exceeded")],
+                             ids=["deleted", "not JSON", "nested"])
     def test_unreadable_seal_contract_exit_code(self, tmp_path, capsys, step, text, reason):
         cfg, out = self.ran(tmp_path)
         seal = out / "seal.json"

@@ -1,5 +1,5 @@
-"""One module for the file contract: only `files` opens or parses a file, or names the cache
-or the seal, and it hashes each table it reads once."""
+"""One module for the file contract: only `files` opens or parses a file, reads or writes
+JSON, or names the cache or the seal, and it hashes each table it reads once."""
 
 import ast
 import hashlib
@@ -13,6 +13,8 @@ from qvolt import files
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qvolt"
 # builtin open (or any .open), np.loadtxt and np.savetxt
 FILE_CALLS = {"open", "loadtxt", "savetxt"}
+# json's readers and writers: a malformed record (the seal, a cache's words) is handled in `files`
+JSON_CALLS = {"load", "loads", "dump", "dumps"}
 # the cache beside a table is a detail of `files.read_table` and `files.write_table`
 CACHE_NAMES = {"read_cache", "write_cache", "cache_path", "CACHE_TAG"}
 # where the seal lives and what it is called are details of `files.seal` and `files.check_seal`
@@ -20,14 +22,14 @@ SEAL_NAMES = {"SEAL_NAME", "seal.json"}
 OTHER_MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "files.py")
 
 
-def file_calls(path):
-    """(line, name) of each call in a module of a FILE_CALLS name, bare or as an attribute."""
+def file_calls(path, wanted=FILE_CALLS):
+    """(line, name) of each call in a module of a `wanted` name, bare or as an attribute."""
     calls = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in FILE_CALLS:
+            if name in wanted:
                 calls.append((node.lineno, name))
     return calls
 
@@ -53,6 +55,11 @@ def test_only_files_opens_or_parses_a_file(module):
 
 
 @pytest.mark.parametrize("module", OTHER_MODULES)
+def test_only_files_reads_or_writes_json(module):
+    assert file_calls(SRC / module, JSON_CALLS) == []
+
+
+@pytest.mark.parametrize("module", OTHER_MODULES)
 def test_only_files_names_the_cache(module):
     assert used_names(SRC / module, CACHE_NAMES) == []
 
@@ -64,6 +71,11 @@ def test_only_files_names_the_seal(module):
 
 def test_the_guard_sees_every_call_in_files():
     assert {name for _, name in file_calls(SRC / "files.py")} == FILE_CALLS
+
+
+def test_the_guard_sees_every_json_call_in_files():
+    # `files` writes JSON text with `dumps`, so it never calls `dump`
+    assert {name for _, name in file_calls(SRC / "files.py", JSON_CALLS)} == JSON_CALLS - {"dump"}
 
 
 def test_the_guard_sees_every_cache_name_in_files():
@@ -85,3 +97,16 @@ def test_a_table_is_hashed_once_and_its_digest_returned(tmp_path, cache, hashed)
     assert read == written == hashlib.sha256(path.read_bytes()).digest()
     assert hashed == [path]
     assert x.tolist() == [0.5, -1.25, 3.0] and [words[c] for c in codes] == ["bc", "a", "bc"]
+
+
+def test_a_cache_is_its_words_then_its_columns_little_endian(tmp_path):
+    # a cache records no dtype, so its bytes are the same whatever the host's byte order
+    assert all(dtype.str.startswith("<") for dtype in files._DTYPES.values())
+    x, codes = np.array([0.5, -1.25, 3e-9], ">f8"), np.array([1, 0, 1])
+    path = tmp_path / "table.csv"
+    sha256 = files.write_table(path, "blinded_index,x,word", [x, (codes, ["a", "bc"])])
+    payload = b'[null, ["a", "bc"]]\n' + x.astype("<f8").tobytes() + codes.astype("<u4").tobytes()
+    assert pathlib.Path(files.cache_path(path)).read_bytes() == (
+        files.CACHE_TAG + sha256 + hashlib.sha256(payload).digest() + payload)
+    _, (back, _), _ = files.read_table(path, 1, lambda path, lines: None, (float, str))
+    assert back.tolist() == x.tolist()
