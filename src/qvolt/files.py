@@ -27,9 +27,9 @@ import numpy as np
 # Rows of a table built as arrays and written by one call (`write_table`): enough to
 # amortise numpy's per-call cost, few enough that a block's arrays stay near 2 MiB.
 CSV_BLOCK_ROWS = 8192
-# Word bytes a block holds per row before it holds fewer rows than CSV_BLOCK_ROWS: each
-# row's word is padded to the longest, so a block holds at most 128 KiB of words, ~0.5 MiB
-# with the joined copies and their NUL test, what a block of short words takes for its ints.
+# Word bytes a block holds per row before it holds fewer rows than CSV_BLOCK_ROWS (and at
+# least one): each row's word is padded to the longest, so a block holds at most 128 KiB of
+# words, ~0.5 MiB with its row array and NUL test, what a block of short words takes for its ints.
 BLOCK_WORD_BYTES = 16
 
 # The dtype of each kind of column, parsed and cached; a text column's is that of its codes.
@@ -175,7 +175,7 @@ def write_table(path, head: str, columns: Sequence) -> bytes:
     kinds, arrays, words = zip(*map(_column, columns))
     tables = [None if w is None else byte_table([word.encode() for word in w]) for w in words]
     widest = max((table.shape[1] for table in tables if table is not None), default=0)
-    block_rows = CSV_BLOCK_ROWS * BLOCK_WORD_BYTES // max(BLOCK_WORD_BYTES, widest)
+    block_rows = max(1, CSV_BLOCK_ROWS * BLOCK_WORD_BYTES // max(BLOCK_WORD_BYTES, widest))
     formats = {float: float_field, int: int_field}
     n = len(arrays[0])
     head_bytes = head.encode() + b"\n"
@@ -187,27 +187,21 @@ def write_table(path, head: str, columns: Sequence) -> bytes:
             fields = [int_field(np.arange(lo, hi))]
             fields += [formats[kind](a[lo:hi]) if table is None else table[a[lo:hi]].T
                        for a, kind, table in zip(arrays, kinds, tables)]
-            block = _joined(fields)
-            fh.write(block)
-            digest.update(block)
+            # each field's bytes and a comma, the last field's and a newline; NUL is padding
+            rows = np.full((hi - lo, sum(map(len, fields)) + len(fields)), ord(","), np.uint8)
+            at = 0
+            for field in fields:
+                rows[:, at:at + len(field)] = field.T
+                at += len(field) + 1
+            rows[:, -1] = ord("\n")
+            # rebound to the kept bytes, so the full array is gone before the next block
+            rows = rows.ravel()
+            rows = rows[rows != 0]
+            fh.write(rows)
+            digest.update(rows)
     sha256 = digest.digest()
     write_cache(path, sha256, columns)
     return sha256
-
-
-def _joined(fields: list[np.ndarray]) -> np.ndarray:
-    """The bytes of the rows these fields make: each field and a comma, the last and a newline.
-
-    A field is a (width, rows) uint8 array whose NUL bytes are padding, and are dropped.
-    """
-    n = fields[0].shape[1]
-    parts = []
-    for i, field in enumerate(fields):
-        sep = b"," if i < len(fields) - 1 else b"\n"
-        parts += [field, np.full((1, n), ord(sep), np.uint8)]
-    # row-major order of the (rows, width) transpose: row after row, each field in turn
-    rows = np.concatenate(parts).T.ravel()
-    return rows[rows != 0]
 
 
 def _digits(v: np.ndarray, out: np.ndarray) -> None:
@@ -219,12 +213,16 @@ def _digits(v: np.ndarray, out: np.ndarray) -> None:
     out += ord("0")
 
 
+# 10**k for k = 0..19, every power of ten a uint64 holds
+_POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
+
+
 def int_field(values: np.ndarray) -> np.ndarray:
     """`%d` of non-negative integers: their digits, right-aligned, NUL over the leading zeros.
 
     The digits come from 9-digit uint32 limbs, split off in uint64.
     """
-    v = np.asarray(values).astype(np.uint64)
+    v = values = np.asarray(values).astype(np.uint64)
     width = len(str(int(v.max())))
     chars = np.empty((width, len(v)), np.uint8)
     end = width
@@ -233,8 +231,8 @@ def int_field(values: np.ndarray) -> np.ndarray:
         _digits((v - q * 10**9).astype(np.uint32), chars[end - 9:end])
         v, end = q, end - 9
     _digits(v.astype(np.uint32), chars[:end])
-    # the last digit is kept, so 0 is `0`
-    chars[:-1][np.logical_and.accumulate(chars[:-1] == ord("0"), axis=0)] = 0
+    # a digit above a value's highest is NUL; the last is kept, so 0 is `0`
+    chars[:-1] *= values >= _POW10[width - 1:0:-1, None]
     return chars
 
 

@@ -201,8 +201,11 @@ class TestLoadConfig:
         [("seed = 1\n" + MINIMAL_CFG, "no section headers"),
          (MINIMAL_CFG.replace("count = 40", "count = 40\ncount = 41"), "option 'count'"),
          (MINIMAL_CFG + "\n[run]\nseed = 1\n", "section 'run' already exists"),
-         (MINIMAL_CFG + "bound_rule = mc-percentile\n", "[analysis] bound_rule")],
-        ids=["no-section-header", "repeated-key", "repeated-section", "mc-percentile"],
+         (MINIMAL_CFG + "bound_rule = mc-percentile\n", "[analysis] bound_rule"),
+         (MINIMAL_CFG + "\n[sources]\ncount = 1\n", "unknown section [sources]"),
+         (MINIMAL_CFG + "n_bins = 0\n", "n_bins 0 < 1")],
+        ids=["no-section-header", "repeated-key", "repeated-section", "mc-percentile",
+             "unknown-section", "zero-bins"],
     )
     def test_rejected_config_text_exits_as_config_error(self, tmp_path, capsys, text, words):
         bad = write_cfg(tmp_path, text)
@@ -904,6 +907,10 @@ class TestCliCommands:
             ("run", "bits_c1.txt", 1, 0, b"# id=c1 fidelity=0.5", "header has no 'n=' field"),
             ("run", "bits_c1.txt", 1, 0, b"# id=c1 fidelity=0.5 n=3 n=1",
              "header token 'n=1' repeats the 'n=' field"),
+            ("run", "bits_c1.txt", 1, 0, b"# id=c1 fidelity=0.5 n", "bad header token 'n'"),
+            ("run", "bits_c1.txt", 1, 0, b"# id=c1 fidelity=0.6 n=40",
+             "header SourceSpec(id='c1', fidelity=0.6, count=40) does not match configured "
+             "SourceSpec(id='c1', fidelity=0.5, count=40)"),
             ("blinded-summary", "readings.csv", 5, 2, b"sensitiv",
              "row 3: unknown range 'sensitiv'"),
             ("blinded-summary", "readings.csv", 5, 2, b"sensitive\0",
@@ -918,15 +925,18 @@ class TestCliCommands:
              "row 3: reading 2.9998853642131187 V is above the range threshold 1.0 V "
              "but was recorded on the sensitive range"),
             ("unblind-fit", "key.csv", 5, 2, b"-1", "blinded position 2: source_index < 0"),
+            ("unblind-fit", "key.csv", 2, 1, b"source",
+             "unexpected key header 'blinded_index,source,source_index'"),
             ("run", "bits_c1.txt", 5, 0, b"\xff", "line 5: not UTF-8 text (invalid start byte)"),
             ("blinded-summary", "readings.csv", 5, 2, b"\xff",
              "line 5: not UTF-8 text (invalid start byte)"),
             ("unblind-fit", "key.csv", 5, 1, b"\xff",
              "line 5: not UTF-8 text (invalid start byte)"),
         ],
-        ids=["bit 2", "header n=abc", "header without n", "header n twice", "range sensitiv",
-             "range sensitive NUL", "range insensitive NUL", "range over 12 bytes",
-             "range outside latin-1", "range flipped", "negative source_index",
+        ids=["bit 2", "header n=abc", "header without n", "header n twice", "header token n",
+             "header fidelity unlike config", "range sensitiv", "range sensitive NUL",
+             "range insensitive NUL", "range over 12 bytes", "range outside latin-1",
+             "range flipped", "negative source_index", "key header renamed",
              "bit file byte ff", "readings byte ff", "key byte ff"],
     )
     def test_bad_input_file_contract_exit_code(

@@ -99,6 +99,18 @@ def test_a_table_is_hashed_once_and_its_digest_returned(tmp_path, cache, hashed)
     assert x.tolist() == [0.5, -1.25, 3.0] and [words[c] for c in codes] == ["bc", "a", "bc"]
 
 
+def test_a_word_longer_than_a_block_is_written_one_row_a_block(tmp_path, cache):
+    # over CSV_BLOCK_ROWS * BLOCK_WORD_BYTES bytes, so a block holds one row
+    long = "w" * 140_000
+    path = tmp_path / "table.csv"
+    columns = [np.array([3, 1, 4]), (np.array([0, 1, 0]), [long, "a"])]
+    files.write_table(path, "blinded_index,n,word", columns)
+    assert path.read_text() == f"blinded_index,n,word\n0,3,{long}\n1,1,a\n2,4,{long}\n"
+    cache.settle(path)
+    _, (n, (codes, words)), _ = files.read_table(path, 1, lambda path, lines: None, (int, str))
+    assert n.tolist() == [3, 1, 4] and [words[c] for c in codes] == [long, "a", long]
+
+
 def test_a_cache_is_its_words_then_its_columns_little_endian(tmp_path):
     # a cache records no dtype, so its bytes are the same whatever the host's byte order
     assert all(dtype.str.startswith("<") for dtype in files._DTYPES.values())

@@ -507,9 +507,9 @@ class TestFloatField:
         assert field_lines(files.float_field(values)) == percent_lines(values)
 
 
-# integers on and next to the 9-digit limb edges, up to the widest uint64
-INT_EDGES = [0, 9, 10, 99_999, 100_000, 10**9 - 1, 10**9, 10**9 + 1, 2**32 - 1, 2**32,
-             10**18 - 1, 10**18, 10**18 + 1, 2**53, 2**63, 10**19, 2**64 - 1]
+# integers on and next to the 9-digit limb edges and every power of ten, up to the widest uint64
+INT_EDGES = sorted({0, 10**9 + 1, 2**32 - 1, 2**32, 10**18 + 1, 2**53, 2**63, 2**64 - 1}
+                   | {10**k - d for k in range(1, 20) for d in (0, 1)})
 
 
 class TestIntField:
