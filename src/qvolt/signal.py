@@ -105,8 +105,7 @@ class AcquisitionConfig:
 
     def sigma_reading_for(self, level):
         """Per-reading sigma of the range each level puts the instrument on."""
-        sigma = np.where(self.insensitive(level), self.sigma_high, self.sigma_low)
-        return float(sigma) if sigma.ndim == 0 else sigma
+        return np.where(self.insensitive(level), self.sigma_high, self.sigma_low)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,8 +178,7 @@ def reduce_cycle(block: np.ndarray, cfg: AcquisitionConfig):
     block = np.asarray(block, dtype=float)
     if block.shape[-1] < nw:
         raise ValueError(f"block of {block.shape[-1]} samples shorter than window ({nw})")
-    reading = block[..., -nw:].mean(axis=-1)
-    return float(reading) if reading.ndim == 0 else reading
+    return block[..., -nw:].mean(axis=-1)
 
 
 def run_acquisition(
@@ -222,23 +220,39 @@ def _fast_values(levels: np.ndarray, cfg: AcquisitionConfig, noise_seed: int) ->
 def _waveform_values(levels: np.ndarray, cfg: AcquisitionConfig, noise_seed: int) -> np.ndarray:
     """Readings reduced from the synthesised record windows, WAVEFORM_BATCH_CYCLES at a time.
 
-    Each batch writes only its own slice of the readings, so the batches run
-    on every usable CPU (`_on_workers`).
+    Each batch writes only its own slice of the readings, so the batches are
+    dealt round-robin into one share per usable CPU. The calling thread runs
+    the first share and a new thread each other one; the shares overlap in
+    the numpy and scipy calls, which release the GIL. Every thread has ended
+    when this returns, and an exception raised in any share is raised here.
     """
     n = len(levels)
     nw = cfg.n_window_samples
     first_sample = cfg.n_cycle_samples - nw
     prev = np.concatenate(([0.0], levels[:-1]))
     values = np.empty(n)
+    batches = range(0, n, WAVEFORM_BATCH_CYCLES)
+    k = max(1, min(_usable_cpus(), len(batches)))
+    errors = []
 
-    def acquire(batch_starts):
-        for lo in batch_starts:
-            hi = min(lo + WAVEFORM_BATCH_CYCLES, n)
-            z = cycle_rng(noise_seed, lo, hi - lo, nw)
-            block = synthesize_cycle(prev[lo:hi], levels[lo:hi], cfg, z, first_sample)
-            values[lo:hi] = reduce_cycle(block, cfg)
+    def acquire(share):
+        try:
+            for lo in batches[share::k]:
+                hi = min(lo + WAVEFORM_BATCH_CYCLES, n)
+                z = cycle_rng(noise_seed, lo, hi - lo, nw)
+                block = synthesize_cycle(prev[lo:hi], levels[lo:hi], cfg, z, first_sample)
+                values[lo:hi] = reduce_cycle(block, cfg)
+        except BaseException as exc:  # raised below, once every thread has ended
+            errors.append(exc)
 
-    _on_workers(acquire, range(0, n, WAVEFORM_BATCH_CYCLES))
+    threads = [threading.Thread(target=acquire, args=(share,)) for share in range(1, k)]
+    for thread in threads:
+        thread.start()
+    acquire(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     return values
 
 
@@ -248,37 +262,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _on_workers(fn, items: Sequence) -> None:
-    """fn(share) for the items dealt round-robin into one share per usable CPU.
-
-    The calling thread runs the first share and a new thread each other one.
-    Every thread has ended when this returns, and an exception raised in any
-    share is raised here. `fn` releases the GIL in its numpy and scipy calls,
-    which is where the shares overlap.
-    """
-    k = min(_usable_cpus(), len(items))
-    shares = [items[w::k] for w in range(k)]
-    errors = []
-
-    def run(share):
-        try:
-            fn(share)
-        except BaseException as exc:  # raised by the caller once every thread has ended
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(share,)) for share in shares[1:]]
-    for thread in threads:
-        thread.start()
-    try:
-        for share in shares[:1]:
-            fn(share)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 _READINGS_HEADER = "blinded_index,reading_volts,range"

@@ -34,6 +34,9 @@ class SourceSpec:
         object.__setattr__(self, "count", operator.index(self.count))
         if not _SOURCE_ID.fullmatch(self.id):
             raise ValueError(f"source id {self.id!r} is not made of A-Z, a-z, 0-9, '_' and '-'")
+        if len(self.id) > 237:
+            raise ValueError(f"source id of {len(self.id)} characters is over 237: "
+                             "histogram_<id>_low.csv must fit a 255-byte file name")
         if self.id == "blinded":
             # histogram_<id>_low.csv would overwrite the pooled histogram_blinded_low.csv
             raise ValueError("source id 'blinded' is reserved for the blinded histogram")

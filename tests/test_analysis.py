@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qvolt.analysis import (
     BAND_POINTS,
+    GaussianSummary,
     classify,
     confidence_bound,
     histogram,
@@ -71,6 +72,10 @@ class TestSummarize:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             summarize([])
+
+    def test_summary_of_no_readings_is_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            GaussianSummary(n=0, mean=0.0, sd=0.0, sem=0.0)
 
 
 class TestHistogram:

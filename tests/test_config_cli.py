@@ -186,7 +186,8 @@ class TestLoadConfig:
         assert (analysis.mc_realizations, analysis.n_bins) == (1000, 20)
         assert isinstance(analysis.n_bins, int)
 
-    @pytest.mark.parametrize("sid", ["q 2", "q,2"], ids=["space", "comma"])
+    @pytest.mark.parametrize("sid", ["q 2", "q,2", "q" * 238],
+                             ids=["space", "comma", "238 characters"])
     def test_source_ids_outside_the_id_alphabet_exit_as_config_errors(self, tmp_path, sid):
         bad = write_cfg(tmp_path, MINIMAL_CFG.replace("[source.q2]", f"[source.{sid}]"))
         with pytest.raises(ConfigError, match="source id"):
@@ -196,6 +197,14 @@ class TestLoadConfig:
             assert cli.main([step, "--config", bad, "--out", out]) == cli.EXIT_CONFIG
         assert not os.path.exists(out)
 
+    def test_longest_source_id_runs_every_step(self, tmp_path, capsys):
+        sid = "q" * 237
+        cfg = write_cfg(tmp_path, MINIMAL_CFG.replace("[source.q2]", f"[source.{sid}]"))
+        out = str(tmp_path / "out")
+        for step in ("generate", "run", "blinded-summary", "unblind-fit"):
+            assert cli.main([step, "--config", cfg, "--out", out]) == 0, capsys.readouterr().err
+        assert os.path.exists(os.path.join(out, f"histogram_{sid}_low.csv"))
+
     @pytest.mark.parametrize(
         "text, words",
         [("seed = 1\n" + MINIMAL_CFG, "no section headers"),
@@ -203,9 +212,10 @@ class TestLoadConfig:
          (MINIMAL_CFG + "\n[run]\nseed = 1\n", "section 'run' already exists"),
          (MINIMAL_CFG + "bound_rule = mc-percentile\n", "[analysis] bound_rule"),
          (MINIMAL_CFG + "\n[sources]\ncount = 1\n", "unknown section [sources]"),
-         (MINIMAL_CFG + "n_bins = 0\n", "n_bins 0 < 1")],
+         (MINIMAL_CFG + "n_bins = 0\n", "n_bins 0 < 1"),
+         (MINIMAL_CFG + "threshold = 1.2.3 V\n", "bad number '1.2.3'")],
         ids=["no-section-header", "repeated-key", "repeated-section", "mc-percentile",
-             "unknown-section", "zero-bins"],
+             "unknown-section", "zero-bins", "bad-number"],
     )
     def test_rejected_config_text_exits_as_config_error(self, tmp_path, capsys, text, words):
         bad = write_cfg(tmp_path, text)
@@ -380,6 +390,11 @@ class TestConfigTable:
         for value in (250.0, 250.5):
             with pytest.raises(TypeError):
                 cls(**needs, **{name: value})
+
+    def test_duplicate_source_ids_are_refused(self):
+        # configparser refuses a repeated [source.<id>] section, so only code reaches this
+        with pytest.raises(ConfigError, match=re.escape("duplicate source ids: ['q', 'q']")):
+            RunConfig(seed=1, sources=(SourceSpec("q", 0.9, 3), SourceSpec("q", 0.5, 4)))
 
     def test_bool_seed_is_recorded_as_its_int(self):
         made = RunConfig(seed=True, sources=(SourceSpec("q", 0.9, 3),))
@@ -908,6 +923,9 @@ class TestCliCommands:
             ("run", "bits_c1.txt", 1, 0, b"# id=c1 fidelity=0.5 n=3 n=1",
              "header token 'n=1' repeats the 'n=' field"),
             ("run", "bits_c1.txt", 1, 0, b"# id=c1 fidelity=0.5 n", "bad header token 'n'"),
+            ("run", "bits_c1.txt", 1, 0, b"# id=" + b"c" * 238 + b" fidelity=0.5 n=40",
+             "invalid header fields: source id of 238 characters is over 237: "
+             "histogram_<id>_low.csv must fit a 255-byte file name"),
             ("run", "bits_c1.txt", 1, 0, b"# id=c1 fidelity=0.6 n=40",
              "header SourceSpec(id='c1', fidelity=0.6, count=40) does not match configured "
              "SourceSpec(id='c1', fidelity=0.5, count=40)"),
@@ -934,7 +952,8 @@ class TestCliCommands:
              "line 5: not UTF-8 text (invalid start byte)"),
         ],
         ids=["bit 2", "header n=abc", "header without n", "header n twice", "header token n",
-             "header fidelity unlike config", "range sensitiv", "range sensitive NUL",
+             "header id of 238 characters", "header fidelity unlike config", "range sensitiv",
+             "range sensitive NUL",
              "range insensitive NUL", "range over 12 bytes", "range outside latin-1",
              "range flipped", "negative source_index", "key header renamed",
              "bit file byte ff", "readings byte ff", "key byte ff"],

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,3 +144,12 @@ class TestPerCycleInversion:
                 net = net_fidelity_majority(float(p), n)
                 back = per_cycle_from_net(net, n)
                 assert abs(net_fidelity_majority(back, n) - net) < 1e-10
+
+    @pytest.mark.parametrize("net, n, message", [
+        (0.49, 50, "net target 0.49 outside [1/2, 1]"),
+        (1.01, 50, "net target 1.01 outside [1/2, 1]"),
+        (0.55, 0, "n 0 < 1"),
+    ])
+    def test_rejects_bad_inputs(self, net, n, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            per_cycle_from_net(net, n)

@@ -5,6 +5,7 @@ import pathlib
 import re
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -318,6 +319,10 @@ class TestRunAcquisition:
         with pytest.raises(ValueError):
             run_acquisition([0, 1], [0.5], NonlinearParams(), QUIET, noise_seed=1)
 
+    def test_readings_need_one_range_flag_per_value(self):
+        with pytest.raises(ValueError, match="one range flag per value"):
+            Readings(np.zeros(3), np.zeros(2, dtype=bool))
+
     def test_fast_and_waveform_modes_agree(self):
         # matched (expected, per-reading sigma): mean within 5 SEM, sd within 10%
         n = 10_000
@@ -426,16 +431,19 @@ class TestRunAcquisition:
         waveform_run(3 * B + 7)
         assert threading.active_count() == before
 
-    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+    @pytest.mark.parametrize("on_caller", [False, True],
+                             ids=["off the calling thread", "on the calling thread"])
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, on_caller):
         use_cpus(monkeypatch, 3)
         reduce = signal.reduce_cycle
 
-        def failing_off_the_calling_thread(*args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
+        def failing_share(*args, **kwargs):
+            if (threading.current_thread() is threading.main_thread()) == on_caller:
                 raise RuntimeError("worker failed")
+            time.sleep(0.02)  # the other shares are still running when one fails
             return reduce(*args, **kwargs)
 
-        monkeypatch.setattr(signal, "reduce_cycle", failing_off_the_calling_thread)
+        monkeypatch.setattr(signal, "reduce_cycle", failing_share)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="worker failed"):
             waveform_run(3 * B + 7)
