@@ -52,10 +52,15 @@ class BlindingKey:
         return len(self.permutation)
 
     def origins(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each blinded position's source, as an index into `source_ids`, and its index there."""
-        ends = self.counts.cumsum()
-        code = ends.searchsorted(self.permutation, side="right")
-        return code, self.permutation - (ends - self.counts)[code]
+        """Each blinded position's source, as an index into `source_ids`, and its index there.
+
+        The source indexes are of the smallest unsigned dtype that holds them, and each
+        index is subtracted in place, so the only full-length intp array is the result's.
+        """
+        ids = np.arange(len(self.source_ids), dtype=np.min_scalar_type(len(self.source_ids)))
+        code = np.repeat(ids, self.counts)[self.permutation]
+        index = (self.counts.cumsum() - self.counts)[code]
+        return code, np.subtract(self.permutation, index, out=index)
 
     def source_counts(self) -> dict[str, int]:
         return dict(zip(self.source_ids, self.counts.tolist()))
@@ -91,12 +96,13 @@ def unblind(values, key: BlindingKey) -> dict[str, np.ndarray]:
 _KEY_HEADER = "blinded_index,source_id,source_index"
 
 
-def write_key(key: BlindingKey, path: str | os.PathLike) -> bytes:
+def write_key(key: BlindingKey, path: str | os.PathLike) -> dict[str, bytes]:
     """Write key.csv, then its cache, which holds the columns `read_key` reads.
 
     A comma or a line break in an id, or a line break in the seed descriptor, would give a
     key.csv that does not parse back, and the writer drops every NUL as padding, so any of
-    these raises ValueError before the file is opened. Returns key.csv's sha256 digest.
+    these raises ValueError before the file is opened. Returns the digests of key.csv and
+    its cache (`files.write_table`).
     """
     for sid in key.source_ids:
         if any(c in sid for c in ",\n\r\0"):
@@ -108,13 +114,14 @@ def write_key(key: BlindingKey, path: str | os.PathLike) -> bytes:
                              [(code, key.source_ids), index])
 
 
-def read_key(path: str | os.PathLike) -> tuple[BlindingKey, bytes]:
+def read_key(path: str | os.PathLike) -> tuple[BlindingKey, dict[str, bytes]]:
     """The key whose blinded position p holds bit source_index[p] of source source_id[p].
 
     The ids are sorted and the counts and permutation follow them; an id that
-    no position holds is left out, as it has no row in key.csv. Also returns key.csv's sha256.
+    no position holds is left out, as it has no row in key.csv. Also returns the digests it
+    was read from (`files.read_table`).
     """
-    head, ((code, ids), index), sha256 = files.read_table(path, 2, _key_head, (str, int))
+    head, ((code, ids), index), digests = files.read_table(path, 2, _key_head, (str, int))
     # with no negative index, one past its source's count breaks the permutation
     if (index < 0).any():
         raise ValueError(f"{path}: blinded position {(index < 0).argmax()}: source_index < 0")
@@ -128,7 +135,7 @@ def read_key(path: str | os.PathLike) -> tuple[BlindingKey, bytes]:
         key = BlindingKey(tuple(ids[c] for c in held), counts, index, head[0][len("# seed="):])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return key, sha256
+    return key, digests
 
 
 def _key_head(path, lines: list[str]) -> None:

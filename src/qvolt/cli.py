@@ -5,7 +5,8 @@ each in COMMANDS. Each takes --config <path> and --out <dir>. A subcommand
 writes its files and returns the text it prints; `main` prints that text and
 maps errors to exit codes: 0 success, 2 config error, 3 I/O error,
 4 contract violation (bad data, blinding discipline, mismatched key, ...).
-`run` seals its readings and key (`files.seal`); the later steps refuse others.
+`run` seals its readings and key and their caches (`files.seal`); the later
+steps refuse others.
 
 `report` is `run`, then `blinded-summary`, then `unblind-fit`, each reading
 the files the step before it wrote, so it goes through the same readers and
@@ -60,8 +61,8 @@ def cmd_run(config: RunConfig, out: str) -> str:
     blinded_bits, key = pipeline.blind(config, strings)
     readings = pipeline.acquire(config, blinded_bits, key)
     readings_path, key_path = os.path.join(out, "readings.csv"), os.path.join(out, "key.csv")
-    files.seal({readings_path: signal.write_readings(readings, readings_path),
-                key_path: blinding.write_key(key, key_path)})
+    files.seal({**signal.write_readings(readings, readings_path),
+                **blinding.write_key(key, key_path)})
     return (f"wrote {readings_path} ({len(readings)} readings)\n"
             f"wrote {key_path} (keep sealed until unblinding)\n")
 
@@ -73,9 +74,9 @@ def cmd_blinded_summary(config: RunConfig, out: str) -> str:
     and so are readings `run` did not seal.
     """
     path = os.path.join(out, "readings.csv")
-    readings, sha256 = signal.read_readings(path)
+    readings, digests = signal.read_readings(path)
     signal.check_ranges(path, readings, config.acquisition)
-    files.check_seal({path: sha256})
+    files.check_seal(digests)
     summary = pipeline.blinded_summary(readings.values, config)
     files.write_histogram(os.path.join(out, "histogram_blinded_low.csv"), summary.low_hist)
     lines = [
@@ -92,8 +93,8 @@ def cmd_blinded_summary(config: RunConfig, out: str) -> str:
 def cmd_unblind_fit(config: RunConfig, out: str) -> str:
     """Unblind, fit and bound: fit.csv, band.csv, per-source histograms, unblind_report.txt."""
     readings_path, key_path = os.path.join(out, "readings.csv"), os.path.join(out, "key.csv")
-    readings, readings_sha256 = signal.read_readings(readings_path)
-    key, key_sha256 = blinding.read_key(key_path)
+    readings, readings_digests = signal.read_readings(readings_path)
+    key, key_digests = blinding.read_key(key_path)
     if len(readings) != len(key):
         raise ValueError(f"{readings_path}: {len(readings)} readings but {key_path} has "
                          f"{len(key)} entries")
@@ -102,7 +103,7 @@ def cmd_unblind_fit(config: RunConfig, out: str) -> str:
         raise ValueError(f"{key_path}: key source counts {in_key} do not match the configured "
                          f"{configured}")
     # after the checks above, so that a table that fails them gets their message
-    files.check_seal({readings_path: readings_sha256, key_path: key_sha256})
+    files.check_seal({**readings_digests, **key_digests})
     result = pipeline.unblind_fit(readings.values, key, config)
     fit, mc = result.fit, result.mc
     files.write_fit(os.path.join(out, "fit.csv"), fit, mc, config.analysis.cl)

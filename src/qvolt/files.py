@@ -9,9 +9,12 @@ blinded position its `blinded_index` and a field of each column. Beside a
 table, `<csv>.cache` holds each text column's words and every column in
 little-endian binary, with the sha256 of the CSV and of its own payload.
 `read_table` takes the columns from a valid cache and otherwise parses the
-CSV, so each reader has one path. Readers never write a cache. Each hashes
-the CSV once and returns the digest, which `seal` records and `check_seal`
-checks in seal.json, beside the tables.
+CSV, so each reader has one path. Readers never write a cache. A writer or
+reader returns the digests of what it wrote or read, by path: the CSV's
+sha256, hashed once, and the cache's payload sha256 when the columns went to
+or came from the cache. `seal` records them in seal.json, beside the tables,
+and `check_seal` checks them there, so an edit to a cache is refused as an
+edit to its CSV is.
 """
 
 from contextlib import contextmanager
@@ -99,10 +102,13 @@ def open_text(path: str | os.PathLike):
             raise
 
 
-def read_table(path, n_head: int, check_head, kinds: Sequence[type]) -> tuple[list, list, bytes]:
-    """The head lines of a table (`write_table`), its columns, and the sha256 digest of the CSV.
+def read_table(path, n_head: int, check_head,
+               kinds: Sequence[type]) -> tuple[list, list, dict[str, bytes]]:
+    """The head lines of a table (`write_table`), its columns, and the digests they came from.
 
     The CSV is hashed once, then its columns come from its cache or its parse.
+    The digests are {path: the CSV's sha256}, and on a cache hit also
+    {cache path: the sha256 of the cache's payload}.
     `check_head(path, lines)` raises ValueError for head lines that are not the
     table's, on both paths and before any row is parsed. Column c of kind kinds[c]
     is a float64 array for float, an int64 array for int, and for str (codes,
@@ -111,11 +117,13 @@ def read_table(path, n_head: int, check_head, kinds: Sequence[type]) -> tuple[li
     with open_text(path) as fh:
         head = [fh.readline().rstrip("\n") for _ in range(n_head)]
         check_head(path, head)
-        sha256 = file_sha256(path)
-        columns = read_cache(path, sha256, kinds)
-        if columns is None:
+        digests = {path: file_sha256(path)}
+        cached = read_cache(path, digests[path], kinds)
+        if cached is None:
             columns = parse_rows(path, fh, kinds)
-    return head, columns, sha256
+        else:
+            columns, digests[cache_path(path)] = cached
+    return head, columns, digests
 
 
 def parse_rows(path, fh, kinds: Sequence[type]) -> list:
@@ -156,21 +164,26 @@ class _Codes(dict):
 
 
 def _column(column) -> tuple[type, np.ndarray, list | None]:
-    """A column's kind, its values or codes as an array of the kind's dtype, and words or None."""
+    """A column's kind, its values or codes as given, and its words or None.
+
+    The array is converted to the kind's dtype where it is used: a block at a
+    time for the CSV, once for the cache.
+    """
     if isinstance(column, tuple):
-        return str, np.ascontiguousarray(column[0], _DTYPES[str]), list(column[1])
-    kind = float if np.asarray(column).dtype.kind == "f" else int
-    return kind, np.ascontiguousarray(column, _DTYPES[kind]), None
+        return str, np.asarray(column[0]), list(column[1])
+    column = np.asarray(column)
+    return float if column.dtype.kind == "f" else int, column, None
 
 
-def write_table(path, head: str, columns: Sequence) -> bytes:
+def write_table(path, head: str, columns: Sequence) -> dict[str, bytes]:
     """Write the `head` line(s), then row r = r,<column fields> for each r, then the cache.
 
     A float array's field is `%.17e`, a non-negative int array's `%d`, a text
     column (codes, words)'s words[codes[r]], which may hold no NUL. The rows are
     built, written and hashed a block at a time, so one block's arrays are the
     only memory added: CSV_BLOCK_ROWS rows, or fewer when the widest word is
-    over BLOCK_WORD_BYTES. Returns the CSV's sha256 digest.
+    over BLOCK_WORD_BYTES. Returns {path: the CSV's sha256, cache path: the sha256
+    of the cache's payload}.
     """
     kinds, arrays, words = zip(*map(_column, columns))
     tables = [None if w is None else byte_table([word.encode() for word in w]) for w in words]
@@ -185,8 +198,9 @@ def write_table(path, head: str, columns: Sequence) -> bytes:
         for lo in range(0, n, block_rows):
             hi = min(lo + block_rows, n)
             fields = [int_field(np.arange(lo, hi))]
-            fields += [formats[kind](a[lo:hi]) if table is None else table[a[lo:hi]].T
-                       for a, kind, table in zip(arrays, kinds, tables)]
+            for a, kind, table in zip(arrays, kinds, tables):
+                block = np.asarray(a[lo:hi], _DTYPES[kind])
+                fields.append(formats[kind](block) if table is None else table[block].T)
             # each field's bytes and a comma, the last field's and a newline; NUL is padding
             rows = np.full((hi - lo, sum(map(len, fields)) + len(fields)), ord(","), np.uint8)
             at = 0
@@ -200,8 +214,7 @@ def write_table(path, head: str, columns: Sequence) -> bytes:
             fh.write(rows)
             digest.update(rows)
     sha256 = digest.digest()
-    write_cache(path, sha256, columns)
-    return sha256
+    return {path: sha256, cache_path(path): write_cache(path, sha256, columns)}
 
 
 def _digits(v: np.ndarray, out: np.ndarray) -> None:
@@ -344,14 +357,16 @@ def cache_path(path: str | os.PathLike) -> str:
     return os.fspath(path) + ".cache"
 
 
-def write_cache(path: str | os.PathLike, csv_sha256: bytes, columns: Sequence) -> None:
+def write_cache(path: str | os.PathLike, csv_sha256: bytes, columns: Sequence) -> bytes:
     """Write the cache of the table just written at `path`, whose sha256 digest is `csv_sha256`.
 
     The cache is CACHE_TAG, the sha256 of the CSV's bytes and of the payload, then
     the payload: one JSON line that lists each column's words (null for a number
     column), then each column's array in its kind's dtype, a text column's codes.
+    Returns the payload's sha256 digest.
     """
-    _, arrays, words = zip(*map(_column, columns))
+    kinds, arrays, words = zip(*map(_column, columns))
+    arrays = [np.ascontiguousarray(a, _DTYPES[kind]) for a, kind in zip(arrays, kinds)]
     meta = json.dumps(words).encode() + b"\n"
     payload = hashlib.sha256(meta)
     for a in arrays:
@@ -360,9 +375,11 @@ def write_cache(path: str | os.PathLike, csv_sha256: bytes, columns: Sequence) -
         fh.write(CACHE_TAG + csv_sha256 + payload.digest() + meta)
         for a in arrays:
             fh.write(a)
+    return payload.digest()
 
 
-def read_cache(path: str | os.PathLike, csv_sha256: bytes, kinds: Sequence[type]) -> list | None:
+def read_cache(path: str | os.PathLike, csv_sha256: bytes,
+               kinds: Sequence[type]) -> tuple[list, bytes] | None:
     """The columns cached for the table at `path`, or None if the cache does not hold them.
 
     The cache holds them when it exists, starts with CACHE_TAG, and records
@@ -371,6 +388,7 @@ def read_cache(path: str | os.PathLike, csv_sha256: bytes, kinds: Sequence[type]
     after its JSON line; and when that line lists one entry per kind: null for a
     number column, and distinct str words for a text column, each code indexing them.
     Each column is read into its own array, sized from the bytes left, and hashed on the way.
+    The columns come with the payload's sha256, for the seal (`check_seal`).
     """
     try:
         with open(cache_path(path), "rb") as fh:
@@ -404,22 +422,23 @@ def read_cache(path: str | os.PathLike, csv_sha256: bytes, kinds: Sequence[type]
         elif w is not None:
             return None
         columns.append(column)
-    return columns
+    return columns, want
 
 
-# The record beside the tables `run` wrote: a JSON object of each one's name and hex sha256.
+# The record beside the tables `run` wrote: a JSON object of the name of each table and
+# cache, and its hex digest (`write_table`).
 SEAL_NAME = "seal.json"
 
 
 def seal(digests: dict[str, bytes]) -> None:
-    """Write the seal of the tables {path: sha256 digest} of one directory: sorted, one a line."""
+    """Write the seal of the files {path: sha256 digest} of one directory: sorted, one a line."""
     record = {os.path.basename(path): sha256.hex() for path, sha256 in digests.items()}
     sealed = os.path.join(os.path.dirname(next(iter(digests))), SEAL_NAME)
     write_text(sealed, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def check_seal(digests: dict[str, bytes]) -> None:
-    """A ValueError unless the seal of the tables {path: sha256 digest} is JSON recording each."""
+    """A ValueError unless the seal of the files {path: sha256 digest} is JSON recording each."""
     path = next(iter(digests))
     sealed = os.path.join(os.path.dirname(path), SEAL_NAME)
     try:

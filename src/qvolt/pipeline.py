@@ -53,7 +53,8 @@ def acquire(
 ) -> signal.Readings:
     """Simulate the acquisition; the key is provenance for the simulator only."""
     fidelity = {s.id: s.fidelity for s in config.sources}
-    fidelities = np.repeat([fidelity[sid] for sid in key.source_ids], key.counts)[key.permutation]
+    # gathered by each position's source code (`origins`): no other full-length floats
+    fidelities = np.array([fidelity[sid] for sid in key.source_ids])[key.origins()[0]]
     noise_seed = derive_seed(config.seed, "noise")
     return signal.run_acquisition(
         blinded_bits, fidelities, config.params, config.acquisition, noise_seed
@@ -78,12 +79,15 @@ def blinded_summary(values: np.ndarray, config: RunConfig) -> BlindedSummary:
 
 def unblind_fit(values: np.ndarray, key: blinding.BlindingKey, config: RunConfig) -> UnblindResult:
     """Per-source low-voltage statistics, weighted fit, MC errors, and the bound."""
-    grouped = blinding.unblind(values, key)
+    # each source's low readings are copies, so the unblinded readings are freed here,
+    # before the histograms, and no source's high readings are kept
+    lows = {sid: analysis.classify(grouped, config.analysis.threshold)[0]
+            for sid, grouped in blinding.unblind(values, key).items()}
     per_low: dict[str, analysis.GaussianSummary] = {}
     per_hist: dict[str, analysis.HistogramResult] = {}
     points = []
     for spec in config.sources:
-        low, _ = analysis.classify(grouped[spec.id], config.analysis.threshold)
+        low = lows[spec.id]
         summary = analysis.summarize(low) if len(low) else None
         if summary is None or not summary.sem > 0:
             sem = "undefined" if summary is None else f"{summary.sem} V"

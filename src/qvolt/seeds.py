@@ -50,7 +50,7 @@ def cycle_rng(noise_seed: int, first_cycle: int, n_cycles: int, per_cycle: int) 
     bitgen.advance(start // 4)
     skip = start % 4
     raw = bitgen.random_raw(skip + n_cycles * per_cycle)[skip:].reshape(n_cycles, per_cycle)
-    return normals_from_raw(raw)
+    return _normals(raw, out=raw)  # the words are ours, so they become the normals
 
 
 # the bits of the float64 1.0: OR-ed onto a word k < 2**52 they give 1 + k * 2**-52
@@ -69,13 +69,19 @@ def normals_from_raw(raw: np.ndarray) -> np.ndarray:
     (k + 1/2) * 2**-52. Both steps are exact (the subtraction by Sterbenz's
     lemma), so u is the same float as ((k + 0.5) * 2**-52). The normals are a
     new array; `raw` is left unchanged.
+    """
+    return _normals(raw, out=np.empty(np.shape(raw), np.uint64))
 
-    scipy is imported here, at first use, so that the steps that draw no
-    noise never load it.
+
+def _normals(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`normals_from_raw` of `raw`, built in the uint64 array `out`, as a float64 view of `out`.
+
+    `out` may be `raw` itself. scipy is imported here, at first use, so that
+    the steps that draw no noise never load it.
     """
     from scipy.special import ndtri
 
-    words = raw >> np.uint64(12)
+    words = np.right_shift(raw, np.uint64(12), out=out)
     words |= _ONE_BITS
     u = words.view(np.float64)
     u -= 1.0 - 2.0**-53

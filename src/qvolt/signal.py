@@ -204,17 +204,29 @@ def run_acquisition(
         raise ValueError(f"{len(bits)} bits but {len(fids)} provenance fidelities")
 
     levels = expected_reading(bits, fids, params)
+    insensitive = cfg.insensitive(levels)
     if cfg.mode is AcquisitionMode.FAST:
-        values = _fast_values(levels, cfg, noise_seed)
+        values = _fast_values(levels, insensitive, cfg, noise_seed)
     else:
         values = _waveform_values(levels, cfg, noise_seed)
-    return Readings(values, cfg.insensitive(levels))
+    return Readings(values, insensitive)
 
 
-def _fast_values(levels: np.ndarray, cfg: AcquisitionConfig, noise_seed: int) -> np.ndarray:
-    """Readings drawn from their sampling distribution, one normal per cycle."""
+def _fast_values(levels: np.ndarray, insensitive: np.ndarray, cfg: AcquisitionConfig,
+                 noise_seed: int) -> np.ndarray:
+    """Readings drawn from their sampling distribution, one normal per cycle.
+
+    Each reading is (level + drift_rate * t_mid) + sigma * z, with sigma that of
+    its range. The normals are scaled in their own array and the sum is built in
+    `levels`, which becomes the readings: the levels and the normals are the only
+    full-length float arrays.
+    """
     z = cycle_rng(noise_seed, 0, len(levels), 1)[:, 0]
-    return levels + cfg.drift_rate * cfg.window_mid_time + cfg.sigma_reading_for(levels) * z
+    np.multiply(z, cfg.sigma_high, out=z, where=insensitive)
+    np.multiply(z, cfg.sigma_low, out=z, where=~insensitive)
+    levels += cfg.drift_rate * cfg.window_mid_time
+    levels += z
+    return levels
 
 
 def _waveform_values(levels: np.ndarray, cfg: AcquisitionConfig, noise_seed: int) -> np.ndarray:
@@ -269,10 +281,10 @@ _READINGS_HEADER = "blinded_index,reading_volts,range"
 _RANGE_FLAGS = {"sensitive": 0, "insensitive": 1}
 
 
-def write_readings(readings: Readings, path: str | os.PathLike) -> bytes:
+def write_readings(readings: Readings, path: str | os.PathLike) -> dict[str, bytes]:
     """Write readings.csv, then its cache, which holds the columns `read_readings` reads.
 
-    Returns readings.csv's sha256 digest. A reading that is not finite raises
+    Returns their digests (`files.write_table`). A reading that is not finite raises
     ValueError before the file is opened, as `read_readings` would reject it.
     """
     _check_finite(path, readings.values)
@@ -280,16 +292,16 @@ def write_readings(readings: Readings, path: str | os.PathLike) -> bytes:
                              [readings.values, (readings.insensitive, tuple(_RANGE_FLAGS))])
 
 
-def read_readings(path: str | os.PathLike) -> tuple[Readings, bytes]:
-    """The readings in readings.csv, and its sha256 digest."""
-    _, (values, (codes, words)), sha256 = files.read_table(path, 1, _readings_head, (float, str))
+def read_readings(path: str | os.PathLike) -> tuple[Readings, dict[str, bytes]]:
+    """The readings in readings.csv, and the digests they were read from (`files.read_table`)."""
+    _, (values, (codes, words)), digests = files.read_table(path, 1, _readings_head, (float, str))
     flag = np.array([_RANGE_FLAGS.get(w, -1) for w in words], np.int8)[codes]
     unknown = np.flatnonzero(flag < 0)
     if unknown.size:
         row = unknown[0]
         raise ValueError(f"{path}: row {row}: unknown range {words[codes[row]]!r}")
     _check_finite(path, values)
-    return Readings(values, flag == 1), sha256
+    return Readings(values, flag == 1), digests
 
 
 def check_ranges(path, readings: Readings, acq: AcquisitionConfig) -> None:

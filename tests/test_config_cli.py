@@ -4,13 +4,16 @@ import glob
 import hashlib
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import relaid
 from qvolt import blinding, cli, config, files, pipeline, signal
 from qvolt.analysis import BoundRule, HistogramResult
 from qvolt.config import (
@@ -536,7 +539,7 @@ REPORT_FILE_SHA256 = {
     "readings.csv": "d1848ea2f9559aae0cf1a5714e27b70b503793124a8babf9a2ef926ea7800c86",
     "readings.csv.cache": "56695a18de21f17ed3b5b6ccefbc6ec9316998283e087f4eb36460df1902aa11",
     "report.txt": "9561cc651d68e4c980885ede443dad6c64e4afca7fc66888c39a13d0ed3d500a",
-    "seal.json": "4af153819b6b66603657ce9b7de017b2034cf6292cc633e8660a5daa16d72e08",
+    "seal.json": "d32e145ea617bb866eca1449df45a9405581b0e075e88287f2152c4fc11c89f6",
     "unblind_report.txt": "c44144478977bb4c06095b5fdb5ff4e629fa8e1bdfb80a397353d1099d061c24",
 }
 
@@ -555,6 +558,28 @@ PAPER_FIT_SHA256 = {
         "unblind_report.txt": "0e70f2ad8377aac822bfd84043640a084bc34cc7d663a7ee38951f0fb58952d2",
     },
 }
+
+
+# Each step's traced peak in MiB at paper scale, run through `cli.main`. With full-length
+# temporaries `run` peaked at 4.95 (the acquisition's arrays) and `unblind-fit` at 3.89
+# (the unblinded readings alive through the histograms).
+STEP_PEAK_MIB = 3.75
+
+
+def test_paper_scale_steps_stay_under_their_peak_memory(tmp_path):
+    cfg = os.path.join(CONFIGS, "null.cfg")
+    steps = ("generate", "run", "blinded-summary", "unblind-fit")
+    for step in steps:  # imports, caches
+        assert cli.main([step, "--config", cfg, "--out", str(tmp_path / "warm")]) == 0
+    peaks = {}
+    for step in steps:
+        tracemalloc.start()
+        try:
+            assert cli.main([step, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+            peaks[step] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < STEP_PEAK_MIB, peaks
 
 
 class TestTableWriters:
@@ -595,6 +620,21 @@ class TestTableWriters:
             assert written == histogram_csv_reference(hist)
 
 
+def _plus_one_nanovolt(words, tail):
+    """Cached readings columns (values, range codes) with 1 nV added to every value."""
+    n = len(tail) // 12
+    values = np.frombuffer(tail[:8 * n], "<f8") + 1e-9
+    return words, values.astype("<f8").tobytes() + tail[8 * n:]
+
+
+def _first_two_rows_swapped(words, tail):
+    """Cached key columns (source codes, source indexes) with rows 0 and 1 swapped."""
+    n = len(tail) // 12
+    codes, index = np.frombuffer(tail[:4 * n], "<u4"), np.frombuffer(tail[4 * n:], "<i8")
+    order = [1, 0, *range(2, n)]
+    return words, codes[order].tobytes() + index[order].tobytes()
+
+
 class TestSeal:
     """`run` seals readings.csv and key.csv; the later steps refuse a table it did not seal."""
 
@@ -606,9 +646,13 @@ class TestSeal:
 
     def test_run_seals_the_tables_it_wrote(self, tmp_path):
         _, out = self.ran(tmp_path)
+        tables = ("readings.csv", "key.csv")
+        # a cache is sealed by the sha256 of its payload, after its tag and two digests
+        head = len(files.CACHE_TAG) + 64
+        payloads = {f"{name}.cache": (out / f"{name}.cache").read_bytes()[head:] for name in tables}
         assert json.loads((out / "seal.json").read_text()) == {
-            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ("readings.csv", "key.csv")
+            **{name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in tables},
+            **{name: hashlib.sha256(payload).hexdigest() for name, payload in payloads.items()},
         }
 
     @pytest.mark.parametrize("step, names", [("run", []),
@@ -636,6 +680,22 @@ class TestSeal:
         assert capsys.readouterr().err == (
             f"error: {path}: not the file that {out / 'seal.json'} records from `run`\n")
         assert not (out / "fit.csv").exists()
+
+    @pytest.mark.parametrize("step, table, edit", [
+        ("blinded-summary", "readings.csv", _plus_one_nanovolt),
+        ("unblind-fit", "readings.csv", _plus_one_nanovolt),
+        ("unblind-fit", "key.csv", _first_two_rows_swapped),
+    ], ids=["blinded-summary readings", "unblind-fit readings", "unblind-fit key"])
+    def test_edited_cache_contract_exit_code(self, tmp_path, capsys, step, table, edit):
+        # the payload's digest is recomputed, so the cache is valid for its CSV and is read
+        cfg, out = self.ran(tmp_path)
+        cached = pathlib.Path(files.cache_path(out / table))
+        cached.write_bytes(relaid(edit)(cached.read_bytes()))
+        capsys.readouterr()
+        assert cli.main([step, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONTRACT
+        assert capsys.readouterr().err == (
+            f"error: {cached}: not the file that {out / 'seal.json'} records from `run`\n")
+        assert not (out / "blinded_summary.txt").exists() and not (out / "fit.csv").exists()
 
     def test_key_of_another_seed_contract_exit_code(self, tmp_path, capsys):
         # the same sources and counts, so only the seal tells the two keys apart

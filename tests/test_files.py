@@ -91,10 +91,14 @@ def test_a_table_is_hashed_once_and_its_digest_returned(tmp_path, cache, hashed)
     columns = [np.array([0.5, -1.25, 3.0]), (np.array([1, 0, 1]), ["a", "bc"])]
     written = files.write_table(path, "blinded_index,x,word", columns)
     assert hashed == []
+    payload = pathlib.Path(files.cache_path(path)).read_bytes()[len(files.CACHE_TAG) + 64:]
+    assert written == {path: hashlib.sha256(path.read_bytes()).digest(),
+                       files.cache_path(path): hashlib.sha256(payload).digest()}
     cache.settle(path)
     _, (x, (codes, words)), read = files.read_table(path, 1, lambda path, lines: None,
                                                     (float, str))
-    assert read == written == hashlib.sha256(path.read_bytes()).digest()
+    # the cache's digest only when the columns came from it
+    assert read == (written if cache.present else {path: written[path]})
     assert hashed == [path]
     assert x.tolist() == [0.5, -1.25, 3.0] and [words[c] for c in codes] == ["bc", "a", "bc"]
 
@@ -116,9 +120,10 @@ def test_a_cache_is_its_words_then_its_columns_little_endian(tmp_path):
     assert all(dtype.str.startswith("<") for dtype in files._DTYPES.values())
     x, codes = np.array([0.5, -1.25, 3e-9], ">f8"), np.array([1, 0, 1])
     path = tmp_path / "table.csv"
-    sha256 = files.write_table(path, "blinded_index,x,word", [x, (codes, ["a", "bc"])])
+    digests = files.write_table(path, "blinded_index,x,word", [x, (codes, ["a", "bc"])])
     payload = b'[null, ["a", "bc"]]\n' + x.astype("<f8").tobytes() + codes.astype("<u4").tobytes()
     assert pathlib.Path(files.cache_path(path)).read_bytes() == (
-        files.CACHE_TAG + sha256 + hashlib.sha256(payload).digest() + payload)
+        files.CACHE_TAG + digests[path] + digests[files.cache_path(path)] + payload)
+    assert digests[files.cache_path(path)] == hashlib.sha256(payload).digest()
     _, (back, _), _ = files.read_table(path, 1, lambda path, lines: None, (float, str))
     assert back.tolist() == x.tolist()
