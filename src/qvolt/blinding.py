@@ -39,7 +39,7 @@ class BlindingKey:
         sizes = counts.tolist()  # one per source, so cheaper to check in Python
         if min(sizes, default=0) < 0 or sum(sizes) != n:
             raise ValueError(f"source counts {sizes} do not split {n} positions")
-        outside = perm.view(np.uintp) >= n  # as unsigned, a negative entry is >= n too
+        outside = (perm < 0) | (perm >= n)
         if np.count_nonzero(outside):
             p = outside.argmax()
             raise ValueError(f"blinded position {p}: bit {perm[p]} outside 0..{n - 1}")

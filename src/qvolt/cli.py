@@ -181,6 +181,9 @@ def main(argv=None) -> int:
             )
         print(COMMANDS[args.command](config, args.out), end="")
         return EXIT_OK
+    except MemoryError as exc:  # an array the config sizes, too large to allocate
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

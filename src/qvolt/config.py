@@ -105,11 +105,14 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", operator.index(self.seed))
-        if not self.sources:
-            raise ConfigError("at least one source is required")
         ids = [s.id for s in self.sources]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate source ids: {ids}")
+        # the fit is a line through each source's low mean against its fidelity
+        fidelities = {s.id: s.fidelity for s in self.sources}
+        if len(set(fidelities.values())) < 2:
+            raise ConfigError(f"source fidelities {fidelities}: the fit needs at least two "
+                              "distinct fidelities")
 
 
 # How each key of a section is read: a unit kind of _UNIT_SCALES, or a

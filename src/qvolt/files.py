@@ -256,10 +256,11 @@ def byte_table(entries: Sequence[bytes]) -> np.ndarray:
 
 
 # |x| in [FLOAT_KERNEL_MIN, FLOAT_KERNEL_MAX): the window of the exact `%.17e`
-# kernel, `_decimal18`. Its scales s = 17 - floor(log10 |x|) run over 0..27,
-# and 5**27 < 2**63. It holds no zero and no subnormal.
+# kernel, `_decimal18`. Its scales s = 17 - floor(log10 |x|) run over 4..27,
+# and 5**27 < 2**63. It holds no zero and no subnormal, and every reading of
+# `run` but those within 1e-10 V of zero.
 FLOAT_KERNEL_MIN = 1e-10
-FLOAT_KERNEL_MAX = 1e18
+FLOAT_KERNEL_MAX = 1e14
 _POW5 = np.array([5**s for s in range(28)], dtype=np.uint64)
 
 
@@ -320,7 +321,8 @@ def _scaled(m: np.ndarray, exp2: np.ndarray, s: np.ndarray) -> tuple[np.ndarray,
 
     m < 2**53 and 5**s < 2**63, so m * 5**s is formed exactly, in two uint64
     halves (hi, lo) from 32-bit limbs; the result, under 2**64, is that
-    product shifted by exp2 + s bits.
+    product shifted right by k = -(exp2 + s) bits. In the window k runs over
+    1..59, also for a decade one off, so hi << (64 - k) is defined.
     """
     b = _POW5[s]
     a0, a1, b0, b1 = m & 0xFFFFFFFF, m >> 32, b & 0xFFFFFFFF, b >> 32
@@ -328,17 +330,11 @@ def _scaled(m: np.ndarray, exp2: np.ndarray, s: np.ndarray) -> tuple[np.ndarray,
     mid = a1 * b0 + a0 * b1  # < 2**53 + 2**63
     lo = low + (mid << 32)
     hi = a1 * b1 + (mid >> 32) + (lo < low)
-    t = exp2 + s
-    # bits shifted out, at least 1 so that hi << (64 - k) is defined; at most 60 in the window
-    k = np.maximum(-t, 1).astype(np.uint64)
+    k = (-(exp2 + s)).astype(np.uint64)
     q = (hi << (64 - k)) | (lo >> k)
     rem = lo & ((np.uint64(1) << k) - 1)
     half = np.uint64(1) << (k - 1)
-    up = (rem > half) | ((rem == half) & ((q & 1) == 1))
-    left = t >= 0  # then hi is 0, and the shift left is exact
-    q[left] = lo[left] << t[left].astype(np.uint64)
-    up[left] = False
-    return q, up
+    return q, (rem > half) | ((rem == half) & ((q & 1) == 1))
 
 
 def file_sha256(path: str | os.PathLike) -> bytes:

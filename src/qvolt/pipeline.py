@@ -53,8 +53,7 @@ def acquire(
 ) -> signal.Readings:
     """Simulate the acquisition; the key is provenance for the simulator only."""
     fidelity = {s.id: s.fidelity for s in config.sources}
-    # gathered by each position's source code (`origins`): no other full-length floats
-    fidelities = np.array([fidelity[sid] for sid in key.source_ids])[key.origins()[0]]
+    fidelities = np.repeat([fidelity[sid] for sid in key.source_ids], key.counts)[key.permutation]
     noise_seed = derive_seed(config.seed, "noise")
     return signal.run_acquisition(
         blinded_bits, fidelities, config.params, config.acquisition, noise_seed

@@ -348,12 +348,12 @@ class TestConfigTable:
 
     def test_empty_sections_load_the_dataclass_defaults(self, tmp_path):
         text = "[run]\nseed = 1\n[params]\n[acquisition]\n[analysis]\n[source.c1]\n" \
-               "fidelity = 0.5\ncount = 4\n"
+               "fidelity = 0.5\ncount = 4\n[source.q2]\nfidelity = 0.9\ncount = 3\n"
         loaded = load_config(write_cfg(tmp_path, text))
         assert loaded.params == NonlinearParams()
         assert loaded.acquisition == AcquisitionConfig()
         assert loaded.analysis == AnalysisSettings()
-        assert loaded.sources == (SourceSpec("c1", 0.5, 4),)
+        assert loaded.sources == (SourceSpec("c1", 0.5, 4), SourceSpec("q2", 0.9, 3))
 
     @pytest.mark.parametrize(
         "cls, name, kind, needs",
@@ -383,7 +383,7 @@ class TestConfigTable:
             (SourceSpec, "count", {"id": "q", "fidelity": 0.9}),
             (AnalysisSettings, "n_bins", {}),
             (AnalysisSettings, "mc_realizations", {}),
-            (RunConfig, "seed", {"sources": (SourceSpec("q", 0.9, 3),)}),
+            (RunConfig, "seed", {"sources": (SourceSpec("q", 0.9, 3), SourceSpec("c", 0.5, 4))}),
         ],
         ids=["count", "n_bins", "mc_realizations", "seed"],
     )
@@ -400,7 +400,7 @@ class TestConfigTable:
             RunConfig(seed=1, sources=(SourceSpec("q", 0.9, 3), SourceSpec("q", 0.5, 4)))
 
     def test_bool_seed_is_recorded_as_its_int(self):
-        made = RunConfig(seed=True, sources=(SourceSpec("q", 0.9, 3),))
+        made = RunConfig(seed=True, sources=(SourceSpec("q", 0.9, 3), SourceSpec("c", 0.5, 4)))
         assert type(made.seed) is int and made.seed == 1
         _, key = pipeline.blind(made, pipeline.generate_bits(made))
         assert key.seed_descriptor == "1/blinding"
@@ -953,6 +953,40 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error: [source.blinded] source id 'blinded'"), err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [("[source.q2]\nfidelity = 0.99\ncount = 20\n", "", "{'c1': 0.5}"),
+         ("fidelity = 0.99", "fidelity = 0.5", "{'c1': 0.5, 'q2': 0.5}")],
+        ids=["one source", "one fidelity"],
+    )
+    def test_design_the_fit_cannot_use_exit_code(self, tmp_path, capsys, old, new, named):
+        # the fit of the low means against fidelity needs two x values: refused at load
+        cfg = write_cfg(tmp_path, MINIMAL_CFG.replace(old, new))
+        out = str(tmp_path / "out")
+        for step in cli.COMMANDS:
+            assert cli.main([step, "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err == f"config error: source fidelities {named}: the fit needs at least " \
+                          "two distinct fidelities\n", err
+        assert not os.path.exists(out)
+
+    # Each size gives an array of over 2**56 bytes, more than any 64-bit address space maps,
+    # so its allocation fails at once whatever the machine's memory or overcommit setting.
+    @pytest.mark.parametrize(
+        "step, old, new",
+        [("blinded-summary", "[analysis]\n", "[analysis]\nn_bins = 1e16\n"),
+         ("unblind-fit", "mc_realizations = 200", "mc_realizations = 1e16")],
+        ids=["n_bins", "mc_realizations"],
+    )
+    def test_allocation_that_cannot_succeed_exit_code(self, tmp_path, capsys, step, old, new):
+        cfg = write_cfg(tmp_path, MINIMAL_CFG.replace(old, new))
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "--config", cfg, "--out", out]) == 0
+        capsys.readouterr()
+        assert cli.main([step, "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: Unable to allocate") and err.count("\n") == 1, err
 
     def test_swapped_readings_rows_contract_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

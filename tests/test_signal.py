@@ -1,3 +1,4 @@
+from fractions import Fraction
 import hashlib
 import math
 import os
@@ -513,6 +514,20 @@ class TestFloatField:
         # odd multiples of 2**-4 from 1e14 have 19 significant digits, the last a 5
         values = (rng.integers(2**50, 2**53, 2000) | 1) / 16.0
         assert field_lines(files.float_field(values)) == percent_lines(values)
+
+
+def test_float_ties_round_half_to_even_in_every_decade_of_the_kernel(rng):
+    # in decade d an odd multiple of 2**-(18 - d) has 19 significant digits, the last a 5;
+    # such doubles exist from decade -9 up to the window's top
+    values = []
+    for d in range(-9, 14):
+        m = 18 - d
+        lo, hi = (math.ceil(Fraction(10) ** e * 2**m) for e in (d, d + 1))
+        n = rng.integers(lo, hi, 100) | 1
+        values.append(np.ldexp(n[n < hi].astype(float), -m))
+    values = np.concatenate(values)
+    assert np.all((values >= files.FLOAT_KERNEL_MIN) & (values < files.FLOAT_KERNEL_MAX))
+    assert field_lines(files.float_field(values)) == percent_lines(values)
 
 
 # integers on and next to the 9-digit limb edges and every power of ten, up to the widest uint64

@@ -96,6 +96,11 @@ class TestBitString:
         bits = BitString(spec, [0.0, 1.0, True]).bits
         assert bits.dtype == np.uint8 and bits.tolist() == [0, 1, 1]
 
+    def test_is_unequal_to_what_is_not_a_bit_string(self):
+        bs = BitString(SourceSpec("s", 0.8, 3), [0, 1, 1])
+        assert bs.__eq__(object()) is NotImplemented
+        assert bs != object() and not bs == object()
+
 
 class TestBitFile:
     def test_direct_parse(self, tmp_path):
