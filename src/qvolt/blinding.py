@@ -25,7 +25,6 @@ class BlindingKey:
     source_ids: tuple  # of str, in the order the sources are laid end to end
     counts: np.ndarray  # int, the number of bits of each source
     permutation: np.ndarray  # int, the end-to-end bit held by each blinded position
-    seed_descriptor: str = ""
 
     def __post_init__(self):
         ids = tuple(self.source_ids)
@@ -67,9 +66,7 @@ class BlindingKey:
 
 
 def combine_and_permute(
-    strings: Sequence[BitString],
-    rng: np.random.Generator,
-    seed_descriptor: str = "",
+    strings: Sequence[BitString], rng: np.random.Generator
 ) -> tuple[np.ndarray, BlindingKey]:
     """Concatenate the sources and apply one `rng.permutation` of all their bits.
 
@@ -79,7 +76,7 @@ def combine_and_permute(
         raise ValueError("need at least one non-empty bit string")
     counts = [len(s.bits) for s in strings]
     perm = rng.permutation(sum(counts))
-    key = BlindingKey(tuple(s.source.id for s in strings), counts, perm, seed_descriptor)
+    key = BlindingKey(tuple(s.source.id for s in strings), counts, perm)
     return np.concatenate([s.bits for s in strings])[perm], key
 
 
@@ -99,19 +96,15 @@ _KEY_HEADER = "blinded_index,source_id,source_index"
 def write_key(key: BlindingKey, path: str | os.PathLike) -> dict[str, bytes]:
     """Write key.csv, then its cache, which holds the columns `read_key` reads.
 
-    A comma or a line break in an id, or a line break in the seed descriptor, would give a
-    key.csv that does not parse back, and the writer drops every NUL as padding, so any of
-    these raises ValueError before the file is opened. Returns the digests of key.csv and
-    its cache (`files.write_table`).
+    A comma or a line break in an id would give a key.csv that does not parse back, and
+    the writer drops every NUL as padding, so either raises ValueError before the file is
+    opened. Returns the digests of key.csv and its cache (`files.write_table`).
     """
     for sid in key.source_ids:
         if any(c in sid for c in ",\n\r\0"):
             raise ValueError(f"{path}: source id {sid!r} holds a comma, a line break or a NUL")
-    if any(c in key.seed_descriptor for c in "\n\r"):
-        raise ValueError(f"{path}: seed descriptor {key.seed_descriptor!r} holds a line break")
     code, index = key.origins()
-    return files.write_table(path, f"# seed={key.seed_descriptor}\n{_KEY_HEADER}",
-                             [(code, key.source_ids), index])
+    return files.write_table(path, _KEY_HEADER, [(code, key.source_ids), index])
 
 
 def read_key(path: str | os.PathLike) -> tuple[BlindingKey, dict[str, bytes]]:
@@ -121,7 +114,7 @@ def read_key(path: str | os.PathLike) -> tuple[BlindingKey, dict[str, bytes]]:
     no position holds is left out, as it has no row in key.csv. Also returns the digests it
     was read from (`files.read_table`).
     """
-    head, ((code, ids), index), digests = files.read_table(path, 2, _key_head, (str, int))
+    ((code, ids), index), digests = files.read_table(path, _KEY_HEADER, (str, int))
     # with no negative index, one past its source's count breaks the permutation
     if (index < 0).any():
         raise ValueError(f"{path}: blinded position {(index < 0).argmax()}: source_index < 0")
@@ -132,14 +125,7 @@ def read_key(path: str | os.PathLike) -> tuple[BlindingKey, dict[str, bytes]]:
     start[held] = counts.cumsum() - counts
     index += start[code]  # read_table's column is ours: it becomes the permutation
     try:
-        key = BlindingKey(tuple(ids[c] for c in held), counts, index, head[0][len("# seed="):])
+        key = BlindingKey(tuple(ids[c] for c in held), counts, index)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return key, digests
-
-
-def _key_head(path, lines: list[str]) -> None:
-    if not lines[0].startswith("# seed="):
-        raise ValueError(f"{path}: missing '# seed=' comment line")
-    if lines[1] != _KEY_HEADER:
-        raise ValueError(f"{path}: unexpected key header {lines[1]!r}")

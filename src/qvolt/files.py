@@ -4,7 +4,7 @@ The blinded summary is made before anyone reads key.csv, so the files the
 steps hand each other are the experiment's contract. Every open, format and
 parse of a file is here; the module that owns a table keeps its schema.
 
-readings.csv and key.csv are tables (`write_table`): head lines, then per
+readings.csv and key.csv are tables (`write_table`): a header line, then per
 blinded position its `blinded_index` and a field of each column. Beside a
 table, `<csv>.cache` holds each text column's words and every column in
 little-endian binary, with the sha256 of the CSV and of its own payload.
@@ -102,28 +102,28 @@ def open_text(path: str | os.PathLike):
             raise
 
 
-def read_table(path, n_head: int, check_head,
-               kinds: Sequence[type]) -> tuple[list, list, dict[str, bytes]]:
-    """The head lines of a table (`write_table`), its columns, and the digests they came from.
+def read_table(path, header: str, kinds: Sequence[type]) -> tuple[list, dict[str, bytes]]:
+    """The columns of a table (`write_table`) whose first line is `header`, and their digests.
 
-    The CSV is hashed once, then its columns come from its cache or its parse.
-    The digests are {path: the CSV's sha256}, and on a cache hit also
-    {cache path: the sha256 of the cache's payload}.
-    `check_head(path, lines)` raises ValueError for head lines that are not the
-    table's, on both paths and before any row is parsed. Column c of kind kinds[c]
-    is a float64 array for float, an int64 array for int, and for str (codes,
-    words): uint32 codes and the distinct words they index. Each array owns its data.
+    A first line other than `header` is a ValueError, raised before the CSV is
+    hashed or any row is parsed. The CSV is hashed once, then its columns come
+    from its cache or its parse. The digests are {path: the CSV's sha256}, and on
+    a cache hit also {cache path: the sha256 of the cache's payload}. Column c of
+    kind kinds[c] is a float64 array for float, an int64 array for int, and for
+    str (codes, words): uint32 codes and the distinct words they index. Each
+    array owns its data.
     """
     with open_text(path) as fh:
-        head = [fh.readline().rstrip("\n") for _ in range(n_head)]
-        check_head(path, head)
+        line = fh.readline().rstrip("\n")
+        if line != header:
+            raise ValueError(f"{path}: unexpected header {line!r}")
         digests = {path: file_sha256(path)}
         cached = read_cache(path, digests[path], kinds)
         if cached is None:
             columns = parse_rows(path, fh, kinds)
         else:
             columns, digests[cache_path(path)] = cached
-    return head, columns, digests
+    return columns, digests
 
 
 def parse_rows(path, fh, kinds: Sequence[type]) -> list:
@@ -175,8 +175,8 @@ def _column(column) -> tuple[type, np.ndarray, list | None]:
     return float if column.dtype.kind == "f" else int, column, None
 
 
-def write_table(path, head: str, columns: Sequence) -> dict[str, bytes]:
-    """Write the `head` line(s), then row r = r,<column fields> for each r, then the cache.
+def write_table(path, header: str, columns: Sequence) -> dict[str, bytes]:
+    """Write the `header` line, then row r = r,<column fields> for each r, then the cache.
 
     A float array's field is `%.17e`, a non-negative int array's `%d`, a text
     column (codes, words)'s words[codes[r]], which may hold no NUL. The rows are
@@ -191,10 +191,10 @@ def write_table(path, head: str, columns: Sequence) -> dict[str, bytes]:
     block_rows = max(1, CSV_BLOCK_ROWS * BLOCK_WORD_BYTES // max(BLOCK_WORD_BYTES, widest))
     formats = {float: float_field, int: int_field}
     n = len(arrays[0])
-    head_bytes = head.encode() + b"\n"
-    digest = hashlib.sha256(head_bytes)
+    header_bytes = header.encode() + b"\n"
+    digest = hashlib.sha256(header_bytes)
     with open(path, "wb") as fh:
-        fh.write(head_bytes)
+        fh.write(header_bytes)
         for lo in range(0, n, block_rows):
             hi = min(lo + block_rows, n)
             fields = [int_field(np.arange(lo, hi))]

@@ -41,9 +41,7 @@ def generate_bits(config: RunConfig) -> list[sources.BitString]:
 
 def blind(config: RunConfig, strings: Sequence[sources.BitString]):
     rng = derive_rng(config.seed, "blinding")
-    return blinding.combine_and_permute(
-        strings, rng, seed_descriptor=f"{config.seed}/blinding"
-    )
+    return blinding.combine_and_permute(strings, rng)
 
 
 def acquire(

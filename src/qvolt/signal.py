@@ -294,7 +294,7 @@ def write_readings(readings: Readings, path: str | os.PathLike) -> dict[str, byt
 
 def read_readings(path: str | os.PathLike) -> tuple[Readings, dict[str, bytes]]:
     """The readings in readings.csv, and the digests they were read from (`files.read_table`)."""
-    _, (values, (codes, words)), digests = files.read_table(path, 1, _readings_head, (float, str))
+    (values, (codes, words)), digests = files.read_table(path, _READINGS_HEADER, (float, str))
     flag = np.array([_RANGE_FLAGS.get(w, -1) for w in words], np.int8)[codes]
     unknown = np.flatnonzero(flag < 0)
     if unknown.size:
@@ -319,11 +319,6 @@ def check_ranges(path, readings: Readings, acq: AcquisitionConfig) -> None:
         raise ValueError(f"{path}: row {row}: reading {float(readings.values[row])} V is {side} "
                          f"the range threshold {acq.range_threshold} V but was recorded on "
                          f"the {word} range")
-
-
-def _readings_head(path, lines: list[str]) -> None:
-    if lines[0] != _READINGS_HEADER:
-        raise ValueError(f"{path}: unexpected readings header {lines[0]!r}")
 
 
 def _check_finite(path, values: np.ndarray) -> None:

@@ -39,20 +39,20 @@ def random_strings(rng, n_sources, max_len):
 
 # the key.csv of a small fixed key, as the writer produced it before the key held arrays
 GOLDEN_KEY_CSV = (
-    "# seed=42/blinding\nblinded_index,source_id,source_index\n"
+    "blinded_index,source_id,source_index\n"
     "0,q2,1\n1,c1,0\n2,q3_x,0\n3,c1,2\n4,q2,0\n5,c1,1\n"
 )
 
 
 def golden_key():
     # entries (q2, 1), (c1, 0), (q3_x, 0), (c1, 2), (q2, 0), (c1, 1)
-    return BlindingKey(("c1", "q2", "q3_x"), [3, 2, 1], [4, 0, 5, 2, 3, 1], "42/blinding")
+    return BlindingKey(("c1", "q2", "q3_x"), [3, 2, 1], [4, 0, 5, 2, 3, 1])
 
 
 def key_csv_reference(key):
     """key.csv formatted one row at a time, as the writer did before it wrote blocks."""
     body = "".join(f"{pos},{sid},{idx}\n" for pos, (sid, idx) in enumerate(origin_pairs(key)))
-    return f"# seed={key.seed_descriptor}\nblinded_index,source_id,source_index\n{body}".encode()
+    return f"blinded_index,source_id,source_index\n{body}".encode()
 
 
 SHAPE_MESSAGE = "need distinct ids, a count for each and a 1-D permutation"
@@ -218,7 +218,7 @@ def id_case_key(ids, counts):
     perm = np.random.default_rng(11).permutation(n)
     j = int(np.flatnonzero(perm == sum(counts[:ids.index(max(ids))]))[0])
     perm[[0, j]] = perm[[j, 0]]
-    return BlindingKey(ids, counts, perm, "5/blinding")
+    return BlindingKey(ids, counts, perm)
 
 
 def paper_key(rng):
@@ -231,8 +231,8 @@ def paper_key(rng):
 
 
 def assert_same_arrays(a, b):
-    """Two keys hold the same ids, descriptor and arrays, bit for bit and dtype for dtype."""
-    assert (a.source_ids, a.seed_descriptor) == (b.source_ids, b.seed_descriptor)
+    """Two keys hold the same ids and arrays, bit for bit and dtype for dtype."""
+    assert a.source_ids == b.source_ids
     for x, y in ((a.counts, b.counts), (a.permutation, b.permutation)):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
         assert x.flags.owndata and x.flags.c_contiguous
@@ -244,16 +244,15 @@ def write_golden(path):
 
 class TestKeyFile:
     def test_round_trip_small(self, tmp_path, cache):
-        key = BlindingKey(("a", "b"), [2, 1], [1, 2, 0], seed_descriptor="42/blinding")
+        key = BlindingKey(("a", "b"), [2, 1], [1, 2, 0])
         path = tmp_path / "key.csv"
         write_key(key, path)
         cache.settle(path)
         back, _ = read_key(path)
         assert_key_holds(back, origin_pairs(key))
-        assert back.seed_descriptor == key.seed_descriptor
 
     def test_non_ascii_id_round_trips(self, tmp_path, cache):
-        key = BlindingKey(("ψ", "a"), [1, 2], [2, 0, 1], "7/blinding")
+        key = BlindingKey(("ψ", "a"), [1, 2], [2, 0, 1])
         path = tmp_path / "key.csv"
         write_key(key, path)
         cache.settle(path)
@@ -276,14 +275,13 @@ class TestKeyFile:
     def test_block_writer_matches_the_row_reference(self, tmp_path, rng, n, cache):
         ids = ("c1", "q" * 300, "q3_x")
         counts = np.bincount(rng.integers(0, len(ids), n), minlength=len(ids))
-        key = BlindingKey(ids, counts, rng.permutation(n), "7/blinding")
+        key = BlindingKey(ids, counts, rng.permutation(n))
         path = tmp_path / "key.csv"
         write_key(key, path)
         assert path.read_bytes() == key_csv_reference(key)
         cache.settle(path)
         back, _ = read_key(path)
         assert_key_holds(back, origin_pairs(key))
-        assert back.seed_descriptor == key.seed_descriptor
 
     @pytest.mark.parametrize(
         "n", [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3]
@@ -292,7 +290,7 @@ class TestKeyFile:
         # ids within BLOCK_WORD_BYTES: CSV_BLOCK_ROWS rows a block
         ids = ("c1", "q" * BLOCK_WORD_BYTES, "q3")
         counts = np.bincount(rng.integers(0, len(ids), n), minlength=len(ids))
-        key = BlindingKey(ids, counts, rng.permutation(n), "7/blinding")
+        key = BlindingKey(ids, counts, rng.permutation(n))
         path = tmp_path / "key.csv"
         write_key(key, path)
         assert path.read_bytes() == key_csv_reference(key)
@@ -304,7 +302,7 @@ class TestKeyFile:
         # any byte but NUL, the writer's padding: multi-byte UTF-8, and no byte at all
         n = 50
         counts = np.bincount(rng.integers(0, len(ids), n), minlength=len(ids))
-        key = BlindingKey(ids, counts, rng.permutation(n), "3/blinding")
+        key = BlindingKey(ids, counts, rng.permutation(n))
         path = tmp_path / "key.csv"
         write_key(key, path)
         assert path.read_bytes() == key_csv_reference(key)
@@ -316,7 +314,7 @@ class TestKeyFile:
     def test_index_widths_match_the_row_reference(self, tmp_path, rng, cache):
         # both index columns grow from 1 to 6 digits, crossing 9 -> 10 and 99999 -> 100000
         n = 100_010
-        key = BlindingKey(("a", "b"), [n - 5, 5], rng.permutation(n), "5/blinding")
+        key = BlindingKey(("a", "b"), [n - 5, 5], rng.permutation(n))
         path = tmp_path / "key.csv"
         write_key(key, path)
         assert path.read_bytes() == key_csv_reference(key)
@@ -328,7 +326,7 @@ class TestKeyFile:
         key = id_case_key(ids, counts)
         path = tmp_path / "key.csv"
         write_key(key, path)
-        assert path.read_text(encoding="utf-8").splitlines()[2].split(",")[1] == max(ids)
+        assert path.read_text(encoding="utf-8").splitlines()[1].split(",")[1] == max(ids)
         cache.settle(path)
         back, _ = read_key(path)
         assert_key_holds(back, origin_pairs(key))
@@ -381,27 +379,16 @@ class TestKeyFile:
         assert not cached.exists()
 
     @pytest.mark.parametrize(
-        "ids, descriptor",
-        [(("a,b", "c"), "1/blinding"), (("a\nb", "c"), "1/blinding"),
-         (("a\x00b", "c"), "1/blinding"), (("a", "c"), "1\r2")],
-        ids=["comma in an id", "line break in an id", "NUL in an id",
-             "line break in the descriptor"],
+        "ids",
+        [("a,b", "c"), ("a\nb", "c"), ("a\rb", "c"), ("a\x00b", "c")],
+        ids=["comma in an id", "line break in an id", "carriage return in an id", "NUL in an id"],
     )
-    def test_writer_refuses_a_key_that_would_not_parse_back(self, tmp_path, ids, descriptor):
+    def test_writer_refuses_a_key_that_would_not_parse_back(self, tmp_path, ids):
         path = tmp_path / "key.csv"
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*line break"):
-            write_key(BlindingKey(ids, [1, 1], [1, 0], descriptor), path)
+            write_key(BlindingKey(ids, [1, 1], [1, 0]), path)
         assert not path.exists()
         assert not os.path.exists(cache_path(path))
-
-    def test_comma_in_the_descriptor_parses_back_from_the_cache(self, tmp_path):
-        key = BlindingKey(("a", "c"), [1, 1], [1, 0], "1,2/blinding")
-        path = tmp_path / "key.csv"
-        write_key(key, path)
-        hit, _ = read_key(path)
-        os.remove(cache_path(path))
-        assert_same_arrays(hit, read_key(path)[0])
-        assert hit.seed_descriptor == key.seed_descriptor
 
     def test_ids_are_text_under_the_numpy_1_loadtxt_default(self, tmp_path, monkeypatch):
         # numpy before 2.0 defaults loadtxt to encoding="bytes", which hands converters latin-1 bytes
@@ -412,7 +399,7 @@ class TestKeyFile:
             calls.append(encoding)
             return loadtxt(*args, encoding=encoding, **kwargs)
 
-        key = BlindingKey(("ψ", "c1"), [2, 1], np.array([2, 0, 1]), "5/blinding")
+        key = BlindingKey(("ψ", "c1"), [2, 1], np.array([2, 0, 1]))
         path = tmp_path / "key.csv"
         write_key(key, path)
         os.remove(cache_path(path))  # the parser is under test
@@ -434,7 +421,7 @@ class TestKeyFile:
     def test_empty_source_id_is_an_id(self, tmp_path, body, entries, cache):
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
-        path.write_text("# seed=x\nblinded_index,source_id,source_index\n" + body)
+        path.write_text("blinded_index,source_id,source_index\n" + body)
         key, _ = read_key(path)
         assert_key_holds(key, entries)
         assert key.source_ids == tuple(sorted({sid for sid, _ in entries}))
@@ -444,7 +431,7 @@ class TestKeyFile:
         sid = "s" * 300
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
-        path.write_text(f"# seed=x\nblinded_index,source_id,source_index\n0,a,0\n\n1,{sid},0")
+        path.write_text(f"blinded_index,source_id,source_index\n0,a,0\n\n1,{sid},0")
         key, _ = read_key(path)
         assert_key_holds(key, [("a", 0), (sid, 0)])
 
@@ -461,14 +448,14 @@ class TestKeyFile:
     def test_malformed_fields_rejected(self, tmp_path, body, message, cache):
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
-        path.write_text("# seed=x\nblinded_index,source_id,source_index\n" + body)
+        path.write_text("blinded_index,source_id,source_index\n" + body)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
             read_key(path)
 
     def test_rows_out_of_order_rejected(self, tmp_path, cache):
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
-        path.write_text("# seed=x\nblinded_index,source_id,source_index\n1,a,0\n0,a,1\n")
+        path.write_text("blinded_index,source_id,source_index\n1,a,0\n0,a,1\n")
         with pytest.raises(ValueError, match="out of order"):
             read_key(path)
 
@@ -476,7 +463,7 @@ class TestKeyFile:
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
         path.write_text(
-            "# seed=x\nblinded_index,source_id,source_index\n0,a,0\n1,a,0\n"
+            "blinded_index,source_id,source_index\n0,a,0\n1,a,0\n"
         )
         message = f"{path}: blinded positions 0 and 1 both hold bit 0"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -502,7 +489,7 @@ class TestKeyFile:
         # the blinded position of a key entry is its data row
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
-        path.write_text("# seed=x\nblinded_index,source_id,source_index\n" + body)
+        path.write_text("blinded_index,source_id,source_index\n" + body)
         pattern = re.escape(f"{path}: blinded position") + rf"s? (\d+ and )?{position}\b"
         with pytest.raises(ValueError, match=pattern + ".*" + re.escape(tail)):
             read_key(path)
@@ -513,32 +500,33 @@ class TestKeyFile:
         rows[row] = rows[row].replace(b"a", b"\xff")
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
-        path.write_bytes(b"# seed=x\nblinded_index,source_id,source_index\n" + b"".join(rows))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: line {row + 3}: not UTF-8")):
+        path.write_bytes(b"blinded_index,source_id,source_index\n" + b"".join(rows))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {row + 2}: not UTF-8")):
             read_key(path)
 
     def test_malformed_row_rejected(self, tmp_path, cache):
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
-        path.write_text("# seed=x\nblinded_index,source_id,source_index\n0,a\n")
+        path.write_text("blinded_index,source_id,source_index\n0,a\n")
         message = "requires 3 columns but 2 were found at row 1"
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
             read_key(path)
 
-    def test_missing_seed_comment_rejected(self, tmp_path, cache):
+    def test_bad_header_rejected(self, tmp_path, cache):
+        # a key with a comment line above its header: read as rows, the header would not parse
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
-        path.write_text("blinded_index,source_id,source_index\n0,a,0\n")
-        message = f"{path}: missing '# seed=' comment line"
+        path.write_text("# seed=x\nblinded_index,source_id,source_index\n0,a,0\n")
+        message = f"{path}: unexpected header '# seed=x'"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_key(path)
 
-    def test_missing_seed_comment_is_reported_before_the_rows(self, tmp_path, cache):
-        # read as the head, the header and row 0 leave rows that start at blinded_index 1
+    def test_bad_header_is_reported_before_the_rows(self, tmp_path, cache):
+        # each row fails too: a field too many, one out of order, a negative index
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
-        path.write_text("blinded_index,source_id,source_index\n0,a,0\n1,a,1\n2,b,0\n")
-        message = f"{path}: missing '# seed=' comment line"
+        path.write_text("blinded_index,source,source_index\n1,a,0,x\n0,a,0\n2,b,-1\n")
+        message = f"{path}: unexpected header 'blinded_index,source,source_index'"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_key(path)
 
@@ -553,7 +541,6 @@ class TestKeyFile:
         back, _ = read_key(path)
         elapsed = time.perf_counter() - start
         assert_key_holds(back, origin_pairs(key))
-        assert back.seed_descriptor == key.seed_descriptor
         assert elapsed < 1.0
 
     def test_write_key_peak_memory_does_not_grow_with_the_id(self, tmp_path):
@@ -564,7 +551,7 @@ class TestKeyFile:
         for length in (2, 300):
             n = 100_717
             perm = np.random.default_rng(1).permutation(n)
-            key = BlindingKey(("c1", "q" * length, "q3"), [60000, 30000, 10717], perm, "1/blinding")
+            key = BlindingKey(("c1", "q" * length, "q3"), [60000, 30000, 10717], perm)
             path = tmp_path / "key.csv"
             write_key(key, path)  # imports, caches
             tracemalloc.start()

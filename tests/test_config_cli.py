@@ -402,8 +402,6 @@ class TestConfigTable:
     def test_bool_seed_is_recorded_as_its_int(self):
         made = RunConfig(seed=True, sources=(SourceSpec("q", 0.9, 3), SourceSpec("c", 0.5, 4)))
         assert type(made.seed) is int and made.seed == 1
-        _, key = pipeline.blind(made, pipeline.generate_bits(made))
-        assert key.seed_descriptor == "1/blinding"
 
     def test_seed_above_2_to_the_53_is_exact(self, tmp_path):
         text = MINIMAL_CFG.replace("seed = 99", "seed = 123456789012345678901")
@@ -534,12 +532,12 @@ REPORT_FILE_SHA256 = {
     "histogram_blinded_low.csv": "31792d1a2d38ec6c0f81155de297756a166e508f1eddd61abf5c71c33ea3aa95",
     "histogram_c1_low.csv": "7890ff21ecc6c70219e9d252063748d585699dc54ab82b379ed2eccabd64fc5c",
     "histogram_q2_low.csv": "622dd7991612232796d965d149155f238c7379243027617e0260ba7e8dbc01af",
-    "key.csv": "ff1f1104b7a4f15e8604427c6823acedcc94fe2697d4ed9848c4c0a19575a366",
-    "key.csv.cache": "bc67e89431f8ea1298314c596028665c41792975bfd169c64ad5b504a69ed201",
+    "key.csv": "f8190f9ab351009effde948c1e61a8fbd9bebbcae934631bff896f7d36e7add6",
+    "key.csv.cache": "1be284487939fe1a19186c93fa88b441b8ab2a4f91150f0a0ec23684e34f5791",
     "readings.csv": "d1848ea2f9559aae0cf1a5714e27b70b503793124a8babf9a2ef926ea7800c86",
     "readings.csv.cache": "56695a18de21f17ed3b5b6ccefbc6ec9316998283e087f4eb36460df1902aa11",
     "report.txt": "9561cc651d68e4c980885ede443dad6c64e4afca7fc66888c39a13d0ed3d500a",
-    "seal.json": "d32e145ea617bb866eca1449df45a9405581b0e075e88287f2152c4fc11c89f6",
+    "seal.json": "bc530c463c4e4e61930bc94bfc7cfadc4c2f4a1507ae2b7af7ba41233b280933",
     "unblind_report.txt": "c44144478977bb4c06095b5fdb5ff4e629fa8e1bdfb80a397353d1099d061c24",
 }
 
@@ -748,6 +746,16 @@ class TestCliCommands:
             with open(os.path.join(out, "bits_c1.txt"), "rb") as fh:
                 outs.append(fh.read())
         assert outs[0] == outs[1]
+
+    def test_no_output_names_the_seed(self, tmp_path):
+        # the seed rebuilds the blinding key, so no file a step writes may hold it
+        seed = "271828182845"
+        cfg = write_cfg(tmp_path, MINIMAL_CFG.replace("seed = 99", f"seed = {seed}"))
+        out = tmp_path / "out"
+        for step in ("generate", "run", "blinded-summary", "unblind-fit"):
+            assert cli.main([step, "--config", cfg, "--out", str(out)]) == 0
+        assert len(list(out.iterdir())) == 14
+        assert [f.name for f in out.iterdir() if seed.encode() in f.read_bytes()] == []
 
     def test_run_produces_readings_and_key(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -1036,9 +1044,9 @@ class TestCliCommands:
             ("blinded-summary", "readings.csv", 5, 2, b"sensitive",
              "row 3: reading 2.9998853642131187 V is above the range threshold 1.0 V "
              "but was recorded on the sensitive range"),
-            ("unblind-fit", "key.csv", 5, 2, b"-1", "blinded position 2: source_index < 0"),
-            ("unblind-fit", "key.csv", 2, 1, b"source",
-             "unexpected key header 'blinded_index,source,source_index'"),
+            ("unblind-fit", "key.csv", 4, 2, b"-1", "blinded position 2: source_index < 0"),
+            ("unblind-fit", "key.csv", 1, 1, b"source",
+             "unexpected header 'blinded_index,source,source_index'"),
             ("run", "bits_c1.txt", 5, 0, b"\xff", "line 5: not UTF-8 text (invalid start byte)"),
             ("blinded-summary", "readings.csv", 5, 2, b"\xff",
              "line 5: not UTF-8 text (invalid start byte)"),

@@ -95,8 +95,7 @@ def test_a_table_is_hashed_once_and_its_digest_returned(tmp_path, cache, hashed)
     assert written == {path: hashlib.sha256(path.read_bytes()).digest(),
                        files.cache_path(path): hashlib.sha256(payload).digest()}
     cache.settle(path)
-    _, (x, (codes, words)), read = files.read_table(path, 1, lambda path, lines: None,
-                                                    (float, str))
+    (x, (codes, words)), read = files.read_table(path, "blinded_index,x,word", (float, str))
     # the cache's digest only when the columns came from it
     assert read == (written if cache.present else {path: written[path]})
     assert hashed == [path]
@@ -111,7 +110,7 @@ def test_a_word_longer_than_a_block_is_written_one_row_a_block(tmp_path, cache):
     files.write_table(path, "blinded_index,n,word", columns)
     assert path.read_text() == f"blinded_index,n,word\n0,3,{long}\n1,1,a\n2,4,{long}\n"
     cache.settle(path)
-    _, (n, (codes, words)), _ = files.read_table(path, 1, lambda path, lines: None, (int, str))
+    (n, (codes, words)), _ = files.read_table(path, "blinded_index,n,word", (int, str))
     assert n.tolist() == [3, 1, 4] and [words[c] for c in codes] == [long, "a", long]
 
 
@@ -125,5 +124,5 @@ def test_a_cache_is_its_words_then_its_columns_little_endian(tmp_path):
     assert pathlib.Path(files.cache_path(path)).read_bytes() == (
         files.CACHE_TAG + digests[path] + digests[files.cache_path(path)] + payload)
     assert digests[files.cache_path(path)] == hashlib.sha256(payload).digest()
-    _, (back, _), _ = files.read_table(path, 1, lambda path, lines: None, (float, str))
+    (back, _), _ = files.read_table(path, "blinded_index,x,word", (float, str))
     assert back.tolist() == x.tolist()

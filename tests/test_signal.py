@@ -487,7 +487,7 @@ FLOAT_EDGES = np.array(
     + [v for p in range(-12, 20) for v in ulps_around(10.0**p, 5)]
     # 9.99... with more nines than a double holds, parsed to the power of ten or next to it
     + [float(f"9.{'9' * k}e{p}") for p in range(-12, 20) for k in range(15, 20)]
-    # integers from 1e17, the first decade where the kernel's shift is to the left only
+    # integers from 1e17, past the kernel's window: they test only the `%` fallback
     + [1e17 + 16 * k for k in range(5)] + [2.0**62, 9.99999999999999872e17]
     + [2.0**63, 1e18 + 128, 1e19, 1.2345678901234567e21, 1.7976931348623157e308]
 )
@@ -510,8 +510,9 @@ class TestFloatField:
         values = sign * FLOAT_EDGES
         assert field_lines(files.float_field(values)) == percent_lines(values)
 
-    def test_ties_round_half_to_even(self, rng):
-        # odd multiples of 2**-4 from 1e14 have 19 significant digits, the last a 5
+    def test_ties_of_the_percent_fallback_round_half_to_even(self, rng):
+        # odd multiples of 2**-4 have 18 significant digits below 1e14, so no tie, and 19
+        # from 1e14, the last a 5, where `%` formats them: the ties are the fallback's
         values = (rng.integers(2**50, 2**53, 2000) | 1) / 16.0
         assert field_lines(files.float_field(values)) == percent_lines(values)
 
@@ -716,7 +717,7 @@ class TestReadingsFile:
         path = tmp_path / "readings.csv"
         cache.stale(path, write_golden)
         path.write_text("nope\n1,2.0,sensitive\nx\n")
-        message = f"{path}: unexpected readings header 'nope'"
+        message = f"{path}: unexpected header 'nope'"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_readings(path)
 
