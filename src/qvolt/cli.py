@@ -70,14 +70,11 @@ def cmd_run(config: RunConfig, out: str) -> str:
 def cmd_blinded_summary(config: RunConfig, out: str) -> str:
     """Pooled low/high summary of the blinded readings: histogram and blinded_summary.txt.
 
-    A reading whose recorded range disagrees with its value is a ValueError (`check_ranges`),
-    and so are readings `run` did not seal.
+    Readings `run` did not seal are a ValueError.
     """
-    path = os.path.join(out, "readings.csv")
-    readings, digests = signal.read_readings(path)
-    signal.check_ranges(path, readings, config.acquisition)
+    readings, digests = signal.read_readings(os.path.join(out, "readings.csv"))
     files.check_seal(digests)
-    summary = pipeline.blinded_summary(readings.values, config)
+    summary = pipeline.blinded_summary(readings, config)
     files.write_histogram(os.path.join(out, "histogram_blinded_low.csv"), summary.low_hist)
     lines = [
         f"blinded summary of {summary.n_total} readings "
@@ -104,7 +101,7 @@ def cmd_unblind_fit(config: RunConfig, out: str) -> str:
                          f"{configured}")
     # after the checks above, so that a table that fails them gets their message
     files.check_seal({**readings_digests, **key_digests})
-    result = pipeline.unblind_fit(readings.values, key, config)
+    result = pipeline.unblind_fit(readings, key, config)
     fit, mc = result.fit, result.mc
     files.write_fit(os.path.join(out, "fit.csv"), fit, mc, config.analysis.cl)
     files.write_band(os.path.join(out, "band.csv"), mc)

@@ -48,8 +48,8 @@ def acquire(
     config: RunConfig,
     blinded_bits: np.ndarray,
     key: blinding.BlindingKey,
-) -> signal.Readings:
-    """Simulate the acquisition; the key is provenance for the simulator only."""
+) -> np.ndarray:
+    """One simulated reading per blinded position; the key is provenance for the simulator only."""
     fidelity = {s.id: s.fidelity for s in config.sources}
     fidelities = np.repeat([fidelity[sid] for sid in key.source_ids], key.counts)[key.permutation]
     noise_seed = derive_seed(config.seed, "noise")
@@ -109,6 +109,6 @@ def run_pipeline(config: RunConfig):
     strings = generate_bits(config)
     blinded_bits, key = blind(config, strings)
     readings = acquire(config, blinded_bits, key)
-    summary = blinded_summary(readings.values, config)
-    result = unblind_fit(readings.values, key, config)
+    summary = blinded_summary(readings, config)
+    result = unblind_fit(readings, key, config)
     return readings, key, summary, result

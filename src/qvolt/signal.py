@@ -68,6 +68,10 @@ class AcquisitionConfig:
         for name in ("cycle_duration", "record_window", "sample_rate", "filter_tau"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        # n_cycle_samples must fit an int64: past it round() or np.arange fails
+        if not self.cycle_duration * self.sample_rate < 2**63:
+            raise ValueError(f"cycle_duration * sample_rate ({self.cycle_duration} s * "
+                             f"{self.sample_rate} Sa/s) must be below 2**63 samples")
         if self.record_window > self.cycle_duration:
             raise ValueError("record_window must not exceed cycle_duration")
         settle = self.cycle_duration - self.record_window
@@ -106,21 +110,6 @@ class AcquisitionConfig:
     def sigma_reading_for(self, level):
         """Per-reading sigma of the range each level puts the instrument on."""
         return np.where(self.insensitive(level), self.sigma_high, self.sigma_low)
-
-
-@dataclass(frozen=True, eq=False)
-class Readings:
-    """One reading per blinded cycle, in blinded order, and the range it was taken on."""
-
-    values: np.ndarray  # float64, V
-    insensitive: np.ndarray  # bool, True where the cycle ran on the insensitive range
-
-    def __post_init__(self):
-        if self.values.ndim != 1 or self.values.shape != self.insensitive.shape:
-            raise ValueError("readings need one range flag per value")
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def synthesize_cycle(
@@ -187,8 +176,8 @@ def run_acquisition(
     params: NonlinearParams,
     cfg: AcquisitionConfig,
     noise_seed: int,
-) -> Readings:
-    """One reading per blinded bit, using the true per-bit source fidelity.
+) -> np.ndarray:
+    """One float64 reading (V) per blinded bit, in blinded order, using the true per-bit fidelity.
 
     `fidelities` is provenance: the simulator (playing the role of nature)
     knows each blinded position's source fidelity; analysis code never sees
@@ -204,23 +193,20 @@ def run_acquisition(
         raise ValueError(f"{len(bits)} bits but {len(fids)} provenance fidelities")
 
     levels = expected_reading(bits, fids, params)
-    insensitive = cfg.insensitive(levels)
     if cfg.mode is AcquisitionMode.FAST:
-        values = _fast_values(levels, insensitive, cfg, noise_seed)
-    else:
-        values = _waveform_values(levels, cfg, noise_seed)
-    return Readings(values, insensitive)
+        return _fast_values(levels, cfg, noise_seed)
+    return _waveform_values(levels, cfg, noise_seed)
 
 
-def _fast_values(levels: np.ndarray, insensitive: np.ndarray, cfg: AcquisitionConfig,
-                 noise_seed: int) -> np.ndarray:
+def _fast_values(levels: np.ndarray, cfg: AcquisitionConfig, noise_seed: int) -> np.ndarray:
     """Readings drawn from their sampling distribution, one normal per cycle.
 
     Each reading is (level + drift_rate * t_mid) + sigma * z, with sigma that of
-    its range. The normals are scaled in their own array and the sum is built in
-    `levels`, which becomes the readings: the levels and the normals are the only
-    full-length float arrays.
+    the range its level puts the instrument on. The normals are scaled in their
+    own array and the sum is built in `levels`, which becomes the readings: the
+    levels and the normals are the only full-length float arrays.
     """
+    insensitive = cfg.insensitive(levels)
     z = cycle_rng(noise_seed, 0, len(levels), 1)[:, 0]
     np.multiply(z, cfg.sigma_high, out=z, where=insensitive)
     np.multiply(z, cfg.sigma_low, out=z, where=~insensitive)
@@ -276,49 +262,24 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_READINGS_HEADER = "blinded_index,reading_volts,range"
-# each range word of the readings file, and its insensitive flag, which is its code when written
-_RANGE_FLAGS = {"sensitive": 0, "insensitive": 1}
+_READINGS_HEADER = "blinded_index,reading_volts"
 
 
-def write_readings(readings: Readings, path: str | os.PathLike) -> dict[str, bytes]:
-    """Write readings.csv, then its cache, which holds the columns `read_readings` reads.
+def write_readings(values: np.ndarray, path: str | os.PathLike) -> dict[str, bytes]:
+    """Write readings.csv, then its cache, which holds the column `read_readings` reads.
 
     Returns their digests (`files.write_table`). A reading that is not finite raises
     ValueError before the file is opened, as `read_readings` would reject it.
     """
-    _check_finite(path, readings.values)
-    return files.write_table(path, _READINGS_HEADER,
-                             [readings.values, (readings.insensitive, tuple(_RANGE_FLAGS))])
-
-
-def read_readings(path: str | os.PathLike) -> tuple[Readings, dict[str, bytes]]:
-    """The readings in readings.csv, and the digests they were read from (`files.read_table`)."""
-    (values, (codes, words)), digests = files.read_table(path, _READINGS_HEADER, (float, str))
-    flag = np.array([_RANGE_FLAGS.get(w, -1) for w in words], np.int8)[codes]
-    unknown = np.flatnonzero(flag < 0)
-    if unknown.size:
-        row = unknown[0]
-        raise ValueError(f"{path}: row {row}: unknown range {words[codes[row]]!r}")
     _check_finite(path, values)
-    return Readings(values, flag == 1), digests
+    return files.write_table(path, _READINGS_HEADER, [values])
 
 
-def check_ranges(path, readings: Readings, acq: AcquisitionConfig) -> None:
-    """Each reading's recorded range must be the one `[acquisition] range_threshold` gives it.
-
-    The flag was set on the noise-free level, so a reading that noise or drift
-    carries across the range threshold is refused too.
-    """
-    insensitive = acq.insensitive(readings.values)
-    wrong = np.flatnonzero(insensitive != readings.insensitive)
-    if wrong.size:
-        row = wrong[0]
-        side = "above" if insensitive[row] else "at or below"
-        word = tuple(_RANGE_FLAGS)[int(readings.insensitive[row])]
-        raise ValueError(f"{path}: row {row}: reading {float(readings.values[row])} V is {side} "
-                         f"the range threshold {acq.range_threshold} V but was recorded on "
-                         f"the {word} range")
+def read_readings(path: str | os.PathLike) -> tuple[np.ndarray, dict[str, bytes]]:
+    """The readings in readings.csv, and the digests they were read from (`files.read_table`)."""
+    (values,), digests = files.read_table(path, _READINGS_HEADER, (float,))
+    _check_finite(path, values)
+    return values, digests
 
 
 def _check_finite(path, values: np.ndarray) -> None:

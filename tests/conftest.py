@@ -183,6 +183,9 @@ CACHE_DAMAGE = {
     "a word not a str": _with_words(lambda words: [*words[:-1], 0]),
     "a repeated word": _with_words(lambda words: [*words[:-1], words[0]]),
 }
+# the damages above that change a text column's words or codes, which need a text column
+TEXT_COLUMN_DAMAGE = ("text column one entry short", "code past the word list", "no words",
+                      "words not a list", "a word not a str", "a repeated word")
 
 
 class CacheState:

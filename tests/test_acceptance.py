@@ -192,8 +192,8 @@ def test_criterion_10_mode_consistency():
     sigma = 3.4e-9
     fast_cfg = AcquisitionConfig(mode=AcquisitionMode.FAST, sigma_low=sigma)
     wave_cfg = AcquisitionConfig(mode=AcquisitionMode.WAVEFORM, sigma_low=sigma)
-    fast = run_acquisition(bits, fids, params, fast_cfg, 100).values
-    wave = run_acquisition(bits, fids, params, wave_cfg, 101).values
+    fast = run_acquisition(bits, fids, params, fast_cfg, 100)
+    wave = run_acquisition(bits, fids, params, wave_cfg, 101)
     sem = sigma / math.sqrt(n)
     assert abs(fast.mean() - wave.mean()) < 5 * math.sqrt(2) * sem
     assert abs(wave.std(ddof=1) / fast.std(ddof=1) - 1) < 0.10

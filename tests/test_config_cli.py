@@ -216,9 +216,15 @@ class TestLoadConfig:
          (MINIMAL_CFG + "bound_rule = mc-percentile\n", "[analysis] bound_rule"),
          (MINIMAL_CFG + "\n[sources]\ncount = 1\n", "unknown section [sources]"),
          (MINIMAL_CFG + "n_bins = 0\n", "n_bins 0 < 1"),
-         (MINIMAL_CFG + "threshold = 1.2.3 V\n", "bad number '1.2.3'")],
+         (MINIMAL_CFG + "threshold = 1.2.3 V\n", "bad number '1.2.3'"),
+         (MINIMAL_CFG + "\n[acquisition]\ncycle_duration = 1e308 s\n",
+          "[acquisition] cycle_duration * sample_rate (1e+308 s * 1000.0 Sa/s) must be below "
+          "2**63 samples"),
+         (MINIMAL_CFG + "\n[acquisition]\ncycle_duration = 1e300 s\nmode = waveform\n",
+          "[acquisition] cycle_duration * sample_rate (1e+300 s * 1000.0 Sa/s)")],
         ids=["no-section-header", "repeated-key", "repeated-section", "mc-percentile",
-             "unknown-section", "zero-bins", "bad-number"],
+             "unknown-section", "zero-bins", "bad-number", "cycle-past-int64",
+             "waveform-cycle-past-int64"],
     )
     def test_rejected_config_text_exits_as_config_error(self, tmp_path, capsys, text, words):
         bad = write_cfg(tmp_path, text)
@@ -305,6 +311,8 @@ PERTURBED = {
     ("analysis", "cl"): ("0.95", "fast"),
     ("analysis", "bound_rule"): ("folded", "fast"),
 }
+
+ACQUISITION_KEYS = [key for section, key in PERTURBED if section == "acquisition"]
 
 
 def _values(obj):
@@ -490,7 +498,7 @@ class TestReportIsTheThreeSteps:
         ids=["range_threshold above the levels", "analysis threshold at the high level"],
     )
     def test_report_accepts_thresholds_set_apart(self, tmp_path, text):
-        # the range flag follows [acquisition] range_threshold, not [analysis] threshold
+        # [acquisition] range_threshold sets only the noise, [analysis] threshold only the split
         cfg = write_cfg(tmp_path, text)
         out = str(tmp_path / "out")
         assert cli.main(["report", "--config", cfg, "--out", out]) == 0
@@ -534,10 +542,10 @@ REPORT_FILE_SHA256 = {
     "histogram_q2_low.csv": "622dd7991612232796d965d149155f238c7379243027617e0260ba7e8dbc01af",
     "key.csv": "f8190f9ab351009effde948c1e61a8fbd9bebbcae934631bff896f7d36e7add6",
     "key.csv.cache": "1be284487939fe1a19186c93fa88b441b8ab2a4f91150f0a0ec23684e34f5791",
-    "readings.csv": "d1848ea2f9559aae0cf1a5714e27b70b503793124a8babf9a2ef926ea7800c86",
-    "readings.csv.cache": "56695a18de21f17ed3b5b6ccefbc6ec9316998283e087f4eb36460df1902aa11",
+    "readings.csv": "74e64b9856e1da772723b9e2c1099a7ffe288624ba4a519fa36d5cd7bf39761a",
+    "readings.csv.cache": "fba53f7fb75a2efa2e7f76cde37ac8637054824ce4b1a100f675203fd21f816c",
     "report.txt": "9561cc651d68e4c980885ede443dad6c64e4afca7fc66888c39a13d0ed3d500a",
-    "seal.json": "bc530c463c4e4e61930bc94bfc7cfadc4c2f4a1507ae2b7af7ba41233b280933",
+    "seal.json": "578e6f7f4fbc14d95cc1b7b2abc9d2afa4c1ecbe4659b64e61e2374572c1678f",
     "unblind_report.txt": "c44144478977bb4c06095b5fdb5ff4e629fa8e1bdfb80a397353d1099d061c24",
 }
 
@@ -619,10 +627,10 @@ class TestTableWriters:
 
 
 def _plus_one_nanovolt(words, tail):
-    """Cached readings columns (values, range codes) with 1 nV added to every value."""
-    n = len(tail) // 12
+    """The cached readings column, 8 bytes a row, with 1 nV added to every value."""
+    n = len(tail) // 8
     values = np.frombuffer(tail[:8 * n], "<f8") + 1e-9
-    return words, values.astype("<f8").tobytes() + tail[8 * n:]
+    return words, values.astype("<f8").tobytes()
 
 
 def _first_two_rows_swapped(words, tail):
@@ -665,7 +673,7 @@ class TestSeal:
 
     @pytest.mark.parametrize("step", ["blinded-summary", "unblind-fit"])
     def test_swapped_readings_contract_exit_code(self, tmp_path, capsys, step):
-        # rows 1 and 2 trade value and range: every row parses and keeps its range
+        # rows 1 and 2 trade values: every row parses
         cfg, out = self.ran(tmp_path)
         path = out / "readings.csv"
         lines = path.read_text().splitlines(keepends=True)
@@ -886,6 +894,27 @@ class TestCliCommands:
         assert "do not match the configured" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "fit.csv"))
 
+    @pytest.mark.parametrize("only", [None, *ACQUISITION_KEYS],
+                             ids=["every key", *ACQUISITION_KEYS])
+    def test_blind_steps_read_no_acquisition_key(self, tmp_path, capsys, only):
+        # every [acquisition] key, or the one named, at the value that moves the guard
+        # run's outputs
+        keys = {key: value for (section, key), (value, _) in PERTURBED.items()
+                if section == "acquisition" and only in (None, key)}
+        assert set(keys) == ({only} if only else set(config._SECTIONS["acquisition"][1]))
+        cfg = write_cfg(tmp_path)
+        text = MINIMAL_CFG + "\n[acquisition]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        moved = write_cfg(tmp_path, text, "moved.cfg")
+        outputs = []
+        for name, step_cfg in (("same", cfg), ("moved", moved)):
+            out = str(tmp_path / name)
+            assert cli.main(["run", "--config", cfg, "--out", out]) == 0
+            capsys.readouterr()
+            for step in ("blinded-summary", "unblind-fit"):
+                assert cli.main([step, "--config", step_cfg, "--out", out]) == 0
+            outputs.append((capsys.readouterr().out, _digests(out)))
+        assert outputs[0] == outputs[1]
+
     def test_readings_and_key_of_different_lengths_name_both_files(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "out"
@@ -1004,9 +1033,9 @@ class TestCliCommands:
         assert os.path.exists(path + ".cache")  # of the readings before the swap
         with open(path) as fh:
             lines = fh.readlines()
-        low = next(i for i, line in enumerate(lines[1:], 1) if line.endswith("sensitive\n")
-                   and not line.endswith("insensitive\n"))
-        high = next(i for i, line in enumerate(lines[1:], 1) if line.endswith("insensitive\n"))
+        values = [float(line.split(",")[1]) for line in lines[1:]]
+        low = next(i for i, v in enumerate(values, 1) if v < 1.0)
+        high = next(i for i, v in enumerate(values, 1) if v > 1.0)
         lines[low], lines[high] = lines[high], lines[low]
         with open(path, "w") as fh:
             fh.writelines(lines)
@@ -1031,39 +1060,31 @@ class TestCliCommands:
             ("run", "bits_c1.txt", 1, 0, b"# id=c1 fidelity=0.6 n=40",
              "header SourceSpec(id='c1', fidelity=0.6, count=40) does not match configured "
              "SourceSpec(id='c1', fidelity=0.5, count=40)"),
-            ("blinded-summary", "readings.csv", 5, 2, b"sensitiv",
-             "row 3: unknown range 'sensitiv'"),
-            ("blinded-summary", "readings.csv", 5, 2, b"sensitive\0",
-             "row 3: unknown range 'sensitive\\x00'"),
-            ("blinded-summary", "readings.csv", 5, 2, b"insensitive\0",
-             "row 3: unknown range 'insensitive\\x00'"),
-            ("blinded-summary", "readings.csv", 5, 2, b"insensitive_range",
-             "row 3: unknown range 'insensitive_range'"),
-            ("blinded-summary", "readings.csv", 5, 2, "ранг".encode(),
-             "row 3: unknown range 'ранг'"),
-            ("blinded-summary", "readings.csv", 5, 2, b"sensitive",
-             "row 3: reading 2.9998853642131187 V is above the range threshold 1.0 V "
-             "but was recorded on the sensitive range"),
+            ("blinded-summary", "readings.csv", 1, 1, b"reading_volts,range",
+             "unexpected header 'blinded_index,reading_volts,range'"),
+            ("unblind-fit", "readings.csv", 1, 1, b"reading_volts,range",
+             "unexpected header 'blinded_index,reading_volts,range'"),
             ("unblind-fit", "key.csv", 4, 2, b"-1", "blinded position 2: source_index < 0"),
             ("unblind-fit", "key.csv", 1, 1, b"source",
              "unexpected header 'blinded_index,source,source_index'"),
             ("run", "bits_c1.txt", 5, 0, b"\xff", "line 5: not UTF-8 text (invalid start byte)"),
-            ("blinded-summary", "readings.csv", 5, 2, b"\xff",
+            ("blinded-summary", "readings.csv", 5, 1, b"\xff",
              "line 5: not UTF-8 text (invalid start byte)"),
             ("unblind-fit", "key.csv", 5, 1, b"\xff",
              "line 5: not UTF-8 text (invalid start byte)"),
         ],
         ids=["bit 2", "header n=abc", "header without n", "header n twice", "header token n",
-             "header id of 238 characters", "header fidelity unlike config", "range sensitiv",
-             "range sensitive NUL",
-             "range insensitive NUL", "range over 12 bytes", "range outside latin-1",
-             "range flipped", "negative source_index", "key header renamed",
+             "header id of 238 characters", "header fidelity unlike config",
+             "readings header of the previous format",
+             "readings header of the previous format to unblind-fit", "negative source_index",
+             "key header renamed",
              "bit file byte ff", "readings byte ff", "key byte ff"],
     )
     def test_bad_input_file_contract_exit_code(
         self, tmp_path, capsys, step, name, line, field, text, message
     ):
-        # the field-th comma-separated field of the line-th line is replaced by text
+        # the field-th comma-separated field of the line-th line is replaced by text;
+        # the step then writes no file
         cfg = write_cfg(tmp_path)
         out = str(tmp_path / "out")
         first = "generate" if step == "run" else "run"
@@ -1076,9 +1097,11 @@ class TestCliCommands:
         lines[line - 1] = b",".join(fields) + b"\n"
         with open(path, "wb") as fh:
             fh.writelines(lines)
+        before = _digests(out)
         capsys.readouterr()
         assert cli.main([step, "--config", cfg, "--out", out]) == cli.EXIT_CONTRACT
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert _digests(out) == before
 
     def test_report_blinded_section_equals_blinded_summary(self, tmp_path):
         cfg = write_cfg(tmp_path)

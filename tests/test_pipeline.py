@@ -19,7 +19,7 @@ class TestDeterminism:
         cfg = make_config(sources=scaled_sources(200), mc_realizations=500)
         r1, k1, s1, f1 = run_pipeline(cfg)
         r2, k2, s2, f2 = run_pipeline(cfg)
-        assert r1.values.tolist() == r2.values.tolist()
+        assert r1.tolist() == r2.tolist()
         assert_key_holds(k2, origin_pairs(k1))
         assert f1.fit == f2.fit
 
@@ -30,12 +30,12 @@ class TestDeterminism:
         )
         r1, _, _, _ = run_pipeline(base)
         r2, _, _, _ = run_pipeline(more_mc)
-        assert r1.values.tolist() == r2.values.tolist()
+        assert r1.tolist() == r2.tolist()
 
     def test_different_seeds_differ(self):
         a = run_pipeline(make_config(seed=1, sources=scaled_sources(500), mc_realizations=200))
         b = run_pipeline(make_config(seed=2, sources=scaled_sources(500), mc_realizations=200))
-        assert a[0].values.tolist() != b[0].values.tolist()
+        assert a[0].tolist() != b[0].tolist()
 
 
 class TestBlindedDiscipline:
@@ -82,7 +82,7 @@ class TestStatisticalBehavior:
         strings = generate_bits(cfg)
         blinded_bits, key = blind(cfg, strings)
         readings = acquire(cfg, blinded_bits, key)
-        summary = blinded_summary(readings.values, cfg)
+        summary = blinded_summary(readings, cfg)
         n_ones = sum(int(s.bits.sum()) for s in strings)
         n_total = sum(s.source.count for s in strings)
         assert summary.n_total == n_total
@@ -94,7 +94,7 @@ class TestStatisticalBehavior:
         strings = generate_bits(cfg)
         blinded_bits, key = blind(cfg, strings)
         readings = acquire(cfg, blinded_bits, key)
-        result = unblind_fit(readings.values, key, cfg)
+        result = unblind_fit(readings, key, cfg)
         for spec in cfg.sources:
             n_zeros = spec.count - int(
                 next(s for s in strings if s.source.id == spec.id).bits.sum()
@@ -112,7 +112,7 @@ class TestStatisticalBehavior:
         for pos, (sid, _) in enumerate(origin_pairs(key)):
             if blinded_bits[pos] == 0:
                 want = cfg.params.vs + 1e-9 * cfg.params.v1 * (fidelity[sid] - 0.5)
-                assert readings.values[pos] == pytest.approx(want, rel=1e-12)
+                assert readings[pos] == pytest.approx(want, rel=1e-12)
 
     def test_full_scale_blinded_summary_replays_quoted_statistics(self):
         cfg = make_config(mc_realizations=100)

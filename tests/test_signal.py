@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CACHE_DAMAGE, count_parses
+from conftest import CACHE_DAMAGE, TEXT_COLUMN_DAMAGE, count_parses
 from qvolt import files, signal
 from qvolt.files import CSV_BLOCK_ROWS, cache_path
 from qvolt.model import NonlinearParams, expected_reading
@@ -23,7 +23,6 @@ from qvolt.signal import (
     WAVEFORM_BATCH_CYCLES,
     AcquisitionConfig,
     AcquisitionMode,
-    Readings,
     read_readings,
     reduce_cycle,
     run_acquisition,
@@ -43,21 +42,21 @@ B = WAVEFORM_BATCH_CYCLES
 GOLDEN_WAVEFORM_SHA256 = "324976b9320fde74ee3d56404e1b6792431a9ae26cc9c8fc24db8dbae869b9e0"
 
 # readings.csv of a small fixed set of readings, as the writer produced it
-# before readings were arrays
-GOLDEN_READINGS = Readings(
-    np.array([-3.06e-10, 3.0000001, 1.0, -0.0, 2.5e-300, 1.8e-4, 2.9999999999999996]),
-    np.array([False, True, False, False, False, False, True]),
-)
+# before readings were arrays, less the range column it then wrote
+GOLDEN_READINGS = np.array([-3.06e-10, 3.0000001, 1.0, -0.0, 2.5e-300, 1.8e-4, 2.9999999999999996])
 GOLDEN_READINGS_CSV = (
-    "blinded_index,reading_volts,range\n"
-    "0,-3.05999999999999977e-10,sensitive\n"
-    "1,3.00000009999999984e+00,insensitive\n"
-    "2,1.00000000000000000e+00,sensitive\n"
-    "3,-0.00000000000000000e+00,sensitive\n"
-    "4,2.49999999999999998e-300,sensitive\n"
-    "5,1.80000000000000011e-04,sensitive\n"
-    "6,2.99999999999999956e+00,insensitive\n"
+    "blinded_index,reading_volts\n"
+    "0,-3.05999999999999977e-10\n"
+    "1,3.00000009999999984e+00\n"
+    "2,1.00000000000000000e+00\n"
+    "3,-0.00000000000000000e+00\n"
+    "4,2.49999999999999998e-300\n"
+    "5,1.80000000000000011e-04\n"
+    "6,2.99999999999999956e+00\n"
 )
+
+# the cache damages a cache of number columns alone can take
+NUMBER_CACHE_DAMAGE = [name for name in CACHE_DAMAGE if name not in TEXT_COLUMN_DAMAGE]
 
 # row counts around the writer's block boundaries
 WRITE_SIZES = [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3]
@@ -65,22 +64,18 @@ WRITE_SIZES = [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 *
 SPECIAL_VALUES = [-0.0, 5e-324, 2.2e-310, 1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308]
 
 
-def readings_csv_reference(readings):
+def readings_csv_reference(values):
     """readings.csv formatted one row at a time, as the writer did before it wrote blocks."""
-    rows = zip(readings.values.tolist(), readings.insensitive.tolist())
-    body = "".join(
-        f"{pos},{v:.17e},{'insensitive' if flag else 'sensitive'}\n"
-        for pos, (v, flag) in enumerate(rows)
-    )
-    return ("blinded_index,reading_volts,range\n" + body).encode()
+    body = "".join(f"{pos},{v:.17e}\n" for pos, v in enumerate(values.tolist()))
+    return ("blinded_index,reading_volts\n" + body).encode()
 
 
 def waveform_run(n, seed=12):
     """Waveform readings of n cycles of random bits at fidelity 0.99, and their levels."""
     bits = np.random.default_rng(11).integers(0, 2, n)
     fids = np.full(n, 0.99)
-    readings = run_acquisition(bits, fids, WAVE_PARAMS, WAVE, noise_seed=seed)
-    return readings.values, expected_reading(bits, fids, WAVE_PARAMS)
+    values = run_acquisition(bits, fids, WAVE_PARAMS, WAVE, noise_seed=seed)
+    return values, expected_reading(bits, fids, WAVE_PARAMS)
 
 
 def waveform_values_reference(levels, cfg, noise_seed, batch=32):
@@ -145,6 +140,21 @@ class TestAcquisitionConfig:
     def test_rejects_non_positive_times_and_rates_and_negative_sigmas(self, field, value):
         with pytest.raises(ValueError):
             AcquisitionConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "cycle_duration, sample_rate",
+        [(2.0**63 / 1024, 1024.0), (1e16, 1000.0), (1e308, 1000.0)],
+        ids=["2**63 samples", "1e19 samples", "past the largest float"],
+    )
+    def test_rejects_a_cycle_of_2_63_samples_or_more(self, cycle_duration, sample_rate):
+        message = re.escape(f"cycle_duration * sample_rate ({cycle_duration} s * "
+                            f"{sample_rate} Sa/s) must be below 2**63 samples")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AcquisitionConfig(cycle_duration=cycle_duration, sample_rate=sample_rate)
+
+    def test_accepts_the_last_cycle_length_under_2_63_samples(self):
+        cfg = AcquisitionConfig(cycle_duration=np.nextafter(2.0**63, 0) / 1024, sample_rate=1024.0)
+        assert cfg.n_cycle_samples == 2**63 - 1024
 
     def test_range_is_pure_threshold(self):
         cfg = AcquisitionConfig()
@@ -296,15 +306,12 @@ class TestReduceCycle:
 class TestRunAcquisition:
     def test_noiseless_ideal(self):
         params = NonlinearParams(eps_gamma=0.0, vs=0.0)
-        readings = run_acquisition([0, 1, 0, 1], [0.5] * 4, params, QUIET, noise_seed=1)
-        values = readings.values.tolist()
-        assert values == [0.0, 3.0, 0.0, 3.0]
-        assert readings.insensitive.tolist() == [False, True, False, True]
+        values = run_acquisition([0, 1, 0, 1], [0.5] * 4, params, QUIET, noise_seed=1)
+        assert values.tolist() == [0.0, 3.0, 0.0, 3.0]
 
     def test_injected_shift_noiseless(self):
         params = NonlinearParams(eps_gamma=1e-9, vs=0.0)
-        readings = run_acquisition([0, 0], [0.99, 0.99], params, QUIET, noise_seed=1)
-        for value in readings.values:
+        for value in run_acquisition([0, 0], [0.99, 0.99], params, QUIET, noise_seed=1):
             assert value == pytest.approx(1.47e-9, rel=1e-12)
 
     def test_one_reading_per_bit_at_paper_scale(self):
@@ -312,17 +319,12 @@ class TestRunAcquisition:
         bits = np.zeros(n, dtype=np.uint8)
         bits[1::2] = 1
         params = NonlinearParams(eps_gamma=0.0, vs=0.0)
-        readings = run_acquisition(bits, np.full(n, 0.5), params, QUIET, noise_seed=2)
-        assert len(readings) == n
-        assert readings.values.shape == readings.insensitive.shape == (n,)
+        values = run_acquisition(bits, np.full(n, 0.5), params, QUIET, noise_seed=2)
+        assert values.dtype == np.float64 and values.shape == (n,)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             run_acquisition([0, 1], [0.5], NonlinearParams(), QUIET, noise_seed=1)
-
-    def test_readings_need_one_range_flag_per_value(self):
-        with pytest.raises(ValueError, match="one range flag per value"):
-            Readings(np.zeros(3), np.zeros(2, dtype=bool))
 
     def test_fast_and_waveform_modes_agree(self):
         # matched (expected, per-reading sigma): mean within 5 SEM, sd within 10%
@@ -332,8 +334,8 @@ class TestRunAcquisition:
         params = NonlinearParams(eps_gamma=0.0, vs=-0.306e-9)
         fast_cfg = AcquisitionConfig(mode=AcquisitionMode.FAST, sigma_low=3.4e-9)
         wave_cfg = AcquisitionConfig(mode=AcquisitionMode.WAVEFORM, sigma_low=3.4e-9)
-        fast = run_acquisition(bits, fids, params, fast_cfg, 3).values
-        wave = run_acquisition(bits, fids, params, wave_cfg, 4).values
+        fast = run_acquisition(bits, fids, params, fast_cfg, 3)
+        wave = run_acquisition(bits, fids, params, wave_cfg, 4)
         sem = 3.4e-9 / math.sqrt(n)
         assert abs(fast.mean() - wave.mean()) < 5 * math.sqrt(2) * sem
         assert abs(wave.std(ddof=1) / fast.std(ddof=1) - 1) < 0.10
@@ -346,11 +348,11 @@ class TestRunAcquisition:
             cfg = AcquisitionConfig(
                 mode=mode, sigma_low=0.0, sigma_high=0.0, drift_rate=1e-9
             )
-            readings = run_acquisition(bits, fids, params, cfg, 5)
+            values = run_acquisition(bits, fids, params, cfg, 5)
             # drift evaluated at the window midpoint
             expected = 1e-9 * cfg.window_mid_time
-            assert readings.values[0] == pytest.approx(expected, rel=1e-9)
-            assert readings.values[2] == pytest.approx(expected, rel=1e-9)
+            assert values[0] == pytest.approx(expected, rel=1e-9)
+            assert values[2] == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("sample_rate", [999.7, 1000.4, 1234.5])
     def test_modes_share_the_window_when_samples_round(self, sample_rate):
@@ -362,7 +364,7 @@ class TestRunAcquisition:
             run_acquisition(bits, fids, params, AcquisitionConfig(
                 mode=mode, sample_rate=sample_rate, sigma_low=0.0, sigma_high=0.0,
                 drift_rate=1e-6,
-            ), 5).values
+            ), 5)
             for mode in (AcquisitionMode.FAST, AcquisitionMode.WAVEFORM)
         )
         assert fast == pytest.approx(wave, rel=1e-14)
@@ -376,8 +378,7 @@ class TestRunAcquisition:
         cfg = AcquisitionConfig(mode=mode, drift_rate=1e-9)
         full = run_acquisition(bits, fids, params, cfg, noise_seed=12)
         prefix = run_acquisition(bits[:m], fids[:m], params, cfg, noise_seed=12)
-        assert np.array_equal(prefix.values, full.values[:m])
-        assert np.array_equal(prefix.insensitive, full.insensitive[:m])
+        assert np.array_equal(prefix, full[:m])
 
     def test_waveform_readings_are_pinned_bit_for_bit(self):
         values, _ = waveform_run(103)
@@ -454,11 +455,11 @@ class TestRunAcquisition:
         bits = np.array([0, 1, 1, 0, 0])
         params = NonlinearParams(eps_gamma=0.0, vs=-0.306e-9)
         cfg = AcquisitionConfig(drift_rate=2e-9)
-        readings = run_acquisition(bits, np.full(5, 0.5), params, cfg, noise_seed=9)
+        values = run_acquisition(bits, np.full(5, 0.5), params, cfg, noise_seed=9)
         z = cycle_rng(9, 0, 5, 1)[:, 0]
         level = np.where(bits == 1, 3.0, -0.306e-9) + 2e-9 * cfg.window_mid_time
         sigma = np.where(bits == 1, cfg.sigma_high, cfg.sigma_low)
-        assert readings.values.tolist() == (level + sigma * z).tolist()
+        assert values.tolist() == (level + sigma * z).tolist()
 
 
 def field_lines(field):
@@ -557,21 +558,20 @@ def write_golden(path):
 
 
 def assert_same_readings(a, b):
-    """Two Readings hold the same arrays, bit for bit and dtype for dtype, each owning its data."""
-    for x, y in ((a.values, b.values), (a.insensitive, b.insensitive)):
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        assert x.flags.owndata and x.flags.c_contiguous
+    """Two reading arrays are the same bit for bit and dtype for dtype, each owning its data."""
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert a.flags.owndata and a.flags.c_contiguous
+    assert b.flags.owndata and b.flags.c_contiguous
 
 
 class TestReadingsFile:
     def test_round_trip(self, tmp_path, cache):
-        readings = Readings(np.array([-0.306e-9, 3.0000001]), np.array([False, True]))
+        values = np.array([-0.306e-9, 3.0000001])
         path = tmp_path / "readings.csv"
-        write_readings(readings, path)
+        write_readings(values, path)
         cache.settle(path)
         back, _ = read_readings(path)
-        assert back.values.tolist() == readings.values.tolist()
-        assert back.insensitive.tolist() == readings.insensitive.tolist()
+        assert back.tolist() == values.tolist()
 
     def test_golden_bytes(self, tmp_path, cache):
         path = tmp_path / "readings.csv"
@@ -580,41 +580,36 @@ class TestReadingsFile:
         cache.settle(path)
         back, _ = read_readings(path)
         # -0.0 == 0.0, so compare the bits of each value
-        assert back.values.tobytes() == GOLDEN_READINGS.values.tobytes()
-        assert back.insensitive.tolist() == GOLDEN_READINGS.insensitive.tolist()
+        assert back.tobytes() == GOLDEN_READINGS.tobytes()
 
     @pytest.mark.parametrize("n", WRITE_SIZES)
     def test_block_writer_matches_the_row_reference(self, tmp_path, rng, n, cache):
         values = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-300, 300, n)
         k = min(n, len(SPECIAL_VALUES))
         values[:k] = SPECIAL_VALUES[:k]
-        readings = Readings(values, rng.random(n) < 0.5)
         path = tmp_path / "readings.csv"
-        write_readings(readings, path)
-        assert path.read_bytes() == readings_csv_reference(readings)
+        write_readings(values, path)
+        assert path.read_bytes() == readings_csv_reference(values)
         cache.settle(path)
         back, _ = read_readings(path)
-        assert back.values.tobytes() == values.tobytes()
-        assert back.insensitive.tolist() == readings.insensitive.tolist()
+        assert back.tobytes() == values.tobytes()
 
     def test_index_widths_match_the_row_reference(self, tmp_path, rng, cache):
         # the index grows from 1 to 6 digits, crossing 9 -> 10 and 99999 -> 100000
         n = 100_010
         values = rng.normal(0.0, 1e-9, n)
-        readings = Readings(values, values > 0)
         path = tmp_path / "readings.csv"
-        write_readings(readings, path)
-        assert path.read_bytes() == readings_csv_reference(readings)
+        write_readings(values, path)
+        assert path.read_bytes() == readings_csv_reference(values)
         cache.settle(path)
-        assert read_readings(path)[0].values.tobytes() == values.tobytes()
+        assert read_readings(path)[0].tobytes() == values.tobytes()
 
     def test_round_trip_is_exact_for_random_values(self, tmp_path, rng, cache):
         values = rng.normal(0.0, 1.0, 5000) * 10.0 ** rng.integers(-300, 300, 5000)
-        readings = Readings(values, values > 1.0)
         path = tmp_path / "readings.csv"
-        write_readings(readings, path)
+        write_readings(values, path)
         cache.settle(path)
-        assert read_readings(path)[0].values.tobytes() == values.tobytes()
+        assert read_readings(path)[0].tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("mode", list(AcquisitionMode))
     def test_cache_hit_is_the_parse_bit_for_bit_at_paper_scale(self, tmp_path, mode):
@@ -631,10 +626,10 @@ class TestReadingsFile:
         path = tmp_path / "readings.csv"
         write_golden(path)
         parses = count_parses(monkeypatch)
-        assert read_readings(path)[0].values.tobytes() == GOLDEN_READINGS.values.tobytes()
+        assert read_readings(path)[0].tobytes() == GOLDEN_READINGS.tobytes()
         assert parses == []
 
-    @pytest.mark.parametrize("damage", list(CACHE_DAMAGE), ids=list(CACHE_DAMAGE))
+    @pytest.mark.parametrize("damage", NUMBER_CACHE_DAMAGE, ids=NUMBER_CACHE_DAMAGE)
     def test_damaged_cache_is_ignored_and_left_as_it_is(self, tmp_path, monkeypatch, damage):
         path = tmp_path / "readings.csv"
         write_golden(path)
@@ -644,8 +639,7 @@ class TestReadingsFile:
         parses = count_parses(monkeypatch)
         back, _ = read_readings(path)
         assert parses == [path]
-        assert back.values.tobytes() == GOLDEN_READINGS.values.tobytes()
-        assert back.insensitive.tolist() == GOLDEN_READINGS.insensitive.tolist()
+        assert back.tobytes() == GOLDEN_READINGS.tobytes()
         assert cached.read_bytes() == before
 
     def test_reading_never_writes_a_cache(self, tmp_path):
@@ -662,14 +656,11 @@ class TestReadingsFile:
     @pytest.mark.parametrize("value", [math.nan, -math.inf])
     def test_non_finite_reading_is_rejected_on_both_paths(self, tmp_path, value, cache):
         values = np.array([1e-9, 3.0, -2e-9, value, 3.0])
-        insensitive = values > 1.0
         path = tmp_path / "readings.csv"
         # written by hand, as write_readings refuses these values
-        rows = "".join(f"{i},{v!r},{'insensitive' if hi else 'sensitive'}\n"
-                       for i, (v, hi) in enumerate(zip(values.tolist(), insensitive)))
-        path.write_text("blinded_index,reading_volts,range\n" + rows)
-        files.write_cache(path, files.file_sha256(path),
-                          [values, (insensitive, ("sensitive", "insensitive"))])
+        rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist()))
+        path.write_text("blinded_index,reading_volts\n" + rows)
+        files.write_cache(path, files.file_sha256(path), [values])
         cache.settle(path)
         message = re.escape(f"{path}: row 3: reading {value} is not finite")
         with pytest.raises(ValueError, match=message):
@@ -681,42 +672,41 @@ class TestReadingsFile:
         path = tmp_path / "readings.csv"
         message = re.escape(f"{path}: row 3: reading {value} is not finite")
         with pytest.raises(ValueError, match=message):
-            write_readings(Readings(values, values > 1.0), path)
+            write_readings(values, path)
         assert not path.exists()
         assert not os.path.exists(cache_path(path))
 
     @pytest.mark.parametrize(
         "row",
-        ["0,1.0\n", "0,1.0,sensitive,x\n", "0,1.0,Sensitive\n", "0,1.0,insensitivex\n",
-         "0,abc,sensitive\n", "0.5,1.0,sensitive\n", "0,nan,sensitive\n",
-         "0,-inf,insensitive\n"],
-        ids=["two fields", "four fields", "capitalised range", "long range word",
+        ["0\n", "0,1.0,sensitive\n", "0,1.0,2.0\n", "0,1.0,\n", "0,abc\n", "0.5,1.0\n",
+         "0,nan\n", "0,-inf\n"],
+        ids=["one field", "row of the previous format", "three fields", "trailing comma",
              "word value", "fractional position", "nan value", "inf value"],
     )
     def test_rejects_malformed_rows(self, tmp_path, row, cache):
         path = tmp_path / "readings.csv"
         cache.stale(path, write_golden)
-        path.write_text("blinded_index,reading_volts,range\n" + row)
+        path.write_text("blinded_index,reading_volts\n" + row)
         with pytest.raises(ValueError):
             read_readings(path)
 
     def test_header_only_is_empty(self, tmp_path, cache):
         path = tmp_path / "readings.csv"
         cache.stale(path, write_golden)
-        path.write_text("blinded_index,reading_volts,range\n")
+        path.write_text("blinded_index,reading_volts\n")
         assert len(read_readings(path)[0]) == 0
 
     def test_rejects_bad_header(self, tmp_path, cache):
         path = tmp_path / "readings.csv"
         cache.stale(path, write_golden)
-        path.write_text("nope\n1,2,sensitive\n")
+        path.write_text("nope\n1,2\n")
         with pytest.raises(ValueError):
             read_readings(path)
 
     def test_bad_header_is_reported_before_the_rows(self, tmp_path, cache):
         path = tmp_path / "readings.csv"
         cache.stale(path, write_golden)
-        path.write_text("nope\n1,2.0,sensitive\nx\n")
+        path.write_text("nope\n1,2.0\nx\n")
         message = f"{path}: unexpected header 'nope'"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_readings(path)
@@ -725,45 +715,45 @@ class TestReadingsFile:
         path = tmp_path / "readings.csv"
         cache.stale(path, write_golden)
         path.write_text(
-            "blinded_index,reading_volts,range\n"
-            "1,3.0e+00,insensitive\n"
-            "0,-3.0e-10,sensitive\n"
+            "blinded_index,reading_volts\n"
+            "1,3.0e+00\n"
+            "0,-3.0e-10\n"
         )
         with pytest.raises(ValueError, match="out of order"):
             read_readings(path)
 
     @pytest.mark.parametrize("row", [0, 900], ids=["first row", "past 8 KiB"])
     def test_non_utf8_byte_names_the_file_and_line(self, tmp_path, row, cache):
-        rows = [f"{i},1.0e+00,sensitive\n".encode() for i in range(1000)]
-        rows[row] = rows[row].replace(b"sensitive", b"sens\xffitive")
+        rows = [f"{i},1.0e+00\n".encode() for i in range(1000)]
+        rows[row] = rows[row].replace(b"e+00", b"\xffe+00")
         path = tmp_path / "readings.csv"
         cache.stale(path, write_golden)
-        path.write_bytes(b"blinded_index,reading_volts,range\n" + b"".join(rows))
+        path.write_bytes(b"blinded_index,reading_volts\n" + b"".join(rows))
         with pytest.raises(ValueError, match=re.escape(f"{path}: line {row + 2}: not UTF-8")):
             read_readings(path)
 
     def test_read_readings_keeps_no_row_array(self, tmp_path, rng, cache):
-        # a strided view into the 28-byte rows would keep all 2.8 MiB of them alive
+        # a strided view into the 16-byte rows would keep all 1.5 MiB of them alive
         n = 100_717
         path = tmp_path / "readings.csv"
-        write_readings(Readings(rng.normal(0.0, 1e-9, n), rng.random(n) < 0.5), path)
+        write_readings(rng.normal(0.0, 1e-9, n), path)
         cache.settle(path)
         read_readings(path)  # imports, caches
         tracemalloc.start()
         try:
-            readings, _ = read_readings(path)
+            values, _ = read_readings(path)
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert retained < 1.2 * 2**20
-        assert readings.values.flags.owndata and readings.values.flags.c_contiguous
+        assert values.flags.owndata and values.flags.c_contiguous
 
     def test_cache_hit_peak_memory_at_paper_scale(self, tmp_path, rng, monkeypatch):
-        # the cached columns take 1.15 MiB; reading the whole payload and then copying
-        # each column out of it, with the range codes cast to intp, peaked at 2.42 MiB
+        # the cached column takes 0.77 MiB; reading the whole payload and then copying
+        # each column out of it, with a text column's codes cast to intp, peaked at 2.42 MiB
         n = 100_717
         path = tmp_path / "readings.csv"
-        write_readings(Readings(rng.normal(0.0, 1e-9, n), rng.random(n) < 0.5), path)
+        write_readings(rng.normal(0.0, 1e-9, n), path)
         read_readings(path)  # imports, caches
         parses = count_parses(monkeypatch)
         tracemalloc.start()
@@ -777,14 +767,14 @@ class TestReadingsFile:
 
     def test_write_readings_peak_memory_has_no_padding_mask(self, tmp_path, rng):
         # a bool mask beside each field's bytes took the peak to 2.42 MiB, and a full-length
-        # <u4 copy of the range codes for the CSV to 2.13; 1.74 without them
+        # <u4 copy of a text column's codes for the CSV to 2.13; 1.74 without them
         n = 100_717
-        readings = Readings(rng.normal(0.0, 1e-9, n), rng.random(n) < 0.5)
+        values = rng.normal(0.0, 1e-9, n)
         path = tmp_path / "readings.csv"
-        write_readings(readings, path)  # imports, caches
+        write_readings(values, path)  # imports, caches
         tracemalloc.start()
         try:
-            write_readings(readings, path)
+            write_readings(values, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
