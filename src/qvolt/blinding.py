@@ -38,12 +38,13 @@ class BlindingKey:
         sizes = counts.tolist()  # one per source, so cheaper to check in Python
         if min(sizes, default=0) < 0 or sum(sizes) != n:
             raise ValueError(f"source counts {sizes} do not split {n} positions")
-        outside = (perm < 0) | (perm >= n)
-        if np.count_nonzero(outside):
-            p = outside.argmax()
+        if n and (perm.min() < 0 or perm.max() >= n):
+            p = ((perm < 0) | (perm >= n)).argmax()
             raise ValueError(f"blinded position {p}: bit {perm[p]} outside 0..{n - 1}")
-        hits = np.bincount(perm, minlength=n)
-        if np.count_nonzero(hits) < n:  # n entries in 0..n-1 miss a bit only if one repeats
+        held = np.zeros(n, dtype=bool)
+        held[perm] = True
+        if np.count_nonzero(held) < n:  # n entries in 0..n-1 miss a bit only if one repeats
+            hits = np.bincount(perm, minlength=n)
             p, q = np.flatnonzero(perm == perm[(hits[perm] > 1).argmax()])[:2]
             raise ValueError(f"blinded positions {p} and {q} both hold bit {perm[p]}")
 
@@ -118,12 +119,20 @@ def read_key(path: str | os.PathLike) -> tuple[BlindingKey, dict[str, bytes]]:
     # with no negative index, one past its source's count breaks the permutation
     if (index < 0).any():
         raise ValueError(f"{path}: blinded position {(index < 0).argmax()}: source_index < 0")
-    counts = np.bincount(code, minlength=len(ids))
+    # counted and gathered a block at a time: numpy casts whole index arrays to intp, and a
+    # full-length intp copy of the codes would double the columns' memory
+    blocks = [slice(lo, lo + files.CSV_BLOCK_ROWS)
+              for lo in range(0, len(index), files.CSV_BLOCK_ROWS)]
+    counts = np.zeros(len(ids), dtype=np.intp)
+    for block in blocks:
+        counts += np.bincount(code[block], minlength=len(ids))
     held = sorted(np.flatnonzero(counts).tolist(), key=ids.__getitem__)
     counts = counts[held]
     start = np.zeros(len(ids), dtype=np.intp)  # each held source's first end-to-end bit
     start[held] = counts.cumsum() - counts
-    index += start[code]  # read_table's column is ours: it becomes the permutation
+    for block in blocks:  # read_table's column is ours: it becomes the permutation
+        index[block] += start[code[block]]
+    del code  # not kept through the key's checks
     try:
         key = BlindingKey(tuple(ids[c] for c in held), counts, index)
     except ValueError as exc:

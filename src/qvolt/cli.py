@@ -59,11 +59,14 @@ def cmd_run(config: RunConfig, out: str) -> str:
                 raise ValueError(f"{path}: header {bs.source} does not match configured {spec}")
 
     blinded_bits, key = pipeline.blind(config, strings)
+    del strings
     readings = pipeline.acquire(config, blinded_bits, key)
+    del blinded_bits
     readings_path, key_path = os.path.join(out, "readings.csv"), os.path.join(out, "key.csv")
-    files.seal({**signal.write_readings(readings, readings_path),
-                **blinding.write_key(key, key_path)})
-    return (f"wrote {readings_path} ({len(readings)} readings)\n"
+    digests = signal.write_readings(readings, readings_path)
+    del readings  # before the key's columns are built
+    files.seal({**digests, **blinding.write_key(key, key_path)})
+    return (f"wrote {readings_path} ({len(key)} readings)\n"
             f"wrote {key_path} (keep sealed until unblinding)\n")
 
 

@@ -213,6 +213,7 @@ def write_table(path, header: str, columns: Sequence) -> dict[str, bytes]:
             rows = rows[rows != 0]
             fh.write(rows)
             digest.update(rows)
+            del fields, rows  # so the next block is built without this one's bytes
     sha256 = digest.digest()
     return {path: sha256, cache_path(path): write_cache(path, sha256, columns)}
 
@@ -272,7 +273,8 @@ def float_field(x: np.ndarray) -> np.ndarray:
     """
     ax = np.abs(x)
     exact = (ax >= FLOAT_KERNEL_MIN) & (ax < FLOAT_KERNEL_MAX)
-    d, e = _decimal18(np.where(exact, ax, 1.0))
+    np.copyto(ax, 1.0, where=~exact)
+    d, e = _decimal18(ax)
     # [-]d.ddddddddddddddddde+dd, and a 25th column for `%`'s three-digit exponents
     chars = np.empty((25, len(x)), np.uint8)
     chars[0] = np.where(np.signbit(x), ord("-"), 0)
@@ -305,15 +307,20 @@ def _decimal18(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     none lies that close.
     """
     bits = ax.view(np.uint64)
-    m = (bits & (2**52 - 1)) | 2**52
-    exp2 = (bits >> 52).astype(np.int64) - 1075
+    m = bits & (2**52 - 1)
+    m |= 2**52
+    exp2 = (bits >> 52).view(np.int64)
+    exp2 -= 1075
     # the window holds the true decade, so clipping only moves e towards it
-    s = 17 - np.clip(np.floor(np.log10(ax)), -10, 17).astype(np.int64)
+    s = np.log10(ax)
+    s = np.clip(np.floor(s, out=s), -10, 17, out=s).astype(np.int64)
+    np.subtract(17, s, out=s)
     q, up = _scaled(m, exp2, s)
     while (wrong := np.flatnonzero((q < 10**17) | (q >= 10**18))).size:
         s[wrong] += np.where(q[wrong] < 10**17, 1, -1)
         q[wrong], up[wrong] = _scaled(m[wrong], exp2[wrong], s[wrong])
-    return q + up, 17 - s
+    q += up
+    return q, np.subtract(17, s, out=s)
 
 
 def _scaled(m: np.ndarray, exp2: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,18 +329,29 @@ def _scaled(m: np.ndarray, exp2: np.ndarray, s: np.ndarray) -> tuple[np.ndarray,
     m < 2**53 and 5**s < 2**63, so m * 5**s is formed exactly, in two uint64
     halves (hi, lo) from 32-bit limbs; the result, under 2**64, is that
     product shifted right by k = -(exp2 + s) bits. In the window k runs over
-    1..59, also for a decade one off, so hi << (64 - k) is defined.
+    1..59, also for a decade one off, so hi << (64 - k) is defined. Each
+    product and shift is written over an operand that is not read again, so
+    no more than five arrays of the inputs' length are live besides the inputs.
     """
-    b = _POW5[s]
-    a0, a1, b0, b1 = m & 0xFFFFFFFF, m >> 32, b & 0xFFFFFFFF, b >> 32
+    b0 = _POW5[s]
+    b1 = b0 >> 32
+    b0 &= 0xFFFFFFFF
+    a0, a1 = m & 0xFFFFFFFF, m >> 32
     low = a0 * b0
-    mid = a1 * b0 + a0 * b1  # < 2**53 + 2**63
-    lo = low + (mid << 32)
-    hi = a1 * b1 + (mid >> 32) + (lo < low)
-    k = (-(exp2 + s)).astype(np.uint64)
-    q = (hi << (64 - k)) | (lo >> k)
-    rem = lo & ((np.uint64(1) << k) - 1)
-    half = np.uint64(1) << (k - 1)
+    mid = np.multiply(a1, b0, out=b0)
+    mid += np.multiply(a0, b1, out=a0)  # < 2**53 + 2**63
+    hi = np.multiply(a1, b1, out=a1)
+    lo = np.left_shift(mid, 32, out=b1)
+    lo += low
+    hi += lo < low
+    hi += np.right_shift(mid, 32, out=mid)
+    k = np.add(exp2, s, out=low.view(np.int64))
+    k = np.negative(k, out=k).view(np.uint64)
+    q = np.left_shift(hi, np.subtract(64, k, out=mid), out=hi)
+    q |= np.right_shift(lo, k, out=a0)
+    half = np.left_shift(1, np.subtract(k, 1, out=mid), out=mid)
+    below = np.subtract(np.left_shift(half, 1, out=a0), 1, out=a0)  # 2**k - 1
+    rem = np.bitwise_and(lo, below, out=lo)
     return q, (rem > half) | ((rem == half) & ((q & 1) == 1))
 
 

@@ -41,14 +41,17 @@ def expected_reading(bit, fidelity, params: NonlinearParams):
     """
     b = np.asarray(bit)
     f = np.asarray(fidelity, dtype=float)
-    bad_bit = (b != 0) & (b != 1)
-    if np.any(bad_bit):
-        raise ValueError(f"bit must be 0 or 1, got {b[bad_bit][0].item()!r}")
-    bad_fid = ~((f >= 0.5) & (f <= 1.0))
-    if np.any(bad_fid):
-        raise ValueError(f"fidelity {f[bad_fid][0]} outside [1/2, 1]")
-    low = params.vs + params.eps_gamma * params.v1 * (f - 0.5)
-    level = np.where(b == 1, params.v1, low)
+    bad = (b != 0) & (b != 1)
+    if np.any(bad):
+        raise ValueError(f"bit must be 0 or 1, got {b[bad][0].item()!r}")
+    bad = ~((f >= 0.5) & (f <= 1.0))
+    if np.any(bad):
+        raise ValueError(f"fidelity {f[bad][0]} outside [1/2, 1]")
+    # vs + eps_gamma * v1 * (f - 1/2), then v1 where the bit is 1, built in one array
+    level = np.subtract(f, 0.5, out=np.empty(np.broadcast_shapes(b.shape, f.shape)))
+    level *= params.eps_gamma * params.v1
+    level += params.vs
+    np.copyto(level, params.v1, where=b == 1)
     return float(level) if level.ndim == 0 else level
 
 

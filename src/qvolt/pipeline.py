@@ -51,24 +51,29 @@ def acquire(
 ) -> np.ndarray:
     """One simulated reading per blinded position; the key is provenance for the simulator only."""
     fidelity = {s.id: s.fidelity for s in config.sources}
-    fidelities = np.repeat([fidelity[sid] for sid in key.source_ids], key.counts)[key.permutation]
     noise_seed = derive_seed(config.seed, "noise")
+    # each position's fidelity is handed over, not kept here, so `run_acquisition` frees it
+    # once the levels are built
     return signal.run_acquisition(
-        blinded_bits, fidelities, config.params, config.acquisition, noise_seed
+        blinded_bits,
+        np.repeat([fidelity[sid] for sid in key.source_ids], key.counts)[key.permutation],
+        config.params, config.acquisition, noise_seed,
     )
 
 
 def blinded_summary(values: np.ndarray, config: RunConfig) -> BlindedSummary:
     """Pooled low/high statistics of the blinded reading values; never sees the key."""
     low, high = analysis.classify(values, config.analysis.threshold)
-    for population, pooled in (("low", low), ("high", high)):
-        if not len(pooled):
+    for population, n in (("low", len(low)), ("high", len(high))):
+        if not n:
             raise ValueError(
                 f"no {population} readings to summarize (threshold {config.analysis.threshold} V)"
             )
+    high_summary = analysis.summarize(high)
+    del high  # not kept through the histogram
     return BlindedSummary(
         low=analysis.summarize(low),
-        high=analysis.summarize(high),
+        high=high_summary,
         low_hist=analysis.histogram(low, config.analysis.n_bins),
         n_total=len(values),
     )
@@ -84,7 +89,7 @@ def unblind_fit(values: np.ndarray, key: blinding.BlindingKey, config: RunConfig
     per_hist: dict[str, analysis.HistogramResult] = {}
     points = []
     for spec in config.sources:
-        low = lows[spec.id]
+        low = lows.pop(spec.id)  # freed once summarised and binned
         summary = analysis.summarize(low) if len(low) else None
         if summary is None or not summary.sem > 0:
             sem = "undefined" if summary is None else f"{summary.sem} V"

@@ -185,7 +185,9 @@ def run_acquisition(
     keyed by `noise_seed`, so readings do not depend on batching or on the
     number of cycles after them. In waveform mode the previous cycle's known
     target level seeds the settling transient (deterministic and
-    parallelizable; the first cycle settles from 0 V).
+    parallelizable; the first cycle settles from 0 V). The fidelities are dropped once
+    the levels are built, so a caller that hands over its only reference frees them
+    before the noise is drawn.
     """
     bits = np.asarray(blinded_bits)
     fids = np.asarray(fidelities, dtype=float)
@@ -193,6 +195,7 @@ def run_acquisition(
         raise ValueError(f"{len(bits)} bits but {len(fids)} provenance fidelities")
 
     levels = expected_reading(bits, fids, params)
+    del fidelities, fids
     if cfg.mode is AcquisitionMode.FAST:
         return _fast_values(levels, cfg, noise_seed)
     return _waveform_values(levels, cfg, noise_seed)
@@ -203,13 +206,16 @@ def _fast_values(levels: np.ndarray, cfg: AcquisitionConfig, noise_seed: int) ->
 
     Each reading is (level + drift_rate * t_mid) + sigma * z, with sigma that of
     the range its level puts the instrument on. The normals are scaled in their
-    own array and the sum is built in `levels`, which becomes the readings: the
-    levels and the normals are the only full-length float arrays.
+    own array and the sum is built in `levels`, which becomes the readings. The
+    levels and the normals are the only full-length float arrays here, and
+    `run_acquisition` has dropped the fidelities: when `pipeline.acquire` handed
+    them over, no other is alive.
     """
     insensitive = cfg.insensitive(levels)
     z = cycle_rng(noise_seed, 0, len(levels), 1)[:, 0]
     np.multiply(z, cfg.sigma_high, out=z, where=insensitive)
-    np.multiply(z, cfg.sigma_low, out=z, where=~insensitive)
+    sensitive = np.logical_not(insensitive, out=insensitive)
+    np.multiply(z, cfg.sigma_low, out=z, where=sensitive)
     levels += cfg.drift_rate * cfg.window_mid_time
     levels += z
     return levels

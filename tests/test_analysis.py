@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_config
+from qvolt import pipeline
 from qvolt.analysis import (
     BAND_POINTS,
     GaussianSummary,
+    HISTOGRAM_CHUNK,
     classify,
     confidence_bound,
     histogram,
@@ -78,6 +81,15 @@ class TestSummarize:
             GaussianSummary(n=0, mean=0.0, sd=0.0, sem=0.0)
 
 
+def assert_numpy_histogram(values, n_bins):
+    """`histogram` has the edges and counts of one np.histogram call, bit for bit."""
+    h = histogram(values, n_bins)
+    counts, edges = np.histogram(values, bins=n_bins)
+    assert h.bin_edges.tobytes() == edges.tobytes()
+    assert h.counts.dtype == counts.dtype and h.counts.tobytes() == counts.tobytes()
+    return h
+
+
 class TestHistogram:
     def test_single_value_one_bin(self):
         h = histogram([2.0] * 7, 5)
@@ -109,6 +121,50 @@ class TestHistogram:
             (h.counts[mask] - expected[mask]) ** 2 / expected[mask]
         ) / mask.sum()
         assert 0.5 < red_chi2 < 1.5
+
+    @pytest.mark.parametrize(
+        "n", [1, HISTOGRAM_CHUNK - 1, HISTOGRAM_CHUNK, HISTOGRAM_CHUNK + 1, 3 * HISTOGRAM_CHUNK + 5]
+    )
+    def test_chunks_give_numpys_edges_and_counts(self, rng, n):
+        assert_numpy_histogram(rng.normal(-0.306e-9, 3.4e-9, n), 50)
+
+    def test_all_equal_values_widen_the_range_by_a_half(self):
+        values = np.full(3 * HISTOGRAM_CHUNK + 5, -0.306e-9)
+        h = assert_numpy_histogram(values, 50)
+        assert (h.bin_edges[0], h.bin_edges[-1]) == (-0.306e-9 - 0.5, -0.306e-9 + 0.5)
+        assert h.counts[25] == len(values)
+
+    @pytest.mark.parametrize(
+        "at", [0, HISTOGRAM_CHUNK - 1, HISTOGRAM_CHUNK, 3 * HISTOGRAM_CHUNK + 4]
+    )
+    def test_maximum_on_the_last_edge_counts_in_the_last_bin(self, rng, at):
+        # every value on an edge, the maximum in one chunk only, and the rest inside the range
+        edges = np.linspace(-1e-8, 1e-8, 31)
+        values = rng.uniform(-1e-8, 1e-8, 3 * HISTOGRAM_CHUNK + 5)
+        values[HISTOGRAM_CHUNK + 1:HISTOGRAM_CHUNK + 31] = edges[:-1]
+        values[values == edges[-1]] = 0.0
+        values[at] = edges[-1]
+        h = assert_numpy_histogram(values, 30)
+        assert h.bin_edges[-1] == values.max() and h.counts[-1] >= 1
+
+    def test_paper_scale_pooled_low_readings_match_numpy(self):
+        readings, *_ = pipeline.run_pipeline(make_config(mc_realizations=100))
+        low, _ = classify(readings)
+        assert len(low) > 3 * HISTOGRAM_CHUNK
+        assert_numpy_histogram(low, 50)
+
+    def test_peak_memory_at_50k_values(self, rng):
+        # one np.histogram call over all the values took 1.62 MiB; its chunks' temporaries
+        # and summarize's one copy take 0.54
+        values = rng.normal(-0.306e-9, 3.4e-9, 50_000)
+        histogram(values, 50)  # imports, caches
+        tracemalloc.start()
+        try:
+            histogram(values, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 2**20
 
     def test_rejects_empty_or_bad_bins(self):
         with pytest.raises(ValueError):

@@ -56,6 +56,7 @@ def key_csv_reference(key):
 
 
 SHAPE_MESSAGE = "need distinct ids, a count for each and a 1-D permutation"
+PAPER_IDS, PAPER_COUNTS = ("c1", "q2", "q3"), [60000, 30000, 10717]
 
 
 class TestBlindingKey:
@@ -66,6 +67,32 @@ class TestBlindingKey:
     def test_rejects_index_gap(self):
         with pytest.raises(ValueError, match=r"^blinded position 1: bit 2 outside 0\.\.1$"):
             BlindingKey(("a",), [2], [0, 2])
+
+    def test_paper_scale_build_peak_memory(self):
+        # an int64 bincount of the permutation and three bool range masks took the build to
+        # 0.87 MiB above the permutation; one bool array of it is 0.1
+        perm = np.random.default_rng(1).permutation(100_717)
+        BlindingKey(PAPER_IDS, PAPER_COUNTS, perm)  # imports, caches
+        tracemalloc.start()
+        try:
+            BlindingKey(PAPER_IDS, PAPER_COUNTS, perm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.3 * 2**20
+
+    def test_paper_scale_repeat_and_range_keep_their_messages(self):
+        perm = np.random.default_rng(1).permutation(100_717)
+        repeated = perm.copy()
+        repeated[70_000] = perm[12_345]
+        message = f"blinded positions 12345 and 70000 both hold bit {perm[12_345]}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BlindingKey(PAPER_IDS, PAPER_COUNTS, repeated)
+        outside = perm.copy()
+        outside[[500, 900]] = 100_717, -1
+        message = "blinded position 500: bit 100717 outside 0..100716"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BlindingKey(PAPER_IDS, PAPER_COUNTS, outside)
 
     def test_source_counts(self):
         key = BlindingKey(("a", "b"), [2, 1], [1, 2, 0])
@@ -578,8 +605,10 @@ class TestKeyFile:
         assert peak < 6 * 2**20
 
     def test_read_key_peak_memory_at_paper_scale(self, tmp_path, rng, cache):
-        # 2.02 MiB on a cache hit: the 1.15 MiB of columns, the index column turned into the
-        # permutation in place, and BlindingKey's 0.77 MiB bincount; 3.08 MiB on a parse
+        # 1.28 MiB on a cache hit: the 1.15 MiB of columns, the index column turned into the
+        # permutation in place; 3.08 MiB on a parse. Full-length intp copies of the codes
+        # for their bincount and their starts, and BlindingKey's int64 bincount of the
+        # permutation, took a hit to 2.02 MiB
         path = tmp_path / "key.csv"
         write_key(paper_key(rng), path)
         cache.settle(path)
@@ -590,4 +619,4 @@ class TestKeyFile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (2.5 if cache.present else 3.3) * 2**20
+        assert peak < (1.6 if cache.present else 3.3) * 2**20
