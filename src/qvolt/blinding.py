@@ -91,7 +91,7 @@ def unblind(values, key: BlindingKey) -> dict[str, np.ndarray]:
     return dict(zip(key.source_ids, np.split(grouped, np.cumsum(key.counts)[:-1])))
 
 
-_KEY_HEADER = "blinded_index,source_id,source_index"
+_KEY_HEADER = "source_id,source_index"
 
 
 def write_key(key: BlindingKey, path: str | os.PathLike) -> dict[str, bytes]:

@@ -5,8 +5,8 @@ each in COMMANDS. Each takes --config <path> and --out <dir>. A subcommand
 writes its files and returns the text it prints; `main` prints that text and
 maps errors to exit codes: 0 success, 2 config error, 3 I/O error,
 4 contract violation (bad data, blinding discipline, mismatched key, ...).
-`run` seals its readings and key and their caches (`files.seal`); the later
-steps refuse others.
+`run` seals its readings and key and their caches (`files.seal`), and writing a
+table drops any older seal; the later steps refuse tables it did not seal.
 
 `report` is `run`, then `blinded-summary`, then `unblind-fit`, each reading
 the files the step before it wrote, so it goes through the same readers and

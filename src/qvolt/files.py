@@ -5,19 +5,19 @@ steps hand each other are the experiment's contract. Every open, format and
 parse of a file is here; the module that owns a table keeps its schema.
 
 readings.csv and key.csv are tables (`write_table`): a header line, then per
-blinded position its `blinded_index` and a field of each column. Beside a
-table, `<csv>.cache` holds each text column's words and every column in
-little-endian binary, with the sha256 of the CSV and of its own payload.
+blinded position a field of each column, so row r is blinded position r.
+Beside a table, `<csv>.cache` holds each text column's words and every column
+in little-endian binary, with the sha256 of the CSV and of its own payload.
 `read_table` takes the columns from a valid cache and otherwise parses the
 CSV, so each reader has one path. Readers never write a cache. A writer or
 reader returns the digests of what it wrote or read, by path: the CSV's
 sha256, hashed once, and the cache's payload sha256 when the columns went to
 or came from the cache. `seal` records them in seal.json, beside the tables,
 and `check_seal` checks them there, so an edit to a cache is refused as an
-edit to its CSV is.
+edit to its CSV is. `write_table` removes that seal before it writes.
 """
 
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 import hashlib
 import json
 import os
@@ -28,11 +28,12 @@ import numpy as np
 
 
 # Rows of a table built as arrays and written by one call (`write_table`): enough to
-# amortise numpy's per-call cost, few enough that a block's arrays stay near 2 MiB.
+# amortise numpy's per-call cost, few enough that a block's arrays stay under 1 MiB
+# (a readings.csv block, the `%.17e` kernel's temporaries included, peaks at 0.80 MiB).
 CSV_BLOCK_ROWS = 8192
 # Word bytes a block holds per row before it holds fewer rows than CSV_BLOCK_ROWS (and at
 # least one): each row's word is padded to the longest, so a block holds at most 128 KiB of
-# words, ~0.5 MiB with its row array and NUL test, what a block of short words takes for its ints.
+# words, and a key.csv block of 16-byte ids peaks at 0.71 MiB, under a readings.csv block.
 BLOCK_WORD_BYTES = 16
 
 # The dtype of each kind of column, parsed and cached; a text column's is that of its codes.
@@ -130,12 +131,12 @@ def parse_rows(path, fh, kinds: Sequence[type]) -> list:
     """The columns of the rows left in the open table `fh`, by one `np.loadtxt` pass.
 
     A text column's `_Codes` numbers its words as they are parsed. A field that does
-    not parse, or a first field that does not count the rows, is a ValueError naming `path`.
+    not parse is a ValueError naming `path`.
     """
     codes = [_Codes() if kind is str else None for kind in kinds]
-    dtype = [("blinded_index", np.int64)] + [(f"c{c}", _DTYPES[k]) for c, k in enumerate(kinds)]
+    dtype = [(f"c{c}", _DTYPES[k]) for c, k in enumerate(kinds)]
     # with `encoding=None` a converter gets a `str` (numpy 1.x would default to latin-1 bytes)
-    converters = {c + 1: words.__getitem__ for c, words in enumerate(codes) if words is not None}
+    converters = {c: words.__getitem__ for c, words in enumerate(codes) if words is not None}
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -145,11 +146,6 @@ def parse_rows(path, fh, kinds: Sequence[type]) -> list:
         raise  # open_text names the line
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    pos = rows["blinded_index"]
-    misplaced = np.flatnonzero(pos != np.arange(len(pos)))
-    if misplaced.size:
-        row = misplaced[0]
-        raise ValueError(f"{path}: row {row}: blinded_index {pos[row]} out of order")
     # contiguous copies, so the rows are freed on return
     return [rows[f"c{c}"].copy() if words is None else (rows[f"c{c}"].copy(), list(words))
             for c, words in enumerate(codes)]
@@ -176,14 +172,15 @@ def _column(column) -> tuple[type, np.ndarray, list | None]:
 
 
 def write_table(path, header: str, columns: Sequence) -> dict[str, bytes]:
-    """Write the `header` line, then row r = r,<column fields> for each r, then the cache.
+    """Write the `header` line, then row r = <column fields of r> for each r, then the cache.
 
     A float array's field is `%.17e`, a non-negative int array's `%d`, a text
     column (codes, words)'s words[codes[r]], which may hold no NUL. The rows are
     built, written and hashed a block at a time, so one block's arrays are the
     only memory added: CSV_BLOCK_ROWS rows, or fewer when the widest word is
-    over BLOCK_WORD_BYTES. Returns {path: the CSV's sha256, cache path: the sha256
-    of the cache's payload}.
+    over BLOCK_WORD_BYTES. The seal beside `path` goes first: a write that fails leaves
+    none, not one that records the table it replaced. Returns {path: the CSV's sha256,
+    cache path: the sha256 of the cache's payload}.
     """
     kinds, arrays, words = zip(*map(_column, columns))
     tables = [None if w is None else byte_table([word.encode() for word in w]) for w in words]
@@ -193,11 +190,13 @@ def write_table(path, header: str, columns: Sequence) -> dict[str, bytes]:
     n = len(arrays[0])
     header_bytes = header.encode() + b"\n"
     digest = hashlib.sha256(header_bytes)
+    with suppress(FileNotFoundError):
+        os.remove(os.path.join(os.path.dirname(path), SEAL_NAME))
     with open(path, "wb") as fh:
         fh.write(header_bytes)
         for lo in range(0, n, block_rows):
             hi = min(lo + block_rows, n)
-            fields = [int_field(np.arange(lo, hi))]
+            fields = []
             for a, kind, table in zip(arrays, kinds, tables):
                 block = np.asarray(a[lo:hi], _DTYPES[kind])
                 fields.append(formats[kind](block) if table is None else table[block].T)

@@ -268,7 +268,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_READINGS_HEADER = "blinded_index,reading_volts"
+_READINGS_HEADER = "reading_volts"
 
 
 def write_readings(values: np.ndarray, path: str | os.PathLike) -> dict[str, bytes]:

@@ -37,10 +37,11 @@ def random_strings(rng, n_sources, max_len):
     ]
 
 
-# the key.csv of a small fixed key, as the writer produced it before the key held arrays
+# the key.csv of a small fixed key, as the writer produced it before the key held arrays,
+# less the index column it then wrote
 GOLDEN_KEY_CSV = (
-    "blinded_index,source_id,source_index\n"
-    "0,q2,1\n1,c1,0\n2,q3_x,0\n3,c1,2\n4,q2,0\n5,c1,1\n"
+    "source_id,source_index\n"
+    "q2,1\nc1,0\nq3_x,0\nc1,2\nq2,0\nc1,1\n"
 )
 
 
@@ -51,8 +52,8 @@ def golden_key():
 
 def key_csv_reference(key):
     """key.csv formatted one row at a time, as the writer did before it wrote blocks."""
-    body = "".join(f"{pos},{sid},{idx}\n" for pos, (sid, idx) in enumerate(origin_pairs(key)))
-    return f"blinded_index,source_id,source_index\n{body}".encode()
+    body = "".join(f"{sid},{idx}\n" for sid, idx in origin_pairs(key))
+    return f"source_id,source_index\n{body}".encode()
 
 
 SHAPE_MESSAGE = "need distinct ids, a count for each and a 1-D permutation"
@@ -339,7 +340,7 @@ class TestKeyFile:
         assert back.source_ids == tuple(sorted(ids))
 
     def test_index_widths_match_the_row_reference(self, tmp_path, rng, cache):
-        # both index columns grow from 1 to 6 digits, crossing 9 -> 10 and 99999 -> 100000
+        # source_index grows from 1 to 6 digits, crossing 9 -> 10 and 99999 -> 100000
         n = 100_010
         key = BlindingKey(("a", "b"), [n - 5, 5], rng.permutation(n))
         path = tmp_path / "key.csv"
@@ -353,7 +354,7 @@ class TestKeyFile:
         key = id_case_key(ids, counts)
         path = tmp_path / "key.csv"
         write_key(key, path)
-        assert path.read_text(encoding="utf-8").splitlines()[1].split(",")[1] == max(ids)
+        assert path.read_text(encoding="utf-8").splitlines()[1].split(",")[0] == max(ids)
         cache.settle(path)
         back, _ = read_key(path)
         assert_key_holds(back, origin_pairs(key))
@@ -439,16 +440,16 @@ class TestKeyFile:
     @pytest.mark.parametrize(
         "body, entries",
         [
-            ("0,,0\n1,a,0\n", (("", 0), ("a", 0))),
-            ("0,a,0\n1,,0\n", (("a", 0), ("", 0))),
-            ("0, ,0\n", ((" ", 0),)),
+            (",0\na,0\n", (("", 0), ("a", 0))),
+            ("a,0\n,0\n", (("a", 0), ("", 0))),
+            (" ,0\n", ((" ", 0),)),
         ],
         ids=["empty id first", "empty id last", "blank id"],
     )
     def test_empty_source_id_is_an_id(self, tmp_path, body, entries, cache):
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
-        path.write_text("blinded_index,source_id,source_index\n" + body)
+        path.write_text("source_id,source_index\n" + body)
         key, _ = read_key(path)
         assert_key_holds(key, entries)
         assert key.source_ids == tuple(sorted({sid for sid, _ in entries}))
@@ -458,40 +459,31 @@ class TestKeyFile:
         sid = "s" * 300
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
-        path.write_text(f"blinded_index,source_id,source_index\n0,a,0\n\n1,{sid},0")
+        path.write_text(f"source_id,source_index\na,0\n\n{sid},0")
         key, _ = read_key(path)
         assert_key_holds(key, [("a", 0), (sid, 0)])
 
     @pytest.mark.parametrize(
         "body, message",
         [
-            ("0,a,0,extra\n", "requires 3 columns but 4 were found at row 1"),
-            ("0,a,1.5\n", "could not convert string '1.5' to int64 at row 0, column 3"),
-            ("0,a,x\n", "could not convert string 'x' to int64 at row 0, column 3"),
-            ("0.0,a,0\n", "could not convert string '0.0' to int64 at row 0, column 1"),
+            ("a,0,extra\n", "requires 2 columns but 3 were found at row 1"),
+            ("a,1.5\n", "could not convert string '1.5' to int64 at row 0, column 2"),
+            ("a,x\n", "could not convert string 'x' to int64 at row 0, column 2"),
+            ("0,a\n", "could not convert string 'a' to int64 at row 0, column 2"),
         ],
-        ids=["four fields", "fractional index", "word index", "fractional position"],
+        ids=["three fields", "fractional index", "word index", "index before the id"],
     )
     def test_malformed_fields_rejected(self, tmp_path, body, message, cache):
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
-        path.write_text("blinded_index,source_id,source_index\n" + body)
+        path.write_text("source_id,source_index\n" + body)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
-            read_key(path)
-
-    def test_rows_out_of_order_rejected(self, tmp_path, cache):
-        path = tmp_path / "key.csv"
-        cache.stale(path, write_golden)
-        path.write_text("blinded_index,source_id,source_index\n1,a,0\n0,a,1\n")
-        with pytest.raises(ValueError, match="out of order"):
             read_key(path)
 
     def test_duplicate_entry_rejected(self, tmp_path, cache):
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
-        path.write_text(
-            "blinded_index,source_id,source_index\n0,a,0\n1,a,0\n"
-        )
+        path.write_text("source_id,source_index\na,0\na,0\n")
         message = f"{path}: blinded positions 0 and 1 both hold bit 0"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_key(path)
@@ -499,15 +491,15 @@ class TestKeyFile:
     @pytest.mark.parametrize(
         "body, tail, position",
         [
-            ("0,a,0\n1,b,0\n2,b,2\n", "outside 0..", 2),
-            ("0,a,0\n1,b,0\n2,a,2\n", "both hold bit", 2),
+            ("a,0\nb,0\nb,2\n", "outside 0..", 2),
+            ("a,0\nb,0\na,2\n", "both hold bit", 2),
             # rejected before any per-bit count would need 2**40 bins
-            (f"0,a,0\n1,a,{2**40}\n", "outside 0..", 1),
+            (f"a,0\na,{2**40}\n", "outside 0..", 1),
             # the source's offset plus this index wraps below zero in int64
-            (f"0,a,0\n1,b,0\n2,b,{2**63 - 1}\n", "outside 0..", 2),
+            (f"a,0\nb,0\nb,{2**63 - 1}\n", "outside 0..", 2),
             # a file error, found before the key's bijection check
-            ("0,a,0\n1,b,-1\n", "source_index < 0", 1),
-            ("0,b,0\n1,a,0\n2,b,0\n", "both hold bit", 2),
+            ("a,0\nb,-1\n", "source_index < 0", 1),
+            ("b,0\na,0\nb,0\n", "both hold bit", 2),
         ],
         ids=["index past the last source", "index past an earlier source", "index far past",
              "index at the int64 maximum", "negative index", "repeated entry"],
@@ -516,26 +508,26 @@ class TestKeyFile:
         # the blinded position of a key entry is its data row
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
-        path.write_text("blinded_index,source_id,source_index\n" + body)
+        path.write_text("source_id,source_index\n" + body)
         pattern = re.escape(f"{path}: blinded position") + rf"s? (\d+ and )?{position}\b"
         with pytest.raises(ValueError, match=pattern + ".*" + re.escape(tail)):
             read_key(path)
 
     @pytest.mark.parametrize("row", [0, 900], ids=["first row", "past 8 KiB"])
     def test_non_utf8_byte_names_the_file_and_line(self, tmp_path, row, cache):
-        rows = [f"{i},a,{i}\n".encode() for i in range(1000)]
+        rows = [f"a,{i}\n".encode() for i in range(1000)]
         rows[row] = rows[row].replace(b"a", b"\xff")
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
-        path.write_bytes(b"blinded_index,source_id,source_index\n" + b"".join(rows))
+        path.write_bytes(b"source_id,source_index\n" + b"".join(rows))
         with pytest.raises(ValueError, match=re.escape(f"{path}: line {row + 2}: not UTF-8")):
             read_key(path)
 
     def test_malformed_row_rejected(self, tmp_path, cache):
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
-        path.write_text("blinded_index,source_id,source_index\n0,a\n")
-        message = "requires 3 columns but 2 were found at row 1"
+        path.write_text("source_id,source_index\na\n")
+        message = "requires 2 columns but 1 were found at row 1"
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
             read_key(path)
 
@@ -543,17 +535,17 @@ class TestKeyFile:
         # a key with a comment line above its header: read as rows, the header would not parse
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
-        path.write_text("# seed=x\nblinded_index,source_id,source_index\n0,a,0\n")
+        path.write_text("# seed=x\nsource_id,source_index\na,0\n")
         message = f"{path}: unexpected header '# seed=x'"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_key(path)
 
     def test_bad_header_is_reported_before_the_rows(self, tmp_path, cache):
-        # each row fails too: a field too many, one out of order, a negative index
+        # each row fails too: a field too many, a repeated entry, a negative index
         path = tmp_path / "key.csv"
         cache.stale(path, write_golden)
-        path.write_text("blinded_index,source,source_index\n1,a,0,x\n0,a,0\n2,b,-1\n")
-        message = f"{path}: unexpected header 'blinded_index,source,source_index'"
+        path.write_text("source,source_index\na,0,x\na,0\na,0\nb,-1\n")
+        message = f"{path}: unexpected header 'source,source_index'"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_key(path)
 
@@ -606,9 +598,10 @@ class TestKeyFile:
 
     def test_read_key_peak_memory_at_paper_scale(self, tmp_path, rng, cache):
         # 1.28 MiB on a cache hit: the 1.15 MiB of columns, the index column turned into the
-        # permutation in place; 3.08 MiB on a parse. Full-length intp copies of the codes
-        # for their bincount and their starts, and BlindingKey's int64 bincount of the
-        # permutation, took a hit to 2.02 MiB
+        # permutation in place; 2.31 MiB on a parse, 3.08 while each row held its
+        # blinded_index too. Full-length intp copies of the codes for their bincount and
+        # their starts, and BlindingKey's int64 bincount of the permutation, took a hit to
+        # 2.02 MiB
         path = tmp_path / "key.csv"
         write_key(paper_key(rng), path)
         cache.settle(path)
@@ -619,4 +612,4 @@ class TestKeyFile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (1.6 if cache.present else 3.3) * 2**20
+        assert peak < (1.6 if cache.present else 2.6) * 2**20

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import functools
 import glob
 import hashlib
@@ -540,12 +541,12 @@ REPORT_FILE_SHA256 = {
     "histogram_blinded_low.csv": "31792d1a2d38ec6c0f81155de297756a166e508f1eddd61abf5c71c33ea3aa95",
     "histogram_c1_low.csv": "7890ff21ecc6c70219e9d252063748d585699dc54ab82b379ed2eccabd64fc5c",
     "histogram_q2_low.csv": "622dd7991612232796d965d149155f238c7379243027617e0260ba7e8dbc01af",
-    "key.csv": "f8190f9ab351009effde948c1e61a8fbd9bebbcae934631bff896f7d36e7add6",
-    "key.csv.cache": "1be284487939fe1a19186c93fa88b441b8ab2a4f91150f0a0ec23684e34f5791",
-    "readings.csv": "74e64b9856e1da772723b9e2c1099a7ffe288624ba4a519fa36d5cd7bf39761a",
-    "readings.csv.cache": "fba53f7fb75a2efa2e7f76cde37ac8637054824ce4b1a100f675203fd21f816c",
+    "key.csv": "87d44b7698e3908079ba887c4721d45598592bb772ed99c4099173d40c1091d4",
+    "key.csv.cache": "2de5b9117eb90299594e76947eb873455dd55b1339e520081c1e5996cebc0e04",
+    "readings.csv": "3df994f250b3542ccacad6a34d0814af4585f736926e7dc754e9e7d82cdcdf0f",
+    "readings.csv.cache": "f7d03c9b4a00afd18731e3f9c6a4408ea71c3bc0b30228f08617c80049557b7b",
     "report.txt": "9561cc651d68e4c980885ede443dad6c64e4afca7fc66888c39a13d0ed3d500a",
-    "seal.json": "578e6f7f4fbc14d95cc1b7b2abc9d2afa4c1ecbe4659b64e61e2374572c1678f",
+    "seal.json": "a3caea51dba79fae862c58b595535496d153fb13fe8a680d17f70f9296432b81",
     "unblind_report.txt": "c44144478977bb4c06095b5fdb5ff4e629fa8e1bdfb80a397353d1099d061c24",
 }
 
@@ -676,13 +677,12 @@ class TestSeal:
 
     @pytest.mark.parametrize("step", ["blinded-summary", "unblind-fit"])
     def test_swapped_readings_contract_exit_code(self, tmp_path, capsys, step):
-        # rows 1 and 2 trade values: every row parses
+        # rows 1 and 2 trade places: every row parses
         cfg, out = self.ran(tmp_path)
         path = out / "readings.csv"
         lines = path.read_text().splitlines(keepends=True)
-        (i1, rest1), (i2, rest2) = (lines[r].split(",", 1) for r in (2, 3))
-        assert rest1 != rest2
-        lines[2:4] = [f"{i1},{rest2}", f"{i2},{rest1}"]
+        assert lines[2] != lines[3]
+        lines[2:4] = lines[3], lines[2]
         path.write_text("".join(lines))
         capsys.readouterr()
         assert cli.main([step, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONTRACT
@@ -718,6 +718,28 @@ class TestSeal:
         assert cli.main(["unblind-fit", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONTRACT
         assert capsys.readouterr().err == (
             f"error: {key}: not the file that {out / 'seal.json'} records from `run`\n")
+        assert not (out / "fit.csv").exists()
+
+    @pytest.mark.parametrize("step", ["blinded-summary", "unblind-fit"])
+    def test_failed_run_leaves_no_seal_to_blame(self, tmp_path, capsys, monkeypatch, step):
+        # a second `run`, of another seed, whose key.csv finds the disk full: its readings
+        # sit beside the first run's key, which the first run's seal would call an edit
+        cfg, out = self.ran(tmp_path)
+        other = write_cfg(tmp_path, MINIMAL_CFG.replace("seed = 99", "seed = 7"), "other.cfg")
+        readings = (out / "readings.csv").read_bytes()
+
+        def disk_full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(blinding, "write_key", disk_full)
+            assert cli.main(["run", "--config", other, "--out", str(out)]) == cli.EXIT_IO
+        assert (out / "readings.csv").read_bytes() != readings
+        capsys.readouterr()
+        assert cli.main([step, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONTRACT
+        assert capsys.readouterr().err == (
+            f"error: {out / 'readings.csv'}: its seal {out / 'seal.json'} cannot be read "
+            "(No such file or directory)\n")
         assert not (out / "fit.csv").exists()
 
     @pytest.mark.parametrize("step", ["blinded-summary", "unblind-fit"])
@@ -1036,7 +1058,7 @@ class TestCliCommands:
         assert os.path.exists(path + ".cache")  # of the readings before the swap
         with open(path) as fh:
             lines = fh.readlines()
-        values = [float(line.split(",")[1]) for line in lines[1:]]
+        values = [float(line) for line in lines[1:]]
         low = next(i for i, v in enumerate(values, 1) if v < 1.0)
         high = next(i for i, v in enumerate(values, 1) if v > 1.0)
         lines[low], lines[high] = lines[high], lines[low]
@@ -1044,7 +1066,9 @@ class TestCliCommands:
             fh.writelines(lines)
         code = cli.main(["unblind-fit", "--config", cfg, "--out", out])
         assert code == cli.EXIT_CONTRACT
-        assert "out of order" in capsys.readouterr().err
+        sealed = os.path.join(out, "seal.json")
+        assert capsys.readouterr().err == (
+            f"error: {path}: not the file that {sealed} records from `run`\n")
         assert not os.path.exists(os.path.join(out, "fit.csv"))
 
     @pytest.mark.parametrize(
@@ -1063,24 +1087,28 @@ class TestCliCommands:
             ("run", "bits_c1.txt", 1, 0, b"# id=c1 fidelity=0.6 n=40",
              "header SourceSpec(id='c1', fidelity=0.6, count=40) does not match configured "
              "SourceSpec(id='c1', fidelity=0.5, count=40)"),
-            ("blinded-summary", "readings.csv", 1, 1, b"reading_volts,range",
+            ("blinded-summary", "readings.csv", 1, 0, b"blinded_index,reading_volts",
+             "unexpected header 'blinded_index,reading_volts'"),
+            ("blinded-summary", "readings.csv", 1, 0, b"blinded_index,reading_volts,range",
              "unexpected header 'blinded_index,reading_volts,range'"),
-            ("unblind-fit", "readings.csv", 1, 1, b"reading_volts,range",
+            ("unblind-fit", "readings.csv", 1, 0, b"blinded_index,reading_volts,range",
              "unexpected header 'blinded_index,reading_volts,range'"),
-            ("unblind-fit", "key.csv", 4, 2, b"-1", "blinded position 2: source_index < 0"),
-            ("unblind-fit", "key.csv", 1, 1, b"source",
-             "unexpected header 'blinded_index,source,source_index'"),
+            ("unblind-fit", "key.csv", 4, 1, b"-1", "blinded position 2: source_index < 0"),
+            ("unblind-fit", "key.csv", 1, 0, b"blinded_index,source_id",
+             "unexpected header 'blinded_index,source_id,source_index'"),
+            ("unblind-fit", "key.csv", 1, 0, b"source",
+             "unexpected header 'source,source_index'"),
             ("run", "bits_c1.txt", 5, 0, b"\xff", "line 5: not UTF-8 text (invalid start byte)"),
-            ("blinded-summary", "readings.csv", 5, 1, b"\xff",
+            ("blinded-summary", "readings.csv", 5, 0, b"\xff",
              "line 5: not UTF-8 text (invalid start byte)"),
-            ("unblind-fit", "key.csv", 5, 1, b"\xff",
+            ("unblind-fit", "key.csv", 5, 0, b"\xff",
              "line 5: not UTF-8 text (invalid start byte)"),
         ],
         ids=["bit 2", "header n=abc", "header without n", "header n twice", "header token n",
              "header id of 238 characters", "header fidelity unlike config",
-             "readings header of the previous format",
-             "readings header of the previous format to unblind-fit", "negative source_index",
-             "key header renamed",
+             "readings header of the previous format", "readings header of the range format",
+             "readings header of the range format to unblind-fit", "negative source_index",
+             "key header of the previous format", "key header renamed",
              "bit file byte ff", "readings byte ff", "key byte ff"],
     )
     def test_bad_input_file_contract_exit_code(

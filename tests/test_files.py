@@ -89,13 +89,13 @@ def test_the_guard_sees_every_seal_name_in_files():
 def test_a_table_is_hashed_once_and_its_digest_returned(tmp_path, cache, hashed):
     path = tmp_path / "table.csv"
     columns = [np.array([0.5, -1.25, 3.0]), (np.array([1, 0, 1]), ["a", "bc"])]
-    written = files.write_table(path, "blinded_index,x,word", columns)
+    written = files.write_table(path, "x,word", columns)
     assert hashed == []
     payload = pathlib.Path(files.cache_path(path)).read_bytes()[len(files.CACHE_TAG) + 64:]
     assert written == {path: hashlib.sha256(path.read_bytes()).digest(),
                        files.cache_path(path): hashlib.sha256(payload).digest()}
     cache.settle(path)
-    (x, (codes, words)), read = files.read_table(path, "blinded_index,x,word", (float, str))
+    (x, (codes, words)), read = files.read_table(path, "x,word", (float, str))
     # the cache's digest only when the columns came from it
     assert read == (written if cache.present else {path: written[path]})
     assert hashed == [path]
@@ -107,10 +107,10 @@ def test_a_word_longer_than_a_block_is_written_one_row_a_block(tmp_path, cache):
     long = "w" * 140_000
     path = tmp_path / "table.csv"
     columns = [np.array([3, 1, 4]), (np.array([0, 1, 0]), [long, "a"])]
-    files.write_table(path, "blinded_index,n,word", columns)
-    assert path.read_text() == f"blinded_index,n,word\n0,3,{long}\n1,1,a\n2,4,{long}\n"
+    files.write_table(path, "n,word", columns)
+    assert path.read_text() == f"n,word\n3,{long}\n1,a\n4,{long}\n"
     cache.settle(path)
-    (n, (codes, words)), _ = files.read_table(path, "blinded_index,n,word", (int, str))
+    (n, (codes, words)), _ = files.read_table(path, "n,word", (int, str))
     assert n.tolist() == [3, 1, 4] and [words[c] for c in codes] == [long, "a", long]
 
 
@@ -119,10 +119,10 @@ def test_a_cache_is_its_words_then_its_columns_little_endian(tmp_path):
     assert all(dtype.str.startswith("<") for dtype in files._DTYPES.values())
     x, codes = np.array([0.5, -1.25, 3e-9], ">f8"), np.array([1, 0, 1])
     path = tmp_path / "table.csv"
-    digests = files.write_table(path, "blinded_index,x,word", [x, (codes, ["a", "bc"])])
+    digests = files.write_table(path, "x,word", [x, (codes, ["a", "bc"])])
     payload = b'[null, ["a", "bc"]]\n' + x.astype("<f8").tobytes() + codes.astype("<u4").tobytes()
     assert pathlib.Path(files.cache_path(path)).read_bytes() == (
         files.CACHE_TAG + digests[path] + digests[files.cache_path(path)] + payload)
     assert digests[files.cache_path(path)] == hashlib.sha256(payload).digest()
-    (back, _), _ = files.read_table(path, "blinded_index,x,word", (float, str))
+    (back, _), _ = files.read_table(path, "x,word", (float, str))
     assert back.tolist() == x.tolist()
