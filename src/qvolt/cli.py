@@ -44,7 +44,12 @@ def cmd_generate(config: RunConfig, out: str) -> str:
 
 
 def cmd_run(config: RunConfig, out: str) -> str:
-    """Blind and acquire the bit files in `out` (fresh bits if none); write and seal the tables."""
+    """Blind and acquire the bit files in `out` (fresh bits if none); write and seal the tables.
+
+    key.csv is written first, from the key alone; the key and the blinded bits are dropped
+    once the readings are acquired, so readings.csv is written beside none of them. The
+    seal is the last write.
+    """
     os.makedirs(out, exist_ok=True)
     paths = [_bits_path(out, spec.id) for spec in config.sources]
     missing = [p for p in paths if not os.path.exists(p)]
@@ -60,13 +65,14 @@ def cmd_run(config: RunConfig, out: str) -> str:
 
     blinded_bits, key = pipeline.blind(config, strings)
     del strings
-    readings = pipeline.acquire(config, blinded_bits, key)
-    del blinded_bits
     readings_path, key_path = os.path.join(out, "readings.csv"), os.path.join(out, "key.csv")
-    digests = signal.write_readings(readings, readings_path)
-    del readings  # before the key's columns are built
-    files.seal({**digests, **blinding.write_key(key, key_path)})
-    return (f"wrote {readings_path} ({len(key)} readings)\n"
+    digests = blinding.write_key(key, key_path)
+    readings = pipeline.acquire(config, blinded_bits, key)
+    n = len(key)
+    del blinded_bits, key  # before readings.csv is written
+    digests.update(signal.write_readings(readings, readings_path))
+    files.seal(digests)
+    return (f"wrote {readings_path} ({n} readings)\n"
             f"wrote {key_path} (keep sealed until unblinding)\n")
 
 
@@ -104,7 +110,9 @@ def cmd_unblind_fit(config: RunConfig, out: str) -> str:
                          f"{configured}")
     # after the checks above, so that a table that fails them gets their message
     files.check_seal({**readings_digests, **key_digests})
-    result = pipeline.unblind_fit(readings, key, config)
+    unblinded = blinding.unblind(readings, key)
+    del readings, key  # the regrouped readings are all that is read from here on
+    result = pipeline.unblind_fit(unblinded, config)
     fit, mc = result.fit, result.mc
     files.write_fit(os.path.join(out, "fit.csv"), fit, mc, config.analysis.cl)
     files.write_band(os.path.join(out, "band.csv"), mc)

@@ -376,18 +376,24 @@ def write_cache(path: str | os.PathLike, csv_sha256: bytes, columns: Sequence) -
     The cache is CACHE_TAG, the sha256 of the CSV's bytes and of the payload, then
     the payload: one JSON line that lists each column's words (null for a number
     column), then each column's array in its kind's dtype, a text column's codes.
+    Each column is converted, hashed and written CSV_BLOCK_ROWS rows at a time, and the
+    payload's digest, known once the last block is hashed, is written over its place.
     Returns the payload's sha256 digest.
     """
     kinds, arrays, words = zip(*map(_column, columns))
-    arrays = [np.ascontiguousarray(a, _DTYPES[kind]) for a, kind in zip(arrays, kinds)]
     meta = json.dumps(words).encode() + b"\n"
     payload = hashlib.sha256(meta)
-    for a in arrays:
-        payload.update(a)
     with open(cache_path(path), "wb") as fh:
-        fh.write(CACHE_TAG + csv_sha256 + payload.digest() + meta)
-        for a in arrays:
-            fh.write(a)
+        fh.write(CACHE_TAG + csv_sha256)
+        at = fh.tell()
+        fh.write(bytes(payload.digest_size) + meta)
+        for a, kind in zip(arrays, kinds):
+            for lo in range(0, len(a), CSV_BLOCK_ROWS):
+                block = np.ascontiguousarray(a[lo:lo + CSV_BLOCK_ROWS], _DTYPES[kind])
+                payload.update(block)
+                fh.write(block)
+        fh.seek(at)
+        fh.write(payload.digest())
     return payload.digest()
 
 

@@ -52,11 +52,10 @@ def acquire(
     """One simulated reading per blinded position; the key is provenance for the simulator only."""
     fidelity = {s.id: s.fidelity for s in config.sources}
     noise_seed = derive_seed(config.seed, "noise")
-    # each position's fidelity is handed over, not kept here, so `run_acquisition` frees it
+    # each position's source is handed over, not kept here, so `run_acquisition` frees it
     # once the levels are built
     return signal.run_acquisition(
-        blinded_bits,
-        np.repeat([fidelity[sid] for sid in key.source_ids], key.counts)[key.permutation],
+        blinded_bits, key.origins()[0], [fidelity[sid] for sid in key.source_ids],
         config.params, config.acquisition, noise_seed,
     )
 
@@ -79,12 +78,15 @@ def blinded_summary(values: np.ndarray, config: RunConfig) -> BlindedSummary:
     )
 
 
-def unblind_fit(values: np.ndarray, key: blinding.BlindingKey, config: RunConfig) -> UnblindResult:
-    """Per-source low-voltage statistics, weighted fit, MC errors, and the bound."""
-    # each source's low readings are copies, so the unblinded readings are freed here,
-    # before the histograms, and no source's high readings are kept
-    lows = {sid: analysis.classify(grouped, config.analysis.threshold)[0]
-            for sid, grouped in blinding.unblind(values, key).items()}
+def unblind_fit(unblinded: dict[str, np.ndarray], config: RunConfig) -> UnblindResult:
+    """Per-source low-voltage statistics, weighted fit, MC errors, and the bound.
+
+    `unblinded` holds each source's readings (`blinding.unblind`). It is emptied as each
+    source's low readings are copied out, so the unblinded readings are freed here,
+    before the histograms, and no source's high readings are kept.
+    """
+    lows = {sid: analysis.classify(unblinded.pop(sid), config.analysis.threshold)[0]
+            for sid in list(unblinded)}
     per_low: dict[str, analysis.GaussianSummary] = {}
     per_hist: dict[str, analysis.HistogramResult] = {}
     points = []
@@ -115,5 +117,5 @@ def run_pipeline(config: RunConfig):
     blinded_bits, key = blind(config, strings)
     readings = acquire(config, blinded_bits, key)
     summary = blinded_summary(readings, config)
-    result = unblind_fit(readings, key, config)
+    result = unblind_fit(blinding.unblind(readings, key), config)
     return readings, key, summary, result

@@ -11,10 +11,13 @@ deviations of the reduced reading. Waveform mode converts to per-sample
 noise via sigma_sample = sigma_reading * sqrt(n_window_samples), so both
 modes produce matched reading distributions.
 
-Acquisition works on arrays of cycles. Cycle i's noise is the counter-
-addressed block i of one Philox stream (`seeds.cycle_rng`): one normal per
-cycle in fast mode, one per recorded sample in waveform mode. Waveform mode
-synthesises only the recorded window, WAVEFORM_BATCH_CYCLES cycles at a time.
+Acquisition works on arrays of cycles. Each cycle's level is gathered from a
+table of one level per source and bit, so the simulator holds one source
+index per cycle, not a fidelity. Cycle i's noise is the counter-addressed
+block i of one Philox stream (`seeds.cycle_rng`): one normal per cycle in
+fast mode, drawn CSV_BLOCK_ROWS cycles at a time, and one per recorded sample
+in waveform mode. Waveform mode synthesises only the recorded window,
+WAVEFORM_BATCH_CYCLES cycles at a time.
 Batches are independent, so they are dealt out to one thread per usable CPU;
 memory stays bounded at any run length, and every reading is the same
 whatever the batching or thread count.
@@ -172,30 +175,44 @@ def reduce_cycle(block: np.ndarray, cfg: AcquisitionConfig):
 
 def run_acquisition(
     blinded_bits: Sequence[int],
+    source_index: Sequence[int],
     fidelities: Sequence[float],
     params: NonlinearParams,
     cfg: AcquisitionConfig,
     noise_seed: int,
 ) -> np.ndarray:
-    """One float64 reading (V) per blinded bit, in blinded order, using the true per-bit fidelity.
+    """One float64 reading (V) per blinded bit, in blinded order, at its source's true fidelity.
 
-    `fidelities` is provenance: the simulator (playing the role of nature)
-    knows each blinded position's source fidelity; analysis code never sees
-    this array. Cycle i's noise is block i of the counter-addressed stream
-    keyed by `noise_seed`, so readings do not depend on batching or on the
-    number of cycles after them. In waveform mode the previous cycle's known
-    target level seeds the settling transient (deterministic and
-    parallelizable; the first cycle settles from 0 V). The fidelities are dropped once
-    the levels are built, so a caller that hands over its only reference frees them
-    before the noise is drawn.
+    `source_index` and `fidelities` are provenance: the simulator (playing the role of
+    nature) knows each blinded position's source, fidelities[source_index[p]] being its
+    fidelity; analysis code never sees them. The levels are gathered from one
+    (source, bit) table of `expected_reading`. Cycle i's noise is block i of the
+    counter-addressed stream keyed by `noise_seed`, so readings do not depend on
+    batching or on the number of cycles after them. In waveform mode the previous
+    cycle's known target level seeds the settling transient (deterministic and
+    parallelizable; the first cycle settles from 0 V). The source indexes are dropped
+    once the levels are built, so a caller that hands over its only reference frees
+    them before the noise is drawn.
     """
     bits = np.asarray(blinded_bits)
+    source = np.asarray(source_index)
     fids = np.asarray(fidelities, dtype=float)
-    if len(bits) != len(fids):
-        raise ValueError(f"{len(bits)} bits but {len(fids)} provenance fidelities")
+    if len(bits) != len(source):
+        raise ValueError(f"{len(bits)} bits but {len(source)} provenance fidelities")
+    bad = (bits != 0) & (bits != 1)
+    if np.any(bad):
+        raise ValueError(f"bit must be 0 or 1, got {bits[bad][0].item()!r}")
+    del bad
+    if not source.size:  # an empty list is float64, which numpy does not index with
+        source = source.astype(np.uint8)
+    elif source.min() < 0 or source.max() >= len(fids):
+        p = ((source < 0) | (source >= len(fids))).argmax()
+        raise ValueError(f"blinded position {p}: source index {source[p]} names none of "
+                         f"the {len(fids)} provenance fidelities")
 
-    levels = expected_reading(bits, fids, params)
-    del fidelities, fids
+    table = expected_reading([0, 1], fids[:, None], params)  # the level of each source and bit
+    levels = table[source, bits.astype(np.uint8, copy=False)]
+    del source_index, source
     if cfg.mode is AcquisitionMode.FAST:
         return _fast_values(levels, cfg, noise_seed)
     return _waveform_values(levels, cfg, noise_seed)
@@ -205,19 +222,21 @@ def _fast_values(levels: np.ndarray, cfg: AcquisitionConfig, noise_seed: int) ->
     """Readings drawn from their sampling distribution, one normal per cycle.
 
     Each reading is (level + drift_rate * t_mid) + sigma * z, with sigma that of
-    the range its level puts the instrument on. The normals are scaled in their
-    own array and the sum is built in `levels`, which becomes the readings. The
-    levels and the normals are the only full-length float arrays here, and
-    `run_acquisition` has dropped the fidelities: when `pipeline.acquire` handed
-    them over, no other is alive.
+    the range its level puts the instrument on. The sum is built in `levels`, which
+    becomes the readings. The normals are drawn, scaled and added CSV_BLOCK_ROWS
+    cycles at a time; `cycle_rng` is counter-addressed, so they are the normals of
+    one draw of every cycle, and the levels are the only full-length float array.
     """
-    insensitive = cfg.insensitive(levels)
-    z = cycle_rng(noise_seed, 0, len(levels), 1)[:, 0]
-    np.multiply(z, cfg.sigma_high, out=z, where=insensitive)
-    sensitive = np.logical_not(insensitive, out=insensitive)
-    np.multiply(z, cfg.sigma_low, out=z, where=sensitive)
-    levels += cfg.drift_rate * cfg.window_mid_time
-    levels += z
+    shift = cfg.drift_rate * cfg.window_mid_time
+    for lo in range(0, len(levels), files.CSV_BLOCK_ROWS):
+        block = levels[lo:lo + files.CSV_BLOCK_ROWS]
+        insensitive = cfg.insensitive(block)
+        z = cycle_rng(noise_seed, lo, len(block), 1)[:, 0]
+        np.multiply(z, cfg.sigma_high, out=z, where=insensitive)
+        sensitive = np.logical_not(insensitive, out=insensitive)
+        np.multiply(z, cfg.sigma_low, out=z, where=sensitive)
+        block += shift
+        block += z
     return levels
 
 

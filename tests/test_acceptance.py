@@ -187,13 +187,13 @@ def test_criterion_9_fidelity_oracle():
 def test_criterion_10_mode_consistency():
     n = 10_000
     bits = np.zeros(n, dtype=np.uint8)
-    fids = np.full(n, 0.5)
+    source = np.zeros(n, dtype=np.uint8)
     params = make_config().params
     sigma = 3.4e-9
     fast_cfg = AcquisitionConfig(mode=AcquisitionMode.FAST, sigma_low=sigma)
     wave_cfg = AcquisitionConfig(mode=AcquisitionMode.WAVEFORM, sigma_low=sigma)
-    fast = run_acquisition(bits, fids, params, fast_cfg, 100)
-    wave = run_acquisition(bits, fids, params, wave_cfg, 101)
+    fast = run_acquisition(bits, source, [0.5], params, fast_cfg, 100)
+    wave = run_acquisition(bits, source, [0.5], params, wave_cfg, 101)
     sem = sigma / math.sqrt(n)
     assert abs(fast.mean() - wave.mean()) < 5 * math.sqrt(2) * sem
     assert abs(wave.std(ddof=1) / fast.std(ddof=1) - 1) < 0.10

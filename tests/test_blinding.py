@@ -271,6 +271,17 @@ def write_golden(path):
 
 
 class TestKeyFile:
+    def test_paper_scale_key_is_int32(self, tmp_path, rng, cache):
+        # a permutation of 100,717 positions, and each index into a source, fit an int32
+        key = paper_key(rng)
+        path = tmp_path / "key.csv"
+        write_key(key, path)
+        cache.settle(path)
+        back, _ = read_key(path)
+        for k in (key, back):
+            assert k.permutation.dtype == k.origins()[1].dtype == np.int32
+        assert back.permutation.tobytes() == key.permutation.tobytes()
+
     def test_round_trip_small(self, tmp_path, cache):
         key = BlindingKey(("a", "b"), [2, 1], [1, 2, 0])
         path = tmp_path / "key.csv"

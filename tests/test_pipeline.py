@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_key_holds, make_config, origin_pairs, scaled_sources
+from qvolt.blinding import unblind
 from qvolt.pipeline import (
     acquire,
     blind,
@@ -94,7 +95,7 @@ class TestStatisticalBehavior:
         strings = generate_bits(cfg)
         blinded_bits, key = blind(cfg, strings)
         readings = acquire(cfg, blinded_bits, key)
-        result = unblind_fit(readings, key, cfg)
+        result = unblind_fit(unblind(readings, key), cfg)
         for spec in cfg.sources:
             n_zeros = spec.count - int(
                 next(s for s in strings if s.source.id == spec.id).bits.sum()

@@ -78,7 +78,7 @@ def test_benchmark_tracer_installs_and_restores_over_the_library(monkeypatch):
     )}
     tracer = tracing.Tracer()
     with tracer.installed("acquire"):
-        signal.run_acquisition(np.zeros(n, dtype=int), np.full(n, 0.5),
+        signal.run_acquisition(np.zeros(n, dtype=int), np.zeros(n, dtype=np.uint8), [0.5],
                                NonlinearParams(), cfg, noise_seed=1)
     counts = tracer.take_counts()
     assert counts["signal.synthesize_cycle"] == 3

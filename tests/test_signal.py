@@ -73,9 +73,9 @@ def readings_csv_reference(values):
 def waveform_run(n, seed=12):
     """Waveform readings of n cycles of random bits at fidelity 0.99, and their levels."""
     bits = np.random.default_rng(11).integers(0, 2, n)
-    fids = np.full(n, 0.99)
-    values = run_acquisition(bits, fids, WAVE_PARAMS, WAVE, noise_seed=seed)
-    return values, expected_reading(bits, fids, WAVE_PARAMS)
+    values = run_acquisition(bits, np.zeros(n, np.uint8), [0.99], WAVE_PARAMS, WAVE,
+                             noise_seed=seed)
+    return values, expected_reading(bits, np.full(n, 0.99), WAVE_PARAMS)
 
 
 def waveform_values_reference(levels, cfg, noise_seed, batch=32):
@@ -306,12 +306,12 @@ class TestReduceCycle:
 class TestRunAcquisition:
     def test_noiseless_ideal(self):
         params = NonlinearParams(eps_gamma=0.0, vs=0.0)
-        values = run_acquisition([0, 1, 0, 1], [0.5] * 4, params, QUIET, noise_seed=1)
+        values = run_acquisition([0, 1, 0, 1], [0] * 4, [0.5], params, QUIET, noise_seed=1)
         assert values.tolist() == [0.0, 3.0, 0.0, 3.0]
 
     def test_injected_shift_noiseless(self):
         params = NonlinearParams(eps_gamma=1e-9, vs=0.0)
-        for value in run_acquisition([0, 0], [0.99, 0.99], params, QUIET, noise_seed=1):
+        for value in run_acquisition([0, 0], [0, 0], [0.99], params, QUIET, noise_seed=1):
             assert value == pytest.approx(1.47e-9, rel=1e-12)
 
     def test_one_reading_per_bit_at_paper_scale(self):
@@ -319,36 +319,37 @@ class TestRunAcquisition:
         bits = np.zeros(n, dtype=np.uint8)
         bits[1::2] = 1
         params = NonlinearParams(eps_gamma=0.0, vs=0.0)
-        values = run_acquisition(bits, np.full(n, 0.5), params, QUIET, noise_seed=2)
+        values = run_acquisition(bits, np.zeros(n, np.uint8), [0.5], params, QUIET,
+                                 noise_seed=2)
         assert values.dtype == np.float64 and values.shape == (n,)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            run_acquisition([0, 1], [0.5], NonlinearParams(), QUIET, noise_seed=1)
+            run_acquisition([0, 1], [0], [0.5], NonlinearParams(), QUIET, noise_seed=1)
 
     def test_fast_and_waveform_modes_agree(self):
         # matched (expected, per-reading sigma): mean within 5 SEM, sd within 10%
         n = 10_000
         bits = np.zeros(n, dtype=np.uint8)
-        fids = np.full(n, 0.5)
+        source = np.zeros(n, dtype=np.uint8)
         params = NonlinearParams(eps_gamma=0.0, vs=-0.306e-9)
         fast_cfg = AcquisitionConfig(mode=AcquisitionMode.FAST, sigma_low=3.4e-9)
         wave_cfg = AcquisitionConfig(mode=AcquisitionMode.WAVEFORM, sigma_low=3.4e-9)
-        fast = run_acquisition(bits, fids, params, fast_cfg, 3)
-        wave = run_acquisition(bits, fids, params, wave_cfg, 4)
+        fast = run_acquisition(bits, source, [0.5], params, fast_cfg, 3)
+        wave = run_acquisition(bits, source, [0.5], params, wave_cfg, 4)
         sem = 3.4e-9 / math.sqrt(n)
         assert abs(fast.mean() - wave.mean()) < 5 * math.sqrt(2) * sem
         assert abs(wave.std(ddof=1) / fast.std(ddof=1) - 1) < 0.10
 
     def test_drift_offsets_both_modes_equally(self):
         bits = np.array([0, 1, 0], dtype=np.uint8)
-        fids = np.full(3, 0.5)
+        source = np.zeros(3, dtype=np.uint8)
         params = NonlinearParams(eps_gamma=0.0, vs=0.0)
         for mode in AcquisitionMode:
             cfg = AcquisitionConfig(
                 mode=mode, sigma_low=0.0, sigma_high=0.0, drift_rate=1e-9
             )
-            values = run_acquisition(bits, fids, params, cfg, 5)
+            values = run_acquisition(bits, source, [0.5], params, cfg, 5)
             # drift evaluated at the window midpoint
             expected = 1e-9 * cfg.window_mid_time
             assert values[0] == pytest.approx(expected, rel=1e-9)
@@ -358,10 +359,10 @@ class TestRunAcquisition:
     def test_modes_share_the_window_when_samples_round(self, sample_rate):
         # sample_rate * duration is not a whole number, so the window's samples are rounded
         bits = np.array([0, 1, 0, 1], dtype=np.uint8)
-        fids = np.full(4, 0.99)
+        source = np.zeros(4, dtype=np.uint8)
         params = NonlinearParams(eps_gamma=1e-9, vs=-0.306e-9)
         fast, wave = (
-            run_acquisition(bits, fids, params, AcquisitionConfig(
+            run_acquisition(bits, source, [0.99], params, AcquisitionConfig(
                 mode=mode, sample_rate=sample_rate, sigma_low=0.0, sigma_high=0.0,
                 drift_rate=1e-6,
             ), 5)
@@ -373,11 +374,11 @@ class TestRunAcquisition:
     def test_prefix_of_bits_gives_prefix_of_readings(self, mode):
         n, m = 3 * WAVEFORM_BATCH_CYCLES + 7, WAVEFORM_BATCH_CYCLES + 5
         bits = np.random.default_rng(11).integers(0, 2, n)
-        fids = np.full(n, 0.99)
+        source = np.zeros(n, dtype=np.uint8)
         params = NonlinearParams(eps_gamma=1e-9, vs=-0.306e-9)
         cfg = AcquisitionConfig(mode=mode, drift_rate=1e-9)
-        full = run_acquisition(bits, fids, params, cfg, noise_seed=12)
-        prefix = run_acquisition(bits[:m], fids[:m], params, cfg, noise_seed=12)
+        full = run_acquisition(bits, source, [0.99], params, cfg, noise_seed=12)
+        prefix = run_acquisition(bits[:m], source[:m], [0.99], params, cfg, noise_seed=12)
         assert np.array_equal(prefix, full[:m])
 
     def test_waveform_readings_are_pinned_bit_for_bit(self):
@@ -451,15 +452,23 @@ class TestRunAcquisition:
             waveform_run(3 * B + 7)
         assert threading.active_count() == before
 
-    def test_fast_reading_is_level_plus_scaled_normal(self):
-        bits = np.array([0, 1, 1, 0, 0])
+    # past two blocks, the noise drawn a block at a time is that of one draw of every cycle
+    @pytest.mark.parametrize("n", [5, 2 * CSV_BLOCK_ROWS + 5])
+    def test_fast_reading_is_level_plus_scaled_normal(self, n):
+        bits = np.resize([0, 1, 1, 0, 0], n)
         params = NonlinearParams(eps_gamma=0.0, vs=-0.306e-9)
         cfg = AcquisitionConfig(drift_rate=2e-9)
-        values = run_acquisition(bits, np.full(5, 0.5), params, cfg, noise_seed=9)
-        z = cycle_rng(9, 0, 5, 1)[:, 0]
+        values = run_acquisition(bits, np.zeros(n, np.uint8), [0.5], params, cfg, noise_seed=9)
+        z = cycle_rng(9, 0, n, 1)[:, 0]
         level = np.where(bits == 1, 3.0, -0.306e-9) + 2e-9 * cfg.window_mid_time
         sigma = np.where(bits == 1, cfg.sigma_high, cfg.sigma_low)
-        assert values.tolist() == (level + sigma * z).tolist()
+        assert values.tobytes() == (level + sigma * z).tobytes()
+
+    def test_rejects_a_source_index_that_names_no_fidelity(self):
+        for source in ([0, 2], [0, -1]):
+            with pytest.raises(ValueError, match="^blinded position 1: source index -?[12] names "
+                                                 "none of the 2 provenance fidelities$"):
+                run_acquisition([0, 1], source, [0.5, 0.99], NonlinearParams(), QUIET, 1)
 
 
 def field_lines(field):
@@ -614,10 +623,11 @@ class TestReadingsFile:
     @pytest.mark.parametrize("mode", list(AcquisitionMode))
     def test_cache_hit_is_the_parse_bit_for_bit_at_paper_scale(self, tmp_path, mode):
         bits = np.random.default_rng(5).integers(0, 2, 100_717)
-        fids = np.repeat([0.5, 0.99, 0.55], [60000, 30000, 10717])
+        source = np.repeat(np.arange(3, dtype=np.uint8), [60000, 30000, 10717])
         cfg = AcquisitionConfig(mode=mode, drift_rate=1e-9)
         path = tmp_path / "readings.csv"
-        write_readings(run_acquisition(bits, fids, WAVE_PARAMS, cfg, noise_seed=6), path)
+        write_readings(run_acquisition(bits, source, [0.5, 0.99, 0.55], WAVE_PARAMS, cfg,
+                                       noise_seed=6), path)
         hit, _ = read_readings(path)
         os.remove(cache_path(path))
         assert_same_readings(hit, read_readings(path)[0])
