@@ -2,8 +2,8 @@
 
 Seed policy: one master seed per RunConfig; sub-streams are derived by
 hashing (seed, label) for bit generation per source, the blinding
-permutation, acquisition noise, and Monte Carlo resampling. Changing the
-Monte Carlo realization count therefore never perturbs the acquired data.
+permutation and acquisition noise. The Monte Carlo draws are seeded by the
+fit's inputs, so the data fix them and the blind steps read no seed.
 """
 
 from dataclasses import dataclass, replace
@@ -83,10 +83,17 @@ def unblind_fit(unblinded: dict[str, np.ndarray], config: RunConfig) -> UnblindR
 
     `unblinded` holds each source's readings (`blinding.unblind`). It is emptied as each
     source's low readings are copied out, so the unblinded readings are freed here,
-    before the histograms, and no source's high readings are kept.
+    before the histograms. Only the high readings' sum and count are kept; their mean is
+    the measured closed-switch level v1 that turns the slope into eps. The MC draws are
+    seeded by the fit's inputs, so `config` is read only for `[analysis]` and the sources.
     """
-    lows = {sid: analysis.classify(unblinded.pop(sid), config.analysis.threshold)[0]
-            for sid in list(unblinded)}
+    lows, high_sum, n_high = {}, 0.0, 0
+    for sid in list(unblinded):
+        lows[sid], high = analysis.classify(unblinded.pop(sid), config.analysis.threshold)
+        high_sum, n_high = high_sum + float(high.sum()), n_high + len(high)
+        del high  # not kept through the histograms
+    if not n_high:
+        raise ValueError(f"no high readings to measure v1 (threshold {config.analysis.threshold} V)")
     per_low: dict[str, analysis.GaussianSummary] = {}
     per_hist: dict[str, analysis.HistogramResult] = {}
     points = []
@@ -102,9 +109,9 @@ def unblind_fit(unblinded: dict[str, np.ndarray], config: RunConfig) -> UnblindR
         per_low[spec.id] = summary
         per_hist[spec.id] = analysis.histogram(low, config.analysis.n_bins)
         points.append((spec.fidelity - 0.5, summary.mean, summary.sem))
-    x, y, sem = zip(*points)
-    fit = analysis.wls_fit(x, y, sem, v1=config.params.v1)
-    mc = analysis.mc_errors(x, y, sem, derive_rng(config.seed, "mc"),
+    x, y, sem = inputs = np.array(points).T
+    fit = analysis.wls_fit(x, y, sem, v1=high_sum / n_high)
+    mc = analysis.mc_errors(x, y, sem, np.random.default_rng(inputs.view(np.uint64).ravel()),
                             n_real=config.analysis.mc_realizations)
     fit = replace(fit, bound_90=analysis.confidence_bound(
         fit.eps, fit.sigma_eps, cl=config.analysis.cl, rule=config.analysis.bound_rule))

@@ -1,9 +1,9 @@
 """Seed derivation for reproducible sub-streams.
 
-One master seed per run; every consumer (bit generation per source, blinding
-permutation, acquisition noise, Monte Carlo resampling) gets an independent
-stream derived by hashing (master, label...). Adding or reordering consumers
-never perturbs the streams of the others.
+One master seed per run; bit generation per source, the blinding permutation and
+the acquisition noise each get an independent stream derived by hashing (master,
+label...), so adding or reordering consumers never perturbs the others. The fit's
+Monte Carlo is seeded by the fit's inputs (`pipeline.unblind_fit`), not from here.
 
 Acquisition noise is one counter-based Philox stream keyed by the noise seed
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). Cycle i
@@ -50,14 +50,14 @@ def cycle_rng(noise_seed: int, first_cycle: int, n_cycles: int, per_cycle: int) 
     bitgen.advance(start // 4)
     skip = start % 4
     raw = bitgen.random_raw(skip + n_cycles * per_cycle)[skip:].reshape(n_cycles, per_cycle)
-    return _normals(raw, out=raw)  # the words are ours, so they become the normals
+    return normals_from_raw(raw, out=raw)  # the words are ours, so they become the normals
 
 
 # the bits of the float64 1.0: OR-ed onto a word k < 2**52 they give 1 + k * 2**-52
 _ONE_BITS = np.uint64(0x3FF0000000000000)
 
 
-def normals_from_raw(raw: np.ndarray) -> np.ndarray:
+def normals_from_raw(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Standard normals from 64-bit words, via u = (top 52 bits + 1/2) / 2**52 in (0, 1).
 
     52 bits keep u's extremes, 2**-53 and 1 - 2**-53, exact in double
@@ -67,20 +67,15 @@ def normals_from_raw(raw: np.ndarray) -> np.ndarray:
     u is built without a float conversion: the top 52 bits k of a word become
     the mantissa of 1 + k * 2**-52, and subtracting 1 - 2**-53 leaves
     (k + 1/2) * 2**-52. Both steps are exact (the subtraction by Sterbenz's
-    lemma), so u is the same float as ((k + 0.5) * 2**-52). The normals are a
-    new array; `raw` is left unchanged.
-    """
-    return _normals(raw, out=np.empty(np.shape(raw), np.uint64))
-
-
-def _normals(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`normals_from_raw` of `raw`, built in the uint64 array `out`, as a float64 view of `out`.
-
-    `out` may be `raw` itself. scipy is imported here, at first use, so that
-    the steps that draw no noise never load it.
+    lemma), so u is the same float as ((k + 0.5) * 2**-52). The normals are built
+    in the uint64 array `out`, a new one by default or `raw` itself, and returned
+    as its float64 view. scipy is imported here, at first use, so that the steps
+    that draw no noise never load it.
     """
     from scipy.special import ndtri
 
+    if out is None:
+        out = np.empty(np.shape(raw), np.uint64)
     words = np.right_shift(raw, np.uint64(12), out=out)
     words |= _ONE_BITS
     u = words.view(np.float64)

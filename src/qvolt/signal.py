@@ -230,11 +230,8 @@ def _fast_values(levels: np.ndarray, cfg: AcquisitionConfig, noise_seed: int) ->
     shift = cfg.drift_rate * cfg.window_mid_time
     for lo in range(0, len(levels), files.CSV_BLOCK_ROWS):
         block = levels[lo:lo + files.CSV_BLOCK_ROWS]
-        insensitive = cfg.insensitive(block)
         z = cycle_rng(noise_seed, lo, len(block), 1)[:, 0]
-        np.multiply(z, cfg.sigma_high, out=z, where=insensitive)
-        sensitive = np.logical_not(insensitive, out=insensitive)
-        np.multiply(z, cfg.sigma_low, out=z, where=sensitive)
+        z *= cfg.sigma_reading_for(block)
         block += shift
         block += z
     return levels

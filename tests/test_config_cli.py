@@ -313,7 +313,9 @@ PERTURBED = {
     ("analysis", "bound_rule"): ("folded", "fast"),
 }
 
-ACQUISITION_KEYS = [key for section, key in PERTURBED if section == "acquisition"]
+# the keys only the simulator reads: the blind steps must not move with any of them
+NATURE_KEYS = [(section, key) for section, key in CONFIG_KEYS
+               if section in ("run", "params", "acquisition")]
 
 
 def _values(obj):
@@ -533,11 +535,11 @@ def band_csv_reference(mc):
 # sha256 of each file that `generate` and then `report` write for MINIMAL_CFG: every
 # writer's bytes, the bit files, the reports, both caches and the seal included
 REPORT_FILE_SHA256 = {
-    "band.csv": "cdac91647635f8dfccb0a2856b20624061102d59650c3400c486fd12ea6c8e79",
+    "band.csv": "7b83b45123c810b1c2b4a5165d88eb4bfadc8bf28346eeafaf7cb5ece7684186",
     "bits_c1.txt": "0287f35c08f08f639e8c942bffbe56d51953a5360ddfb6ac19c5c72439cff1f6",
     "bits_q2.txt": "c0dcdcd19fdb82ec8559ecfd422bec1a133a4e9a5b48bb2791410cc64b25708b",
     "blinded_summary.txt": "5fd65ddbf6c65ec67ebc079424f740758b16b8e0203b8252d6d22575539ac551",
-    "fit.csv": "37551aff774ff9f9298a673996914a5b46fed364b1b790c10cf1761cab5480ae",
+    "fit.csv": "05d18d6cb43ec41bc4ff4e7b8092870fb23c2f4aa165240135661e3e97bd3e7e",
     "histogram_blinded_low.csv": "31792d1a2d38ec6c0f81155de297756a166e508f1eddd61abf5c71c33ea3aa95",
     "histogram_c1_low.csv": "7890ff21ecc6c70219e9d252063748d585699dc54ab82b379ed2eccabd64fc5c",
     "histogram_q2_low.csv": "622dd7991612232796d965d149155f238c7379243027617e0260ba7e8dbc01af",
@@ -545,9 +547,9 @@ REPORT_FILE_SHA256 = {
     "key.csv.cache": "2de5b9117eb90299594e76947eb873455dd55b1339e520081c1e5996cebc0e04",
     "readings.csv": "3df994f250b3542ccacad6a34d0814af4585f736926e7dc754e9e7d82cdcdf0f",
     "readings.csv.cache": "f7d03c9b4a00afd18731e3f9c6a4408ea71c3bc0b30228f08617c80049557b7b",
-    "report.txt": "9561cc651d68e4c980885ede443dad6c64e4afca7fc66888c39a13d0ed3d500a",
+    "report.txt": "004dadb89e763915bc14b293ba2f639b32c47d04ed5ed615b785b714f8a5f89a",
     "seal.json": "a3caea51dba79fae862c58b595535496d153fb13fe8a680d17f70f9296432b81",
-    "unblind_report.txt": "c44144478977bb4c06095b5fdb5ff4e629fa8e1bdfb80a397353d1099d061c24",
+    "unblind_report.txt": "cce3e86ab56892437d7d893b057e1abf0835ceb8970961b7fbccaad78e946685",
 }
 
 
@@ -555,14 +557,14 @@ REPORT_FILE_SHA256 = {
 # config: the paper's scale, 100,717 cycles and 10,000 Monte Carlo draws
 PAPER_FIT_SHA256 = {
     "injected.cfg": {
-        "band.csv": "6a884102bf1e064f62964e6935b751b037429a69fefb8cc9ea492bf1b81a9e56",
-        "fit.csv": "0a0289e5a9f6f03323a26cc2fbe052e08df36049c28c4806165f2d921631c953",
-        "unblind_report.txt": "62c347cd142662272f39e9e4bd6d2109db09bab07bf16290ffb3497e0428bcb8",
+        "band.csv": "f5e1ead18a711728f445e1f929f2a5dbb83c5c5d3df234d892ca8976f6494def",
+        "fit.csv": "b28952f173a77f62fd3ba83c3719c13040d984ca6c55b43cd6777a334427858d",
+        "unblind_report.txt": "293a7ec723b51a8e81479ee3c9ae00f390fee500f15ba2fe6d415e7d08f58a5b",
     },
     "null.cfg": {
-        "band.csv": "8c7a8f4eb9e12c23eb18d05c462d90cf1d7166e17e2a595ed11c713e39dff5d5",
-        "fit.csv": "268c965cf6426c22d62cfd6c98beadce5d398d7a4aaa1e8cea4f829b4adf9cd8",
-        "unblind_report.txt": "0e70f2ad8377aac822bfd84043640a084bc34cc7d663a7ee38951f0fb58952d2",
+        "band.csv": "57d47d6142d2d95750caf125531e69b8a0aa41278e2b0fd8f48173d402c0e14c",
+        "fit.csv": "363cdce12b3ef93b62fab87dc775250835b267cda01624a761a8f962c8426221",
+        "unblind_report.txt": "94baac612ff46f1c9215ddbcdd7df9015cc1f90b7b762c7c6ab75ff4f86de116",
     },
 }
 
@@ -922,17 +924,23 @@ class TestCliCommands:
         assert "do not match the configured" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "fit.csv"))
 
-    @pytest.mark.parametrize("only", [None, *ACQUISITION_KEYS],
-                             ids=["every key", *ACQUISITION_KEYS])
-    def test_blind_steps_read_no_acquisition_key(self, tmp_path, capsys, only):
-        # every [acquisition] key, or the one named, at the value that moves the guard
-        # run's outputs
-        keys = {key: value for (section, key), (value, _) in PERTURBED.items()
-                if section == "acquisition" and only in (None, key)}
-        assert set(keys) == ({only} if only else set(config._SECTIONS["acquisition"][1]))
+    @pytest.mark.parametrize("only", [None, *NATURE_KEYS],
+                             ids=["every key", *(key for _, key in NATURE_KEYS)])
+    def test_blind_steps_read_no_run_params_or_acquisition_key(self, tmp_path, capsys, only):
+        # every [run], [params] and [acquisition] key, or the one named, at the value that
+        # moves the guard run's outputs
+        keys = {k: PERTURBED[k][0] for k in NATURE_KEYS if only in (None, k)}
         cfg = write_cfg(tmp_path)
-        text = MINIMAL_CFG + "\n[acquisition]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        text = MINIMAL_CFG + "\n[acquisition]\n"
+        for (section, key), value in keys.items():
+            text, n = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+            if not n:
+                text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n", 1)
         moved = write_cfg(tmp_path, text, "moved.cfg")
+        base, loaded = load_config(cfg), load_config(moved)
+        for section, key in keys:  # the edit took: the key differs from the run's config
+            old, new = (c if section == "run" else getattr(c, section) for c in (base, loaded))
+            assert getattr(old, key) != getattr(new, key), (section, key)
         outputs = []
         for name, step_cfg in (("same", cfg), ("moved", moved)):
             out = str(tmp_path / name)
@@ -1009,6 +1017,21 @@ class TestCliCommands:
         assert cli.main(["blinded-summary", "--config", cfg, "--out", out]) == cli.EXIT_CONTRACT
         err = capsys.readouterr().err
         assert err == "error: no high readings to summarize (threshold 1.0 V)\n", err
+
+    def test_no_high_readings_to_measure_v1_exit_code(self, tmp_path, capsys):
+        # a threshold above the closed-switch level leaves no reading to measure v1 from
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "--config", write_cfg(tmp_path), "--out", out]) == 0
+        above = write_cfg(tmp_path, MINIMAL_CFG + "threshold = 4 V\n", "above.cfg")
+        capsys.readouterr()
+        assert cli.main(["unblind-fit", "--config", above, "--out", out]) == cli.EXIT_CONTRACT
+        message = "no high readings to measure v1 (threshold 4.0 V)"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(os.path.join(out, "fit.csv"))
+        readings, _ = signal.read_readings(os.path.join(out, "readings.csv"))
+        key, _ = blinding.read_key(os.path.join(out, "key.csv"))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pipeline.unblind_fit(blinding.unblind(readings, key), load_config(above))
 
     def test_source_named_blinded_exit_code(self, tmp_path, capsys):
         # its per-source histogram would overwrite the pooled histogram_blinded_low.csv

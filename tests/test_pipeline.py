@@ -39,6 +39,24 @@ class TestDeterminism:
         assert a[0].tolist() != b[0].tolist()
 
 
+class TestMeasuredLevel:
+    @pytest.mark.parametrize("drift_rate", [0.0, 1e-6], ids=["no drift", "drift"])
+    def test_eps_is_the_slope_over_the_blinded_high_mean(self, drift_rate):
+        cfg = make_config(drift_rate=drift_rate, sources=scaled_sources(100), mc_realizations=100)
+        _, _, summary, result = run_pipeline(cfg)
+        want = result.fit.slope / summary.high.mean
+        assert result.fit.eps == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_fit_and_mc_read_no_seed(self):
+        cfg = make_config(sources=scaled_sources(100), mc_realizations=200)
+        blinded_bits, key = blind(cfg, generate_bits(cfg))
+        readings = acquire(cfg, blinded_bits, key)
+        assert cfg.seed != 7
+        a, b = (unblind_fit(unblind(readings, key), c) for c in (cfg, replace(cfg, seed=7)))
+        assert a.fit == b.fit
+        np.testing.assert_equal(vars(a.mc), vars(b.mc))
+
+
 class TestBlindedDiscipline:
     def test_blinded_summary_signature_excludes_key(self):
         import inspect
