@@ -24,25 +24,26 @@ class BlindingKey:
 
     source_ids: tuple  # of str, in the order the sources are laid end to end
     counts: np.ndarray  # int, the number of bits of each source
-    permutation: np.ndarray  # int32 or intp, the end-to-end bit held by each blinded position
+    permutation: np.ndarray  # int32, the end-to-end bit held by each blinded position
 
     def __post_init__(self):
         ids = tuple(self.source_ids)
         counts = np.asarray(self.counts, dtype=np.intp)
         perm = np.asarray(self.permutation)
-        if perm.dtype not in (np.int32, np.intp):  # either is kept as given, not copied
-            perm = perm.astype(np.intp)
-        for name, value in (("source_ids", ids), ("counts", counts), ("permutation", perm)):
-            object.__setattr__(self, name, value)
-        n = len(perm)
         if len(set(ids)) != len(ids) or counts.shape != (len(ids),) or perm.ndim != 1:
             raise ValueError("need distinct ids, a count for each and a 1-D permutation")
+        n = len(perm)
+        if n > 2**31:  # refused before any entry is read
+            raise ValueError(f"{n} positions: an int32 permutation holds at most 2**31")
         sizes = counts.tolist()  # one per source, so cheaper to check in Python
         if min(sizes, default=0) < 0 or sum(sizes) != n:
             raise ValueError(f"source counts {sizes} do not split {n} positions")
-        if n and (perm.min() < 0 or perm.max() >= n):
+        if n and (perm.min() < 0 or perm.max() >= n):  # in the given dtype: none wraps
             p = ((perm < 0) | (perm >= n)).argmax()
             raise ValueError(f"blinded position {p}: bit {perm[p]} outside 0..{n - 1}")
+        perm = perm.astype(np.int32, copy=False)
+        for name, value in (("source_ids", ids), ("counts", counts), ("permutation", perm)):
+            object.__setattr__(self, name, value)
         held = np.zeros(n, dtype=bool)
         held[perm] = True
         if np.count_nonzero(held) < n:  # n entries in 0..n-1 miss a bit only if one repeats
@@ -57,12 +58,11 @@ class BlindingKey:
         """Each blinded position's source, as an index into `source_ids`, and its index there.
 
         The source indexes are of the smallest unsigned dtype that holds them. Each index
-        is built in the permutation's dtype and subtracted in place, so the only array of
-        that width is the result's.
+        is built as int32 and subtracted in place, so the only int32 array is the result's.
         """
         ids = np.arange(len(self.source_ids), dtype=np.min_scalar_type(len(self.source_ids)))
         code = np.repeat(ids, self.counts)[self.permutation]
-        index = (self.counts.cumsum() - self.counts).astype(self.permutation.dtype)[code]
+        index = (self.counts.cumsum() - self.counts).astype(np.int32)[code]
         return code, np.subtract(self.permutation, index, out=index)
 
     def source_counts(self) -> dict[str, int]:
@@ -74,15 +74,13 @@ def combine_and_permute(
 ) -> tuple[np.ndarray, BlindingKey]:
     """Concatenate the sources and apply one `rng.permutation` of all their bits.
 
-    Returns the blinded bit sequence and the key holding that permutation, as int32
-    when that holds every position.
+    Returns the blinded bit sequence and the key holding that permutation, as int32: the
+    draw is narrowed, and the key refuses more positions than int32 holds.
     """
     if not strings or all(len(s.bits) == 0 for s in strings):
         raise ValueError("need at least one non-empty bit string")
     counts = [len(s.bits) for s in strings]
-    perm = rng.permutation(sum(counts))
-    if len(perm) <= 2**31:  # narrowed after the draw: numpy shuffles an int64 array faster
-        perm = perm.astype(np.int32)
+    perm = rng.permutation(sum(counts)).astype(np.int32)  # numpy shuffles int64 faster
     key = BlindingKey(tuple(s.source.id for s in strings), counts, perm)
     return np.concatenate([s.bits for s in strings])[perm], key
 
@@ -118,9 +116,9 @@ def read_key(path: str | os.PathLike) -> tuple[BlindingKey, dict[str, bytes]]:
     """The key whose blinded position p holds bit source_index[p] of source source_id[p].
 
     The ids are sorted and the counts and permutation follow them; an id that no position
-    holds is left out, as it has no row in key.csv. The permutation is int32 when its
-    entries fit, as `combine_and_permute` gives it. Also returns the digests it was read
-    from (`files.read_table`).
+    holds is left out, as it has no row in key.csv. The permutation is the int32 column
+    read, each source's offset added; an entry taken past int32 wraps below 0, for the
+    key's checks to name. Also returns the digests it was read from (`files.read_table`).
     """
     ((code, ids), index), digests = files.read_table(path, _KEY_HEADER, (str, int))
     # with no negative index, one past its source's count breaks the permutation
@@ -139,11 +137,7 @@ def read_key(path: str | os.PathLike) -> tuple[BlindingKey, dict[str, bytes]]:
     start[held] = counts.cumsum() - counts
     for block in blocks:  # read_table's column is ours: it becomes the permutation
         index[block] += start[code[block]]
-    del code  # not kept through the key's checks, nor alive with the int32 copy
-    # int32 holds every entry of a valid key of up to 2**31 positions; an entry outside
-    # it (or wrapped below 0 by the offset) is kept, for the key's checks to name
-    if 0 <= index.min(initial=0) and index.max(initial=0) < 2**31:
-        index = index.astype(np.int32)
+    del code  # not kept through the key's checks
     try:
         key = BlindingKey(tuple(ids[c] for c in held), counts, index)
     except ValueError as exc:

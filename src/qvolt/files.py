@@ -38,10 +38,10 @@ BLOCK_WORD_BYTES = 16
 
 # The dtype of each kind of column, parsed and cached; a text column's is that of its codes.
 # A cache does not record them, so their byte order is spelled out.
-_DTYPES = {float: np.dtype("<f8"), int: np.dtype("<i8"), str: np.dtype("<u4")}
+_DTYPES = {float: np.dtype("<f8"), int: np.dtype("<i4"), str: np.dtype("<u4")}
 
 # The first line of a table's cache file; a cache with any other first line is ignored.
-CACHE_TAG = b"qvolt csv cache 3\n"
+CACHE_TAG = b"qvolt csv cache 4\n"
 # Bytes read per call while hashing a file: the whole file is never in memory at once.
 HASH_CHUNK = 1 << 16
 
@@ -110,7 +110,7 @@ def read_table(path, header: str, kinds: Sequence[type]) -> tuple[list, dict[str
     hashed or any row is parsed. The CSV is hashed once, then its columns come
     from its cache or its parse. The digests are {path: the CSV's sha256}, and on
     a cache hit also {cache path: the sha256 of the cache's payload}. Column c of
-    kind kinds[c] is a float64 array for float, an int64 array for int, and for
+    kind kinds[c] is a float64 array for float, an int32 array for int, and for
     str (codes, words): uint32 codes and the distinct words they index. Each
     array owns its data.
     """
@@ -174,7 +174,7 @@ def _column(column) -> tuple[type, np.ndarray, list | None]:
 def write_table(path, header: str, columns: Sequence) -> dict[str, bytes]:
     """Write the `header` line, then row r = <column fields of r> for each r, then the cache.
 
-    A float array's field is `%.17e`, a non-negative int array's `%d`, a text
+    A float array's field is `%.17e`, a non-negative int32 array's `%d`, a text
     column (codes, words)'s words[codes[r]], which may hold no NUL. The rows are
     built, written and hashed a block at a time, so one block's arrays are the
     only memory added: CSV_BLOCK_ROWS rows, or fewer when the widest word is
@@ -183,8 +183,9 @@ def write_table(path, header: str, columns: Sequence) -> dict[str, bytes]:
     cache path: the sha256 of the cache's payload}.
     """
     kinds, arrays, words = zip(*map(_column, columns))
-    tables = [None if w is None else byte_table([word.encode() for word in w]) for w in words]
-    widest = max((table.shape[1] for table in tables if table is not None), default=0)
+    # a text column's words, NUL-padded to one width, so a row's word is one item's bytes
+    tables = [None if w is None else np.array([x.encode() for x in w], bytes) for w in words]
+    widest = max((table.itemsize for table in tables if table is not None), default=0)
     block_rows = max(1, CSV_BLOCK_ROWS * BLOCK_WORD_BYTES // max(BLOCK_WORD_BYTES, widest))
     formats = {float: float_field, int: int_field}
     n = len(arrays[0])
@@ -199,7 +200,8 @@ def write_table(path, header: str, columns: Sequence) -> dict[str, bytes]:
             fields = []
             for a, kind, table in zip(arrays, kinds, tables):
                 block = np.asarray(a[lo:hi], _DTYPES[kind])
-                fields.append(formats[kind](block) if table is None else table[block].T)
+                fields.append(formats[kind](block) if table is None else
+                              table[block].view(np.uint8).reshape(-1, table.itemsize).T)
             # each field's bytes and a comma, the last field's and a newline; NUL is padding
             rows = np.full((hi - lo, sum(map(len, fields)) + len(fields)), ord(","), np.uint8)
             at = 0

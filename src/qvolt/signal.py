@@ -121,19 +121,21 @@ def synthesize_cycle(
     cfg: AcquisitionConfig,
     noise,
     first_sample: int = 0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Samples first_sample.. of a cycle: exponential settling + linear drift + noise.
 
     v(t_i) = target + (prev - target) exp(-t_i / tau) + drift_rate * t_i + eta_i
     with eta_i Gaussian at the per-sample sigma of the range the target level
     puts the instrument on. Levels may be arrays of shape (batch,), giving a
-    (batch, n) block; `noise` holds the block's standard normals.
+    (batch, n) block; `noise` holds the block's standard normals. The block is
+    built in the float64 array `out`, a new one by default or `noise` itself.
     """
     decay, drift = _time_terms(cfg, first_sample)
     prev = np.asarray(prev_level, dtype=float)[..., None]
     target = np.asarray(target_level, dtype=float)[..., None]
     sigma_sample = cfg.sigma_reading_for(target) * math.sqrt(cfg.n_window_samples)
-    v = sigma_sample * noise
+    v = np.multiply(sigma_sample, noise, out=out)
     v += target
     v += drift
     # exp(-t / tau) is exactly 0 past its prefix, where the settling term adds nothing
@@ -249,7 +251,6 @@ def _waveform_values(levels: np.ndarray, cfg: AcquisitionConfig, noise_seed: int
     n = len(levels)
     nw = cfg.n_window_samples
     first_sample = cfg.n_cycle_samples - nw
-    prev = np.concatenate(([0.0], levels[:-1]))
     values = np.empty(n)
     batches = range(0, n, WAVEFORM_BATCH_CYCLES)
     k = max(1, min(_usable_cpus(), len(batches)))
@@ -259,8 +260,9 @@ def _waveform_values(levels: np.ndarray, cfg: AcquisitionConfig, noise_seed: int
         try:
             for lo in batches[share::k]:
                 hi = min(lo + WAVEFORM_BATCH_CYCLES, n)
-                z = cycle_rng(noise_seed, lo, hi - lo, nw)
-                block = synthesize_cycle(prev[lo:hi], levels[lo:hi], cfg, z, first_sample)
+                prev = levels[lo - 1:hi - 1] if lo else np.append(0.0, levels[:hi - 1])  # 0 V first
+                z = cycle_rng(noise_seed, lo, hi - lo, nw)  # ours, so it becomes the block
+                block = synthesize_cycle(prev, levels[lo:hi], cfg, z, first_sample, out=z)
                 values[lo:hi] = reduce_cycle(block, cfg)
         except BaseException as exc:  # raised below, once every thread has ended
             errors.append(exc)

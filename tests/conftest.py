@@ -118,9 +118,10 @@ def relaid(change):
 
 
 def _row_bytes(words):
-    """The bytes a row takes in the arrays of cached columns with these words: 8 for a number
-    column (float64 or int64), 4 for a text column (uint32 codes)."""
-    return sum(8 if w is None else 4 for w in words)
+    """The bytes a row takes in the arrays of cached columns with these words: 8 for the lone
+    number column of readings.csv (float64), else 4 a column: key.csv's text column (uint32
+    codes) and its int column (int32)."""
+    return 8 if words == [None] else 4 * len(words)
 
 
 def _rows(words, tail):

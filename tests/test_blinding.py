@@ -1,4 +1,5 @@
 from collections import Counter
+import hashlib
 import os
 import pathlib
 import re
@@ -18,7 +19,7 @@ from qvolt.blinding import (
     write_key,
 )
 from qvolt.seeds import derive_rng
-from qvolt.files import BLOCK_WORD_BYTES, CSV_BLOCK_ROWS, cache_path
+from qvolt.files import BLOCK_WORD_BYTES, CACHE_TAG, CSV_BLOCK_ROWS, cache_path
 from qvolt.sources import BitString, SourceSpec
 
 # rows of a key.csv block when the longest id has 300 bytes
@@ -69,10 +70,28 @@ class TestBlindingKey:
         with pytest.raises(ValueError, match=r"^blinded position 1: bit 2 outside 0\.\.1$"):
             BlindingKey(("a",), [2], [0, 2])
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16])
+    def test_permutation_is_int32(self, dtype):
+        key = BlindingKey(("a", "b"), [2, 1], np.array([1, 2, 0], dtype))
+        assert key.permutation.dtype == np.int32 and key.permutation.tolist() == [1, 2, 0]
+
+    def test_more_positions_than_int32_holds_are_refused_unread(self):
+        # one entry, viewed 2**31 + 1 times: a scan of the entries would name the bit -1
+        perm = np.broadcast_to(np.int64(-1), 2**31 + 1)
+        message = "2147483649 positions: an int32 permutation holds at most 2**31"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BlindingKey(("a",), [2**31 + 1], perm)
+
+    @pytest.mark.parametrize("entry", [2**31, 2**32 + 2], ids=["wraps below 0", "wraps to 2"])
+    def test_entry_past_int32_is_refused_not_wrapped(self, entry):
+        message = f"blinded position 1: bit {entry} outside 0..2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BlindingKey(("a",), [3], np.array([0, entry, 1], np.int64))
+
     def test_paper_scale_build_peak_memory(self):
         # an int64 bincount of the permutation and three bool range masks took the build to
         # 0.87 MiB above the permutation; one bool array of it is 0.1
-        perm = np.random.default_rng(1).permutation(100_717)
+        perm = paper_key(np.random.default_rng(1)).permutation
         BlindingKey(PAPER_IDS, PAPER_COUNTS, perm)  # imports, caches
         tracemalloc.start()
         try:
@@ -394,6 +413,27 @@ class TestKeyFile:
         assert_key_holds(read_key(path)[0], origin_pairs(golden_key()))
         assert parses == []
 
+    def test_cache_of_the_int64_layout_is_ignored(self, tmp_path, monkeypatch):
+        # tag 3 cached the index as int64; beside the key.csv it was written for, it is
+        # parsed past, and the parse gives the key the tag-4 cache gives
+        path = tmp_path / "key.csv"
+        write_golden(path)
+        parses = count_parses(monkeypatch)
+        cached, _ = read_key(path)
+        assert parses == []
+        tail = pathlib.Path(cache_path(path)).read_bytes()[len(CACHE_TAG):]
+        csv_sha256, payload = tail[:32], tail[64:]
+        at = payload.index(b"\n") + 1 + 4 * len(cached)  # past the words and the codes
+        payload = payload[:at] + np.frombuffer(payload[at:], "<i4").astype("<i8").tobytes()
+        pathlib.Path(cache_path(path)).write_bytes(
+            b"qvolt csv cache 3\n" + csv_sha256 + hashlib.sha256(payload).digest() + payload)
+        parsed, digests = read_key(path)
+        assert parses == [path] and list(digests) == [path]
+        assert parsed.source_ids == cached.source_ids
+        assert parsed.counts.tolist() == cached.counts.tolist()
+        assert parsed.permutation.dtype == cached.permutation.dtype == np.int32
+        assert parsed.permutation.tobytes() == cached.permutation.tobytes()
+
     @pytest.mark.parametrize("damage", list(CACHE_DAMAGE), ids=list(CACHE_DAMAGE))
     def test_damaged_cache_is_ignored_and_left_as_it_is(self, tmp_path, monkeypatch, damage):
         path = tmp_path / "key.csv"
@@ -478,11 +518,13 @@ class TestKeyFile:
         "body, message",
         [
             ("a,0,extra\n", "requires 2 columns but 3 were found at row 1"),
-            ("a,1.5\n", "could not convert string '1.5' to int64 at row 0, column 2"),
-            ("a,x\n", "could not convert string 'x' to int64 at row 0, column 2"),
-            ("0,a\n", "could not convert string 'a' to int64 at row 0, column 2"),
+            ("a,1.5\n", "could not convert string '1.5' to int32 at row 0, column 2"),
+            ("a,x\n", "could not convert string 'x' to int32 at row 0, column 2"),
+            ("0,a\n", "could not convert string 'a' to int32 at row 0, column 2"),
+            (f"a,{2**31}\n", f"could not convert string '{2**31}' to int32 at row 0, column 2"),
         ],
-        ids=["three fields", "fractional index", "word index", "index before the id"],
+        ids=["three fields", "fractional index", "word index", "index before the id",
+             "index past int32"],
     )
     def test_malformed_fields_rejected(self, tmp_path, body, message, cache):
         path = tmp_path / "key.csv"
@@ -504,16 +546,16 @@ class TestKeyFile:
         [
             ("a,0\nb,0\nb,2\n", "outside 0..", 2),
             ("a,0\nb,0\na,2\n", "both hold bit", 2),
-            # rejected before any per-bit count would need 2**40 bins
-            (f"a,0\na,{2**40}\n", "outside 0..", 1),
-            # the source's offset plus this index wraps below zero in int64
-            (f"a,0\nb,0\nb,{2**63 - 1}\n", "outside 0..", 2),
+            # rejected before any per-bit count would need 2**31 bins
+            (f"a,0\na,{2**31 - 1}\n", "outside 0..", 1),
+            # the source's offset plus this index wraps below zero in int32
+            (f"a,0\nb,0\nb,{2**31 - 1}\n", "outside 0..", 2),
             # a file error, found before the key's bijection check
             ("a,0\nb,-1\n", "source_index < 0", 1),
             ("b,0\na,0\nb,0\n", "both hold bit", 2),
         ],
         ids=["index past the last source", "index past an earlier source", "index far past",
-             "index at the int64 maximum", "negative index", "repeated entry"],
+             "index at the int32 maximum", "negative index", "repeated entry"],
     )
     def test_rejection_names_the_file_and_the_row(self, tmp_path, body, tail, position, cache):
         # the blinded position of a key entry is its data row

@@ -544,11 +544,11 @@ REPORT_FILE_SHA256 = {
     "histogram_c1_low.csv": "7890ff21ecc6c70219e9d252063748d585699dc54ab82b379ed2eccabd64fc5c",
     "histogram_q2_low.csv": "622dd7991612232796d965d149155f238c7379243027617e0260ba7e8dbc01af",
     "key.csv": "87d44b7698e3908079ba887c4721d45598592bb772ed99c4099173d40c1091d4",
-    "key.csv.cache": "2de5b9117eb90299594e76947eb873455dd55b1339e520081c1e5996cebc0e04",
+    "key.csv.cache": "a5549fac03920c0c6d083ade20032cd1aa6ec2c0a64cf3fa57e1ee23fdd65ccc",
     "readings.csv": "3df994f250b3542ccacad6a34d0814af4585f736926e7dc754e9e7d82cdcdf0f",
-    "readings.csv.cache": "f7d03c9b4a00afd18731e3f9c6a4408ea71c3bc0b30228f08617c80049557b7b",
+    "readings.csv.cache": "c38e27105b22b58612bfda5044e1ec6fa804830e273c7e654262670e62d28872",
     "report.txt": "004dadb89e763915bc14b293ba2f639b32c47d04ed5ed615b785b714f8a5f89a",
-    "seal.json": "a3caea51dba79fae862c58b595535496d153fb13fe8a680d17f70f9296432b81",
+    "seal.json": "84626df98d7c538df43b923ae0e93ea74b66dd85144217e3cdb92d8f79f51b4e",
     "unblind_report.txt": "cce3e86ab56892437d7d893b057e1abf0835ceb8970961b7fbccaad78e946685",
 }
 
@@ -644,8 +644,8 @@ def _plus_one_nanovolt(words, tail):
 
 def _first_two_rows_swapped(words, tail):
     """Cached key columns (source codes, source indexes) with rows 0 and 1 swapped."""
-    n = len(tail) // 12
-    codes, index = np.frombuffer(tail[:4 * n], "<u4"), np.frombuffer(tail[4 * n:], "<i8")
+    n = len(tail) // 8
+    codes, index = np.frombuffer(tail[:4 * n], "<u4"), np.frombuffer(tail[4 * n:], "<i4")
     order = [1, 0, *range(2, n)]
     return words, codes[order].tobytes() + index[order].tobytes()
 

@@ -470,6 +470,12 @@ class TestRunAcquisition:
                                                  "none of the 2 provenance fidelities$"):
                 run_acquisition([0, 1], source, [0.5, 0.99], NonlinearParams(), QUIET, 1)
 
+    @pytest.mark.parametrize("bit", [2, 257])
+    def test_rejects_a_bit_that_is_not_0_or_1(self, bit):
+        # checked before the bits are cast to uint8, where 257 would wrap to 1
+        with pytest.raises(ValueError, match=f"^bit must be 0 or 1, got {bit}$"):
+            run_acquisition([0, bit], [0, 0], [0.5], NonlinearParams(), QUIET, 1)
+
 
 def field_lines(field):
     """The bytes of a NUL-padded (width, rows) field, one row at a time, each ended by a newline."""
