@@ -14,6 +14,7 @@ checks as the separate steps; it adds report.txt.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -154,6 +155,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built once a process: `main` may run many times in one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qvolt",
@@ -165,11 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", required=True, help="output directory")
         if name == "blinded-summary":
-            p.add_argument(
-                "--key",
-                default=None,
-                help="not accepted: the blinded summary must not see the key",
-            )
+            p.add_argument("--key", help="not accepted: the blinded summary must not see the key")
     return parser
 
 

@@ -111,8 +111,8 @@ def read_table(path, header: str, kinds: Sequence[type]) -> tuple[list, dict[str
     from its cache or its parse. The digests are {path: the CSV's sha256}, and on
     a cache hit also {cache path: the sha256 of the cache's payload}. Column c of
     kind kinds[c] is a float64 array for float, an int32 array for int, and for
-    str (codes, words): uint32 codes and the distinct words they index. Each
-    array owns its data.
+    str (codes, words): uint32 codes and the distinct words they index. Each array
+    holds no memory but its own. A negative int is a ValueError naming its row and column.
     """
     with open_text(path) as fh:
         line = fh.readline().rstrip("\n")
@@ -124,6 +124,9 @@ def read_table(path, header: str, kinds: Sequence[type]) -> tuple[list, dict[str
             columns = parse_rows(path, fh, kinds)
         else:
             columns, digests[cache_path(path)] = cached
+    for name, kind, column in zip(header.split(","), kinds, columns):
+        if kind is int and column.size and column.min() < 0:
+            raise ValueError(f"{path}: blinded position {(column < 0).argmax()}: {name} < 0")
     return columns, digests
 
 
@@ -146,9 +149,9 @@ def parse_rows(path, fh, kinds: Sequence[type]) -> list:
         raise  # open_text names the line
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    # contiguous copies, so the rows are freed on return
-    return [rows[f"c{c}"].copy() if words is None else (rows[f"c{c}"].copy(), list(words))
-            for c, words in enumerate(codes)]
+    # a lone column is the rows' one field, contiguous already; others are copied out of them
+    columns = [np.ascontiguousarray(rows[f"c{c}"]) for c in range(len(kinds))]
+    return [a if words is None else (a, list(words)) for a, words in zip(columns, codes)]
 
 
 class _Codes(dict):
@@ -160,29 +163,49 @@ class _Codes(dict):
 
 
 def _column(column) -> tuple[type, np.ndarray, list | None]:
-    """A column's kind, its values or codes as given, and its words or None.
-
-    The array is converted to the kind's dtype where it is used: a block at a
-    time for the CSV, once for the cache.
-    """
+    """A column's kind, its values or codes as given (converted where used), and its words."""
     if isinstance(column, tuple):
         return str, np.asarray(column[0]), list(column[1])
     column = np.asarray(column)
     return float if column.dtype.kind == "f" else int, column, None
 
 
+def _check_columns(path, header: str, kinds, arrays, words) -> None:
+    """A ValueError naming `path` unless `read_table` reads these columns back as they are.
+
+    They need a one-line header of a name each, one length, each int in [0, 2**31), and
+    each text column's codes in [0, len(words)), its words distinct and free of commas,
+    line breaks and NULs (the padding), and none empty if its row would be blank.
+    """
+    names, lengths = header.split(","), [len(a) for a in arrays]
+    if len(names) != len(arrays) or len(set(lengths)) > 1 or any(c in header for c in "\n\r\0"):
+        raise ValueError(f"{path}: columns {header!r} of lengths {lengths}: need one length and "
+                         "a one-line header of a name each")
+    for name, kind, a, w in zip(names, kinds, arrays, words):
+        for word in w or ():
+            if any(c in word for c in ",\n\r\0"):
+                raise ValueError(f"{path}: {name} {word!r} holds a comma, a line break or a NUL")
+        if w is not None and (len(set(w)) < len(w) or ("" in w and len(arrays) == 1)):
+            raise ValueError(f"{path}: {name} words {w!r} repeat, or leave a row blank")
+        top, what = (2**31, name) if w is None else (len(w), f"{name} code")
+        if kind is not float and len(a) and (a.min() < 0 or a.max() >= top):  # none wraps
+            r = ((a < 0) | (a >= top)).argmax()
+            raise ValueError(f"{path}: blinded position {r}: {what} {a[r]} outside 0..{top - 1}")
+
+
 def write_table(path, header: str, columns: Sequence) -> dict[str, bytes]:
     """Write the `header` line, then row r = <column fields of r> for each r, then the cache.
 
-    A float array's field is `%.17e`, a non-negative int32 array's `%d`, a text
-    column (codes, words)'s words[codes[r]], which may hold no NUL. The rows are
-    built, written and hashed a block at a time, so one block's arrays are the
-    only memory added: CSV_BLOCK_ROWS rows, or fewer when the widest word is
-    over BLOCK_WORD_BYTES. The seal beside `path` goes first: a write that fails leaves
-    none, not one that records the table it replaced. Returns {path: the CSV's sha256,
-    cache path: the sha256 of the cache's payload}.
+    A float array's field is `%.17e`, an int array's `%d`, a text column (codes,
+    words)'s words[codes[r]]; columns `_check_columns` refuses are a ValueError before
+    any file is touched. The rows are built, written and hashed a block at a time, so
+    one block's arrays are the only memory added: CSV_BLOCK_ROWS rows, or fewer when the
+    widest word is over BLOCK_WORD_BYTES. The seal beside `path` goes first: a write that
+    fails leaves none, not one that records the table it replaced. Returns {path: the
+    CSV's sha256, cache path: the sha256 of the cache's payload}.
     """
     kinds, arrays, words = zip(*map(_column, columns))
+    _check_columns(path, header, kinds, arrays, words)
     # a text column's words, NUL-padded to one width, so a row's word is one item's bytes
     tables = [None if w is None else np.array([x.encode() for x in w], bytes) for w in words]
     widest = max((table.itemsize for table in tables if table is not None), default=0)
@@ -228,33 +251,15 @@ def _digits(v: np.ndarray, out: np.ndarray) -> None:
     out += ord("0")
 
 
-# 10**k for k = 0..19, every power of ten a uint64 holds
-_POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
-
-
 def int_field(values: np.ndarray) -> np.ndarray:
-    """`%d` of non-negative integers: their digits, right-aligned, NUL over the leading zeros.
-
-    The digits come from 9-digit uint32 limbs, split off in uint64.
-    """
-    v = values = np.asarray(values).astype(np.uint64)
-    width = len(str(int(v.max())))
-    chars = np.empty((width, len(v)), np.uint8)
-    end = width
-    while end > 9:
-        q = v // 10**9
-        _digits((v - q * 10**9).astype(np.uint32), chars[end - 9:end])
-        v, end = q, end - 9
-    _digits(v.astype(np.uint32), chars[:end])
+    """`%d` of integers in [0, 2**32): their digits, right-aligned, NUL over the leading zeros."""
+    values = np.asarray(values).astype(np.uint32)
+    width = len(str(int(values.max())))
+    chars = np.empty((width, len(values)), np.uint8)
+    _digits(values, chars)
     # a digit above a value's highest is NUL; the last is kept, so 0 is `0`
-    chars[:-1] *= values >= _POW10[width - 1:0:-1, None]
+    chars[:-1] *= values >= 10 ** np.arange(width - 1, 0, -1, dtype=np.uint32)[:, None]
     return chars
-
-
-def byte_table(entries: Sequence[bytes]) -> np.ndarray:
-    """The entries as (len(entries), longest) rows of bytes, each padded with NUL."""
-    table = np.array(entries, dtype=bytes)
-    return table.view(np.uint8).reshape(len(table), table.itemsize)
 
 
 # |x| in [FLOAT_KERNEL_MIN, FLOAT_KERNEL_MAX): the window of the exact `%.17e`
@@ -290,7 +295,8 @@ def float_field(x: np.ndarray) -> np.ndarray:
     chars[24] = 0
     others = np.flatnonzero(~exact)
     if others.size:
-        text = byte_table([b"%.17e" % v for v in x[others].tolist()]).T
+        text = np.array([b"%.17e" % v for v in x[others].tolist()], bytes)
+        text = text.view(np.uint8).reshape(len(text), text.itemsize).T
         chars[:, others] = 0
         chars[:len(text), others] = text
     return chars
