@@ -112,7 +112,8 @@ def read_table(path, header: str, kinds: Sequence[type]) -> tuple[list, dict[str
     a cache hit also {cache path: the sha256 of the cache's payload}. Column c of
     kind kinds[c] is a float64 array for float, an int32 array for int, and for
     str (codes, words): uint32 codes and the distinct words they index. Each array
-    holds no memory but its own. A negative int is a ValueError naming its row and column.
+    holds no memory but its own. Columns that `write_table` would refuse
+    (`_check_columns`) are a ValueError, whichever way they came.
     """
     with open_text(path) as fh:
         line = fh.readline().rstrip("\n")
@@ -124,9 +125,7 @@ def read_table(path, header: str, kinds: Sequence[type]) -> tuple[list, dict[str
             columns = parse_rows(path, fh, kinds)
         else:
             columns, digests[cache_path(path)] = cached
-    for name, kind, column in zip(header.split(","), kinds, columns):
-        if kind is int and column.size and column.min() < 0:
-            raise ValueError(f"{path}: blinded position {(column < 0).argmax()}: {name} < 0")
+    _check_columns(path, header, columns)
     return columns, digests
 
 
@@ -170,13 +169,17 @@ def _column(column) -> tuple[type, np.ndarray, list | None]:
     return float if column.dtype.kind == "f" else int, column, None
 
 
-def _check_columns(path, header: str, kinds, arrays, words) -> None:
-    """A ValueError naming `path` unless `read_table` reads these columns back as they are.
+def _check_columns(path, header: str, columns: Sequence) -> tuple:
+    """The kinds, arrays and words of `columns` (`_column`), which a table may hold.
 
-    They need a one-line header of a name each, one length, each int in [0, 2**31), and
-    each text column's codes in [0, len(words)), its words distinct and free of commas,
-    line breaks and NULs (the padding), and none empty if its row would be blank.
+    A ValueError naming `path` unless `read_table` reads them back as they are:
+    they need a one-line header of a name each, one length, each float finite, each
+    int in [0, 2**31), and each text column's codes in [0, len(words)), its words
+    distinct and free of commas, line breaks and NULs (the padding), and none empty if
+    its row would be blank. A value's test is a min and a max (both keep a NaN), so a
+    full-length mask is built only to name a value that fails.
     """
+    kinds, arrays, words = zip(*map(_column, columns))
     names, lengths = header.split(","), [len(a) for a in arrays]
     if len(names) != len(arrays) or len(set(lengths)) > 1 or any(c in header for c in "\n\r\0"):
         raise ValueError(f"{path}: columns {header!r} of lengths {lengths}: need one length and "
@@ -188,9 +191,13 @@ def _check_columns(path, header: str, kinds, arrays, words) -> None:
         if w is not None and (len(set(w)) < len(w) or ("" in w and len(arrays) == 1)):
             raise ValueError(f"{path}: {name} words {w!r} repeat, or leave a row blank")
         top, what = (2**31, name) if w is None else (len(w), f"{name} code")
+        if kind is float and len(a) and not np.isfinite([a.min(), a.max()]).all():
+            r = (~np.isfinite(a)).argmax()
+            raise ValueError(f"{path}: blinded position {r}: {name} {a[r]} is not finite")
         if kind is not float and len(a) and (a.min() < 0 or a.max() >= top):  # none wraps
             r = ((a < 0) | (a >= top)).argmax()
             raise ValueError(f"{path}: blinded position {r}: {what} {a[r]} outside 0..{top - 1}")
+    return kinds, arrays, words
 
 
 def write_table(path, header: str, columns: Sequence) -> dict[str, bytes]:
@@ -204,8 +211,7 @@ def write_table(path, header: str, columns: Sequence) -> dict[str, bytes]:
     fails leaves none, not one that records the table it replaced. Returns {path: the
     CSV's sha256, cache path: the sha256 of the cache's payload}.
     """
-    kinds, arrays, words = zip(*map(_column, columns))
-    _check_columns(path, header, kinds, arrays, words)
+    kinds, arrays, words = _check_columns(path, header, columns)
     # a text column's words, NUL-padded to one width, so a row's word is one item's bytes
     tables = [None if w is None else np.array([x.encode() for x in w], bytes) for w in words]
     widest = max((table.itemsize for table in tables if table is not None), default=0)
@@ -274,8 +280,9 @@ _POW5 = np.array([5**s for s in range(28)], dtype=np.uint64)
 def float_field(x: np.ndarray) -> np.ndarray:
     """`%.17e` of finite floats, the same bytes as Python's `%` gives, NUL where it has none.
 
-    Inside the kernel's window the 18 digits and the decade come from
-    `_decimal18`; the few values outside it are formatted by `%` and spliced in.
+    `_check_columns` refuses any other float before a write. Inside the kernel's window
+    the 18 digits and the decade come from `_decimal18`; the few values outside it are
+    formatted by `%` and spliced in.
     """
     ax = np.abs(x)
     exact = (ax >= FLOAT_KERNEL_MIN) & (ax < FLOAT_KERNEL_MAX)

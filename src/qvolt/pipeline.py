@@ -81,24 +81,19 @@ def blinded_summary(values: np.ndarray, config: RunConfig) -> BlindedSummary:
 def unblind_fit(unblinded: dict[str, np.ndarray], config: RunConfig) -> UnblindResult:
     """Per-source low-voltage statistics, weighted fit, MC errors, and the bound.
 
-    `unblinded` holds each source's readings (`blinding.unblind`). It is emptied as each
-    source's low readings are copied out, so the unblinded readings are freed here,
-    before the histograms. Only the high readings' sum and count are kept; their mean is
-    the measured closed-switch level v1 that turns the slope into eps. The MC draws are
+    `unblinded` holds each source's readings (`blinding.unblind`). One pass over the
+    configured sources pops, classifies, summarises and bins each one's readings. Only
+    the high readings' sum and count are kept, summed in the configured order; their mean
+    is the measured closed-switch level v1 that turns the slope into eps. The MC draws are
     seeded by the fit's inputs, so `config` is read only for `[analysis]` and the sources.
     """
-    lows, high_sum, n_high = {}, 0.0, 0
-    for sid in list(unblinded):
-        lows[sid], high = analysis.classify(unblinded.pop(sid), config.analysis.threshold)
-        high_sum, n_high = high_sum + float(high.sum()), n_high + len(high)
-        del high  # not kept through the histograms
-    if not n_high:
-        raise ValueError(f"no high readings to measure v1 (threshold {config.analysis.threshold} V)")
     per_low: dict[str, analysis.GaussianSummary] = {}
     per_hist: dict[str, analysis.HistogramResult] = {}
-    points = []
+    points, high_sum, n_high = [], 0.0, 0
     for spec in config.sources:
-        low = lows.pop(spec.id)  # freed once summarised and binned
+        low, high = analysis.classify(unblinded.pop(spec.id), config.analysis.threshold)
+        high_sum, n_high = high_sum + float(high.sum()), n_high + len(high)
+        del high  # not kept through the histogram
         summary = analysis.summarize(low) if len(low) else None
         if summary is None or not summary.sem > 0:
             sem = "undefined" if summary is None else f"{summary.sem} V"
@@ -109,6 +104,8 @@ def unblind_fit(unblinded: dict[str, np.ndarray], config: RunConfig) -> UnblindR
         per_low[spec.id] = summary
         per_hist[spec.id] = analysis.histogram(low, config.analysis.n_bins)
         points.append((spec.fidelity - 0.5, summary.mean, summary.sem))
+    if not n_high:
+        raise ValueError(f"no high readings to measure v1 (threshold {config.analysis.threshold} V)")
     x, y, sem = inputs = np.array(points).T
     fit = analysis.wls_fit(x, y, sem, v1=high_sum / n_high)
     mc = analysis.mc_errors(x, y, sem, np.random.default_rng(inputs.view(np.uint64).ravel()),

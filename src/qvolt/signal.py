@@ -292,22 +292,13 @@ _READINGS_HEADER = "reading_volts"
 def write_readings(values: np.ndarray, path: str | os.PathLike) -> dict[str, bytes]:
     """Write readings.csv, then its cache, which holds the column `read_readings` reads.
 
-    Returns their digests (`files.write_table`). A reading that is not finite raises
-    ValueError before the file is opened, as `read_readings` would reject it.
+    Returns their digests (`files.write_table`). A reading that is not finite is refused
+    by `files._check_columns` before the file is opened, as `read_readings` would refuse it.
     """
-    _check_finite(path, values)
     return files.write_table(path, _READINGS_HEADER, [values])
 
 
 def read_readings(path: str | os.PathLike) -> tuple[np.ndarray, dict[str, bytes]]:
     """The readings in readings.csv, and the digests they were read from (`files.read_table`)."""
     (values,), digests = files.read_table(path, _READINGS_HEADER, (float,))
-    _check_finite(path, values)
     return values, digests
-
-
-def _check_finite(path, values: np.ndarray) -> None:
-    non_finite = np.flatnonzero(~np.isfinite(values))
-    if non_finite.size:
-        row = non_finite[0]
-        raise ValueError(f"{path}: row {row}: reading {values[row]} is not finite")

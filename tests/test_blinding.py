@@ -551,7 +551,7 @@ class TestKeyFile:
             # the source's offset plus this index wraps below zero in int32
             (f"a,0\nb,0\nb,{2**31 - 1}\n", "outside 0..", 2),
             # a file error, found before the key's bijection check
-            ("a,0\nb,-1\n", "source_index < 0", 1),
+            ("a,0\nb,-1\n", "source_index -1 outside 0..2147483647", 1),
             ("b,0\na,0\nb,0\n", "both hold bit", 2),
         ],
         ids=["index past the last source", "index past an earlier source", "index far past",

@@ -60,6 +60,28 @@ FLOAT_FIELDS = [
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
+# null.cfg's sources and counts, listed out of id order; key.csv lists them in id order
+OUT_OF_ID_ORDER_CFG = """\
+[run]
+seed = 2
+
+[params]
+eps_gamma = 0
+vs = -0.306 nV
+
+[source.q3]
+fidelity = 0.55
+count = 10717
+
+[source.q2]
+fidelity = 0.99
+count = 30000
+
+[source.c1]
+fidelity = 0.5
+count = 60000
+"""
+
 
 def write_cfg(tmp_path, text=MINIMAL_CFG, name="run.cfg"):
     path = tmp_path / name
@@ -506,6 +528,17 @@ class TestReportIsTheThreeSteps:
         out = str(tmp_path / "out")
         assert cli.main(["report", "--config", cfg, "--out", out]) == 0
         assert cli.main(["blinded-summary", "--config", cfg, "--out", out]) == 0
+
+    def test_report_fits_as_run_pipeline_does_with_sources_out_of_id_order(self, tmp_path):
+        # v1 is the high readings' sum over the sources: summed in key.csv's id order, not
+        # the config's, its last bit moved fit.csv (seed 2 of this config did)
+        cfg = write_cfg(tmp_path, OUT_OF_ID_ORDER_CFG)
+        out = tmp_path / "out"
+        assert cli.main(["report", "--config", cfg, "--out", str(out)]) == 0
+        config = load_config(cfg)
+        *_, result = pipeline.run_pipeline(config)
+        files.write_fit(tmp_path / "fit.csv", result.fit, result.mc, config.analysis.cl)
+        assert (out / "fit.csv").read_bytes() == (tmp_path / "fit.csv").read_bytes()
 
     def test_report_refuses_partial_bit_files(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -1113,13 +1146,16 @@ class TestCliCommands:
             ("run", "bits_c1.txt", 1, 0, b"# id=c1 fidelity=0.6 n=40",
              "header SourceSpec(id='c1', fidelity=0.6, count=40) does not match configured "
              "SourceSpec(id='c1', fidelity=0.5, count=40)"),
+            ("blinded-summary", "readings.csv", 5, 0, b"nan",
+             "blinded position 3: reading_volts nan is not finite"),
             ("blinded-summary", "readings.csv", 1, 0, b"blinded_index,reading_volts",
              "unexpected header 'blinded_index,reading_volts'"),
             ("blinded-summary", "readings.csv", 1, 0, b"blinded_index,reading_volts,range",
              "unexpected header 'blinded_index,reading_volts,range'"),
             ("unblind-fit", "readings.csv", 1, 0, b"blinded_index,reading_volts,range",
              "unexpected header 'blinded_index,reading_volts,range'"),
-            ("unblind-fit", "key.csv", 4, 1, b"-1", "blinded position 2: source_index < 0"),
+            ("unblind-fit", "key.csv", 4, 1, b"-1",
+             "blinded position 2: source_index -1 outside 0..2147483647"),
             ("unblind-fit", "key.csv", 1, 0, b"blinded_index,source_id",
              "unexpected header 'blinded_index,source_id,source_index'"),
             ("unblind-fit", "key.csv", 1, 0, b"source",
@@ -1131,7 +1167,7 @@ class TestCliCommands:
              "line 5: not UTF-8 text (invalid start byte)"),
         ],
         ids=["bit 2", "header n=abc", "header without n", "header n twice", "header token n",
-             "header id of 238 characters", "header fidelity unlike config",
+             "header id of 238 characters", "header fidelity unlike config", "readings nan",
              "readings header of the previous format", "readings header of the range format",
              "readings header of the range format to unblind-fit", "negative source_index",
              "key header of the previous format", "key header renamed",

@@ -207,12 +207,24 @@ UNREADABLE = {
     "a repeated word": ("n,word", [np.array([3, 1]), (np.array([0, 1]), ["a", "a"])]),
     "an empty word alone in its row": ("word", [(np.array([0, 1]), ["a", ""])]),
     "a header of one name for two columns": ("n", GOOD[1]),
+    "a NaN": ("x", [np.array([1.0, np.nan])]),
+    "a -NaN": ("x", [np.array([1.0, np.copysign(np.nan, -1)])]),
+    "an inf": ("x", [np.array([np.inf, 1.0])]),
+    "a -inf": ("x", [np.array([1.0, -np.inf])]),
 }
-NEGATIVE_INT = ("n,word\n3,a\n-1,b\n", [np.array([3, -1]), (np.array([0, 1]), ["a", "b"])])
+# tables no writer would write, as text, kinds, columns, and the message of their read
+UNWRITTEN = {
+    "a negative int": ("n,word\n3,a\n-1,b\n", (int, str),
+                       [np.array([3, -1]), (np.array([0, 1]), ["a", "b"])],
+                       "blinded position 1: n -1 outside 0..2147483647"),
+    "a nan": ("x\n1.0\nnan\n", (float,), [np.array([1.0, np.nan])],
+              "blinded position 1: x nan is not finite"),
+}
 
 
 @pytest.mark.parametrize(
-    "case", [*UNREADABLE, "a negative int in the CSV", "a negative int in its cache"])
+    "case", [*UNREADABLE, *(f"{case} in {where}" for case in UNWRITTEN
+                            for where in ("the CSV", "its cache"))])
 def test_a_table_that_would_not_read_back_is_refused_naming_its_path(tmp_path, case):
     # a write refused before the seal, the table or its cache changes; a read refused
     # whichever way its columns come
@@ -222,13 +234,12 @@ def test_a_table_that_would_not_read_back_is_refused_naming_its_path(tmp_path, c
         refused = functools.partial(files.write_table, path, *UNREADABLE[case])
         message = ""
     else:
-        text, columns = NEGATIVE_INT  # as no writer would write it
+        text, kinds, columns, message = UNWRITTEN[case.split(" in ")[0]]
         path.write_text(text)
         digests = {path: files.file_sha256(path)}
         if case.endswith("cache"):
             digests[files.cache_path(path)] = files.write_cache(path, digests[path], columns)
-        refused = functools.partial(files.read_table, path, GOOD[0], (int, str))
-        message = "blinded position 1: n < 0"
+        refused = functools.partial(files.read_table, path, text.split("\n")[0], kinds)
     files.seal(digests)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):

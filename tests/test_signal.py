@@ -684,7 +684,7 @@ class TestReadingsFile:
         path.write_text("reading_volts\n" + rows)
         files.write_cache(path, files.file_sha256(path), [values])
         cache.settle(path)
-        message = re.escape(f"{path}: row 3: reading {value} is not finite")
+        message = re.escape(f"{path}: blinded position 3: reading_volts {value} is not finite")
         with pytest.raises(ValueError, match=message):
             read_readings(path)
 
@@ -692,7 +692,7 @@ class TestReadingsFile:
     def test_writer_refuses_a_non_finite_reading(self, tmp_path, value):
         values = np.array([1e-9, 3.0, -2e-9, value, 3.0])
         path = tmp_path / "readings.csv"
-        message = re.escape(f"{path}: row 3: reading {value} is not finite")
+        message = re.escape(f"{path}: blinded position 3: reading_volts {value} is not finite")
         with pytest.raises(ValueError, match=message):
             write_readings(values, path)
         assert not path.exists()
