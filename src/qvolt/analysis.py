@@ -77,8 +77,7 @@ def classify(values: Sequence[float], threshold: float = 1.0) -> tuple[np.ndarra
     """
     arr = np.asarray(values, dtype=float)
     high_mask = arr > threshold
-    high = arr[high_mask]
-    return arr[np.logical_not(high_mask, out=high_mask)], high
+    return arr[~high_mask], arr[high_mask]
 
 
 def summarize(values: Sequence[float]) -> GaussianSummary:
@@ -119,7 +118,7 @@ def histogram(values: Sequence[float], n_bins: int) -> HistogramResult:
     return HistogramResult(bin_edges=edges, counts=counts, overlay_density=overlay)
 
 
-def wls_fit(x: np.ndarray, y: np.ndarray, sigma: np.ndarray, v1: float = 3.0) -> FitResult:
+def wls_fit(x: np.ndarray, y: np.ndarray, sigma: np.ndarray, v1: float) -> FitResult:
     """Closed-form weighted least squares of y on x, weights 1/sigma^2.
 
     x, y and sigma are 1-D arrays of one length, one entry per source.

@@ -98,13 +98,15 @@ def unblind(values, key: BlindingKey) -> dict[str, np.ndarray]:
 _KEY_HEADER = "source_id,source_index"
 
 
-def write_key(key: BlindingKey, path: str | os.PathLike) -> dict[str, bytes]:
-    """Write key.csv, then its cache, which holds the columns `read_key` reads; their digests.
+def write_key(key: BlindingKey, path: str | os.PathLike) -> tuple[dict[str, bytes], np.ndarray]:
+    """Write key.csv, then its cache, which holds the columns `read_key` reads.
 
-    An id that would not parse back is refused by `files.write_table` before it opens a file.
+    Returns their digests, and the source codes of the one `key.origins()` written, which
+    `run` hands on to `pipeline.acquire`. An id that would not parse back is refused by
+    `files.write_table` before it opens a file.
     """
     code, index = key.origins()
-    return files.write_table(path, _KEY_HEADER, [(code, key.source_ids), index])
+    return files.write_table(path, _KEY_HEADER, [(code, key.source_ids), index]), code
 
 
 def read_key(path: str | os.PathLike) -> tuple[BlindingKey, dict[str, bytes]]:
@@ -130,7 +132,6 @@ def read_key(path: str | os.PathLike) -> tuple[BlindingKey, dict[str, bytes]]:
     start[held] = counts.cumsum() - counts
     for block in blocks:  # read_table's column is ours: it becomes the permutation
         index[block] += start[code[block]]
-    del code  # not kept through the key's checks
     try:
         key = BlindingKey(tuple(ids[c] for c in held), counts, index)
     except ValueError as exc:

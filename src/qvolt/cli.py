@@ -47,9 +47,10 @@ def cmd_generate(config: RunConfig, out: str) -> str:
 def cmd_run(config: RunConfig, out: str) -> str:
     """Blind and acquire the bit files in `out` (fresh bits if none); write and seal the tables.
 
-    key.csv is written first, from the key alone; the key and the blinded bits are dropped
-    once the readings are acquired, so readings.csv is written beside none of them. The
-    seal is the last write.
+    key.csv is written first, from the key alone; its writer's source codes are the
+    acquisition's, so the key's origins are built once. The key, the codes and the
+    blinded bits are dropped once the readings are acquired, so readings.csv is written
+    beside none of them. The seal is the last write.
     """
     os.makedirs(out, exist_ok=True)
     paths = [_bits_path(out, spec.id) for spec in config.sources]
@@ -67,10 +68,10 @@ def cmd_run(config: RunConfig, out: str) -> str:
     blinded_bits, key = pipeline.blind(config, strings)
     del strings
     readings_path, key_path = os.path.join(out, "readings.csv"), os.path.join(out, "key.csv")
-    digests = blinding.write_key(key, key_path)
-    readings = pipeline.acquire(config, blinded_bits, key)
+    digests, code = blinding.write_key(key, key_path)
+    readings = pipeline.acquire(config, blinded_bits, key.source_ids, code)
     n = len(key)
-    del blinded_bits, key  # before readings.csv is written
+    del blinded_bits, key, code  # before readings.csv is written
     digests.update(signal.write_readings(readings, readings_path))
     files.seal(digests)
     return (f"wrote {readings_path} ({n} readings)\n"

@@ -15,6 +15,8 @@ sha256, hashed once, and the cache's payload sha256 when the columns went to
 or came from the cache. `seal` records them in seal.json, beside the tables,
 and `check_seal` checks them there, so an edit to a cache is refused as an
 edit to its CSV is. `write_table` removes that seal before it writes.
+The small CSVs (fit.csv, band.csv, the histograms) are rows built by `%` and
+written whole by `write_text`.
 """
 
 from contextlib import contextmanager, suppress
@@ -52,22 +54,18 @@ def write_text(path: str | os.PathLike, text: str) -> None:
         fh.write(text)
 
 
-def _savetxt(path: str | os.PathLike, header: str, fmt: str, *columns) -> None:
-    """A header line, then one row of `fmt` per row of the columns, by one `np.savetxt` call."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, np.column_stack(columns), fmt=fmt, header=header, comments="")
-
-
 def write_histogram(path: str | os.PathLike, hist) -> None:
     """A histogram CSV of an `analysis.HistogramResult`: each bin's edges, count and overlay."""
-    _savetxt(path, "bin_left,bin_right,count,overlay_density", "%.15e,%.15e,%d,%.15e",
-             hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.overlay_density)
+    rows = zip(hist.bin_edges[:-1].tolist(), hist.bin_edges[1:].tolist(), hist.counts.tolist(),
+               hist.overlay_density.tolist())
+    write_text(path, "bin_left,bin_right,count,overlay_density\n"
+               + "".join("%.15e,%.15e,%d,%.15e\n" % row for row in rows))
 
 
 def write_band(path: str | os.PathLike, mc) -> None:
     """band.csv of an `analysis.MCResult`: the fit line and its Monte Carlo band."""
-    _savetxt(path, "x,fit,lo,hi", "%.15e,%.15e,%.15e,%.15e",
-             mc.band_x, mc.band_fit, mc.band_lo, mc.band_hi)
+    rows = zip(mc.band_x.tolist(), mc.band_fit.tolist(), mc.band_lo.tolist(), mc.band_hi.tolist())
+    write_text(path, "x,fit,lo,hi\n" + "".join("%.15e,%.15e,%.15e,%.15e\n" % row for row in rows))
 
 
 def cl_percent(cl: float) -> str:
@@ -391,24 +389,19 @@ def write_cache(path: str | os.PathLike, csv_sha256: bytes, columns: Sequence) -
     The cache is CACHE_TAG, the sha256 of the CSV's bytes and of the payload, then
     the payload: one JSON line that lists each column's words (null for a number
     column), then each column's array in its kind's dtype, a text column's codes.
-    Each column is converted, hashed and written CSV_BLOCK_ROWS rows at a time, and the
-    payload's digest, known once the last block is hashed, is written over its place.
+    Each column is converted whole, hashed, then written by one call.
     Returns the payload's sha256 digest.
     """
     kinds, arrays, words = zip(*map(_column, columns))
+    arrays = [np.ascontiguousarray(a, _DTYPES[kind]) for a, kind in zip(arrays, kinds)]
     meta = json.dumps(words).encode() + b"\n"
     payload = hashlib.sha256(meta)
+    for a in arrays:
+        payload.update(a)
     with open(cache_path(path), "wb") as fh:
-        fh.write(CACHE_TAG + csv_sha256)
-        at = fh.tell()
-        fh.write(bytes(payload.digest_size) + meta)
-        for a, kind in zip(arrays, kinds):
-            for lo in range(0, len(a), CSV_BLOCK_ROWS):
-                block = np.ascontiguousarray(a[lo:lo + CSV_BLOCK_ROWS], _DTYPES[kind])
-                payload.update(block)
-                fh.write(block)
-        fh.seek(at)
-        fh.write(payload.digest())
+        fh.write(CACHE_TAG + csv_sha256 + payload.digest() + meta)
+        for a in arrays:
+            fh.write(a)
     return payload.digest()
 
 

@@ -47,11 +47,7 @@ def expected_reading(bit, fidelity, params: NonlinearParams):
     bad = ~((f >= 0.5) & (f <= 1.0))
     if np.any(bad):
         raise ValueError(f"fidelity {f[bad][0]} outside [1/2, 1]")
-    # vs + eps_gamma * v1 * (f - 1/2), then v1 where the bit is 1, built in one array
-    level = np.subtract(f, 0.5, out=np.empty(np.broadcast_shapes(b.shape, f.shape)))
-    level *= params.eps_gamma * params.v1
-    level += params.vs
-    np.copyto(level, params.v1, where=b == 1)
+    level = np.where(b == 1, params.v1, (f - 0.5) * (params.eps_gamma * params.v1) + params.vs)
     return float(level) if level.ndim == 0 else level
 
 

@@ -47,15 +47,17 @@ def blind(config: RunConfig, strings: Sequence[sources.BitString]):
 def acquire(
     config: RunConfig,
     blinded_bits: np.ndarray,
-    key: blinding.BlindingKey,
+    source_ids: Sequence[str],
+    source_code: np.ndarray,
 ) -> np.ndarray:
-    """One simulated reading per blinded position; the key is provenance for the simulator only."""
+    """One simulated reading per blinded position, whose source is source_ids[source_code[p]].
+
+    The codes are a key's `origins()[0]`: provenance for the simulator only.
+    """
     fidelity = {s.id: s.fidelity for s in config.sources}
     noise_seed = derive_seed(config.seed, "noise")
-    # each position's source is handed over, not kept here, so `run_acquisition` frees it
-    # once the levels are built
     return signal.run_acquisition(
-        blinded_bits, key.origins()[0], [fidelity[sid] for sid in key.source_ids],
+        blinded_bits, source_code, [fidelity[sid] for sid in source_ids],
         config.params, config.acquisition, noise_seed,
     )
 
@@ -93,7 +95,6 @@ def unblind_fit(unblinded: dict[str, np.ndarray], config: RunConfig) -> UnblindR
     for spec in config.sources:
         low, high = analysis.classify(unblinded.pop(spec.id), config.analysis.threshold)
         high_sum, n_high = high_sum + float(high.sum()), n_high + len(high)
-        del high  # not kept through the histogram
         summary = analysis.summarize(low) if len(low) else None
         if summary is None or not summary.sem > 0:
             sem = "undefined" if summary is None else f"{summary.sem} V"
@@ -119,7 +120,7 @@ def run_pipeline(config: RunConfig):
     """Full in-memory run; returns (readings, key, blinded summary, unblind result)."""
     strings = generate_bits(config)
     blinded_bits, key = blind(config, strings)
-    readings = acquire(config, blinded_bits, key)
+    readings = acquire(config, blinded_bits, key.source_ids, key.origins()[0])
     summary = blinded_summary(readings, config)
     result = unblind_fit(blinding.unblind(readings, key), config)
     return readings, key, summary, result

@@ -192,9 +192,7 @@ def run_acquisition(
     counter-addressed stream keyed by `noise_seed`, so readings do not depend on
     batching or on the number of cycles after them. In waveform mode the previous
     cycle's known target level seeds the settling transient (deterministic and
-    parallelizable; the first cycle settles from 0 V). The source indexes are dropped
-    once the levels are built, so a caller that hands over its only reference frees
-    them before the noise is drawn.
+    parallelizable; the first cycle settles from 0 V).
     """
     bits = np.asarray(blinded_bits)
     source = np.asarray(source_index)
@@ -204,7 +202,6 @@ def run_acquisition(
     bad = (bits != 0) & (bits != 1)
     if np.any(bad):
         raise ValueError(f"bit must be 0 or 1, got {bits[bad][0].item()!r}")
-    del bad
     if not source.size:  # an empty list is float64, which numpy does not index with
         source = source.astype(np.uint8)
     elif source.min() < 0 or source.max() >= len(fids):
@@ -214,7 +211,6 @@ def run_acquisition(
 
     table = expected_reading([0, 1], fids[:, None], params)  # the level of each source and bit
     levels = table[source, bits.astype(np.uint8, copy=False)]
-    del source_index, source
     if cfg.mode is AcquisitionMode.FAST:
         return _fast_values(levels, cfg, noise_seed)
     return _waveform_values(levels, cfg, noise_seed)

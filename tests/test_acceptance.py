@@ -103,7 +103,7 @@ def test_criterion_5_injection_recovery():
 @report(6, "Monte Carlo parameter spread matches the analytic WLS sigma")
 def test_criterion_6_mc_vs_analytic():
     start = time.perf_counter()
-    fit = wls_fit(*QUOTED_POINTS)
+    fit = wls_fit(*QUOTED_POINTS, v1=3.0)
     mc = mc_errors(*QUOTED_POINTS, np.random.default_rng(60), n_real=10_000)
     elapsed = time.perf_counter() - start
     assert abs(mc.sd_slope / fit.sigma_slope - 1) < 0.03

@@ -195,9 +195,9 @@ class TestWlsFit:
 
     def test_rejects_degenerate_design(self):
         with pytest.raises(ValueError):
-            wls_fit([0.1, 0.1], [1.0, 2.0], [0.5, 0.1])
+            wls_fit([0.1, 0.1], [1.0, 2.0], [0.5, 0.1], v1=3.0)
         with pytest.raises(ValueError):
-            wls_fit([0.1], [1.0], [0.5])
+            wls_fit([0.1], [1.0], [0.5], v1=3.0)
 
     def test_closed_form_beats_grid_search(self, rng):
         # oracle equivalence: chi^2 at the closed-form optimum is not beaten
@@ -208,7 +208,7 @@ class TestWlsFit:
                 (x, rng.normal(0, 1), rng.uniform(0.1, 2.0))
                 for x in (0.0, rng.uniform(0.2, 0.4), 0.5)
             ]).T
-            fit = wls_fit(*points)
+            fit = wls_fit(*points, v1=3.0)
             best = chi2(points, fit.slope, fit.intercept)
             slopes = fit.slope + np.linspace(-1, 1, 201) * max(abs(fit.slope), 1.0)
             intercepts = fit.intercept + np.linspace(-1, 1, 201) * max(
@@ -272,7 +272,7 @@ def mc_lines_reference(points, rng, n_real):
     samples = rng.normal(loc=y, scale=sig, size=(n_real, len(x)))
     slopes = samples @ c_slope
     intercepts = samples @ c_intercept
-    fit = wls_fit(*points)
+    fit = wls_fit(*points, v1=3.0)
     band_x = np.linspace(min(x.min(), 0.0), max(x.max(), 0.5), BAND_POINTS)
     lines = np.outer(slopes, band_x) + intercepts[:, None]
     return {
@@ -326,7 +326,7 @@ class TestMcErrors:
         assert mc.sd_intercept < 1e-18
 
     def test_matches_analytic_at_paper_count(self):
-        fit = wls_fit(*PAPER_POINTS)
+        fit = wls_fit(*PAPER_POINTS, v1=3.0)
         mc = mc_errors(*PAPER_POINTS, np.random.default_rng(2), n_real=10_000)
         assert abs(mc.sd_slope / fit.sigma_slope - 1) < 0.03
         assert abs(mc.sd_intercept / fit.sigma_intercept - 1) < 0.05
@@ -364,7 +364,7 @@ BAD_FIT_INPUTS = {
 }
 
 FITS = {
-    "wls_fit": wls_fit,
+    "wls_fit": lambda x, y, sigma: wls_fit(x, y, sigma, v1=3.0),
     "mc_errors": lambda x, y, sigma: mc_errors(x, y, sigma, np.random.default_rng(0), 100),
 }
 

@@ -630,6 +630,20 @@ def test_paper_scale_steps_stay_under_their_peak_memory(tmp_path):
     assert all(peaks[step] < STEP_PEAK_MIB[step] for step in steps), peaks
 
 
+def test_run_builds_the_key_origins_once(tmp_path, monkeypatch):
+    # key.csv's write hands its source codes on to the acquisition
+    origins = blinding.BlindingKey.origins
+    calls = []
+
+    def counted(key):
+        calls.append(len(key))
+        return origins(key)
+
+    monkeypatch.setattr(blinding.BlindingKey, "origins", counted)
+    assert cli.main(["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [60]
+
+
 class TestTableWriters:
     def test_every_file_keeps_its_recorded_bytes(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -76,7 +76,8 @@ def test_only_files_names_the_seal(module):
 
 
 def test_the_guard_sees_every_call_in_files():
-    assert {name for _, name in file_calls(SRC / "files.py")} == FILE_CALLS
+    # `files` writes text with `write` and `%`, so it never calls `savetxt`
+    assert {name for _, name in file_calls(SRC / "files.py")} == FILE_CALLS - {"savetxt"}
 
 
 def test_the_guard_sees_every_json_call_in_files():

@@ -50,7 +50,7 @@ class TestMeasuredLevel:
     def test_fit_and_mc_read_no_seed(self):
         cfg = make_config(sources=scaled_sources(100), mc_realizations=200)
         blinded_bits, key = blind(cfg, generate_bits(cfg))
-        readings = acquire(cfg, blinded_bits, key)
+        readings = acquire(cfg, blinded_bits, key.source_ids, key.origins()[0])
         assert cfg.seed != 7
         a, b = (unblind_fit(unblind(readings, key), c) for c in (cfg, replace(cfg, seed=7)))
         assert a.fit == b.fit
@@ -100,7 +100,7 @@ class TestStatisticalBehavior:
         cfg = make_config(sources=scaled_sources(100), mc_realizations=100)
         strings = generate_bits(cfg)
         blinded_bits, key = blind(cfg, strings)
-        readings = acquire(cfg, blinded_bits, key)
+        readings = acquire(cfg, blinded_bits, key.source_ids, key.origins()[0])
         summary = blinded_summary(readings, cfg)
         n_ones = sum(int(s.bits.sum()) for s in strings)
         n_total = sum(s.source.count for s in strings)
@@ -112,7 +112,7 @@ class TestStatisticalBehavior:
         cfg = make_config(sources=scaled_sources(100), mc_realizations=100)
         strings = generate_bits(cfg)
         blinded_bits, key = blind(cfg, strings)
-        readings = acquire(cfg, blinded_bits, key)
+        readings = acquire(cfg, blinded_bits, key.source_ids, key.origins()[0])
         result = unblind_fit(unblind(readings, key), cfg)
         for spec in cfg.sources:
             n_zeros = spec.count - int(
@@ -126,7 +126,7 @@ class TestStatisticalBehavior:
         cfg = make_config(eps_gamma=1e-9, sources=scaled_sources(1000), mc_realizations=100)
         cfg = replace(cfg, acquisition=replace(cfg.acquisition, sigma_low=0.0, sigma_high=0.0))
         blinded_bits, key = blind(cfg, generate_bits(cfg))
-        readings = acquire(cfg, blinded_bits, key)
+        readings = acquire(cfg, blinded_bits, key.source_ids, key.origins()[0])
         fidelity = {s.id: s.fidelity for s in cfg.sources}
         for pos, (sid, _) in enumerate(origin_pairs(key)):
             if blinded_bits[pos] == 0:
